@@ -52,6 +52,7 @@ fn bench_cluster(c: &mut Criterion) {
                 spec,
                 pa_workloads::AleMode::IoAware,
                 7,
+                1,
             ))
         })
     });

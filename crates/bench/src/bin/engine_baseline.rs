@@ -52,17 +52,12 @@ fn queue_scenario(batches: u32) -> Scenario {
 
 /// Cancel-heavy calendar throughput: the timer re-arm pattern that used
 /// to leak tombstones without bound. Each round re-arms a far-future
-/// timer per slot (cancel + schedule) and pops one near event. Runs in
-/// both queue modes and asserts the lazy fallback's compaction bound —
-/// tombstones never exceed live entries — every round.
-fn queue_cancel_scenario(rounds: u32, lazy: bool) -> Scenario {
+/// timer per slot (cancel + schedule) and pops one near event, asserting
+/// every round that no dead entry stays resident.
+fn queue_cancel_scenario(rounds: u32) -> Scenario {
     const SLOTS: usize = 512;
     let started = Instant::now();
-    let mut q = if lazy {
-        EventQueue::<u32>::new_lazy()
-    } else {
-        EventQueue::<u32>::new()
-    };
+    let mut q = EventQueue::<u32>::new();
     let mut timers = Vec::with_capacity(SLOTS);
     let far = SimTime::from_nanos(u64::MAX / 2);
     for i in 0..SLOTS {
@@ -76,28 +71,17 @@ fn queue_cancel_scenario(rounds: u32, lazy: bool) -> Scenario {
             ops += 2;
         }
         // One live near event keeps pops meaningful and anchors the root.
-        let near = q.schedule(q.now() + SimDur::from_nanos(1), u32::MAX);
-        let _ = near;
+        q.schedule(q.now() + SimDur::from_nanos(1), u32::MAX);
         q.pop();
         ops += 2;
-        let live = (q.stats().scheduled - q.stats().popped - q.stats().cancelled) as usize;
-        assert!(
-            q.stats().tombstones as usize <= live.max(1),
-            "round {r}: {} tombstones exceed {live} live entries",
-            q.stats().tombstones
-        );
-        assert!(
-            q.resident_len() <= 2 * live + 1,
-            "round {r}: resident {} exceeds 2*live+1 for {live} live",
-            q.resident_len()
+        assert_eq!(
+            q.stats().tombstones,
+            0,
+            "round {r}: a cancelled entry stayed resident"
         );
     }
     Scenario {
-        name: if lazy {
-            "event_queue/cancel_rearm_lazy"
-        } else {
-            "event_queue/cancel_rearm_indexed"
-        },
+        name: "event_queue/cancel_rearm_indexed",
         events: ops,
         events_per_sec: ops as f64 / started.elapsed().as_secs_f64(),
     }
@@ -414,8 +398,7 @@ fn main() {
         };
     let scenarios = vec![
         queue_scenario(batches),
-        queue_cancel_scenario(cancel_rounds, false),
-        queue_cancel_scenario(cancel_rounds, true),
+        queue_cancel_scenario(cancel_rounds),
         cluster_scenario(calls),
         timeline_scenario(calls),
     ];

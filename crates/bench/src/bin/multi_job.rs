@@ -75,7 +75,7 @@ fn main() {
             args.link_bandwidth,
             &noise,
         );
-        let out = run_batch_point(&spec);
+        let out = run_batch_point(&spec, args.sim_threads);
         write_metrics(&args, &out.metrics);
         write_trace(&args, &out.spans);
         if args.blame_out.is_some() {

@@ -13,7 +13,7 @@ fn main() {
         Mode::Standard => 8,
         Mode::Full => 59,
     };
-    let r = tab_timer(nodes, args.mode != Mode::Full);
+    let r = tab_timer(nodes, args.mode != Mode::Full, args.sim_threads);
     emit(args.json, &r, || {
         let mut t = Table::new(
             format!("Per-call global Allreduce duration at {nodes} nodes, 15 t/n"),

@@ -14,9 +14,6 @@
 //! * `--sim-threads N` — cluster-engine worker threads inside each run
 //!   (results are bit-identical at any setting: the engine is
 //!   conservatively parallel with a deterministic barrier merge);
-//! * `--shard-schedule stripe|steal|adversarial` — how parallel workers
-//!   claim shards inside a window (default `steal`; history is
-//!   byte-identical under every schedule);
 //! * `--no-cache` — skip the `results/cache/` result cache entirely;
 //! * `--rerun` — ignore cached entries but refresh them with new runs;
 //! * `--link-bandwidth B|unlimited` — per-node link capacity in bytes/sec
@@ -65,12 +62,10 @@ pub struct Args {
     pub seed: u64,
     /// Campaign worker threads.
     pub jobs: usize,
-    /// Cluster-engine worker threads per run.
+    /// Cluster-engine worker threads per run. Binaries hand it to every
+    /// run they make: campaign points through [`Args::campaign`], direct
+    /// runs through their workload's configuration.
     pub sim_threads: usize,
-    /// Shard-assignment schedule for the parallel engine
-    /// (`stripe`/`steal`/`adversarial`). History is bit-identical at any
-    /// setting; only wall-clock time changes.
-    pub shard_schedule: pa_cluster::ShardSchedule,
     /// Disable the result cache.
     pub no_cache: bool,
     /// Ignore cached entries (but refresh them).
@@ -109,7 +104,6 @@ impl Args {
             seed: 42,
             jobs: 1,
             sim_threads: 1,
-            shard_schedule: pa_cluster::ShardSchedule::Steal,
             no_cache: false,
             rerun: false,
             link_bandwidth: None,
@@ -145,17 +139,6 @@ impl Args {
                         .and_then(|v| v.parse().ok())
                         .filter(|&n| n >= 1)
                         .unwrap_or_else(|| usage("--sim-threads needs a positive integer"));
-                }
-                "--shard-schedule" => {
-                    let v = it.next().unwrap_or_else(|| {
-                        usage("--shard-schedule needs stripe, steal, or adversarial")
-                    });
-                    args.shard_schedule =
-                        pa_cluster::ShardSchedule::parse(&v).unwrap_or_else(|| {
-                            usage(&format!(
-                                "--shard-schedule: unknown schedule '{v}' (stripe/steal/adversarial)"
-                            ))
-                        });
                 }
                 "--no-cache" => args.no_cache = true,
                 "--rerun" => args.rerun = true,
@@ -234,20 +217,18 @@ impl Args {
                 other => usage(&format!("unknown argument '{other}'")),
             }
         }
-        // Every figure/table binary builds experiments through
-        // `Experiment::new`, which reads these process-wide defaults.
-        pa_core::set_default_sim_threads(args.sim_threads);
-        pa_core::set_default_shard_schedule(args.shard_schedule);
         args
     }
 
     /// Build the campaign executor these arguments describe: `--jobs`
-    /// workers, the `results/cache/` content-addressed cache unless
-    /// `--no-cache`, lookups bypassed under `--rerun`. Progress goes to
-    /// stderr so stdout stays byte-identical across cache states and job
-    /// counts.
+    /// workers running each point on `--sim-threads` engine threads, the
+    /// `results/cache/` content-addressed cache unless `--no-cache`,
+    /// lookups bypassed under `--rerun`. Progress goes to stderr so stdout
+    /// stays byte-identical across cache states and job counts.
     pub fn campaign(&self, label: &str) -> ExecutorConfig {
-        let mut exec = ExecutorConfig::serial(label).with_jobs(self.jobs);
+        let mut exec = ExecutorConfig::serial(label)
+            .with_jobs(self.jobs)
+            .with_sim_threads(self.sim_threads);
         exec.progress = true;
         exec.rerun = self.rerun;
         if !self.no_cache {
@@ -293,7 +274,7 @@ fn usage(err: &str) -> ! {
     }
     eprintln!(
         "usage: <bin> [--quick|--full] [--json] [--seed N] [--jobs N] [--sim-threads N] \
-         [--shard-schedule stripe|steal|adversarial] [--no-cache] [--rerun] \
+         [--no-cache] [--rerun] \
          [--link-bandwidth B|unlimited] [--checkpoint-every DUR] \
          [--metrics-out PATH] [--trace-out PATH] [--blame-out PATH] [--policies LIST] \
          [--dispatcher aix|cfs|eevdf]"
@@ -426,8 +407,8 @@ pub fn banner(title: &str, mode: Mode) {
 use pa_simkit::SimDur;
 use pa_workloads::ScalingConfig;
 
-/// Apply the common arguments (mode, seed, link bandwidth) to a
-/// Figure-3/5 sweep configuration.
+/// Apply the common arguments (mode, seed, link bandwidth, dispatcher,
+/// engine threads) to a Figure-3/5 sweep configuration.
 pub fn scale_sweep(mut cfg: ScalingConfig, args: &Args) -> ScalingConfig {
     let seed = args.seed;
     match args.mode {
@@ -448,5 +429,6 @@ pub fn scale_sweep(mut cfg: ScalingConfig, args: &Args) -> ScalingConfig {
     }
     cfg.link_bandwidth = args.link_bandwidth;
     cfg.kernel.dispatcher = args.dispatcher;
+    cfg.sim_threads = args.sim_threads;
     cfg
 }

@@ -30,6 +30,10 @@ pub struct ExecutorConfig {
     /// Requires a cache (checkpoints live under `<cache>/checkpoints/`,
     /// keyed by point content hash); `None` disables checkpointing.
     pub checkpoint_every: Option<SimDur>,
+    /// Engine worker threads each fresh point simulates on (at least 1).
+    /// Results are bit-identical at any value, so it is not part of any
+    /// point's content key.
+    pub sim_threads: usize,
 }
 
 impl ExecutorConfig {
@@ -43,6 +47,7 @@ impl ExecutorConfig {
             progress: false,
             label: label.into(),
             checkpoint_every: None,
+            sim_threads: 1,
         }
     }
 
@@ -63,12 +68,38 @@ impl ExecutorConfig {
         self.checkpoint_every = Some(every);
         self
     }
+
+    /// Simulate each fresh point on `threads` engine workers.
+    pub fn with_sim_threads(mut self, threads: usize) -> ExecutorConfig {
+        self.sim_threads = threads.max(1);
+        self
+    }
 }
 
-/// Mid-run checkpoint context the executor hands a resumable runner for
-/// one fresh point: where the point's checkpoint lives (restore from it
-/// when present — a previous invocation was killed mid-run) and how often
-/// to write it.
+/// How the executor asks a runner to run one fresh point. Nothing here
+/// changes the point's result, which is why none of it is part of the
+/// spec or its content key.
+#[derive(Debug, Clone)]
+pub struct PointCtx {
+    /// Engine worker threads for the point's simulation.
+    pub sim_threads: usize,
+    /// Mid-run checkpointing, when the campaign arms it.
+    pub checkpoint: Option<CheckpointCtx>,
+}
+
+impl PointCtx {
+    /// One engine thread, no checkpointing.
+    pub fn serial() -> PointCtx {
+        PointCtx {
+            sim_threads: 1,
+            checkpoint: None,
+        }
+    }
+}
+
+/// Mid-run checkpoint context of one fresh point ([`PointCtx`]): where
+/// the point's checkpoint lives (restore from it when present — a
+/// previous invocation was killed mid-run) and how often to write it.
 #[derive(Debug, Clone)]
 pub struct CheckpointCtx {
     /// Checkpoint file, `<cache>/checkpoints/<content_key>.json`.
@@ -141,8 +172,15 @@ enum WorkerMsg {
 /// Run every spec through `runner`, in parallel, consulting the cache.
 ///
 /// `runner` must be a pure function of the spec (the DES guarantees
-/// this: one seed, one single-threaded simulation); under that contract
-/// the returned results are identical for any `jobs` value.
+/// this: one seed, a history identical at any engine thread count);
+/// under that contract the returned results are identical for any `jobs`
+/// value. Each fresh point comes with a [`PointCtx`]: the engine thread
+/// count, and — when the config arms `checkpoint_every` and has a cache —
+/// a [`CheckpointCtx`] telling the runner where to write periodic
+/// checkpoints and where to restore from if an earlier invocation died
+/// mid-point. Restored tails replay bit-identically, so results still
+/// match an uninterrupted campaign's; a point's checkpoint is deleted
+/// once its result is cached.
 pub fn run_campaign<W, F>(
     specs: &[PointSpec<W>],
     cfg: &ExecutorConfig,
@@ -150,25 +188,7 @@ pub fn run_campaign<W, F>(
 ) -> CampaignOutcome
 where
     W: Serialize + Sync,
-    F: Fn(&PointSpec<W>) -> PointResult + Sync,
-{
-    run_campaign_resumable(specs, cfg, |spec, _ckpt| runner(spec))
-}
-
-/// [`run_campaign`] for checkpoint-aware runners: fresh points receive a
-/// [`CheckpointCtx`] (when the config arms `checkpoint_every` and has a
-/// cache) telling them where to write periodic checkpoints — and where to
-/// restore from if an earlier invocation died mid-point. Restored tails
-/// replay bit-identically, so results still match an uninterrupted
-/// campaign's; a point's checkpoint is deleted once its result is cached.
-pub fn run_campaign_resumable<W, F>(
-    specs: &[PointSpec<W>],
-    cfg: &ExecutorConfig,
-    runner: F,
-) -> CampaignOutcome
-where
-    W: Serialize + Sync,
-    F: Fn(&PointSpec<W>, Option<&CheckpointCtx>) -> PointResult + Sync,
+    F: Fn(&PointSpec<W>, &PointCtx) -> PointResult + Sync,
 {
     let started = Instant::now();
     let total = specs.len();
@@ -204,20 +224,26 @@ where
                         Some(r) => (r, true),
                         None => {
                             let _ = msg_tx.send(WorkerMsg::Started { index: i });
-                            let ckpt = match (cache, cfg.checkpoint_every) {
-                                (Some(c), Some(every)) => Some(CheckpointCtx {
-                                    path: c.dir().join("checkpoints").join(format!("{key}.json")),
-                                    every,
-                                }),
-                                _ => None,
+                            let ctx = PointCtx {
+                                sim_threads: cfg.sim_threads.max(1),
+                                checkpoint: match (cache, cfg.checkpoint_every) {
+                                    (Some(c), Some(every)) => Some(CheckpointCtx {
+                                        path: c
+                                            .dir()
+                                            .join("checkpoints")
+                                            .join(format!("{key}.json")),
+                                        every,
+                                    }),
+                                    _ => None,
+                                },
                             };
-                            let r = runner(spec, ckpt.as_ref());
+                            let r = runner(spec, &ctx);
                             if let Some(c) = cache {
                                 let _ = c.store(key, spec, &r);
                             }
                             // The result is durable now; the mid-run
                             // checkpoint has served its purpose.
-                            if let Some(cx) = &ckpt {
+                            if let Some(cx) = &ctx.checkpoint {
                                 let _ = std::fs::remove_file(&cx.path);
                             }
                             (r, false)
@@ -387,7 +413,7 @@ mod tests {
     }
 
     /// A cheap deterministic stand-in for a DES run.
-    fn fake_runner(s: &PointSpec<u64>) -> PointResult {
+    fn fake_runner(s: &PointSpec<u64>, _ctx: &PointCtx) -> PointResult {
         PointResult {
             mean_allreduce_us: (s.seed * 3 + s.workload) as f64,
             wall_s: 0.0,
@@ -424,6 +450,7 @@ mod tests {
             progress: false,
             label: "cached".into(),
             checkpoint_every: None,
+            sim_threads: 1,
         };
         let first = run_campaign(&specs, &cfg(false), fake_runner);
         assert_eq!(first.metrics.cache_hits, 0);
@@ -450,6 +477,7 @@ mod tests {
             progress: false,
             label: "corrupt".into(),
             checkpoint_every: None,
+            sim_threads: 1,
         };
         let first = run_campaign(&specs, &cfg(), fake_runner);
         assert_eq!(first.metrics.corrupt_entries, 0);

@@ -9,8 +9,7 @@ pub mod spec;
 
 pub use cache::{Cache, CacheStatus, PointResult, CACHE_SCHEMA_VERSION};
 pub use executor::{
-    run_campaign, run_campaign_resumable, CampaignOutcome, CheckpointCtx, ExecutorConfig,
-    TruncatedPoints,
+    run_campaign, CampaignOutcome, CheckpointCtx, ExecutorConfig, PointCtx, TruncatedPoints,
 };
 pub use manifest::{CampaignManifest, CampaignMetrics};
 pub use spec::PointSpec;

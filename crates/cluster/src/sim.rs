@@ -11,7 +11,7 @@
 //! barrier, cross-shard messages are exchanged and merged in a
 //! deterministic order — sorted by `(delivery time, source node, send
 //! sequence)` — so the simulation history is **bit-identical at any
-//! thread count**, including the serial path.
+//! thread count**, one thread included.
 //!
 //! The per-shard calendars together *are* the switch's globally
 //! synchronized timebase; each node's kernel sees global time only through
@@ -36,7 +36,7 @@ use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Static description of a cluster to build.
@@ -134,6 +134,12 @@ struct Shard {
     /// Queueing-delay histogram; buckets bounded by `LINK_WAIT_EDGES_NS`
     /// plus one overflow bucket.
     link_wait_hist: [u64; LINK_WAIT_BUCKETS],
+    /// Cumulative measured `process_window` wall time, ns.
+    busy_ns: u64,
+    /// Exponentially-weighted busy-time estimate (ns) driving the
+    /// heavy-first claim order. Like `busy_ns` it is wall-clock state:
+    /// never checkpointed, and losing it only costs a few warm-up windows.
+    busy_est: u64,
 }
 
 /// One shard's slice of a cluster checkpoint. Everything mutable lives
@@ -362,8 +368,8 @@ impl Shard {
     /// schedule it into this (destination) shard's calendar; returns the
     /// final delivery time. Must be called in the canonical
     /// `(deliver_at, src_node, seq)` merge order: the ingress busy-until
-    /// register advances monotonically in that order, so the serial and
-    /// parallel engines observe identical queueing.
+    /// register advances monotonically in that order, so every thread
+    /// count observes identical queueing.
     fn accept_staged(&mut self, m: StagedMsg, fabric: &FabricModel) -> SimTime {
         let mut deliver_at = m.deliver_at;
         if let Some(occ) = fabric.link_occupancy(m.msg.bytes) {
@@ -390,11 +396,15 @@ fn link_wait_bucket(wait: SimDur) -> usize {
         .unwrap_or(LINK_WAIT_EDGES_NS.len())
 }
 
-/// How the parallel engine assigns shards to worker threads inside a
-/// window. Assignment changes only *which worker* runs `process_window`
-/// on a shard — never per-shard event order, the window sequence, or the
-/// canonical barrier merge — so the event history is bit-identical under
-/// every variant at any thread count.
+/// How the window loop assigns shards to worker threads inside a window
+/// when several workers run. Assignment changes only *which worker* runs
+/// `process_window` on a shard — never per-shard event order, the window
+/// sequence, or the canonical barrier merge — so the event history is
+/// bit-identical under every variant at any thread count. A test and
+/// benchmark hook: `Steal` is the engine's schedule, and the other two
+/// exist to prove assignment invariance and to measure stealing against
+/// static stripes.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardSchedule {
     /// Static stripes (the pre-stealing engine): worker `t` owns shards
@@ -413,47 +423,21 @@ pub enum ShardSchedule {
     StealAdversarial,
 }
 
-impl ShardSchedule {
-    /// Parse a command-line name (`stripe`/`steal`/`adversarial`).
-    pub fn parse(s: &str) -> Option<ShardSchedule> {
-        match s {
-            "stripe" => Some(ShardSchedule::Stripe),
-            "steal" => Some(ShardSchedule::Steal),
-            "adversarial" => Some(ShardSchedule::StealAdversarial),
-            _ => None,
-        }
-    }
-}
-
 /// What one worker thread learned about its shards during a window:
 /// earliest next local event, live application threads, and the staged
 /// cross-shard messages. The coordinator aggregates these instead of
-/// re-scanning every shard. The wall-clock fields (`busy_ns`,
-/// `shard_busy`, `steals`) feed the load estimator and the `local.*`
-/// diagnostics only — nothing deterministic reads them.
+/// re-scanning every shard. The wall-clock fields (`busy_ns`, `steals`)
+/// feed the `local.*` diagnostics only — nothing deterministic reads
+/// them.
+#[derive(Default)]
 struct WindowReport {
     min_next_ns: u64,
     apps: usize,
     staged: Vec<StagedMsg>,
     /// Wall time this worker spent inside `process_window` this window.
     busy_ns: u64,
-    /// Per-shard wall time measured this window: `(shard, ns)`.
-    shard_busy: Vec<(u32, u64)>,
     /// Claims outside this worker's static stripe.
     steals: u64,
-}
-
-impl Default for WindowReport {
-    fn default() -> Self {
-        WindowReport {
-            min_next_ns: u64::MAX,
-            apps: 0,
-            staged: Vec::new(),
-            busy_ns: 0,
-            shard_busy: Vec::new(),
-            steals: 0,
-        }
-    }
 }
 
 /// Bounds of the window opening at `t_start`: `(end, inclusive)`. The
@@ -532,10 +516,9 @@ pub struct ClusterSim {
     clock_resyncs: u64,
     sim_threads: usize,
     now: SimTime,
-    /// Periodic-checkpoint interval (None = disabled).
-    checkpoint_every: Option<SimDur>,
-    /// File the periodic checkpointer overwrites.
-    checkpoint_path: Option<PathBuf>,
+    /// Periodic checkpointing: the interval and the file each write
+    /// overwrites (None = disabled).
+    periodic: Option<(SimDur, PathBuf)>,
     /// Next barrier time at/after which a periodic checkpoint is due.
     next_checkpoint_at: Option<SimTime>,
     checkpoints_written: u64,
@@ -543,29 +526,19 @@ pub struct ClusterSim {
     /// Size of the most recent checkpoint file written or restored.
     last_checkpoint_bytes: u64,
     extras_provider: Option<ExtrasProvider>,
-    /// Pooled barrier-merge buffer (serial path): reused across windows
-    /// so the per-barrier merge allocates nothing in steady state.
-    staged_buf: Vec<StagedMsg>,
-    /// Windows opened by the engine (serial or coordinator; identical at
-    /// any thread count).
+    /// Windows opened by the engine (identical at any thread count).
     windows_run: u64,
     /// Windows widened past the lookahead because the whole cluster was
     /// daemon-idle.
     widened_windows: u64,
-    /// Shard-to-worker assignment policy for the parallel engine.
+    /// Shard-to-worker assignment policy when several workers run.
     schedule: ShardSchedule,
     /// Shards claimed off their static-stripe owner's list (wall-clock
-    /// diagnostic; zero on the serial path and under `Stripe`).
+    /// diagnostic; zero with one worker and under `Stripe`).
     steals: u64,
     /// Sum over windows of (busiest worker − idlest worker) wall time at
     /// the barrier — the time the barrier spent waiting on load imbalance.
     barrier_imbalance_ns: u64,
-    /// Cumulative measured wall time per shard (parallel path only).
-    shard_busy_ns: Vec<u64>,
-    /// Exponentially-weighted per-shard busy-time estimate (ns) driving
-    /// the heavy-first claim order. Never checkpointed: it is wall-clock
-    /// state, and losing it only costs a few warm-up windows.
-    shard_busy_est: Vec<u64>,
 }
 
 /// Serialize a checkpoint to `path` atomically (write + rename), hashing
@@ -727,6 +700,8 @@ impl ClusterSim {
                     link_waits: 0,
                     link_wait_ns: 0,
                     link_wait_hist: [0; LINK_WAIT_BUCKETS],
+                    busy_ns: 0,
+                    busy_est: 0,
                 }
             })
             .collect();
@@ -738,21 +713,17 @@ impl ClusterSim {
             clock_resyncs: 0,
             sim_threads: 1,
             now: SimTime::ZERO,
-            checkpoint_every: None,
-            checkpoint_path: None,
+            periodic: None,
             next_checkpoint_at: None,
             checkpoints_written: 0,
             checkpoint_restores: 0,
             last_checkpoint_bytes: 0,
             extras_provider: None,
-            staged_buf: Vec::new(),
             windows_run: 0,
             widened_windows: 0,
             schedule: ShardSchedule::Steal,
             steals: 0,
             barrier_imbalance_ns: 0,
-            shard_busy_ns: vec![0; spec.nodes as usize],
-            shard_busy_est: vec![0; spec.nodes as usize],
         }
     }
 
@@ -761,9 +732,9 @@ impl ClusterSim {
         self.shards.len() as u32
     }
 
-    /// Worker threads used to advance shards (1 = serial). The event
-    /// history is identical at any setting; this only trades wall-clock
-    /// time. Clamped to the node count at run time.
+    /// Worker threads used to advance shards (1 = the calling thread
+    /// alone). The event history is identical at any setting; this only
+    /// trades wall-clock time. Clamped to the node count at run time.
     pub fn set_sim_threads(&mut self, threads: usize) {
         self.sim_threads = threads.max(1);
     }
@@ -773,14 +744,16 @@ impl ClusterSim {
         self.sim_threads
     }
 
-    /// Select how the parallel engine assigns shards to workers. The
-    /// event history is identical under every policy; this only trades
-    /// wall-clock time at the window barrier.
+    /// Select how several workers claim shards (a test and benchmark
+    /// hook, see [`ShardSchedule`]). The event history is identical under
+    /// every policy; this only trades wall-clock time at the barrier.
+    #[doc(hidden)]
     pub fn set_shard_schedule(&mut self, schedule: ShardSchedule) {
         self.schedule = schedule;
     }
 
     /// Configured shard-to-worker assignment policy.
+    #[doc(hidden)]
     pub fn shard_schedule(&self) -> ShardSchedule {
         self.schedule
     }
@@ -792,14 +765,14 @@ impl ClusterSim {
     }
 
     /// Total measured `process_window` wall time across shards, ns
-    /// (parallel path only; wall-clock diagnostic, `local.*`).
+    /// (wall-clock diagnostic, `local.*`).
     pub fn shard_busy_ns(&self) -> u64 {
-        self.shard_busy_ns.iter().sum()
+        self.shards.iter().map(|s| s.busy_ns).sum()
     }
 
     /// One shard's cumulative measured window wall time, ns.
     pub fn shard_busy_ns_of(&self, node: u32) -> u64 {
-        self.shard_busy_ns[node as usize]
+        self.shards[node as usize].busy_ns
     }
 
     /// Sum over windows of the busiest-minus-idlest worker wall time at
@@ -951,11 +924,11 @@ impl ClusterSim {
     ///
     /// If a schedule was already restored from a checkpoint, that
     /// schedule is kept (both call orders around [`ClusterSim::restore`]
-    /// behave identically).
+    /// behave identically). A restored schedule that is never armed here
+    /// writes nothing.
     pub fn set_checkpoint_every(&mut self, every: SimDur, path: impl Into<PathBuf>) {
         assert!(!every.is_zero(), "checkpoint interval must be positive");
-        self.checkpoint_every = Some(every);
-        self.checkpoint_path = Some(path.into());
+        self.periodic = Some((every, path.into()));
         if self.next_checkpoint_at.is_none() {
             self.next_checkpoint_at = Some(SimTime::from_nanos(every.nanos()));
         }
@@ -992,19 +965,8 @@ impl ClusterSim {
         if !self.booted {
             return Err("checkpoint requires a booted cluster".to_string());
         }
-        // Increment before capture: the snapshot's counter then includes
-        // this write, so a restored run's total matches an uninterrupted
-        // run's.
-        self.checkpoints_written += 1;
-        let snap = self.capture();
-        let extras = self
-            .extras_provider
-            .as_ref()
-            .map(|f| f())
-            .unwrap_or_default();
-        let bytes = write_checkpoint_file(path.as_ref(), &snap, extras)?;
-        self.last_checkpoint_bytes = bytes;
-        Ok(bytes)
+        let shards = self.shards.iter().map(Shard::snapshot).collect();
+        self.write_checkpoint(path.as_ref(), shards)
     }
 
     /// Overlay state from a checkpoint file onto this cluster. The cluster
@@ -1049,15 +1011,30 @@ impl ClusterSim {
         Ok(extras)
     }
 
-    /// Whole-cluster snapshot (serial path — shards owned by `self`).
-    fn capture(&self) -> ClusterSnap {
-        ClusterSnap {
+    /// Write a checkpoint of the engine state around `shards` — the
+    /// snapshots of every shard, in node order — to `path`. The one
+    /// capture path of the manual and the periodic checkpoint. Returns the
+    /// file size in bytes.
+    fn write_checkpoint(&mut self, path: &Path, shards: Vec<ShardSnap>) -> Result<u64, String> {
+        // Increment before capture: the snapshot's counter then includes
+        // this write, so a restored run's total matches an uninterrupted
+        // run's.
+        self.checkpoints_written += 1;
+        let snap = ClusterSnap {
             now: self.now,
             clock_resyncs: self.clock_resyncs,
             checkpoints_written: self.checkpoints_written,
             checkpoint_next_ns: self.next_checkpoint_at.map(|t| t.nanos()),
-            shards: self.shards.iter().map(Shard::snapshot).collect(),
-        }
+            shards,
+        };
+        let extras = self
+            .extras_provider
+            .as_ref()
+            .map(|f| f())
+            .unwrap_or_default();
+        let bytes = write_checkpoint_file(path, &snap, extras)?;
+        self.last_checkpoint_bytes = bytes;
+        Ok(bytes)
     }
 
     /// Is a periodic checkpoint due at the barrier ending at `we`?
@@ -1084,30 +1061,21 @@ impl ClusterSim {
         };
     }
 
-    /// Periodic-checkpoint hook for the serial engine, called at each
-    /// window barrier (after the merge, matching the parallel path).
-    fn maybe_autocheckpoint(&mut self, we: SimTime) -> Result<(), String> {
+    /// The periodic-checkpoint step at the barrier ending at `we`, after
+    /// the merge. A schedule restored from a checkpoint but never armed
+    /// with [`ClusterSim::set_checkpoint_every`] has nowhere to write, so
+    /// it writes nothing.
+    fn periodic_checkpoint(&mut self, we: SimTime, shards: &[Mutex<Shard>]) -> Result<(), String> {
         if !self.checkpoint_due(we) {
             return Ok(());
         }
-        let path = self
-            .checkpoint_path
-            .clone()
-            .ok_or("checkpoint interval armed without a path")?;
-        let every = self
-            .checkpoint_every
-            .ok_or("checkpoint due without an interval")?;
+        let Some((every, path)) = &self.periodic else {
+            return Ok(());
+        };
+        let (every, path) = (*every, path.clone());
         Self::advance_schedule(&mut self.next_checkpoint_at, every, we);
-        self.checkpoints_written += 1;
-        let snap = self.capture();
-        let extras = self
-            .extras_provider
-            .as_ref()
-            .map(|f| f())
-            .unwrap_or_default();
-        let bytes = write_checkpoint_file(&path, &snap, extras)?;
-        self.last_checkpoint_bytes = bytes;
-        Ok(())
+        let snaps = shards.iter().map(|m| lock(m).snapshot()).collect();
+        self.write_checkpoint(&path, snaps).map(|_| ())
     }
 
     /// Boot every node at the current time.
@@ -1115,11 +1083,16 @@ impl ClusterSim {
         assert!(!self.booted, "boot called twice");
         self.booted = true;
         let now = self.now;
+        let mut staged = Vec::new();
         for sh in &mut self.shards {
             sh.kernel.boot(now, &mut sh.fx);
             sh.drain_effects(now, &self.fabric);
+            staged.append(&mut sh.outbox);
         }
-        Self::merge_outboxes(&mut self.shards, &self.fabric, &mut self.staged_buf);
+        let fabric = self.fabric;
+        Self::merge_outboxes(&mut staged, |m| {
+            self.shards[m.dst_node as usize].accept_staged(m, &fabric)
+        });
     }
 
     /// Live application threads across the cluster.
@@ -1158,39 +1131,25 @@ impl ClusterSim {
         self.now
     }
 
-    /// Deliver staged cross-shard messages in the canonical merge order,
-    /// applying ingress-link queueing per destination as they land.
-    /// `staged` is a pooled scratch buffer — cleared here, drained before
-    /// returning — so the per-barrier merge allocates nothing in steady
-    /// state. Returns the earliest *final* delivery time in nanoseconds
-    /// (`u64::MAX` when nothing was staged), so callers maintaining the
-    /// next-event aggregate incrementally can fold the merged deliveries
-    /// in without re-scanning every shard.
+    /// Deliver staged cross-shard messages in the canonical
+    /// `(deliver_at, src_node, seq)` merge order, each through `accept`,
+    /// which hands it to its destination shard
+    /// ([`Shard::accept_staged`]: ingress-link queueing, then the
+    /// calendar). `staged` is drained, keeping its capacity for the next
+    /// barrier. Returns the earliest *final* delivery time in nanoseconds
+    /// (`u64::MAX` when nothing was staged), so the caller can fold the
+    /// merged deliveries into its next-event aggregate without re-scanning
+    /// every shard.
     fn merge_outboxes(
-        shards: &mut [Shard],
-        fabric: &FabricModel,
         staged: &mut Vec<StagedMsg>,
+        mut accept: impl FnMut(StagedMsg) -> SimTime,
     ) -> u64 {
-        staged.clear();
-        for sh in shards.iter_mut() {
-            staged.append(&mut sh.outbox);
-        }
-        let mut min_final_ns = u64::MAX;
-        if staged.is_empty() {
-            return min_final_ns;
-        }
         staged.sort_by_key(|m| (m.deliver_at, m.src_node, m.seq));
-        for m in staged.drain(..) {
-            let dst = m.dst_node as usize;
-            let final_at = shards[dst].accept_staged(m, fabric);
-            min_final_ns = min_final_ns.min(final_at.nanos());
-        }
-        min_final_ns
-    }
-
-    /// Earliest pending event across all shards.
-    fn next_event_time(&self) -> Option<SimTime> {
-        self.shards.iter().filter_map(|s| s.queue.peek_time()).min()
+        staged
+            .drain(..)
+            .map(|m| accept(m).nanos())
+            .min()
+            .unwrap_or(u64::MAX)
     }
 
     /// Windows opened so far (a function of simulation state alone, so
@@ -1258,223 +1217,57 @@ impl ClusterSim {
         (we, inclusive, daemon_idle)
     }
 
+    /// The window engine: plan → process → merge → checkpoint, once per
+    /// window, at any worker count. Stop conditions, window bounds,
+    /// per-shard event order, merge order and checkpoint cadence are all
+    /// functions of simulation state alone, so the history is identical
+    /// however many workers advance the shards.
+    ///
+    /// Within a window, shards are handed out by [`WindowPool::work`]
+    /// through a shared claim index over a per-window `order`. With one
+    /// worker the coordinator runs it inline: no thread, no barrier, and
+    /// the claim order stays the identity, since with a single claimer it
+    /// means nothing. With several, a scoped pool of persistent workers
+    /// runs it between two barrier waits per window, and each worker pulls
+    /// the next unclaimed shard the moment it finishes the last one, so
+    /// the barrier waits on the slowest *shard* rather than the slowest
+    /// stripe. The order is heaviest-first by an exponentially-weighted
+    /// per-shard busy-time estimate (fed from the wall time each shard
+    /// consumed last window), an LPT-style greedy that starts the hot
+    /// shard before the cheap ones. Assignment decides only which worker
+    /// calls `process_window` on which shard; the merge is canonical, so
+    /// the history is bit-identical across `ShardSchedule` modes and
+    /// thread counts. Steal/busy/imbalance counters are wall-clock-derived
+    /// and surface only under `local.*`.
     fn run_windows(&mut self, horizon: SimTime, until_apps_done: bool) {
         assert!(self.booted, "boot the cluster first");
         let nthreads = self.sim_threads.min(self.shards.len()).max(1);
-        if nthreads <= 1 {
-            self.run_windows_serial(horizon, until_apps_done);
-        } else {
-            self.run_windows_parallel(horizon, until_apps_done, nthreads);
-        }
-    }
-
-    /// The serial engine: the reference window sequence. Mirrors the
-    /// parallel coordinator's bookkeeping: one initial scan establishes
-    /// the live-app count and earliest pending event, then both are
-    /// maintained incrementally — accumulated per shard as each window is
-    /// processed, folded with the merged deliveries' final times — so the
-    /// top of the loop never rescans every shard.
-    fn run_windows_serial(&mut self, horizon: SimTime, until_apps_done: bool) {
-        let mut apps = self.apps_alive();
-        let mut next_ns = match self.next_event_time() {
-            Some(t) => t.nanos(),
-            None => u64::MAX,
-        };
-        loop {
-            if until_apps_done && apps == 0 {
-                break;
-            }
-            if next_ns == u64::MAX || next_ns > horizon.nanos() {
-                break;
-            }
-            let t_start = SimTime::from_nanos(next_ns);
-            let (we, inclusive, idle) = self.plan_window(t_start, horizon, apps == 0);
-            apps = 0;
-            next_ns = u64::MAX;
-            for (i, sh) in self.shards.iter_mut().enumerate() {
-                let t0 = Instant::now();
-                sh.process_window(we, inclusive, &self.fabric);
-                let busy = t0.elapsed().as_nanos() as u64;
-                self.shard_busy_ns[i] = self.shard_busy_ns[i].saturating_add(busy);
-                let est = &mut self.shard_busy_est[i];
-                *est = *est - *est / 4 + busy / 4;
-                if let Some(next) = sh.queue.peek_time() {
-                    next_ns = next_ns.min(next.nanos());
-                }
-                apps += sh.kernel.app_alive();
-            }
-            if idle {
-                assert!(
-                    self.shards.iter().all(|sh| sh.outbox.is_empty()),
-                    "daemon-idle window staged a cross-shard message"
-                );
-            }
-            let merged_ns =
-                Self::merge_outboxes(&mut self.shards, &self.fabric, &mut self.staged_buf);
-            next_ns = next_ns.min(merged_ns);
-            if let Err(e) = self.maybe_autocheckpoint(we) {
-                panic!("periodic checkpoint failed: {e}");
-            }
-        }
-    }
-
-    /// The parallel engine: persistent workers advance shards window by
-    /// window; a coordinator derives the *same* window sequence the
-    /// serial path would and performs the deterministic barrier merge.
-    /// Stop conditions, window bounds, per-shard event order, and merge
-    /// order are all functions of simulation state alone, so the history
-    /// is identical to the serial engine's.
-    ///
-    /// Shard *assignment* within a window is work-stealing rather than a
-    /// static stripe: a shared atomic claim index walks a per-window
-    /// `order` array, so each worker pulls the next unprocessed shard the
-    /// moment it finishes the last one, and the barrier waits on the
-    /// slowest *window* rather than the slowest stripe. The order is
-    /// heaviest-first by an exponentially-weighted per-shard busy-time
-    /// estimate (fed from the wall time each shard consumed last window),
-    /// an LPT-style greedy that starts the hot shard before the cheap
-    /// ones. Assignment is invariant-free: it decides only which worker
-    /// calls `process_window` on which shard; every shard still processes
-    /// exactly the same window, and the merge below is canonical, so the
-    /// history is bit-identical across `ShardSchedule` modes and thread
-    /// counts. Steal/busy/imbalance counters are wall-clock-derived and
-    /// surface only under `local.*`.
-    fn run_windows_parallel(&mut self, horizon: SimTime, until_apps_done: bool, nthreads: usize) {
-        let fabric = self.fabric;
-        let schedule = self.schedule;
-        let shards: Vec<Mutex<Shard>> = std::mem::take(&mut self.shards)
-            .into_iter()
-            .map(Mutex::new)
-            .collect();
-        let nshards = shards.len();
-        let barrier = Barrier::new(nthreads + 1);
-        let window_end_ns = AtomicU64::new(0);
-        let window_inclusive = AtomicBool::new(false);
-        let done = AtomicBool::new(false);
-        // Work-stealing shared state: `order[k]` is the shard to run k-th
-        // (rewritten by the coordinator between windows while workers are
-        // parked), `claim` is the next unclaimed position. Workers
-        // fetch-add to claim; a claim at a position off the worker's home
-        // stripe (`k % nthreads != t`) counts as a steal.
-        let order: Vec<AtomicU32> = (0..nshards as u32).map(AtomicU32::new).collect();
-        let claim = AtomicUsize::new(0);
-        // Worker-panic hardening: the first panic is parked here (with the
-        // node it struck) and re-raised once the engine has shut down
-        // cleanly, instead of poisoning shard mutexes and surfacing as an
-        // unrelated `PoisonError` on the next lock.
-        let abort = AtomicBool::new(false);
-        let panicked: Mutex<Option<(u32, Box<dyn Any + Send>)>> = Mutex::new(None);
-        // A panic inside `process_window` unwinds across a held shard
-        // guard and poisons that mutex. The payload is re-raised below, so
-        // the poison flag carries no information — strip it everywhere.
-        fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-            m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-        }
-        let slots: Vec<Mutex<WindowReport>> = (0..nthreads)
-            .map(|_| Mutex::new(WindowReport::default()))
-            .collect();
+        let pool = WindowPool::new(std::mem::take(&mut self.shards), self, nthreads);
+        let nshards = pool.shards.len();
         let mut ckpt_err: Option<String> = None;
         std::thread::scope(|scope| {
-            for t in 0..nthreads {
-                let shards = &shards;
-                let barrier = &barrier;
-                let window_end_ns = &window_end_ns;
-                let window_inclusive = &window_inclusive;
-                let done = &done;
-                let abort = &abort;
-                let panicked = &panicked;
-                let slots = &slots;
-                let fabric = &fabric;
-                let order = &order;
-                let claim = &claim;
-                scope.spawn(move || loop {
-                    barrier.wait();
-                    if done.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let we = SimTime::from_nanos(window_end_ns.load(Ordering::Acquire));
-                    let inclusive = window_inclusive.load(Ordering::Acquire);
-                    // Reclaim the slot's report (the coordinator drained
-                    // its staged list but left the capacity), so steady
-                    // state reallocates nothing per window.
-                    let mut report = std::mem::take(&mut *lock(&slots[t]));
-                    report.min_next_ns = u64::MAX;
-                    report.apps = 0;
-                    report.staged.clear();
-                    report.busy_ns = 0;
-                    report.shard_busy.clear();
-                    report.steals = 0;
-                    // Claim positions in the coordinator-written order.
-                    // Stripe mode walks the worker's own positions (the
-                    // pre-stealing static assignment); stealing modes
-                    // fetch-add a shared index so a worker that finishes
-                    // early pulls the next unprocessed shard instead of
-                    // idling at the barrier.
-                    let mut stripe_k = t;
-                    while !abort.load(Ordering::Acquire) {
-                        let k = match schedule {
-                            ShardSchedule::Stripe => {
-                                let k = stripe_k;
-                                stripe_k += nthreads;
-                                k
-                            }
-                            ShardSchedule::Steal | ShardSchedule::StealAdversarial => {
-                                claim.fetch_add(1, Ordering::Relaxed)
-                            }
-                        };
-                        if k >= shards.len() {
+            if nthreads > 1 {
+                for t in 0..nthreads {
+                    let pool = &pool;
+                    scope.spawn(move || loop {
+                        pool.barrier.wait();
+                        if pool.done.load(Ordering::Acquire) {
                             break;
                         }
-                        if k % nthreads != t {
-                            report.steals += 1;
-                        }
-                        let i = order[k].load(Ordering::Relaxed) as usize;
-                        let mut sh = lock(&shards[i]);
-                        let node = sh.node;
-                        let t0 = Instant::now();
-                        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            sh.process_window(we, inclusive, fabric);
-                        }));
-                        let busy = t0.elapsed().as_nanos() as u64;
-                        let ok = match outcome {
-                            Ok(()) => {
-                                if let Some(next) = sh.queue.peek_time() {
-                                    report.min_next_ns = report.min_next_ns.min(next.nanos());
-                                }
-                                report.apps += sh.kernel.app_alive();
-                                report.staged.append(&mut sh.outbox);
-                                report.busy_ns += busy;
-                                report.shard_busy.push((node, busy));
-                                true
-                            }
-                            Err(payload) => {
-                                // First panic wins; tell everyone to stop
-                                // at the next safe point. This worker still
-                                // files its report and reaches the barrier
-                                // so nobody deadlocks.
-                                abort.store(true, Ordering::Release);
-                                let mut first = lock(panicked);
-                                if first.is_none() {
-                                    *first = Some((node, payload));
-                                }
-                                false
-                            }
-                        };
-                        drop(sh);
-                        if !ok {
-                            break;
-                        }
-                    }
-                    *lock(&slots[t]) = report;
-                    barrier.wait();
-                });
+                        pool.work(t);
+                        pool.barrier.wait();
+                    });
+                }
             }
-            // Coordinator. Initial scan mirrors the serial loop's first
-            // apps/next-event check; afterwards both are maintained from
+            // Releases the workers however the coordinator leaves the
+            // loop, a panic included, so they never wait forever.
+            let _release = ReleaseWorkers(&pool);
+            // One initial scan establishes the live-app count and the
+            // earliest pending event; afterwards both are maintained from
             // the worker reports plus the merged deliveries.
             let mut next_ns = u64::MAX;
             let mut apps = 0usize;
-            for m in shards.iter() {
+            for m in &pool.shards {
                 let sh = lock(m);
                 if let Some(t0) = sh.queue.peek_time() {
                     next_ns = next_ns.min(t0.nanos());
@@ -1485,7 +1278,7 @@ impl ClusterSim {
             // drained into destination shards every barrier.
             let mut staged: Vec<StagedMsg> = Vec::new();
             // Scratch for re-sorting the claim order between windows.
-            let mut order_scratch: Vec<u32> = (0..nshards as u32).collect();
+            let mut by_load: Vec<(std::cmp::Reverse<u64>, u32)> = Vec::new();
             loop {
                 if until_apps_done && apps == 0 {
                     break;
@@ -1496,45 +1289,52 @@ impl ClusterSim {
                 let (we, inclusive, idle) =
                     self.plan_window(SimTime::from_nanos(next_ns), horizon, apps == 0);
                 // Workers are parked at the top-of-loop barrier, so the
-                // coordinator owns the claim state here. Heaviest-first by
-                // the busy-time EWMA for stealing; the adversarial mode
-                // rotates a reversed order every window to prove the
-                // history does not depend on who claims what.
-                match schedule {
-                    ShardSchedule::Stripe => {}
-                    ShardSchedule::Steal => {
-                        order_scratch.sort_by_key(|&i| {
-                            (std::cmp::Reverse(self.shard_busy_est[i as usize]), i)
-                        });
-                        for (k, &i) in order_scratch.iter().enumerate() {
-                            order[k].store(i, Ordering::Relaxed);
+                // coordinator owns the claim state here.
+                pool.claim.store(0, Ordering::Relaxed);
+                pool.window_end_ns.store(we.nanos(), Ordering::Release);
+                pool.window_inclusive.store(inclusive, Ordering::Release);
+                if nthreads == 1 {
+                    pool.work(0);
+                } else {
+                    // Heaviest-first by the busy-time EWMA for stealing;
+                    // the adversarial mode rotates a reversed order every
+                    // window to prove the history does not depend on who
+                    // claims what.
+                    match pool.schedule {
+                        ShardSchedule::Stripe => {}
+                        ShardSchedule::Steal => {
+                            by_load.clear();
+                            by_load.extend(pool.shards.iter().map(|m| {
+                                let sh = lock(m);
+                                (std::cmp::Reverse(sh.busy_est), sh.node)
+                            }));
+                            by_load.sort_unstable();
+                            for (slot, &(_, i)) in pool.order.iter().zip(&by_load) {
+                                slot.store(i, Ordering::Relaxed);
+                            }
+                        }
+                        ShardSchedule::StealAdversarial => {
+                            let rot = (self.windows_run as usize) % nshards;
+                            for (k, slot) in pool.order.iter().enumerate() {
+                                let i = (nshards - 1 - k + rot) % nshards;
+                                slot.store(i as u32, Ordering::Relaxed);
+                            }
                         }
                     }
-                    ShardSchedule::StealAdversarial => {
-                        let rot = (self.windows_run as usize) % nshards.max(1);
-                        for (k, slot) in order.iter().enumerate().take(nshards) {
-                            let i = (nshards - 1 - k + rot) % nshards;
-                            slot.store(i as u32, Ordering::Relaxed);
-                        }
-                    }
+                    pool.barrier.wait(); // open the window
+                    pool.barrier.wait(); // all shards processed it
                 }
-                claim.store(0, Ordering::Relaxed);
-                window_end_ns.store(we.nanos(), Ordering::Release);
-                window_inclusive.store(inclusive, Ordering::Release);
-                barrier.wait(); // open the window
-                barrier.wait(); // all shards processed it
-                if abort.load(Ordering::Acquire) {
-                    // A worker panicked mid-window: the window is
+                if pool.abort.load(Ordering::Acquire) {
+                    // A shard panicked mid-window: the window is
                     // incomplete, so merging would corrupt state. Shut
                     // down and re-raise below.
                     break;
                 }
-                staged.clear();
                 next_ns = u64::MAX;
                 apps = 0;
                 let mut min_busy = u64::MAX;
                 let mut max_busy = 0u64;
-                for slot in slots.iter() {
+                for slot in &pool.slots {
                     let mut s = lock(slot);
                     next_ns = next_ns.min(s.min_next_ns);
                     apps += s.apps;
@@ -1542,82 +1342,39 @@ impl ClusterSim {
                     self.steals += s.steals;
                     min_busy = min_busy.min(s.busy_ns);
                     max_busy = max_busy.max(s.busy_ns);
-                    for &(node, busy) in &s.shard_busy {
-                        let n = node as usize;
-                        self.shard_busy_ns[n] = self.shard_busy_ns[n].saturating_add(busy);
-                        let est = &mut self.shard_busy_est[n];
-                        *est = *est - *est / 4 + busy / 4;
-                    }
-                    s.shard_busy.clear();
                 }
-                if min_busy != u64::MAX {
-                    self.barrier_imbalance_ns = self
-                        .barrier_imbalance_ns
-                        .saturating_add(max_busy - min_busy);
-                }
+                self.barrier_imbalance_ns = self
+                    .barrier_imbalance_ns
+                    .saturating_add(max_busy - min_busy);
                 assert!(
                     !idle || staged.is_empty(),
                     "daemon-idle window staged a cross-shard message"
                 );
-                staged.sort_by_key(|m| (m.deliver_at, m.src_node, m.seq));
-                for m in staged.drain(..) {
-                    let dst = m.dst_node as usize;
-                    // Ingress queueing may move the delivery later; track
-                    // the *final* time so the next window opens exactly
-                    // where the serial engine's queue scan would put it.
-                    let final_at = lock(&shards[dst]).accept_staged(m, &fabric);
-                    next_ns = next_ns.min(final_at.nanos());
-                }
-                // Periodic checkpoint, at the same post-merge barrier as
-                // the serial engine. Workers are parked at the top-of-loop
-                // barrier here, so the coordinator has exclusive access to
-                // every shard. A write failure must NOT panic inside the
-                // scope (workers would wait forever) — record it, shut
-                // down, and re-raise after the scope exits.
-                if self.checkpoint_due(we) {
-                    let every = self
-                        .checkpoint_every
-                        .expect("checkpoint due without an interval");
-                    let Some(path) = self.checkpoint_path.clone() else {
-                        ckpt_err = Some("checkpoint interval armed without a path".to_string());
-                        break;
-                    };
-                    Self::advance_schedule(&mut self.next_checkpoint_at, every, we);
-                    self.checkpoints_written += 1;
-                    let snap = ClusterSnap {
-                        now: self.now,
-                        clock_resyncs: self.clock_resyncs,
-                        checkpoints_written: self.checkpoints_written,
-                        checkpoint_next_ns: self.next_checkpoint_at.map(|t| t.nanos()),
-                        shards: shards.iter().map(|m| lock(m).snapshot()).collect(),
-                    };
-                    let extras = self
-                        .extras_provider
-                        .as_ref()
-                        .map(|f| f())
-                        .unwrap_or_default();
-                    match write_checkpoint_file(&path, &snap, extras) {
-                        Ok(bytes) => self.last_checkpoint_bytes = bytes,
-                        Err(e) => {
-                            ckpt_err = Some(e);
-                            break;
-                        }
-                    }
+                // Ingress queueing may move a delivery later; the merge
+                // reports the *final* times, so the next window opens
+                // exactly where a scan of every queue would put it.
+                let merged_ns = Self::merge_outboxes(&mut staged, |m| {
+                    lock(&pool.shards[m.dst_node as usize]).accept_staged(m, &pool.fabric)
+                });
+                next_ns = next_ns.min(merged_ns);
+                // Workers are parked at the top-of-loop barrier here, so
+                // the coordinator has every shard to itself. A write
+                // failure is re-raised once the shards are back home.
+                if let Err(e) = self.periodic_checkpoint(we, &pool.shards) {
+                    ckpt_err = Some(e);
+                    break;
                 }
             }
-            done.store(true, Ordering::Release);
-            barrier.wait();
         });
-        self.shards = shards
+        self.shards = pool
+            .shards
             .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-            })
+            .map(|m| m.into_inner().unwrap_or_else(PoisonError::into_inner))
             .collect();
-        if let Some((node, payload)) = panicked
+        if let Some((node, payload)) = pool
+            .panicked
             .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .unwrap_or_else(PoisonError::into_inner)
         {
             let msg = payload
                 .downcast_ref::<&str>()
@@ -1630,6 +1387,144 @@ impl ClusterSim {
         }
         if let Some(e) = ckpt_err {
             panic!("periodic checkpoint failed: {e}");
+        }
+    }
+}
+
+/// Lock a mutex, stripping poison. A panic inside `process_window`
+/// unwinds across a held shard guard and poisons that mutex, but its
+/// payload is re-raised once the engine has shut down, so the poison flag
+/// carries no information.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// What the coordinator and the workers share during one
+/// [`ClusterSim::run_windows`] call. Shards sit behind per-shard locks so
+/// any worker can claim any shard; the coordinator writes the claim state
+/// and window bounds only while every worker is parked at the barrier.
+struct WindowPool {
+    shards: Vec<Mutex<Shard>>,
+    fabric: FabricModel,
+    schedule: ShardSchedule,
+    nthreads: usize,
+    /// `order[k]` is the shard to run k-th in this window.
+    order: Vec<AtomicU32>,
+    /// Next unclaimed position in `order`.
+    claim: AtomicUsize,
+    window_end_ns: AtomicU64,
+    window_inclusive: AtomicBool,
+    /// One report per worker, folded by the coordinator at the barrier.
+    slots: Vec<Mutex<WindowReport>>,
+    /// Worker pool only: the top-of-loop and end-of-window barrier, and
+    /// the flag that tells parked workers to exit.
+    barrier: Barrier,
+    done: AtomicBool,
+    /// Worker-panic hardening: the first panic is parked here (with the
+    /// node it struck) and re-raised once the engine has shut down
+    /// cleanly, instead of poisoning shard mutexes and surfacing as an
+    /// unrelated `PoisonError` on the next lock.
+    abort: AtomicBool,
+    panicked: Mutex<Option<(u32, Box<dyn Any + Send>)>>,
+}
+
+impl WindowPool {
+    fn new(shards: Vec<Shard>, sim: &ClusterSim, nthreads: usize) -> WindowPool {
+        let nshards = shards.len();
+        WindowPool {
+            shards: shards.into_iter().map(Mutex::new).collect(),
+            fabric: sim.fabric,
+            schedule: sim.schedule,
+            nthreads,
+            order: (0..nshards as u32).map(AtomicU32::new).collect(),
+            claim: AtomicUsize::new(0),
+            window_end_ns: AtomicU64::new(0),
+            window_inclusive: AtomicBool::new(false),
+            slots: (0..nthreads)
+                .map(|_| Mutex::new(WindowReport::default()))
+                .collect(),
+            barrier: Barrier::new(nthreads + 1),
+            done: AtomicBool::new(false),
+            abort: AtomicBool::new(false),
+            panicked: Mutex::new(None),
+        }
+    }
+
+    /// Worker `t`'s share of the open window: claim positions in
+    /// `order` and process those shards until none is left (or another
+    /// worker panicked), then file the report in slot `t` and charge each
+    /// shard its wall time. `Stripe` walks the worker's own positions
+    /// (the static assignment); the stealing modes fetch-add the shared
+    /// index. A claim off the worker's home stripe (`k % nthreads != t`)
+    /// counts as a steal.
+    fn work(&self, t: usize) {
+        let we = SimTime::from_nanos(self.window_end_ns.load(Ordering::Acquire));
+        let inclusive = self.window_inclusive.load(Ordering::Acquire);
+        // Reuse the slot's staged list (the coordinator drained it but
+        // left the capacity), so steady state reallocates nothing per
+        // window.
+        let mut report = WindowReport {
+            min_next_ns: u64::MAX,
+            staged: std::mem::take(&mut lock(&self.slots[t]).staged),
+            ..WindowReport::default()
+        };
+        // A lone worker's stripe is every position, in claim order, so it
+        // skips the shared index.
+        let walk_stripe = self.nthreads == 1 || self.schedule == ShardSchedule::Stripe;
+        let mut stripe_k = t;
+        while !self.abort.load(Ordering::Acquire) {
+            let k = if walk_stripe {
+                let k = stripe_k;
+                stripe_k += self.nthreads;
+                k
+            } else {
+                self.claim.fetch_add(1, Ordering::Relaxed)
+            };
+            if k >= self.shards.len() {
+                break;
+            }
+            // A stripe walk stays home by construction.
+            if !walk_stripe && k % self.nthreads != t {
+                report.steals += 1;
+            }
+            let i = self.order[k].load(Ordering::Relaxed) as usize;
+            let mut sh = lock(&self.shards[i]);
+            let node = sh.node;
+            let t0 = Instant::now();
+            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                sh.process_window(we, inclusive, &self.fabric);
+            }));
+            let busy = t0.elapsed().as_nanos() as u64;
+            if let Err(payload) = outcome {
+                // First panic wins; tell everyone to stop at the next
+                // claim. This worker still files its report and reaches
+                // the barrier so nobody deadlocks.
+                self.abort.store(true, Ordering::Release);
+                lock(&self.panicked).get_or_insert((node, payload));
+                break;
+            }
+            if let Some(next) = sh.queue.peek_time() {
+                report.min_next_ns = report.min_next_ns.min(next.nanos());
+            }
+            report.apps += sh.kernel.app_alive();
+            report.staged.append(&mut sh.outbox);
+            report.busy_ns += busy;
+            sh.busy_ns = sh.busy_ns.saturating_add(busy);
+            sh.busy_est = sh.busy_est - sh.busy_est / 4 + busy / 4;
+        }
+        *lock(&self.slots[t]) = report;
+    }
+}
+
+/// Tells parked workers to exit when dropped — on the coordinator's
+/// normal way out of the window loop and on a panic alike.
+struct ReleaseWorkers<'a>(&'a WindowPool);
+
+impl Drop for ReleaseWorkers<'_> {
+    fn drop(&mut self) {
+        if self.0.nthreads > 1 {
+            self.0.done.store(true, Ordering::Release);
+            self.0.barrier.wait();
         }
     }
 }
@@ -2271,6 +2166,44 @@ mod tests {
     }
 
     #[test]
+    fn restored_schedule_without_rearm_writes_nothing() {
+        // The snapshot carries the periodic schedule (its next due time)
+        // but not the interval or the file. A run restored from it that
+        // never calls `set_checkpoint_every` has nowhere to write: it
+        // must write nothing and finish like the uninterrupted run at
+        // every thread count, not fail once the carried due time passes.
+        let mut base = ring_sim(1);
+        base.boot();
+        let end = base.run_until_apps_done(SimTime::from_secs(5));
+        let want = fingerprint(&base, end);
+
+        let path = tmp_path("no-rearm");
+        let mut first = ring_sim(1);
+        first.set_checkpoint_every(SimDur::from_micros(300), &path);
+        first.boot();
+        let mut t = SimTime::ZERO;
+        while first.checkpoints_written() == 0 {
+            t += SimDur::from_micros(100);
+            assert!(t < SimTime::from_millis(5), "no periodic write landed");
+            first.run_until(t);
+        }
+        drop(first);
+
+        for threads in [1usize, 2, 4] {
+            let mut resumed = ring_sim(threads);
+            resumed.boot();
+            resumed.restore(&path).expect("restore");
+            let end2 = resumed.run_until_apps_done(SimTime::from_secs(5));
+            let mut got = fingerprint(&resumed, end2);
+            // Only the interrupted run's single write is counted.
+            assert_eq!(got.8, 1, "threads={threads}");
+            got.8 = want.8;
+            assert_eq!(got, want, "threads={threads}");
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn restore_rejects_corrupt_checkpoint() {
         let path = tmp_path("corrupt");
         let mut sim = ring_sim(1);
@@ -2353,6 +2286,39 @@ mod tests {
             !msg.contains("PoisonError"),
             "poison must not leak into the panic message: {msg}"
         );
+    }
+
+    #[test]
+    fn coordinator_panic_releases_parked_workers() {
+        // A daemon that sends cross-node breaks the daemon-idle widening
+        // invariant; the coordinator's merge-time assert must surface as
+        // a panic at every thread count, not strand the parked workers
+        // at the barrier.
+        for threads in [1usize, 2] {
+            let mut sim = two_node_cluster();
+            sim.set_sim_threads(threads);
+            sim.kernel_mut(0).spawn(
+                ThreadSpec::new("chatty", ThreadClass::Daemon, Prio::USER).on_cpu(CpuId(0)),
+                Box::new(Script::new(vec![
+                    Action::Compute(SimDur::from_micros(50)),
+                    Action::Send(msg(ep(0, 0), ep(1, 0), 1, 8)),
+                ])),
+            );
+            sim.boot();
+            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                sim.run_until(SimTime::from_millis(1));
+            }));
+            let payload = outcome.expect_err("the broken invariant must panic");
+            let msg = payload
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_default();
+            assert!(
+                msg.contains("daemon-idle window staged a cross-shard message"),
+                "threads={threads}: {msg}"
+            );
+        }
     }
 
     /// A 4-node workload with one artificially hot shard: node 0's rank

@@ -97,12 +97,12 @@ pub struct Experiment {
     pub trace_capacity: usize,
     /// Give-up horizon.
     pub horizon: SimDur,
-    /// Engine worker threads (1 = serial). Results are bit-identical at
+    /// Engine worker threads (default 1). Results are bit-identical at
     /// any setting; this only changes wall-clock time.
     pub sim_threads: usize,
-    /// Shard-assignment schedule for the parallel engine. History is
-    /// bit-identical at any setting; this only decides which worker runs
-    /// which shard inside a window.
+    /// Shard-assignment schedule when several engine workers run (a test
+    /// and benchmark hook, see [`pa_cluster::ShardSchedule`]).
+    #[doc(hidden)]
     pub shard_schedule: pa_cluster::ShardSchedule,
     /// Periodic checkpoint interval (sim time; None = off). Requires
     /// `checkpoint_to`.
@@ -136,8 +136,8 @@ impl Experiment {
             record_all_ranks: false,
             trace_capacity: 1 << 18,
             horizon: SimDur::from_secs(3_600),
-            sim_threads: crate::default_sim_threads(),
-            shard_schedule: crate::default_shard_schedule(),
+            sim_threads: 1,
+            shard_schedule: pa_cluster::ShardSchedule::Steal,
             checkpoint_every: None,
             checkpoint_to: None,
             restore_from: None,
@@ -228,15 +228,15 @@ impl Experiment {
         self
     }
 
-    /// Set the engine worker thread count, overriding the process-wide
-    /// default ([`crate::set_default_sim_threads`]).
+    /// Set the engine worker thread count (default 1).
     pub fn with_sim_threads(mut self, threads: usize) -> Self {
         self.sim_threads = threads.max(1);
         self
     }
 
-    /// Set the parallel engine's shard-assignment schedule, overriding
-    /// the process-wide default ([`crate::set_default_shard_schedule`]).
+    /// Set the shard-assignment schedule of several engine workers (a
+    /// test and benchmark hook; the default is `Steal`).
+    #[doc(hidden)]
     pub fn with_shard_schedule(mut self, schedule: pa_cluster::ShardSchedule) -> Self {
         self.shard_schedule = schedule;
         self

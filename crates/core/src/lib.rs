@@ -38,49 +38,3 @@ pub use schedtune::{render as schedtune_render, schedtune};
 
 // The two kernels the paper compares, re-exported for discoverability.
 pub use pa_kernel::SchedOptions;
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Process-wide default for the cluster engine's worker thread count.
-/// [`Experiment::new`] reads it, so every harness that builds experiments
-/// (figure binaries, campaign runners, examples) picks it up without
-/// plumbing a parameter through each call chain. The engine history is
-/// bit-identical at any setting; this only trades wall-clock time.
-static DEFAULT_SIM_THREADS: AtomicUsize = AtomicUsize::new(1);
-
-/// Set the process-wide default engine thread count (clamped to ≥ 1).
-/// Typically called once at startup from `--sim-threads`.
-pub fn set_default_sim_threads(threads: usize) {
-    DEFAULT_SIM_THREADS.store(threads.max(1), Ordering::Relaxed);
-}
-
-/// The current process-wide default engine thread count.
-pub fn default_sim_threads() -> usize {
-    DEFAULT_SIM_THREADS.load(Ordering::Relaxed)
-}
-
-/// Process-wide default for the parallel engine's shard-assignment
-/// schedule, mirroring [`default_sim_threads`]: `Experiment::new` reads
-/// it so `--shard-schedule` reaches every harness without threading a
-/// parameter through each call chain. Encoded as the `ShardSchedule`
-/// discriminant; the history is bit-identical at any setting — this only
-/// decides which worker runs which shard.
-static DEFAULT_SHARD_SCHEDULE: AtomicUsize =
-    AtomicUsize::new(pa_cluster::ShardSchedule::Steal as usize);
-
-/// Set the process-wide default shard schedule. Typically called once at
-/// startup from `--shard-schedule`.
-pub fn set_default_shard_schedule(schedule: pa_cluster::ShardSchedule) {
-    DEFAULT_SHARD_SCHEDULE.store(schedule as usize, Ordering::Relaxed);
-}
-
-/// The current process-wide default shard schedule.
-pub fn default_shard_schedule() -> pa_cluster::ShardSchedule {
-    match DEFAULT_SHARD_SCHEDULE.load(Ordering::Relaxed) {
-        x if x == pa_cluster::ShardSchedule::Stripe as usize => pa_cluster::ShardSchedule::Stripe,
-        x if x == pa_cluster::ShardSchedule::StealAdversarial as usize => {
-            pa_cluster::ShardSchedule::StealAdversarial
-        }
-        _ => pa_cluster::ShardSchedule::Steal,
-    }
-}

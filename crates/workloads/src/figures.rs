@@ -10,8 +10,7 @@
 
 use crate::aggregate::{AggregateSpec, AggregateTrace};
 use pa_campaign::{
-    run_campaign, run_campaign_resumable, CampaignOutcome, CheckpointCtx, ExecutorConfig,
-    PointResult, PointSpec,
+    run_campaign, CampaignOutcome, ExecutorConfig, PointCtx, PointResult, PointSpec,
 };
 use pa_core::{CoschedSetup, Experiment, RunOutput};
 use pa_kernel::SchedOptions;
@@ -52,6 +51,11 @@ pub struct ScalingConfig {
     /// Per-node link capacity, bytes/sec; `None` is the unlimited legacy
     /// fabric (no switch contention).
     pub link_bandwidth: Option<f64>,
+    /// Engine worker threads for the sweep's direct runs
+    /// ([`run_blame_point`]); campaign points take theirs from the
+    /// [`ExecutorConfig`]. Never part of a point's spec: results are
+    /// identical at any value.
+    pub sim_threads: usize,
 }
 
 impl ScalingConfig {
@@ -81,6 +85,7 @@ impl ScalingConfig {
             agg: AggregateSpec::default(),
             target_sim_time: target,
             link_bandwidth: None,
+            sim_threads: 1,
         }
     }
 
@@ -187,9 +192,11 @@ pub struct ScalePoint {
 /// [`run_scaling_campaign`]; this wrapper keeps the original panicking
 /// contract for library callers and tests.
 pub fn run_scaling(cfg: &ScalingConfig, progress: Option<&mut dyn FnMut(&str)>) -> Vec<ScalePoint> {
-    let outcome = run_campaign(&cfg.points(), &ExecutorConfig::serial("scaling"), |spec| {
-        PointResult::from_run(&run_point(spec))
-    });
+    let outcome = run_campaign(
+        &cfg.points(),
+        &ExecutorConfig::serial("scaling"),
+        aggregate_runner,
+    );
     if let Err(e) = outcome.ensure_complete("scaling") {
         panic!("sweep run did not finish: {e}");
     }
@@ -212,7 +219,7 @@ pub fn run_scaling_campaign(
     cfg: &ScalingConfig,
     exec: &ExecutorConfig,
 ) -> Result<(Vec<ScalePoint>, CampaignOutcome), pa_campaign::TruncatedPoints> {
-    let outcome = run_campaign_resumable(&cfg.points(), exec, aggregate_runner_ckpt);
+    let outcome = run_campaign(&cfg.points(), exec, aggregate_runner);
     outcome.ensure_complete(&exec.label)?;
     let points = collect_scale_points(cfg, &outcome.results);
     Ok((points, outcome))
@@ -248,32 +255,24 @@ pub fn collect_scale_points(cfg: &ScalingConfig, results: &[PointResult]) -> Vec
         .collect()
 }
 
-/// The campaign runner for aggregate-benchmark points: simulate and
-/// extract the cacheable scalars.
-pub fn aggregate_runner(spec: &PointSpec<AggregateSpec>) -> PointResult {
-    PointResult::from_run(&run_point(spec))
+/// The campaign runner for aggregate-benchmark points: simulate (see
+/// [`run_point_with`]) and extract the cacheable scalars.
+pub fn aggregate_runner(spec: &PointSpec<AggregateSpec>, ctx: &PointCtx) -> PointResult {
+    PointResult::from_run(&run_point_with(spec, ctx))
 }
 
-/// [`aggregate_runner`] for checkpoint-armed campaigns: when the executor
-/// supplies a [`CheckpointCtx`], the run writes periodic mid-run
-/// checkpoints there — and restores from it first if a previous
-/// invocation died mid-point. The restored tail replays bit-identically,
-/// so the cached scalars match an uninterrupted run's.
-pub fn aggregate_runner_ckpt(
-    spec: &PointSpec<AggregateSpec>,
-    ckpt: Option<&CheckpointCtx>,
-) -> PointResult {
-    PointResult::from_run(&run_point_ckpt(spec, ckpt))
-}
-
-/// Run one aggregate-benchmark point.
+/// Run one aggregate-benchmark point on one engine thread, without
+/// checkpoints.
 pub fn run_point(spec: &PointSpec<AggregateSpec>) -> RunOutput {
-    run_point_ckpt(spec, None)
+    run_point_with(spec, &PointCtx::serial())
 }
 
-/// [`run_point`] with optional mid-run checkpointing (see
-/// [`aggregate_runner_ckpt`]).
-pub fn run_point_ckpt(spec: &PointSpec<AggregateSpec>, ckpt: Option<&CheckpointCtx>) -> RunOutput {
+/// Run one aggregate-benchmark point on `ctx.sim_threads` engine
+/// threads. When `ctx` carries a checkpoint, the run writes periodic
+/// mid-run checkpoints there — and restores from it first if a previous
+/// invocation died mid-point. The restored tail replays bit-identically,
+/// so the result matches an uninterrupted run's.
+pub fn run_point_with(spec: &PointSpec<AggregateSpec>, ctx: &PointCtx) -> RunOutput {
     let seeds = SeedSpace::new(spec.seed);
     let agg = spec.workload;
     let mut make = |rank: u32| -> Box<dyn RankWorkload> {
@@ -282,8 +281,8 @@ pub fn run_point_ckpt(spec: &PointSpec<AggregateSpec>, ckpt: Option<&CheckpointC
             seeds.stream_at("wl/agg", u64::from(rank), 0),
         ))
     };
-    let mut e = spec.experiment();
-    if let Some(cx) = ckpt {
+    let mut e = spec.experiment().with_sim_threads(ctx.sim_threads);
+    if let Some(cx) = &ctx.checkpoint {
         e = e.with_checkpoint_every(cx.every, &cx.path);
         if cx.path.exists() {
             // A damaged checkpoint is treated like a missing one (the
@@ -303,9 +302,14 @@ pub fn run_point_ckpt(spec: &PointSpec<AggregateSpec>, ckpt: Option<&CheckpointC
     e.run(&mut make)
 }
 
-/// Run one configuration at one size and seed.
+/// Run one configuration at one size and seed, on the configuration's
+/// engine thread count.
 pub fn run_one(cfg: &ScalingConfig, nodes: u32, seed: u64) -> RunOutput {
-    run_point(&cfg.point(nodes, seed))
+    let ctx = PointCtx {
+        sim_threads: cfg.sim_threads,
+        checkpoint: None,
+    };
+    run_point_with(&cfg.point(nodes, seed), &ctx)
 }
 
 /// Run the sweep's *representative* point — largest size, first seed —
@@ -326,7 +330,11 @@ pub fn run_blame_point(cfg: &ScalingConfig, title: &str) -> pa_blame::RunBlame {
             seeds.stream_at("wl/agg", u64::from(rank), 0),
         ))
     };
-    let out = spec.experiment().with_record_all_ranks().run(&mut make);
+    let out = spec
+        .experiment()
+        .with_sim_threads(cfg.sim_threads)
+        .with_record_all_ranks()
+        .run(&mut make);
     pa_core::blame_of(&out, format!("{title}: {nodes} nodes, seed {seed}"))
 }
 
@@ -418,6 +426,8 @@ pub struct Fig4Config {
     /// guarantee the one firing the paper's sample happened to contain
     /// (time compression documented in DESIGN.md).
     pub cron: pa_noise::CronSpec,
+    /// Engine worker threads (results are identical at any value).
+    pub sim_threads: usize,
 }
 
 impl Fig4Config {
@@ -446,6 +456,7 @@ impl Fig4Config {
                     component_sigma: 0.45,
                     ..pa_noise::CronSpec::default()
                 },
+                sim_threads: 1,
             }
         } else {
             // 59 nodes (944 procs): a ~2 s loop; the real ~600 ms cron
@@ -459,6 +470,7 @@ impl Fig4Config {
                     phase: SimDur::from_millis(700),
                     ..pa_noise::CronSpec::default()
                 },
+                sim_threads: 1,
             }
         }
     }
@@ -518,6 +530,7 @@ pub fn fig4_with_output(cfg: &Fig4Config) -> (Fig4Result, RunOutput) {
     let mut e = Experiment::new(cfg.nodes, cfg.tasks_per_node)
         .with_noise(noise)
         .with_seed(cfg.seed)
+        .with_sim_threads(cfg.sim_threads)
         .with_watch_node(0);
     // Trace every node: the §5.3 analysis found the culprit cron "on
     // multiple nodes" — the delay seen by a watched rank is usually
@@ -707,6 +720,7 @@ mod tests {
                 page_fault_prob: 0.0,
                 ..pa_noise::CronSpec::default()
             },
+            sim_threads: 1,
         };
         let r = fig4(&cfg);
         assert_eq!(r.sorted_us.len(), 300);

@@ -36,9 +36,9 @@ pub use aggregate::{AggregateSpec, AggregateTrace};
 pub use ale3d::{grid3d_neighbors, Ale3d, Ale3dSpec};
 pub use audit::{audit_node, audit_node_timeline, AuditResult, AuditRow};
 pub use figures::{
-    aggregate_runner, aggregate_runner_ckpt, campaign_blame_totals, collect_scale_points, fig4,
-    fig4_with_output, fig6, run_blame_point, run_one, run_point, run_point_ckpt, run_scaling,
-    run_scaling_campaign, Fig4Config, Fig4Result, Fig6Result, ScalePoint, ScalingConfig,
+    aggregate_runner, campaign_blame_totals, collect_scale_points, fig4, fig4_with_output, fig6,
+    run_blame_point, run_one, run_point, run_point_with, run_scaling, run_scaling_campaign,
+    Fig4Config, Fig4Result, Fig6Result, ScalePoint, ScalingConfig,
 };
 pub use illustrations::{fig1, fig2, BspRankRow, Fig1Result};
 pub use multi_job::{

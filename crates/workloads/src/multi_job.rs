@@ -9,7 +9,7 @@
 //! head-of-line blocking under FCFS, shadow-respecting EASY backfill,
 //! pressure-aware packing, and equipartition resize in both directions.
 
-use pa_campaign::{ExecutorConfig, PointResult, PointSpec};
+use pa_campaign::{ExecutorConfig, PointCtx, PointResult, PointSpec};
 use pa_jobs::{JobRequest, JobsEngine, JobsOutcome, MultiJobSpec, PolicyKind};
 use pa_kernel::SchedOptions;
 use pa_noise::NoiseProfile;
@@ -108,14 +108,14 @@ pub fn batch_point(
 
 /// Run one multi-job point: the campaign runner for the `multi_job`
 /// family. Pure in the spec, bit-identical at any `--sim-threads`.
-pub fn multi_job_runner(spec: &PointSpec<MultiJobSpec>) -> PointResult {
-    let outcome = run_batch_point(spec);
+pub fn multi_job_runner(spec: &PointSpec<MultiJobSpec>, ctx: &PointCtx) -> PointResult {
+    let outcome = run_batch_point(spec, ctx.sim_threads);
     point_result(&outcome)
 }
 
 /// Run the engine for one point and keep the full outcome (metrics and
 /// spans included) — what the binary uses for `--metrics-out`.
-pub fn run_batch_point(spec: &PointSpec<MultiJobSpec>) -> JobsOutcome {
+pub fn run_batch_point(spec: &PointSpec<MultiJobSpec>, sim_threads: usize) -> JobsOutcome {
     let policy = spec
         .policy
         .as_deref()
@@ -123,7 +123,7 @@ pub fn run_batch_point(spec: &PointSpec<MultiJobSpec>) -> JobsOutcome {
         .expect("multi_job points carry a valid policy name");
     JobsEngine::new(spec.workload.clone(), policy)
         .with_seed(spec.seed)
-        .with_sim_threads(pa_core::default_sim_threads())
+        .with_sim_threads(sim_threads)
         .with_link_bandwidth(spec.link_bandwidth)
         .with_noise(spec.noise.clone())
         .run()
@@ -244,7 +244,7 @@ mod tests {
             None,
             &NoiseProfile::silent(),
         );
-        let r = multi_job_runner(&spec);
+        let r = multi_job_runner(&spec, &PointCtx::serial());
         assert!(r.completed);
         assert!(
             r.extra["jobs.grows"] >= 1.0 && r.extra["jobs.shrinks"] >= 1.0,
@@ -261,7 +261,7 @@ mod tests {
             .iter()
             .map(|&p| {
                 let spec = batch_point(&scenario, p, 42, None, &noise);
-                (p, multi_job_runner(&spec))
+                (p, multi_job_runner(&spec, &PointCtx::serial()))
             })
             .collect();
         for (p, r) in &rows {

@@ -129,7 +129,7 @@ pub struct TimerResult {
 /// with a shorter call loop, preserving the firings-per-run ratio (time
 /// compression, documented in DESIGN.md); the full mode uses the paper's
 /// literal settings over a multi-second loop.
-pub fn tab_timer(nodes: u32, quick: bool) -> TimerResult {
+pub fn tab_timer(nodes: u32, quick: bool, sim_threads: usize) -> TimerResult {
     let (interval, calls) = if quick {
         (pa_simkit::SimDur::from_millis(40), 800)
     } else {
@@ -143,6 +143,7 @@ pub fn tab_timer(nodes: u32, quick: bool) -> TimerResult {
         cfg.progress = Some(progress);
         cfg.allreduces = calls;
         cfg.seeds = vec![42];
+        cfg.sim_threads = sim_threads;
         let out = run_one(&cfg, nodes, cfg.seeds[0]);
         assert!(out.completed);
         let s = out
@@ -213,8 +214,14 @@ pub struct AleRow {
     pub completed: bool,
 }
 
-/// Run the ALE3D proxy in one mode.
-pub fn run_ale3d(nodes: u32, spec: Ale3dSpec, mode: AleMode, seed: u64) -> AleRow {
+/// Run the ALE3D proxy in one mode on `sim_threads` engine threads.
+pub fn run_ale3d(
+    nodes: u32,
+    spec: Ale3dSpec,
+    mode: AleMode,
+    seed: u64,
+    sim_threads: usize,
+) -> AleRow {
     let seeds = SeedSpace::new(seed);
     let mut spec = spec;
     spec.io_detach = matches!(mode, AleMode::NaiveWithDetach);
@@ -227,6 +234,7 @@ pub fn run_ale3d(nodes: u32, spec: Ale3dSpec, mode: AleMode, seed: u64) -> AleRo
     let mut e = Experiment::new(nodes, 16)
         .with_noise(NoiseProfile::production().without_cron())
         .with_seed(seed)
+        .with_sim_threads(sim_threads)
         .with_horizon(pa_simkit::SimDur::from_secs(7_200));
     match mode {
         AleMode::Vanilla => {}
@@ -251,21 +259,22 @@ pub fn run_ale3d(nodes: u32, spec: Ale3dSpec, mode: AleMode, seed: u64) -> AleRo
 
 /// T-ale3d: vanilla vs the I/O-aware prototype (the paper's 1315 s →
 /// 1152 s comparison).
-pub fn tab_ale3d(nodes: u32, spec: Ale3dSpec, seed: u64) -> Vec<AleRow> {
-    vec![
-        run_ale3d(nodes, spec, AleMode::Vanilla, seed),
-        run_ale3d(nodes, spec, AleMode::IoAware, seed),
-    ]
+pub fn tab_ale3d(nodes: u32, spec: Ale3dSpec, seed: u64, sim_threads: usize) -> Vec<AleRow> {
+    [AleMode::Vanilla, AleMode::IoAware]
+        .map(|mode| run_ale3d(nodes, spec, mode, seed, sim_threads))
+        .to_vec()
 }
 
 /// T-ale3d-io: the §5.3 I/O-starvation story in four rows.
-pub fn tab_ale3d_io(nodes: u32, spec: Ale3dSpec, seed: u64) -> Vec<AleRow> {
-    vec![
-        run_ale3d(nodes, spec, AleMode::Vanilla, seed),
-        run_ale3d(nodes, spec, AleMode::NaiveCosched, seed),
-        run_ale3d(nodes, spec, AleMode::NaiveWithDetach, seed),
-        run_ale3d(nodes, spec, AleMode::IoAware, seed),
+pub fn tab_ale3d_io(nodes: u32, spec: Ale3dSpec, seed: u64, sim_threads: usize) -> Vec<AleRow> {
+    [
+        AleMode::Vanilla,
+        AleMode::NaiveCosched,
+        AleMode::NaiveWithDetach,
+        AleMode::IoAware,
     ]
+    .map(|mode| run_ale3d(nodes, spec, mode, seed, sim_threads))
+    .to_vec()
 }
 
 /// A-ablate: contribution of each prototype mechanism to the Allreduce
@@ -383,8 +392,8 @@ mod tests {
     fn ale3d_naive_cosched_is_a_disaster() {
         // §5.3: "the first tests of ALE3D were very disappointing: the
         // co-scheduler actually slowed it down."
-        let vanilla = run_ale3d(2, quick_spec(), AleMode::Vanilla, 42);
-        let naive = run_ale3d(2, quick_spec(), AleMode::NaiveCosched, 42);
+        let vanilla = run_ale3d(2, quick_spec(), AleMode::Vanilla, 42, 1);
+        let naive = run_ale3d(2, quick_spec(), AleMode::NaiveCosched, 42, 1);
         assert!(vanilla.completed && naive.completed);
         assert!(
             naive.wall_s > 1.5 * vanilla.wall_s,
@@ -396,8 +405,8 @@ mod tests {
 
     #[test]
     fn ale3d_io_aware_fixes_the_disaster() {
-        let naive = run_ale3d(2, quick_spec(), AleMode::NaiveCosched, 42);
-        let aware = run_ale3d(2, quick_spec(), AleMode::IoAware, 42);
+        let naive = run_ale3d(2, quick_spec(), AleMode::NaiveCosched, 42, 1);
+        let aware = run_ale3d(2, quick_spec(), AleMode::IoAware, 42, 1);
         assert!(
             aware.wall_s < naive.wall_s / 1.5,
             "I/O-aware priorities should fix the stall: {:.2}s vs {:.2}s",
@@ -408,7 +417,7 @@ mod tests {
 
     #[test]
     fn timer_mitigation_reduces_tail() {
-        let r = tab_timer(2, true);
+        let r = tab_timer(2, true, 1);
         assert_eq!(r.rows.len(), 2);
         assert!(
             r.p99_improvement > 1.0,

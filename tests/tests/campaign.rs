@@ -2,7 +2,7 @@
 //! content-key stability, cache round-trips through disk, and the
 //! bit-identical-results-at-any-job-count guarantee.
 
-use pa_campaign::{run_campaign, Cache, ExecutorConfig, PointSpec};
+use pa_campaign::{run_campaign, Cache, ExecutorConfig, PointCtx, PointSpec};
 use pa_workloads::{aggregate_runner, ScalingConfig};
 use std::path::PathBuf;
 
@@ -46,7 +46,7 @@ fn cache_round_trips_real_results_bit_exactly() {
     let spec = &points[0];
     let key = spec.content_key();
     let cache = Cache::at(&dir).unwrap();
-    let fresh = aggregate_runner(spec);
+    let fresh = aggregate_runner(spec, &PointCtx::serial());
     cache.store(&key, spec, &fresh).unwrap();
     let loaded = cache.lookup(&key).expect("stored entry must load");
     // f64s survive the JSON round-trip exactly, not approximately.

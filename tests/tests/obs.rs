@@ -9,7 +9,7 @@ use pa_core::{metrics_of, timeline_of, CoschedSetup, Experiment};
 use pa_mpi::{MpiOp, OpList, RankWorkload};
 use pa_obs::{Histogram, MetricsRegistry, SpanTimeline};
 use pa_simkit::SimTime;
-use pa_workloads::{run_point, ScalingConfig};
+use pa_workloads::{aggregate_runner, ScalingConfig};
 
 fn observed_run(seed: u64) -> pa_core::RunOutput {
     // Long enough (~tens of ms simulated) that ticks fire and the
@@ -51,12 +51,15 @@ fn campaign_metrics_identical_at_any_job_count() {
         }
         reg.snapshot_json()
     };
-    let runner = |spec: &_| PointResult::from_run(&run_point(spec));
-    let serial = run_campaign(&cfg.points(), &ExecutorConfig::serial("obs"), runner);
+    let serial = run_campaign(
+        &cfg.points(),
+        &ExecutorConfig::serial("obs"),
+        aggregate_runner,
+    );
     let parallel = run_campaign(
         &cfg.points(),
         &ExecutorConfig::serial("obs").with_jobs(4),
-        runner,
+        aggregate_runner,
     );
     assert_eq!(fold(&serial.results), fold(&parallel.results));
 }

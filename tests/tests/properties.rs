@@ -150,10 +150,10 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Event queue vs the old heap: the indexed queue and the lazy-tombstone
-// fallback must both replay the exact pop order and core stats of the
-// structure they replaced (a plain binary heap + pending set) under any
-// interleaving of schedule/cancel/advance_to/pop.
+// Event queue vs the old heap: the indexed queue must replay the exact
+// pop order and core stats of the structure it replaced (a plain binary
+// heap + pending set) under any interleaving of
+// schedule/cancel/advance_to/pop.
 // ---------------------------------------------------------------------
 
 /// Reference model of the pre-overhaul queue: ids are handed out in
@@ -222,12 +222,8 @@ fn arb_queue_op() -> impl Strategy<Value = QueueOp> {
     })
 }
 
-fn check_queue_against_model(ops: &[QueueOp], lazy: bool) -> Result<(), TestCaseError> {
-    let mut q = if lazy {
-        EventQueue::<usize>::new_lazy()
-    } else {
-        EventQueue::<usize>::new()
-    };
+fn check_queue_against_model(ops: &[QueueOp]) -> Result<(), TestCaseError> {
+    let mut q = EventQueue::<usize>::new();
     let mut model = ModelQueue::new();
     // Parallel id registries for the same logical live entry.
     let mut ids: Vec<(pa_simkit::EventId, u64)> = Vec::new();
@@ -264,9 +260,8 @@ fn check_queue_against_model(ops: &[QueueOp], lazy: bool) -> Result<(), TestCase
                 prop_assert_eq!(
                     got.map(|(t, v)| (t.nanos(), v)),
                     want,
-                    "pop diverged at step {} (lazy={})",
-                    step,
-                    lazy
+                    "pop diverged at step {}",
+                    step
                 );
                 // The popped entry's id pair stays in `ids`; a later
                 // cancel picking it is a no-op in both queue and model,
@@ -276,21 +271,13 @@ fn check_queue_against_model(ops: &[QueueOp], lazy: bool) -> Result<(), TestCase
         prop_assert_eq!(
             q.peek_time().map(SimTime::nanos),
             model.peek_time(),
-            "peek diverged at step {} (lazy={})",
-            step,
-            lazy
+            "peek diverged at step {}",
+            step
         );
         let live = model.live.len();
         prop_assert!(
             q.stats().tombstones as usize <= live.max(1),
             "tombstones exceed live entries at step {}",
-            step
-        );
-        prop_assert!(
-            q.resident_len() <= 2 * live + 1,
-            "resident {} exceeds 2*{}+1 at step {}",
-            q.resident_len(),
-            live,
             step
         );
     }
@@ -314,12 +301,7 @@ fn check_queue_against_model(ops: &[QueueOp], lazy: bool) -> Result<(), TestCase
 proptest! {
     #[test]
     fn indexed_queue_matches_old_heap_model(ops in prop::collection::vec(arb_queue_op(), 1..300)) {
-        check_queue_against_model(&ops, false)?;
-    }
-
-    #[test]
-    fn lazy_queue_matches_old_heap_model(ops in prop::collection::vec(arb_queue_op(), 1..300)) {
-        check_queue_against_model(&ops, true)?;
+        check_queue_against_model(&ops)?;
     }
 
     #[test]
@@ -327,12 +309,11 @@ proptest! {
         times in prop::collection::vec(1u64..1_000_000, 2..80),
         cancel_mask in prop::collection::vec(any::<bool>(), 2..80),
     ) {
-        // A lazy queue mid-flight: some entries cancelled (tombstones may
-        // be resident), then checkpointed via the same live_entries /
-        // from_parts path the engine snapshot uses. The restored queue
-        // must replay the identical pop sequence, with no tombstones
-        // surviving the round trip.
-        let mut q = EventQueue::<usize>::new_lazy();
+        // A queue mid-flight: some entries cancelled, then checkpointed
+        // via the same live_entries / from_parts path the engine snapshot
+        // uses. The restored queue must replay the identical pop
+        // sequence, with no tombstones reported after the round trip.
+        let mut q = EventQueue::<usize>::new();
         let ids: Vec<_> = times
             .iter()
             .enumerate()

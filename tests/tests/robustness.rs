@@ -1,11 +1,11 @@
 //! Robustness: edge configurations and failure-injection-style stress.
 
-use pa_campaign::{run_campaign_resumable, Cache, CheckpointCtx, ExecutorConfig};
+use pa_campaign::{run_campaign, Cache, CheckpointCtx, ExecutorConfig, PointCtx};
 use pa_core::{CoschedSetup, Experiment, SchedOptions};
 use pa_mpi::{Algorithm, MpiConfig, MpiOp, OpList, RankWorkload};
 use pa_noise::NoiseProfile;
 use pa_simkit::SimDur;
-use pa_workloads::{aggregate_runner_ckpt, run_point_ckpt, ScalingConfig};
+use pa_workloads::{aggregate_runner, run_point_with, ScalingConfig};
 
 fn allreduces(n: usize) -> impl FnMut(u32) -> Box<dyn RankWorkload> {
     move |_r| Box::new(OpList::new(vec![MpiOp::Allreduce { bytes: 8 }; n]))
@@ -187,7 +187,7 @@ fn interrupted_campaign_resumes_bit_identically() {
     let exec_ref = ExecutorConfig::serial("ref")
         .with_cache(Cache::at(&dir_ref).unwrap())
         .with_checkpoint_every(every);
-    let reference = run_campaign_resumable(&points, &exec_ref, aggregate_runner_ckpt);
+    let reference = run_campaign(&points, &exec_ref, aggregate_runner);
     assert!(reference.truncated.is_empty());
 
     // "Killed" campaign: the first half of the points finished and were
@@ -198,7 +198,7 @@ fn interrupted_campaign_resumes_bit_identically() {
             .with_checkpoint_every(every)
     };
     let half = points.len() / 2;
-    let partial = run_campaign_resumable(&points[..half], &exec_int(), aggregate_runner_ckpt);
+    let partial = run_campaign(&points[..half], &exec_int(), aggregate_runner);
     assert_eq!(partial.results, reference.results[..half]);
 
     // … and the invocation died inside the next point, leaving its
@@ -211,12 +211,15 @@ fn interrupted_campaign_resumes_bit_identically() {
         .dir()
         .join("checkpoints")
         .join(format!("{}.json", victim.content_key()));
-    let killed = run_point_ckpt(
+    let killed = run_point_with(
         victim,
-        Some(&CheckpointCtx {
-            path: ckpt_path.clone(),
-            every,
-        }),
+        &PointCtx {
+            sim_threads: 1,
+            checkpoint: Some(CheckpointCtx {
+                path: ckpt_path.clone(),
+                every,
+            }),
+        },
     );
     assert!(killed.completed);
     assert!(
@@ -228,7 +231,7 @@ fn interrupted_campaign_resumes_bit_identically() {
     // disk, the victim restores from its checkpoint and replays only the
     // tail, the rest run fresh. Results must match the uninterrupted
     // campaign bit for bit, and the served checkpoint must be gone.
-    let resumed = run_campaign_resumable(&points, &exec_int(), aggregate_runner_ckpt);
+    let resumed = run_campaign(&points, &exec_int(), aggregate_runner);
     assert_eq!(resumed.results, reference.results);
     assert_eq!(resumed.metrics.cache_hits, half);
     assert!(
@@ -257,11 +260,14 @@ fn damaged_checkpoint_falls_back_to_a_fresh_run() {
         std::process::id()
     ));
     let _ = std::fs::remove_file(&path);
-    let ctx = CheckpointCtx {
-        path: path.clone(),
-        every,
+    let ctx = PointCtx {
+        sim_threads: 1,
+        checkpoint: Some(CheckpointCtx {
+            path: path.clone(),
+            every,
+        }),
     };
-    let reference = run_point_ckpt(spec, Some(&ctx));
+    let reference = run_point_with(spec, &ctx);
     assert!(path.exists(), "no checkpoint written — shrink `every`");
 
     // Flip one byte inside the hashed payload.
@@ -270,7 +276,7 @@ fn damaged_checkpoint_falls_back_to_a_fresh_run() {
     bytes[i] ^= 1;
     std::fs::write(&path, &bytes).unwrap();
 
-    let rerun = run_point_ckpt(spec, Some(&ctx));
+    let rerun = run_point_with(spec, &ctx);
     assert_eq!(rerun.wall, reference.wall);
     assert_eq!(rerun.events, reference.events);
     assert_eq!(

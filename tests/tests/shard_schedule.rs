@@ -6,10 +6,12 @@
 //! schedule (static stripe, heaviest-first stealing, adversarial
 //! rotating claim order) at `--sim-threads` 1/2/4/8.
 
+use pa_campaign::PointResult;
 use pa_cluster::ShardSchedule;
 use pa_core::{blame_of, metrics_of, Experiment};
 use pa_mpi::{MpiOp, OpList, RankWorkload};
-use pa_simkit::SimDur;
+use pa_simkit::{SeedSpace, SimDur};
+use pa_workloads::{AggregateTrace, ScalingConfig};
 use proptest::prelude::*;
 
 /// A deliberately skewed workload: ranks on node 0 compute ~40× longer
@@ -85,6 +87,40 @@ fn shard_schedule_permutations_replay_identical_history() {
             );
         }
     }
+}
+
+#[test]
+fn fig3_point_under_adversarial_claims_matches_one_thread() {
+    // One point shaped like `fig3 --quick` (8 nodes, one seed): eight
+    // workers claiming shards in the adversarial rotating order must
+    // reproduce the single-thread run's cached scalars and canonical
+    // metrics byte for byte.
+    let cfg = ScalingConfig::fig3(true);
+    let spec = cfg.point(8, 42);
+    let run = |threads: usize, schedule: ShardSchedule| {
+        let seeds = SeedSpace::new(spec.seed);
+        let agg = spec.workload;
+        let mut make = |rank: u32| -> Box<dyn RankWorkload> {
+            Box::new(AggregateTrace::new(
+                agg,
+                seeds.stream_at("wl/agg", u64::from(rank), 0),
+            ))
+        };
+        let out = spec
+            .experiment()
+            .with_sim_threads(threads)
+            .with_shard_schedule(schedule)
+            .run(&mut make);
+        assert!(out.completed, "fig3 point cut by the horizon");
+        (
+            PointResult::from_run(&out),
+            metrics_of(&out).snapshot_json(),
+        )
+    };
+    let serial = run(1, ShardSchedule::Steal);
+    let adversarial = run(8, ShardSchedule::StealAdversarial);
+    assert_eq!(serial.0, adversarial.0, "cached scalars diverge");
+    assert_eq!(serial.1, adversarial.1, "metrics diverge");
 }
 
 proptest! {
