@@ -637,9 +637,9 @@ fn read_checkpoint_file(path: &Path) -> Result<CheckpointContents, String> {
         ));
     }
     let payload = serde_json::parse(payload_json)
-        .map_err(|e| format!("parse checkpoint payload: {}", e.0))?;
+        .map_err(|e| format!("{}: parse checkpoint payload: {}", path.display(), e.0))?;
     let Value::Map(pairs) = payload else {
-        return Err("checkpoint payload is not an object".to_string());
+        return Err(format!("{}: payload is not an object", path.display()));
     };
     let mut state = None;
     let mut extras = Vec::new();
@@ -654,9 +654,9 @@ fn read_checkpoint_file(path: &Path) -> Result<CheckpointContents, String> {
             _ => {}
         }
     }
-    let state = state.ok_or("checkpoint payload has no state")?;
-    let snap =
-        ClusterSnap::from_value(&state).map_err(|e| format!("decode checkpoint: {}", e.0))?;
+    let state = state.ok_or_else(|| format!("{}: payload has no state", path.display()))?;
+    let snap = ClusterSnap::from_value(&state)
+        .map_err(|e| format!("{}: decode checkpoint: {}", path.display(), e.0))?;
     Ok((snap, extras, text.len() as u64))
 }
 

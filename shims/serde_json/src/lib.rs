@@ -4,7 +4,10 @@
 //! deserialization parses JSON text back into that tree and decodes it.
 //! Output layout matches real `serde_json` (compact and 2-space pretty
 //! modes, `.0` suffix on whole floats) so regenerated artifacts diff
-//! cleanly.
+//! cleanly. Parsing is linear in the input and as strict as serde_json
+//! where it matters for hostile files: unescaped control characters in
+//! strings are rejected, nesting is capped at 128 levels, and every
+//! parse error names its byte offset.
 
 pub use serde::value::Value;
 pub use serde::Error;
@@ -30,36 +33,43 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
 /// Parse JSON text into the value model.
 pub fn parse(s: &str) -> Result<Value, Error> {
     let mut p = JsonParser {
-        bytes: s.as_bytes(),
+        text: s,
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != s.len() {
         return Err(Error(format!("trailing input at byte {}", p.pos)));
     }
     Ok(v)
 }
 
+/// Deepest array/object nesting [`parse`] accepts (serde_json's default
+/// recursion limit). Deeper input is an error, not a stack overflow.
+const MAX_DEPTH: usize = 128;
+
+/// Single-pass recursive-descent parser over the input `&str`. Every
+/// position it cuts the text at sits on an ASCII byte, hence on a char
+/// boundary, so string runs are copied as slices without re-validating
+/// UTF-8.
 struct JsonParser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl JsonParser<'_> {
     fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.peek() {
+            self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn eat(&mut self, b: u8) -> Result<(), Error> {
@@ -75,7 +85,7 @@ impl JsonParser<'_> {
     }
 
     fn eat_lit(&mut self, lit: &str) -> Result<(), Error> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(())
         } else {
@@ -98,114 +108,149 @@ impl JsonParser<'_> {
                 Ok(Value::Bool(false))
             }
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => {
-                self.pos += 1;
-                let mut xs = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Value::Seq(xs));
-                }
-                loop {
-                    self.skip_ws();
-                    xs.push(self.value()?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Value::Seq(xs));
-                        }
-                        _ => return Err(Error(format!("bad array at byte {}", self.pos))),
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut m = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Value::Map(m));
-                }
-                loop {
-                    self.skip_ws();
-                    let k = self.string()?;
-                    self.skip_ws();
-                    self.eat(b':')?;
-                    self.skip_ws();
-                    let v = self.value()?;
-                    m.push((k, v));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Value::Map(m));
-                        }
-                        _ => return Err(Error(format!("bad object at byte {}", self.pos))),
-                    }
-                }
-            }
+            Some(b'[') => self.nested(Self::seq),
+            Some(b'{') => self.nested(Self::map),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => Err(Error(format!("unexpected {other:?} at byte {}", self.pos))),
         }
     }
 
+    /// Run `body` one nesting level deeper, refusing to pass [`MAX_DEPTH`].
+    fn nested(&mut self, body: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = body(self);
+        self.depth -= 1;
+        v
+    }
+
+    fn seq(&mut self) -> Result<Value, Error> {
+        self.pos += 1;
+        let mut xs = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Value::Seq(xs));
+        }
+        loop {
+            self.skip_ws();
+            xs.push(self.value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Value::Seq(xs));
+                }
+                _ => return Err(Error(format!("bad array at byte {}", self.pos))),
+            }
+        }
+    }
+
+    fn map(&mut self) -> Result<Value, Error> {
+        self.pos += 1;
+        let mut m = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Value::Map(m));
+        }
+        loop {
+            self.skip_ws();
+            let k = self.string()?;
+            self.skip_ws();
+            self.eat(b':')?;
+            self.skip_ws();
+            let v = self.value()?;
+            m.push((k, v));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Value::Map(m));
+                }
+                _ => return Err(Error(format!("bad object at byte {}", self.pos))),
+            }
+        }
+    }
+
+    /// Decode a string literal. Runs between escapes are copied whole, so
+    /// the cost is linear in the literal's length.
     fn string(&mut self) -> Result<String, Error> {
+        let start = self.pos;
         self.eat(b'"')?;
+        let bytes = self.text.as_bytes();
         let mut out = String::new();
         loop {
-            match self.bytes.get(self.pos) {
-                None => return Err(Error("unterminated string".into())),
+            let run_end = bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .map_or(bytes.len(), |n| self.pos + n);
+            out.push_str(&self.text[self.pos..run_end]);
+            self.pos = run_end;
+            match bytes.get(self.pos) {
+                None => {
+                    return Err(Error(format!(
+                        "unterminated string starting at byte {start}"
+                    )))
+                }
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| Error("bad \\u escape".into()))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex)
-                                    .map_err(|_| Error("bad \\u escape".into()))?,
-                                16,
-                            )
-                            .map_err(|_| Error("bad \\u escape".into()))?;
-                            // Surrogate pairs are not produced by the
-                            // serializer; reject rather than mis-decode.
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| Error("unsupported \\u escape".into()))?,
-                            );
-                            self.pos += 4;
-                        }
-                        other => return Err(Error(format!("bad escape {other:?}"))),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Advance one UTF-8 scalar.
-                    let s = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| Error("invalid UTF-8".into()))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                Some(b'\\') => out.push(self.escape()?),
+                Some(c) => {
+                    // RFC 8259 §7: control characters must be escaped.
+                    return Err(Error(format!(
+                        "unescaped control character 0x{c:02x} in string at byte {}",
+                        self.pos
+                    )));
                 }
             }
         }
+    }
+
+    /// Decode the escape sequence whose backslash is at `self.pos`.
+    fn escape(&mut self) -> Result<char, Error> {
+        let at = self.pos;
+        let c = match self.text.as_bytes().get(at + 1) {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'u') => {
+                let code = self
+                    .text
+                    .get(at + 2..at + 6)
+                    .filter(|hex| hex.bytes().all(|b| b.is_ascii_hexdigit()))
+                    .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                    .ok_or_else(|| Error(format!("bad \\u escape at byte {at}")))?;
+                self.pos += 4;
+                // Surrogate pairs are not produced by the serializer;
+                // reject rather than mis-decode.
+                char::from_u32(code)
+                    .ok_or_else(|| Error(format!("unsupported \\u escape at byte {at}")))?
+            }
+            Some(&b) => {
+                return Err(Error(format!(
+                    "bad escape `\\{}` at byte {at}",
+                    b.escape_ascii()
+                )))
+            }
+            None => return Err(Error(format!("bad escape at end of input (byte {at})"))),
+        };
+        self.pos += 2;
+        Ok(c)
     }
 
     fn number(&mut self) -> Result<Value, Error> {
@@ -224,7 +269,7 @@ impl JsonParser<'_> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = &self.text[start..self.pos];
         if is_float {
             text.parse::<f64>()
                 .map(Value::Float)
@@ -285,5 +330,105 @@ mod tests {
     fn pretty_matches_expected_layout() {
         let xs = vec![1u32, 2];
         assert_eq!(to_string_pretty(&xs).unwrap(), "[\n  1,\n  2\n]");
+    }
+
+    fn parse_str(text: &str) -> String {
+        match parse(text).unwrap() {
+            Value::Str(s) => s,
+            other => panic!("{text} parsed to {other:?}"),
+        }
+    }
+
+    /// Parse `text`, expecting an error whose message holds every needle.
+    fn assert_err(text: &str, needles: &[&str]) {
+        let err = parse(text).expect_err(text).0;
+        assert!(needles.iter().all(|n| err.contains(n)), "{text}: {err}");
+    }
+
+    #[test]
+    fn multibyte_runs_meet_escapes() {
+        // 2-, 3- and 4-byte scalars directly before and after escapes.
+        assert_eq!(parse_str(r#""é\n€\t😀\"ü""#), "é\n€\t😀\"ü");
+        assert_eq!(parse_str(r#""\\é\/€\b😀\f""#), "\\é/€\u{8}😀\u{c}");
+        for s in ["é\"", "\"€", "😀\\😀", "a\u{1}é", "\r€\n"] {
+            let text = Value::Str(s.into()).to_json_string();
+            assert_eq!(parse_str(&text), s, "round-trip of {text}");
+        }
+    }
+
+    #[test]
+    fn unicode_escapes_empty_strings_and_escape_only_keys() {
+        assert_eq!(parse_str(r#""\u0041\u00e9\u001F\u0000""#), "Aé\u{1f}\u{0}");
+        assert_eq!(parse_str(r#""""#), "");
+        let v = parse(r#"{"":"","\n\t\"\\\u0007":[""]}"#).unwrap();
+        assert_eq!(
+            v,
+            Value::Map(vec![
+                (String::new(), Value::Str(String::new())),
+                (
+                    "\n\t\"\\\u{7}".into(),
+                    Value::Seq(vec![Value::Str(String::new())])
+                ),
+            ])
+        );
+        assert_eq!(parse(&v.to_json_string()).unwrap(), v);
+    }
+
+    #[test]
+    fn megabyte_double_encoded_document_round_trips() {
+        // A checkpoint's shape: a JSON document stored as one escaped
+        // string inside another document.
+        let inner = Value::Seq(
+            (0..18_000u64)
+                .map(|i| {
+                    Value::Map(vec![
+                        ("id".into(), Value::UInt(i)),
+                        ("name \"q\"".into(), Value::Str(format!("rank-{i}/é€😀\t"))),
+                        ("x".into(), Value::Float(i as f64 * 0.25)),
+                    ])
+                })
+                .collect(),
+        );
+        let inner_json = inner.to_json_string();
+        assert!(inner_json.len() >= 1 << 20, "{} bytes", inner_json.len());
+        let outer = Value::Map(vec![("payload".into(), Value::Str(inner_json.clone()))]);
+        assert_eq!(parse(&outer.to_json_string()).unwrap(), outer);
+        assert_eq!(parse(&inner_json).unwrap(), inner);
+    }
+
+    #[test]
+    fn rejects_raw_control_characters_with_offset() {
+        for c in 0u8..0x20 {
+            let text = format!("[\"ab{}\"]", c as char);
+            assert_err(&text, &["control character", "byte 4"]);
+        }
+        // DEL and everything above it are ordinary characters.
+        assert_eq!(parse_str("\"\u{7f}\""), "\u{7f}");
+    }
+
+    #[test]
+    fn string_errors_carry_offsets() {
+        assert_err(r#"{"k":"abc"#, &["unterminated string", "byte 5"]);
+        assert_err(r#"[1,"a\q"]"#, &["bad escape", "byte 5"]);
+        assert_err(r#""\"#, &["bad escape", "byte 1"]);
+        for text in [r#""\u12""#, r#""\u+041""#, r#""\uzzzz""#, r#""\u00é""#] {
+            assert_err(text, &["bad \\u escape", "byte 1"]);
+        }
+        assert_err(r#""\ud800""#, &["unsupported \\u escape", "byte 1"]);
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nest = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        assert_err(
+            &nest(MAX_DEPTH + 1),
+            &["nesting deeper than 128", "byte 128"],
+        );
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert_err(&objects, &["nesting"]);
+        // Hostile input far past the cap fails cleanly instead of
+        // overflowing the stack.
+        assert_err(&"[".repeat(1 << 20), &["nesting"]);
     }
 }

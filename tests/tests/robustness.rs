@@ -1,11 +1,11 @@
 //! Robustness: edge configurations and failure-injection-style stress.
 
 use pa_campaign::{run_campaign, Cache, CheckpointCtx, ExecutorConfig, PointCtx};
-use pa_core::{CoschedSetup, Experiment, SchedOptions};
+use pa_core::{metrics_of, CoschedSetup, Experiment, SchedOptions};
 use pa_mpi::{Algorithm, MpiConfig, MpiOp, OpList, RankWorkload};
 use pa_noise::NoiseProfile;
 use pa_simkit::SimDur;
-use pa_workloads::{aggregate_runner, run_point_with, ScalingConfig};
+use pa_workloads::{aggregate_runner, run_point, run_point_with, ScalingConfig};
 
 fn allreduces(n: usize) -> impl FnMut(u32) -> Box<dyn RankWorkload> {
     move |_r| Box::new(OpList::new(vec![MpiOp::Allreduce { bytes: 8 }; n]))
@@ -283,6 +283,63 @@ fn damaged_checkpoint_falls_back_to_a_fresh_run() {
         rerun.mean_allreduce_us().to_bits(),
         reference.mean_allreduce_us().to_bits()
     );
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn large_checkpoint_verifies_and_resumes_bit_identically() {
+    // An 8-node × 16-rank Fig 3 point checkpointed once, at about 60 % of
+    // its run, leaves a ~350 KB checkpoint. It must verify, then resume
+    // through the campaign's restore path to the uninterrupted run's
+    // exact result.
+    let mut cfg = ScalingConfig::fig3(true);
+    cfg.target_sim_time = None;
+    let spec = cfg.point(8, 42);
+    let reference = run_point(&spec);
+    assert!(reference.completed);
+    let every = SimDur::from_nanos(reference.wall.nanos() * 6 / 10);
+    let path = std::env::temp_dir().join(format!(
+        "pa-robustness-large-ckpt-{}.json",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    let ctx = PointCtx {
+        sim_threads: 1,
+        checkpoint: Some(CheckpointCtx {
+            path: path.clone(),
+            every,
+        }),
+    };
+    let uninterrupted = run_point_with(&spec, &ctx);
+    assert_eq!(uninterrupted.sim.checkpoints_written(), 1);
+    assert_eq!(
+        (uninterrupted.events, uninterrupted.wall),
+        (reference.events, reference.wall),
+        "periodic checkpoints must leave the run unchanged"
+    );
+    let bytes = std::fs::metadata(&path).unwrap().len();
+    assert!(bytes > 256 << 10, "checkpoint only {bytes} bytes");
+    pa_cluster::verify_checkpoint_file(&path).unwrap();
+
+    let resumed = run_point_with(&spec, &ctx);
+    assert_eq!(resumed.sim.checkpoint_restores(), 1, "run did not resume");
+    assert_eq!(resumed.events, uninterrupted.events);
+    assert_eq!(resumed.wall, uninterrupted.wall);
+    assert_eq!(
+        resumed.mean_allreduce_us().to_bits(),
+        uninterrupted.mean_allreduce_us().to_bits()
+    );
+    // A restored run counts only the windows it ran itself (the window
+    // counters are not part of the checkpoint), so those lines differ.
+    let snapshot = |out: &pa_core::RunOutput| {
+        metrics_of(out)
+            .snapshot_json()
+            .lines()
+            .filter(|l| !l.contains("\"engine.windows_"))
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    assert_eq!(snapshot(&resumed), snapshot(&uninterrupted));
     let _ = std::fs::remove_file(&path);
 }
 
