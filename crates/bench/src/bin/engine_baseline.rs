@@ -1,6 +1,6 @@
 //! Engine self-profile baseline: wall-clock events/sec on representative
 //! scenarios plus the observability layer's overhead, written as
-//! `BENCH_engine.json`.
+//! `results/BENCH_engine.json`.
 //!
 //! Wall-clock numbers are machine-dependent and therefore live here —
 //! never in a `pa-obs` metrics snapshot, which must stay byte-identical
@@ -389,7 +389,7 @@ fn print_curve(label: &str, curve: &[SpeedupPoint]) {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse("engine_baseline");
     let (batches, cancel_rounds, calls, reps, scaling_iters, sp_iters, scaling_reps, skew_iters) =
         match args.mode {
             Mode::Quick => (20, 200, 800, 3, 60, 10, 1, 80),
@@ -574,31 +574,14 @@ fn main() {
         ("gates".into(), Value::Seq(gate_rows)),
         ("mode".into(), Value::Str(format!("{:?}", args.mode))),
     ]);
-    // The canonical copy lives under `results/` with the other bench
-    // artifacts so the trajectory accumulates; a repo-root copy stays for
-    // tools that expect the historical location. `--metrics-out` overrides
-    // both with a single explicit path.
+    // Under `results/` with the other bench artifacts.
+    let path = "results/BENCH_engine.json";
     let body = doc.to_json_string_pretty() + "\n";
-    let paths: Vec<std::path::PathBuf> = match args.metrics_out.clone() {
-        Some(p) => vec![p],
-        None => {
-            if let Err(e) = std::fs::create_dir_all("results") {
-                eprintln!("error: cannot create results/: {e}");
-                std::process::exit(1);
-            }
-            vec![
-                std::path::PathBuf::from("results/BENCH_engine.json"),
-                std::path::PathBuf::from("BENCH_engine.json"),
-            ]
-        }
-    };
-    for path in &paths {
-        if let Err(e) = std::fs::write(path, &body) {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-        println!("engine baseline written to {}", path.display());
+    if let Err(e) = std::fs::create_dir_all("results").and_then(|()| std::fs::write(path, body)) {
+        eprintln!("error: cannot write {path}: {e}");
+        std::process::exit(1);
     }
+    println!("engine baseline written to {path}");
     let mut failed = false;
     for g in &gates {
         match g.status {

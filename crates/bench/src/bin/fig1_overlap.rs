@@ -6,7 +6,7 @@ use pa_simkit::report;
 use pa_workloads::fig1;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse("fig1_overlap");
     banner(
         "Figure 1 · interference overlap vs all-CPU availability",
         args.mode,

@@ -6,7 +6,7 @@ use pa_simkit::report;
 use pa_workloads::fig2;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse("fig2_bsp");
     banner(
         "Figure 2 · BSP phase structure (ALE3D proxy, node 0)",
         args.mode,

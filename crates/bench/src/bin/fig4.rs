@@ -7,7 +7,7 @@ use pa_simkit::report;
 use pa_workloads::{fig4_with_output, Fig4Config};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse("fig4");
     banner(
         "Figure 4 · sorted Allreduce times + outlier attribution",
         args.mode,

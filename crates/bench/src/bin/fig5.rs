@@ -3,14 +3,14 @@
 //! smaller variability than Figure 3.
 
 use pa_bench::{
-    banner, campaign_registry, emit, no_trace_source, require_complete, scale_sweep, write_blame,
-    write_metrics, Args, Mode,
+    banner, campaign_registry, emit, require_complete, scale_sweep, write_blame, write_metrics,
+    Args, Mode,
 };
 use pa_simkit::{report, Table};
 use pa_workloads::{campaign_blame_totals, run_blame_point, run_scaling_campaign, ScalingConfig};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse("fig5");
     banner(
         "Figure 5 · Allreduce µs vs processors (prototype + cosched, 16 t/n)",
         args.mode,
@@ -27,7 +27,6 @@ fn main() {
         };
         write_blame(&args, &report);
     }
-    no_trace_source(&args, "fig5");
     emit(args.json, &points, || {
         let mut t = Table::new(
             "Allreduce scaling — prototype kernel + co-scheduler",

@@ -3,8 +3,8 @@
 //! 300% on synchronizing collectives").
 
 use pa_bench::{
-    banner, campaign_registry, emit, no_trace_source, require_complete, scale_sweep, write_blame,
-    write_metrics, Args, Mode,
+    banner, campaign_registry, emit, require_complete, scale_sweep, write_blame, write_metrics,
+    Args, Mode,
 };
 use pa_simkit::report;
 use pa_workloads::{
@@ -12,7 +12,7 @@ use pa_workloads::{
 };
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse("fig6");
     banner("Figure 6 · fitted scaling lines", args.mode);
     let quick = args.mode == Mode::Quick;
     let vcfg = scale_sweep(ScalingConfig::fig3(quick), &args);
@@ -45,7 +45,6 @@ fn main() {
         };
         write_blame(&args, &report);
     }
-    no_trace_source(&args, "fig6");
     emit(args.json, &result, || {
         println!(
             "vanilla   : y = {}x + {}   (r² {})",

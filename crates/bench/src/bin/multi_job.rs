@@ -15,7 +15,7 @@ use pa_simkit::{report, Table};
 use pa_workloads::{batch_point, batch_scenario, policy_comparison, run_batch_point, BatchScale};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse("multi_job");
     banner("Multi-job batch policies", args.mode);
     let scale = match args.mode {
         pa_bench::Mode::Quick => BatchScale::Quick,

@@ -5,10 +5,10 @@
 
 use pa_bench::{banner, emit, Args, Mode};
 use pa_simkit::report;
-use pa_workloads::{run_oversub, OversubRow, OversubSpec};
+use pa_workloads::{oversub_comparison, run_oversub, OversubRow, OversubSpec};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse("oversub");
     banner(
         "Oversubscription · gang scheduling vs dispatcher",
         args.mode,
@@ -20,18 +20,12 @@ fn main() {
     };
     spec.seed = args.seed;
 
-    // Honor --dispatcher as a filter: the scenario is a comparison, so
-    // the default runs every policy rather than just AIX.
-    let explicit = std::env::args().any(|a| a == "--dispatcher");
-    let kinds: Vec<_> = if explicit {
-        vec![args.dispatcher]
-    } else {
-        pa_kernel::DispatcherKind::ALL.to_vec()
+    let rows: Vec<OversubRow> = match args.dispatcher {
+        Some(k) => [false, true]
+            .map(|gang| run_oversub(&spec, k, gang))
+            .to_vec(),
+        None => oversub_comparison(&spec),
     };
-    let rows: Vec<OversubRow> = kinds
-        .iter()
-        .flat_map(|&k| [false, true].map(|gang| run_oversub(&spec, k, gang)))
-        .collect();
 
     emit(args.json, &rows, || {
         println!(

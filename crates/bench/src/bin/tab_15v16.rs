@@ -7,7 +7,7 @@ use pa_simkit::{report, Table};
 use pa_workloads::tab_15v16;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse("tab_15v16");
     banner("T-15v16 · reserve CPU vs prototype", args.mode);
     let nodes = match args.mode {
         Mode::Quick => 4,

@@ -7,7 +7,7 @@ use pa_simkit::{report, Table};
 use pa_workloads::tab_ablation;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse("tab_ablation");
     banner("A-ablate · mechanism ablation", args.mode);
     let nodes = match args.mode {
         Mode::Quick => 4,

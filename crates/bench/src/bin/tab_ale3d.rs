@@ -6,7 +6,7 @@ use pa_simkit::{report, Table};
 use pa_workloads::{tab_ale3d, Ale3dSpec};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse("tab_ale3d");
     banner("T-ale3d · ALE3D proxy run time", args.mode);
     let (nodes, spec) = ale3d_scale(args.mode);
     let rows = tab_ale3d(nodes, spec, args.seed, args.sim_threads);

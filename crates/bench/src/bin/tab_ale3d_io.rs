@@ -7,7 +7,7 @@ use pa_simkit::{report, Table};
 use pa_workloads::{tab_ale3d_io, Ale3dSpec};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse("tab_ale3d_io");
     banner("T-ale3d-io · I/O starvation ablation", args.mode);
     let (nodes, spec) = match args.mode {
         Mode::Quick => (

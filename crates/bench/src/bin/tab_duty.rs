@@ -7,7 +7,7 @@ use pa_simkit::{report, Table};
 use pa_workloads::duty_cycle_sweep;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse("tab_duty");
     banner("Duty-cycle sensitivity", args.mode);
     let nodes = match args.mode {
         Mode::Quick => 4,

@@ -8,7 +8,7 @@ use pa_simkit::{report, SimDur, Table};
 use pa_workloads::audit_node;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse("tab_overhead");
     banner("T-overhead · background load audit", args.mode);
     let window = match args.mode {
         Mode::Quick => SimDur::from_secs(30),

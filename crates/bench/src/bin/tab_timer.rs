@@ -6,14 +6,14 @@ use pa_simkit::{report, Table};
 use pa_workloads::tab_timer;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse("tab_timer");
     banner("T-timer · MPI progress-engine interference", args.mode);
     let nodes = match args.mode {
         Mode::Quick => 2,
         Mode::Standard => 8,
         Mode::Full => 59,
     };
-    let r = tab_timer(nodes, args.mode != Mode::Full, args.sim_threads);
+    let r = tab_timer(nodes, args.mode != Mode::Full, args.seed, args.sim_threads);
     emit(args.json, &r, || {
         let mut t = Table::new(
             format!("Per-call global Allreduce duration at {nodes} nodes, 15 t/n"),

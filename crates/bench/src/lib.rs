@@ -1,35 +1,11 @@
 //! # pa-bench — figure/table regeneration harness
 //!
 //! One binary per paper figure and table (see DESIGN.md's per-experiment
-//! index) plus Criterion benches over the simulation engine. Every binary
-//! accepts:
-//!
-//! * `--quick` — a seconds-scale smoke configuration (small cluster);
-//! * `--full`  — the paper-shaped configuration (≥59 nodes; tens of
-//!   minutes for the scaling sweeps);
-//! * `--json`  — machine-readable output instead of tables;
-//! * `--seed N` — override the master seed;
-//! * `--jobs N` — campaign worker threads (results are bit-identical at
-//!   any job count);
-//! * `--sim-threads N` — cluster-engine worker threads inside each run
-//!   (results are bit-identical at any setting: the engine is
-//!   conservatively parallel with a deterministic barrier merge);
-//! * `--no-cache` — skip the `results/cache/` result cache entirely;
-//! * `--rerun` — ignore cached entries but refresh them with new runs;
-//! * `--link-bandwidth B|unlimited` — per-node link capacity in bytes/sec
-//!   (finite values enable switch contention; default `unlimited` keeps
-//!   the legacy free-overlap fabric);
-//! * `--checkpoint-every DUR` — write a mid-run checkpoint for each fresh
-//!   campaign point every DUR of simulated time (integer with optional
-//!   `ns`/`us`/`ms`/`s` suffix; bare integers are ms). Needs the result
-//!   cache; a killed invocation resumes each partially-run point from its
-//!   last checkpoint, and the resumed results are bit-identical to an
-//!   uninterrupted run's;
-//! * `--policies LIST` — batch placement policies for the `multi_job`
-//!   sweep (comma-separated `fcfs`/`backfill`/`pack`/`equi`; default all);
-//! * `--dispatcher NAME` — kernel dispatcher policy (`aix` reproduces the
-//!   2003 priority-band semantics, the default; `cfs`/`eevdf` re-ask the
-//!   paper's question under weighted-fair scheduling).
+//! index) plus Criterion benches over the simulation engine. Each binary
+//! reads only the flags its row of [`BINARIES`] declares, documented once
+//! in [`FLAGS`]; `<bin> --help` lists that subset. Any other flag exits 2
+//! naming the binary and the flag, so an accepted flag always changes
+//! what the binary does.
 //!
 //! The default mode is a balanced configuration that reproduces every
 //! qualitative result in a few minutes.
@@ -51,7 +27,110 @@ pub enum Mode {
     Full,
 }
 
-/// Parsed common CLI arguments.
+/// Every flag a binary can read: name (`|` separates spellings of one
+/// setting), value placeholder (empty for a switch) and help text. Usage
+/// lines, `--help` and value errors are built from it.
+pub const FLAGS: &[(&str, &str, &str)] = &[
+    (
+        "--quick|--full",
+        "",
+        "seconds-scale smoke run, or the paper-scale one (default: balanced)",
+    ),
+    ("--json", "", "machine-readable output instead of tables"),
+    ("--seed", "N", "master seed (default 42)"),
+    (
+        "--jobs",
+        "N",
+        "campaign worker threads (>= 1); output is byte-identical at any count",
+    ),
+    (
+        "--sim-threads",
+        "N",
+        "engine threads per run (>= 1); output is byte-identical at any count",
+    ),
+    ("--no-cache", "", "skip the results/cache/ result cache"),
+    (
+        "--rerun",
+        "",
+        "ignore cached entries but refresh them with new runs",
+    ),
+    (
+        "--link-bandwidth",
+        "B|unlimited",
+        "per-node link bytes/sec (> 0); default unlimited",
+    ),
+    (
+        "--checkpoint-every",
+        "DUR",
+        "checkpoint fresh points every DUR of sim time, an integer \
+        with an optional ns/us/ms/s suffix (bare: ms); a killed run resumes bit-identically",
+    ),
+    (
+        "--metrics-out",
+        "PATH",
+        "write a canonical-JSON metrics snapshot",
+    ),
+    (
+        "--trace-out",
+        "PATH",
+        "write a Chrome trace-event span timeline (Perfetto)",
+    ),
+    (
+        "--blame-out",
+        "PATH",
+        "write a wait-state blame report (JSON; tables to stderr)",
+    ),
+    (
+        "--policies",
+        "LIST",
+        "batch placement policies, comma-separated fcfs,backfill,pack,equi",
+    ),
+    (
+        "--dispatcher",
+        "aix|cfs|eevdf",
+        "kernel dispatcher; aix (the paper's) unless given, \
+        except oversub, which runs all three",
+    ),
+];
+
+/// One direct run per configuration.
+const RUN: &str = "--quick|--full --json --seed --sim-threads";
+/// Campaign sweeps over fixed seeds.
+const TABLE_SWEEP: &str =
+    "--quick|--full --json --jobs --sim-threads --no-cache --rerun --checkpoint-every";
+/// The Figure 3/5/6 scaling sweeps.
+const SCALING_SWEEP: &str = "--quick|--full --json --seed --jobs --sim-threads --no-cache \
+    --rerun --link-bandwidth --checkpoint-every --metrics-out --blame-out --dispatcher";
+
+/// The [`FLAGS`] rows each binary reads, beyond `--help`.
+pub const BINARIES: &[(&str, &str)] = &[
+    ("engine_baseline", "--quick|--full"),
+    ("fig1_overlap", RUN),
+    ("fig2_bsp", RUN),
+    ("fig3", SCALING_SWEEP),
+    (
+        "fig4",
+        "--quick|--full --json --seed --sim-threads --metrics-out --trace-out",
+    ),
+    ("fig5", SCALING_SWEEP),
+    ("fig6", SCALING_SWEEP),
+    (
+        "multi_job",
+        "--quick|--full --json --seed --jobs --sim-threads --no-cache --rerun \
+        --link-bandwidth --metrics-out --trace-out --blame-out --policies",
+    ),
+    ("oversub", "--quick|--full --json --seed --dispatcher"),
+    ("tab_15v16", TABLE_SWEEP),
+    ("tab_ablation", TABLE_SWEEP),
+    ("tab_ale3d", RUN),
+    ("tab_ale3d_io", RUN),
+    ("tab_duty", TABLE_SWEEP),
+    ("tab_overhead", "--quick|--full --json --seed"),
+    ("tab_timer", RUN),
+];
+
+/// Parsed command-line arguments. Settings a binary does not declare in
+/// [`BINARIES`] keep their defaults.
 #[derive(Debug, Clone)]
 pub struct Args {
     /// Selected scale.
@@ -74,8 +153,8 @@ pub struct Args {
     /// free-overlap fabric, the default).
     pub link_bandwidth: Option<f64>,
     /// Periodic mid-run checkpoint interval (sim time) for fresh campaign
-    /// points; `None` disables checkpointing. Requires the result cache
-    /// (checkpoints live under `results/cache/checkpoints/`).
+    /// points; `None` disables checkpointing. Never set together with
+    /// `no_cache`: checkpoints live under `results/cache/checkpoints/`.
     pub checkpoint_every: Option<SimDur>,
     /// Write a `pa-obs` metrics snapshot (canonical JSON) here.
     pub metrics_out: Option<std::path::PathBuf>,
@@ -90,14 +169,30 @@ pub struct Args {
     /// Batch placement policies to compare (`multi_job` only): names from
     /// `pa_jobs::PolicyKind::parse`, comma-separated. `None` = all.
     pub policies: Option<Vec<pa_jobs::PolicyKind>>,
-    /// Kernel dispatcher policy (`aix`/`cfs`/`eevdf`); `aix` is the
-    /// paper-faithful default.
-    pub dispatcher: pa_kernel::DispatcherKind,
+    /// Kernel dispatcher policy (`aix`/`cfs`/`eevdf`); `None` when not
+    /// given, which the sweeps read as the paper-faithful `aix`.
+    pub dispatcher: Option<pa_kernel::DispatcherKind>,
 }
 
 impl Args {
-    /// Parse `std::env::args`, exiting with usage on error.
-    pub fn parse() -> Args {
+    /// Parse `std::env::args` against `bin`'s row of [`BINARIES`]. Prints
+    /// help and exits 0 on `--help`/`-h`; prints the error and usage and
+    /// exits 2 on anything [`Args::parse_from`] rejects.
+    pub fn parse(bin: &str) -> Args {
+        let argv: Vec<String> = std::env::args().skip(1).collect();
+        if argv.iter().any(|a| a == "--help" || a == "-h") {
+            print!("{}", help(bin));
+            std::process::exit(0);
+        }
+        Args::parse_from(bin, &argv).unwrap_or_else(|e| {
+            eprintln!("error: {e}\n{}", usage(bin));
+            std::process::exit(2);
+        })
+    }
+
+    /// Parse `argv` (without the program name) against `bin`'s row of
+    /// [`BINARIES`]. Every error names the binary and the flag at fault.
+    pub fn parse_from(bin: &str, argv: &[String]) -> Result<Args, String> {
         let mut args = Args {
             mode: Mode::Standard,
             json: false,
@@ -112,140 +207,116 @@ impl Args {
             trace_out: None,
             blame_out: None,
             policies: None,
-            dispatcher: pa_kernel::DispatcherKind::Aix,
+            dispatcher: None,
         };
-        let mut it = std::env::args().skip(1);
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--quick" => args.mode = Mode::Quick,
-                "--full" => args.mode = Mode::Full,
-                "--json" => args.json = true,
-                "--seed" => {
-                    args.seed = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("--seed needs an integer"));
-                }
-                "--jobs" => {
-                    args.jobs = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n| n >= 1)
-                        .unwrap_or_else(|| usage("--jobs needs a positive integer"));
-                }
-                "--sim-threads" => {
-                    args.sim_threads = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n| n >= 1)
-                        .unwrap_or_else(|| usage("--sim-threads needs a positive integer"));
-                }
-                "--no-cache" => args.no_cache = true,
-                "--rerun" => args.rerun = true,
-                "--link-bandwidth" => {
-                    let v = it.next().unwrap_or_else(|| {
-                        usage("--link-bandwidth needs bytes/sec or 'unlimited'")
-                    });
-                    args.link_bandwidth = if v == "unlimited" {
-                        None
-                    } else {
-                        Some(
-                            v.parse::<f64>()
-                                .ok()
-                                .filter(|b| b.is_finite() && *b > 0.0)
-                                .unwrap_or_else(|| {
-                                    usage(
-                                        "--link-bandwidth needs a positive finite bytes/sec \
-                                         value or 'unlimited'",
-                                    )
-                                }),
-                        )
-                    };
-                }
-                "--checkpoint-every" => {
-                    let v = it.next().unwrap_or_else(|| {
-                        usage("--checkpoint-every needs a sim duration (e.g. 500ms, 2s)")
-                    });
-                    args.checkpoint_every = Some(parse_sim_dur(&v).unwrap_or_else(|| {
-                        usage(
-                            "--checkpoint-every needs a positive sim duration: an integer \
-                             with an optional ns/us/ms/s suffix (bare integers are ms)",
-                        )
-                    }));
-                }
-                "--metrics-out" => {
-                    args.metrics_out = Some(
-                        it.next()
-                            .map(std::path::PathBuf::from)
-                            .unwrap_or_else(|| usage("--metrics-out needs a path")),
-                    );
-                }
-                "--trace-out" => {
-                    args.trace_out = Some(
-                        it.next()
-                            .map(std::path::PathBuf::from)
-                            .unwrap_or_else(|| usage("--trace-out needs a path")),
-                    );
-                }
-                "--blame-out" => {
-                    args.blame_out = Some(
-                        it.next()
-                            .map(std::path::PathBuf::from)
-                            .unwrap_or_else(|| usage("--blame-out needs a path")),
-                    );
-                }
-                "--policies" => {
-                    let v = it.next().unwrap_or_else(|| {
-                        usage("--policies needs a comma-separated list (e.g. fcfs,backfill)")
-                    });
-                    let parsed: Result<Vec<_>, _> =
-                        v.split(',').map(pa_jobs::PolicyKind::parse).collect();
-                    args.policies =
-                        Some(parsed.unwrap_or_else(|e| usage(&format!("--policies: {e}"))));
-                }
-                "--dispatcher" => {
-                    let v = it
-                        .next()
-                        .unwrap_or_else(|| usage("--dispatcher needs aix, cfs, or eevdf"));
-                    args.dispatcher = pa_kernel::DispatcherKind::parse(&v).unwrap_or_else(|| {
-                        usage(&format!(
-                            "--dispatcher: unknown policy '{v}' (aix/cfs/eevdf)"
-                        ))
-                    });
-                }
-                "--help" | "-h" => usage(""),
-                other => usage(&format!("unknown argument '{other}'")),
-            }
+        let mut it = argv.iter().map(String::as_str);
+        while let Some(flag) = it.next() {
+            let (_, value, help) = flags_of(bin)
+                .find(|(names, ..)| names.split('|').any(|n| n == flag))
+                .ok_or_else(|| format!("{bin} does not take '{flag}' (see {bin} --help)"))?;
+            args.apply(flag, &mut it)
+                .ok_or_else(|| format!("{bin}: {flag} needs {value}: {help}"))?;
         }
-        args
+        if args.checkpoint_every.is_some() && args.no_cache {
+            return Err(format!(
+                "{bin}: --checkpoint-every needs the cache; drop --no-cache"
+            ));
+        }
+        Ok(args)
+    }
+
+    /// Apply one declared flag, taking its value from `rest`; `None` when
+    /// the value is missing or malformed.
+    fn apply<'a>(&mut self, flag: &str, rest: &mut impl Iterator<Item = &'a str>) -> Option<()> {
+        let mut value = || rest.next();
+        match flag {
+            "--quick" => self.mode = Mode::Quick,
+            "--full" => self.mode = Mode::Full,
+            "--json" => self.json = true,
+            "--seed" => self.seed = value()?.parse().ok()?,
+            "--jobs" => self.jobs = value()?.parse().ok().filter(|&n| n >= 1)?,
+            "--sim-threads" => self.sim_threads = value()?.parse().ok().filter(|&n| n >= 1)?,
+            "--no-cache" => self.no_cache = true,
+            "--rerun" => self.rerun = true,
+            "--link-bandwidth" => {
+                self.link_bandwidth = match value()? {
+                    "unlimited" => None,
+                    v => Some(v.parse().ok().filter(|b: &f64| b.is_finite() && *b > 0.0)?),
+                }
+            }
+            "--checkpoint-every" => self.checkpoint_every = Some(parse_sim_dur(value()?)?),
+            "--metrics-out" => self.metrics_out = Some(value()?.into()),
+            "--trace-out" => self.trace_out = Some(value()?.into()),
+            "--blame-out" => self.blame_out = Some(value()?.into()),
+            "--policies" => {
+                let names = value()?.split(',');
+                self.policies = Some(
+                    names
+                        .map(|p| pa_jobs::PolicyKind::parse(p).ok())
+                        .collect::<Option<_>>()?,
+                );
+            }
+            "--dispatcher" => self.dispatcher = Some(pa_kernel::DispatcherKind::parse(value()?)?),
+            _ => unreachable!("{flag} is in FLAGS but no arm reads it"),
+        }
+        Some(())
     }
 
     /// Build the campaign executor these arguments describe: `--jobs`
     /// workers running each point on `--sim-threads` engine threads, the
     /// `results/cache/` content-addressed cache unless `--no-cache`,
-    /// lookups bypassed under `--rerun`. Progress goes to stderr so stdout
-    /// stays byte-identical across cache states and job counts.
+    /// lookups bypassed under `--rerun`, checkpoints every
+    /// `--checkpoint-every`. Progress goes to stderr so stdout stays
+    /// byte-identical across cache states and job counts.
     pub fn campaign(&self, label: &str) -> ExecutorConfig {
         let mut exec = ExecutorConfig::serial(label)
             .with_jobs(self.jobs)
             .with_sim_threads(self.sim_threads);
         exec.progress = true;
         exec.rerun = self.rerun;
+        exec.checkpoint_every = self.checkpoint_every;
         if !self.no_cache {
             match Cache::at(Cache::default_dir()) {
                 Ok(c) => exec = exec.with_cache(c),
                 Err(e) => eprintln!("warning: result cache disabled: {e}"),
             }
         }
-        if let Some(every) = self.checkpoint_every {
-            if exec.cache.is_some() {
-                exec = exec.with_checkpoint_every(every);
-            } else {
-                eprintln!("warning: --checkpoint-every ignored: checkpoints need the result cache");
-            }
-        }
         exec
     }
+}
+
+/// The rows of [`FLAGS`] that `bin` declares in [`BINARIES`], in table
+/// order; none for an unknown binary.
+fn flags_of(
+    bin: &str,
+) -> impl Iterator<Item = &'static (&'static str, &'static str, &'static str)> {
+    let declared = BINARIES
+        .iter()
+        .find(|(b, _)| *b == bin)
+        .map_or("", |(_, d)| d);
+    FLAGS
+        .iter()
+        .filter(move |(name, ..)| declared.split_whitespace().any(|d| d == *name))
+}
+
+/// One-line usage listing `bin`'s flags.
+pub fn usage(bin: &str) -> String {
+    let opts = flags_of(bin).map(|(name, value, _)| format!(" [{}]", spelling(name, value)));
+    format!("usage: {bin}{}", opts.collect::<String>())
+}
+
+/// `--help` text: the usage line, then one described line per flag.
+pub fn help(bin: &str) -> String {
+    let mut text = usage(bin) + "\n\n";
+    for (name, value, help) in flags_of(bin) {
+        text += &format!("  {:<30}  {help}\n", spelling(name, value));
+    }
+    text + &format!("  {:<30}  print this help\n", "--help")
+}
+
+/// A flag as typed: its name, then its value placeholder if it has one.
+fn spelling(name: &str, value: &str) -> String {
+    format!("{name} {value}").trim_end().to_string()
 }
 
 /// Parse a simulated duration: an integer with an optional `ns`/`us`/
@@ -268,48 +339,33 @@ pub fn parse_sim_dur(s: &str) -> Option<SimDur> {
     (ns > 0).then(|| SimDur::from_nanos(ns))
 }
 
-fn usage(err: &str) -> ! {
-    if !err.is_empty() {
-        eprintln!("error: {err}");
+/// Write `body()` to `path` if its `--*-out` flag was given, noting it
+/// on stderr; exit 1 if the write fails.
+fn write_out(path: &Option<std::path::PathBuf>, what: &str, body: impl FnOnce() -> String) {
+    if let Some(path) = path {
+        if let Err(e) = std::fs::write(path, body()) {
+            eprintln!("error: cannot write {what} to {}: {e}", path.display());
+            std::process::exit(1);
+        }
+        eprintln!("{what} written to {}", path.display());
     }
-    eprintln!(
-        "usage: <bin> [--quick|--full] [--json] [--seed N] [--jobs N] [--sim-threads N] \
-         [--no-cache] [--rerun] \
-         [--link-bandwidth B|unlimited] [--checkpoint-every DUR] \
-         [--metrics-out PATH] [--trace-out PATH] [--blame-out PATH] [--policies LIST] \
-         [--dispatcher aix|cfs|eevdf]"
-    );
-    std::process::exit(if err.is_empty() { 0 } else { 2 });
 }
 
 /// Write the metrics snapshot if `--metrics-out` was given. The snapshot
 /// is canonical JSON of simulation-deterministic values only, so it is
 /// byte-identical across reruns of the same seed.
 pub fn write_metrics(args: &Args, reg: &pa_obs::MetricsRegistry) {
-    if let Some(path) = &args.metrics_out {
-        if let Err(e) = std::fs::write(path, reg.snapshot_json()) {
-            eprintln!("error: cannot write metrics to {}: {e}", path.display());
-            std::process::exit(1);
-        }
-        eprintln!("metrics snapshot written to {}", path.display());
-    }
+    write_out(&args.metrics_out, "metrics snapshot", || {
+        reg.snapshot_json()
+    });
 }
 
 /// Write the Chrome trace-event timeline if `--trace-out` was given.
 /// Open the file in Perfetto (<https://ui.perfetto.dev>) or
 /// `chrome://tracing`.
 pub fn write_trace(args: &Args, timeline: &pa_obs::SpanTimeline) {
-    if let Some(path) = &args.trace_out {
-        if let Err(e) = std::fs::write(path, timeline.to_chrome_trace()) {
-            eprintln!("error: cannot write trace to {}: {e}", path.display());
-            std::process::exit(1);
-        }
-        eprintln!(
-            "span timeline ({} events) written to {}",
-            timeline.len(),
-            path.display()
-        );
-    }
+    let what = format!("span timeline ({} events)", timeline.len());
+    write_out(&args.trace_out, &what, || timeline.to_chrome_trace());
 }
 
 /// Write the blame report if `--blame-out` was given: canonical JSON to
@@ -317,29 +373,10 @@ pub fn write_trace(args: &Args, timeline: &pa_obs::SpanTimeline) {
 /// human-readable tables to stderr, so stdout stays byte-stable for the
 /// figure output itself.
 pub fn write_blame(args: &Args, report: &pa_blame::BlameReport) {
-    if let Some(path) = &args.blame_out {
-        if let Err(e) = std::fs::write(path, report.to_json()) {
-            eprintln!(
-                "error: cannot write blame report to {}: {e}",
-                path.display()
-            );
-            std::process::exit(1);
-        }
+    if args.blame_out.is_some() {
         eprint!("{}", report.render());
-        eprintln!("blame report written to {}", path.display());
     }
-}
-
-/// Note on stderr that this binary has no span source for `--trace-out`
-/// (campaign sweeps keep only cacheable scalars per point; use `fig4` or
-/// `noise_audit` for timelines).
-pub fn no_trace_source(args: &Args, binary: &str) {
-    if args.trace_out.is_some() {
-        eprintln!(
-            "warning: {binary} aggregates cached campaign scalars and keeps no trace; \
-             --trace-out ignored (fig4 and examples/noise_audit emit timelines)"
-        );
-    }
+    write_out(&args.blame_out, "blame report", || report.to_json());
 }
 
 /// Deterministic campaign-level metrics: derived only from per-point
@@ -415,20 +452,216 @@ pub fn scale_sweep(mut cfg: ScalingConfig, args: &Args) -> ScalingConfig {
         Mode::Quick => {
             cfg.node_counts = vec![2, 4, 8];
             cfg.allreduces = 192;
-            cfg.seeds = vec![seed, seed + 1];
+            cfg.seeds = vec![seed, seed.wrapping_add(1)];
             cfg.target_sim_time = None;
         }
         Mode::Standard => {
             cfg.node_counts = vec![4, 8, 16, 32, 59];
-            cfg.seeds = vec![seed, seed + 1];
+            cfg.seeds = vec![seed, seed.wrapping_add(1)];
             cfg.target_sim_time = Some(SimDur::from_millis(2_000));
         }
         Mode::Full => {
-            cfg.seeds = vec![seed, seed + 1, seed + 2];
+            cfg.seeds = vec![seed, seed.wrapping_add(1), seed.wrapping_add(2)];
         }
     }
     cfg.link_bandwidth = args.link_bandwidth;
-    cfg.kernel.dispatcher = args.dispatcher;
+    cfg.kernel.dispatcher = args.dispatcher.unwrap_or(pa_kernel::DispatcherKind::Aix);
     cfg.sim_threads = args.sim_threads;
     cfg
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// An argument vector from a command line's words.
+    fn argv(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    /// A valid value for each placeholder in [`FLAGS`].
+    fn sample(value: &str) -> &'static str {
+        match value {
+            "" => "",
+            "N" => "3",
+            "B|unlimited" => "1e6",
+            "DUR" => "5ms",
+            "PATH" => "out.json",
+            "LIST" => "fcfs,equi",
+            "aix|cfs|eevdf" => "cfs",
+            other => panic!("no sample value for placeholder {other}"),
+        }
+    }
+
+    #[test]
+    fn every_binary_has_a_row_of_known_flags() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/src/bin");
+        let mut bins: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().replace(".rs", ""))
+            .collect();
+        bins.sort();
+        let rows: Vec<&str> = BINARIES.iter().map(|(b, _)| *b).collect();
+        assert_eq!(bins, rows, "BINARIES must list src/bin, sorted");
+        for (bin, declared) in BINARIES {
+            for name in declared.split_whitespace() {
+                let known = FLAGS.iter().any(|(n, ..)| *n == name);
+                assert!(known, "{bin} declares {name}, which FLAGS lacks");
+            }
+        }
+    }
+
+    #[test]
+    fn accepted_pairs_match_the_audit() {
+        let pairs: usize = BINARIES
+            .iter()
+            .map(|(_, d)| d.split_whitespace().count())
+            .sum();
+        assert_eq!(
+            pairs, 103,
+            "(binary, flag) pairs, --quick|--full counted once"
+        );
+    }
+
+    #[test]
+    fn each_binary_takes_its_flags_and_refuses_the_rest() {
+        for (bin, _) in BINARIES {
+            for (names, value, _) in FLAGS {
+                for flag in names.split('|') {
+                    let v = argv(&format!("{flag} {}", sample(value)));
+                    let got = Args::parse_from(bin, &v);
+                    let listed = usage(bin).contains(flag) && help(bin).contains(flag);
+                    if flags_of(bin).any(|(n, ..)| n == names) {
+                        assert!(got.is_ok() && listed, "{bin} {v:?}: {got:?}");
+                    } else {
+                        let e = got.unwrap_err();
+                        assert_eq!(
+                            e,
+                            format!("{bin} does not take '{flag}' (see {bin} --help)")
+                        );
+                        assert!(!usage(bin).contains(flag) && !help(bin).contains(flag));
+                    }
+                }
+            }
+            let e = Args::parse_from(bin, &argv("--bogus")).unwrap_err();
+            assert_eq!(
+                e,
+                format!("{bin} does not take '--bogus' (see {bin} --help)")
+            );
+        }
+    }
+
+    #[test]
+    fn values_reach_their_fields() {
+        let line = "--full --json --seed 7 --jobs 2 --sim-threads 4 --rerun \
+            --link-bandwidth 1e6 --checkpoint-every 2s --metrics-out m.json \
+            --blame-out b.json --dispatcher eevdf";
+        let a = Args::parse_from("fig3", &argv(line)).unwrap();
+        assert_eq!(
+            (a.mode, a.json, a.seed, a.jobs, a.sim_threads),
+            (Mode::Full, true, 7, 2, 4)
+        );
+        assert!(a.rerun && !a.no_cache);
+        assert_eq!(a.link_bandwidth, Some(1e6));
+        assert_eq!(a.checkpoint_every, Some(SimDur::from_secs(2)));
+        assert_eq!(a.metrics_out, Some("m.json".into()));
+        assert_eq!(a.blame_out, Some("b.json".into()));
+        assert_eq!(a.dispatcher, Some(pa_kernel::DispatcherKind::Eevdf));
+        let a = Args::parse_from(
+            "multi_job",
+            &argv("--trace-out t.json --policies equi,fcfs"),
+        );
+        let a = a.unwrap();
+        assert_eq!(a.trace_out, Some("t.json".into()));
+        let equi_fcfs = [
+            pa_jobs::PolicyKind::EquiPartition,
+            pa_jobs::PolicyKind::FcfsFirstFit,
+        ];
+        assert_eq!(a.policies.as_deref(), Some(&equi_fcfs[..]));
+        let a = Args::parse_from("fig3", &argv("--link-bandwidth unlimited")).unwrap();
+        assert_eq!((a.link_bandwidth, a.dispatcher), (None, None));
+    }
+
+    #[test]
+    fn bad_values_and_conflicts_name_binary_and_flag() {
+        for (line, flag) in [
+            ("--seed", "--seed"),
+            ("--seed -1", "--seed"),
+            ("--jobs 0", "--jobs"),
+            ("--sim-threads x", "--sim-threads"),
+            ("--link-bandwidth inf", "--link-bandwidth"),
+            ("--checkpoint-every 0ms", "--checkpoint-every"),
+            ("--dispatcher fifo", "--dispatcher"),
+            ("--json --metrics-out", "--metrics-out"),
+        ] {
+            let e = Args::parse_from("fig3", &argv(line)).unwrap_err();
+            assert!(
+                e.starts_with(&format!("fig3: {flag} needs ")),
+                "{line}: {e}"
+            );
+        }
+        let e = Args::parse_from("multi_job", &argv("--policies equi,lifo")).unwrap_err();
+        assert!(e.starts_with("multi_job: --policies needs LIST"), "{e}");
+        let e = Args::parse_from("tab_duty", &argv("--no-cache --checkpoint-every 5ms"));
+        let want = "tab_duty: --checkpoint-every needs the cache; drop --no-cache";
+        assert_eq!(e.unwrap_err(), want);
+    }
+
+    #[test]
+    fn max_seed_wraps_instead_of_overflowing() {
+        for (mode, seeds) in [
+            ("--quick", vec![u64::MAX, 0]),
+            ("--full", vec![u64::MAX, 0, 1]),
+        ] {
+            let a = Args::parse_from("fig3", &argv(&format!("{mode} --seed {}", u64::MAX)));
+            assert_eq!(
+                scale_sweep(ScalingConfig::fig3(true), &a.unwrap()).seeds,
+                seeds
+            );
+        }
+        let e = Args::parse_from("fig3", &argv("--seed 18446744073709551616")).unwrap_err();
+        assert!(e.starts_with("fig3: --seed needs N"), "{e}");
+    }
+
+    /// Values the fuzzer gives flags: valid ones, garbage and edge cases
+    /// (plus the empty word, below).
+    const WORDS: &str = "0 1 3 -1 -0 1e6 1e309 nan inf 18446744073709551615 \
+        18446744073709551616 unlimited 5ms 2s 0ms 7ns 3us ms s 18446744073709551615s \
+        fcfs,equi fcfs, , pack aix cfs eevdf AIX out.json é --seed=3 - --";
+
+    proptest! {
+        #[test]
+        fn random_argument_vectors_parse_or_name_their_fault(
+            bin in 0..BINARIES.len(),
+            pairs in prop::collection::vec((0usize..1000, 0usize..1000), 0..8),
+        ) {
+            // Mostly the binary's own flags, valued flags usually followed
+            // by a value word and switches rarely; every prefix is parsed,
+            // so a flag can also lose its value to truncation.
+            let (bin, _) = BINARIES[bin];
+            let rows = flags_of(bin).chain(FLAGS);
+            let mut pool: Vec<(&str, bool)> = rows
+                .flat_map(|(n, v, _)| n.split('|').map(move |f| (f, !v.is_empty())))
+                .collect();
+            pool.extend([("--help", false), ("--bogus", false), ("", false)]);
+            let words: Vec<&str> = WORDS.split(' ').chain([""]).collect();
+            let mut v: Vec<String> = Vec::new();
+            for &(f, w) in &pairs {
+                let (flag, valued) = pool[f % pool.len()];
+                v.push(flag.into());
+                if (w % 6 != 0) == valued {
+                    v.push(words[w % words.len()].into());
+                }
+            }
+            for cut in 0..=v.len() {
+                if let Err(e) = Args::parse_from(bin, &v[..cut]) {
+                    let named = v[..cut].iter().any(|a| {
+                        e.contains(&format!("'{a}'")) || e.contains(&format!("{a} needs"))
+                    });
+                    prop_assert!(e.contains(bin) && named, "{bin} {:?}: {e}", &v[..cut]);
+                }
+            }
+        }
+    }
 }

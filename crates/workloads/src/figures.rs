@@ -16,7 +16,7 @@ use pa_core::{CoschedSetup, Experiment, RunOutput};
 use pa_kernel::SchedOptions;
 use pa_mpi::{OpKind, ProgressSpec, RankWorkload};
 use pa_noise::NoiseProfile;
-use pa_simkit::{linfit, LineFit, SeedSpace, SimDur, SimTime, Summary};
+use pa_simkit::{linfit, LineFit, SeedSpace, SimDur, Summary};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of a Figure-3/5-style scaling sweep.
@@ -187,31 +187,6 @@ pub struct ScalePoint {
     pub max_us: f64,
 }
 
-/// Run one sweep serially in-process (no cache, no worker pool). The
-/// campaign-backed path with parallelism and caching is
-/// [`run_scaling_campaign`]; this wrapper keeps the original panicking
-/// contract for library callers and tests.
-pub fn run_scaling(cfg: &ScalingConfig, progress: Option<&mut dyn FnMut(&str)>) -> Vec<ScalePoint> {
-    let outcome = run_campaign(
-        &cfg.points(),
-        &ExecutorConfig::serial("scaling"),
-        aggregate_runner,
-    );
-    if let Err(e) = outcome.ensure_complete("scaling") {
-        panic!("sweep run did not finish: {e}");
-    }
-    let points = collect_scale_points(cfg, &outcome.results);
-    if let Some(cb) = progress {
-        for p in &points {
-            cb(&format!(
-                "procs {}: mean {:.1}µs (±{:.1})",
-                p.procs, p.mean_us, p.std_us
-            ));
-        }
-    }
-    points
-}
-
 /// Run one sweep through the campaign executor: cached, parallel, and
 /// order-preserving — results are bit-identical at any job count. Errors
 /// if a fixed-call-count point was cut by the horizon.
@@ -259,12 +234,6 @@ pub fn collect_scale_points(cfg: &ScalingConfig, results: &[PointResult]) -> Vec
 /// [`run_point_with`]) and extract the cacheable scalars.
 pub fn aggregate_runner(spec: &PointSpec<AggregateSpec>, ctx: &PointCtx) -> PointResult {
     PointResult::from_run(&run_point_with(spec, ctx))
-}
-
-/// Run one aggregate-benchmark point on one engine thread, without
-/// checkpoints.
-pub fn run_point(spec: &PointSpec<AggregateSpec>) -> RunOutput {
-    run_point_with(spec, &PointCtx::serial())
 }
 
 /// Run one aggregate-benchmark point on `ctx.sim_threads` engine
@@ -620,21 +589,6 @@ pub fn fig4_with_output(cfg: &Fig4Config) -> (Fig4Result, RunOutput) {
     (result, out)
 }
 
-/// Shared helper for table drivers: mean Allreduce µs of one config.
-pub fn mean_allreduce_of(cfg: &ScalingConfig, nodes: u32) -> f64 {
-    let means: Vec<f64> = cfg
-        .seeds
-        .iter()
-        .map(|&s| run_one(cfg, nodes, s).mean_allreduce_us())
-        .collect();
-    Summary::of(&means).mean
-}
-
-/// Timestamp helper for attribution intervals.
-pub fn t0() -> SimTime {
-    SimTime::ZERO
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -645,7 +599,7 @@ mod tests {
         cfg.node_counts = vec![1, 4];
         cfg.allreduces = 96;
         cfg.seeds = vec![42];
-        let pts = run_scaling(&cfg, None);
+        let (pts, _) = run_scaling_campaign(&cfg, &ExecutorConfig::serial("test")).unwrap();
         assert_eq!(pts.len(), 2);
         assert!(pts[0].procs == 16 && pts[1].procs == 64);
         assert!(
@@ -666,8 +620,13 @@ mod tests {
         p.node_counts = vec![4];
         p.allreduces = 200;
         p.seeds = vec![42];
-        let vm = run_scaling(&v, None)[0].mean_us;
-        let pm = run_scaling(&p, None)[0].mean_us;
+        let mean = |cfg| {
+            run_scaling_campaign(cfg, &ExecutorConfig::serial("test"))
+                .unwrap()
+                .0[0]
+                .mean_us
+        };
+        let (vm, pm) = (mean(&v), mean(&p));
         assert!(
             pm < vm,
             "prototype ({pm:.1}µs) should beat vanilla ({vm:.1}µs)"

@@ -5,7 +5,7 @@ use pa_core::{metrics_of, CoschedSetup, Experiment, SchedOptions};
 use pa_mpi::{Algorithm, MpiConfig, MpiOp, OpList, RankWorkload};
 use pa_noise::NoiseProfile;
 use pa_simkit::SimDur;
-use pa_workloads::{aggregate_runner, run_point, run_point_with, ScalingConfig};
+use pa_workloads::{aggregate_runner, run_point_with, ScalingConfig};
 
 fn allreduces(n: usize) -> impl FnMut(u32) -> Box<dyn RankWorkload> {
     move |_r| Box::new(OpList::new(vec![MpiOp::Allreduce { bytes: 8 }; n]))
@@ -295,7 +295,7 @@ fn large_checkpoint_verifies_and_resumes_bit_identically() {
     let mut cfg = ScalingConfig::fig3(true);
     cfg.target_sim_time = None;
     let spec = cfg.point(8, 42);
-    let reference = run_point(&spec);
+    let reference = run_point_with(&spec, &PointCtx::serial());
     assert!(reference.completed);
     let every = SimDur::from_nanos(reference.wall.nanos() * 6 / 10);
     let path = std::env::temp_dir().join(format!(
