@@ -192,6 +192,11 @@ impl Shard {
         }
     }
 
+    /// Earliest pending event, ns (`u64::MAX` when the calendar is empty).
+    fn next_event_ns(&self) -> u64 {
+        self.queue.peek_time().map_or(u64::MAX, SimTime::nanos)
+    }
+
     /// Capture this shard's full mutable state.
     fn snapshot(&self) -> ShardSnap {
         let mut last_delivery: Vec<(u32, SimTime)> =
@@ -423,16 +428,12 @@ pub enum ShardSchedule {
     StealAdversarial,
 }
 
-/// What one worker thread learned about its shards during a window:
-/// earliest next local event, live application threads, and the staged
-/// cross-shard messages. The coordinator aggregates these instead of
-/// re-scanning every shard. The wall-clock fields (`busy_ns`, `steals`)
-/// feed the `local.*` diagnostics only — nothing deterministic reads
-/// them.
+/// What one worker thread produced during a window: the staged
+/// cross-shard messages of the shards it claimed. The wall-clock fields
+/// (`busy_ns`, `steals`) feed the `local.*` diagnostics only — nothing
+/// deterministic reads them.
 #[derive(Default)]
 struct WindowReport {
-    min_next_ns: u64,
-    apps: usize,
     staged: Vec<StagedMsg>,
     /// Wall time this worker spent inside `process_window` this window.
     busy_ns: u64,
@@ -531,6 +532,9 @@ pub struct ClusterSim {
     /// Windows widened past the lookahead because the whole cluster was
     /// daemon-idle.
     widened_windows: u64,
+    /// `process_window` calls: the shards due in each window, summed over
+    /// windows (identical at any thread count and schedule).
+    shard_claims: u64,
     /// Shard-to-worker assignment policy when several workers run.
     schedule: ShardSchedule,
     /// Shards claimed off their static-stripe owner's list (wall-clock
@@ -721,6 +725,7 @@ impl ClusterSim {
             extras_provider: None,
             windows_run: 0,
             widened_windows: 0,
+            shard_claims: 0,
             schedule: ShardSchedule::Steal,
             steals: 0,
             barrier_imbalance_ns: 0,
@@ -1091,7 +1096,7 @@ impl ClusterSim {
         }
         let fabric = self.fabric;
         Self::merge_outboxes(&mut staged, |m| {
-            self.shards[m.dst_node as usize].accept_staged(m, &fabric)
+            self.shards[m.dst_node as usize].accept_staged(m, &fabric);
         });
     }
 
@@ -1136,20 +1141,10 @@ impl ClusterSim {
     /// which hands it to its destination shard
     /// ([`Shard::accept_staged`]: ingress-link queueing, then the
     /// calendar). `staged` is drained, keeping its capacity for the next
-    /// barrier. Returns the earliest *final* delivery time in nanoseconds
-    /// (`u64::MAX` when nothing was staged), so the caller can fold the
-    /// merged deliveries into its next-event aggregate without re-scanning
-    /// every shard.
-    fn merge_outboxes(
-        staged: &mut Vec<StagedMsg>,
-        mut accept: impl FnMut(StagedMsg) -> SimTime,
-    ) -> u64 {
+    /// barrier.
+    fn merge_outboxes(staged: &mut Vec<StagedMsg>, accept: impl FnMut(StagedMsg)) {
         staged.sort_by_key(|m| (m.deliver_at, m.src_node, m.seq));
-        staged
-            .drain(..)
-            .map(|m| accept(m).nanos())
-            .min()
-            .unwrap_or(u64::MAX)
+        staged.drain(..).for_each(accept);
     }
 
     /// Windows opened so far (a function of simulation state alone, so
@@ -1162,6 +1157,14 @@ impl ClusterSim {
     /// thread had exited (daemon-idle fast-forward).
     pub fn widened_windows(&self) -> u64 {
         self.widened_windows
+    }
+
+    /// Shards processed, summed over windows: each window claims only
+    /// the shards with an event due in it. A function of simulation state
+    /// alone, like [`ClusterSim::windows_run`], but process-local: it is
+    /// not checkpointed, so a restored run counts only its own claims.
+    pub fn shard_claims(&self) -> u64 {
+        self.shard_claims
     }
 
     /// Bounds of the window opening at `t_start`, widened when the whole
@@ -1223,27 +1226,36 @@ impl ClusterSim {
     /// functions of simulation state alone, so the history is identical
     /// however many workers advance the shards.
     ///
-    /// Within a window, shards are handed out by [`WindowPool::work`]
+    /// Only *due* shards are visited: those whose earliest pending event
+    /// falls inside the window. The pool keeps every shard's next-event
+    /// time and live-app count current (see [`WindowPool::next_ns`]), so
+    /// the coordinator plans the window from their minimum and hands out
+    /// only the due shards. Skipping a shard with nothing due cannot
+    /// change history: `process_window` on it would pop nothing, schedule
+    /// nothing and stage nothing, and cost only its lock, timestamps and
+    /// wall-clock bookkeeping.
+    ///
+    /// Within a window, due shards are handed out by [`WindowPool::work`]
     /// through a shared claim index over a per-window `order`. With one
     /// worker the coordinator runs it inline: no thread, no barrier, and
-    /// the claim order stays the identity, since with a single claimer it
-    /// means nothing. With several, a scoped pool of persistent workers
-    /// runs it between two barrier waits per window, and each worker pulls
-    /// the next unclaimed shard the moment it finishes the last one, so
-    /// the barrier waits on the slowest *shard* rather than the slowest
-    /// stripe. The order is heaviest-first by an exponentially-weighted
-    /// per-shard busy-time estimate (fed from the wall time each shard
-    /// consumed last window), an LPT-style greedy that starts the hot
-    /// shard before the cheap ones. Assignment decides only which worker
-    /// calls `process_window` on which shard; the merge is canonical, so
-    /// the history is bit-identical across `ShardSchedule` modes and
-    /// thread counts. Steal/busy/imbalance counters are wall-clock-derived
-    /// and surface only under `local.*`.
+    /// the due shards in node order, since with a single claimer the
+    /// order means nothing. With several, a scoped pool of persistent
+    /// workers runs it between two barrier waits per window, and each
+    /// worker pulls the next unclaimed shard the moment it finishes the
+    /// last one, so the barrier waits on the slowest *shard* rather than
+    /// the slowest stripe. The order is heaviest-first by an
+    /// exponentially-weighted per-shard busy-time estimate (fed from the
+    /// wall time each shard consumed the last time it ran), an LPT-style
+    /// greedy that starts the hot shard before the cheap ones.
+    /// Assignment decides only which worker calls `process_window` on
+    /// which shard; the merge is canonical, so the history is
+    /// bit-identical across `ShardSchedule` modes and thread counts.
+    /// Steal/busy/imbalance counters are wall-clock-derived and surface
+    /// only under `local.*`.
     fn run_windows(&mut self, horizon: SimTime, until_apps_done: bool) {
         assert!(self.booted, "boot the cluster first");
         let nthreads = self.sim_threads.min(self.shards.len()).max(1);
         let pool = WindowPool::new(std::mem::take(&mut self.shards), self, nthreads);
-        let nshards = pool.shards.len();
         let mut ckpt_err: Option<String> = None;
         std::thread::scope(|scope| {
             if nthreads > 1 {
@@ -1262,24 +1274,22 @@ impl ClusterSim {
             // Releases the workers however the coordinator leaves the
             // loop, a panic included, so they never wait forever.
             let _release = ReleaseWorkers(&pool);
-            // One initial scan establishes the live-app count and the
-            // earliest pending event; afterwards both are maintained from
-            // the worker reports plus the merged deliveries.
-            let mut next_ns = u64::MAX;
-            let mut apps = 0usize;
-            for m in &pool.shards {
-                let sh = lock(m);
-                if let Some(t0) = sh.queue.peek_time() {
-                    next_ns = next_ns.min(t0.nanos());
-                }
-                apps += sh.kernel.app_alive();
-            }
             // Pooled merge buffer: refilled from the report slots and
             // drained into destination shards every barrier.
             let mut staged: Vec<StagedMsg> = Vec::new();
-            // Scratch for re-sorting the claim order between windows.
+            // Scratch for the per-window claim order.
+            let mut due: Vec<u32> = Vec::new();
             let mut by_load: Vec<(std::cmp::Reverse<u64>, u32)> = Vec::new();
             loop {
+                // Workers are parked at the top-of-loop barrier, so the
+                // coordinator reads settled per-shard entries here.
+                let next_ns = pool
+                    .next_ns
+                    .iter()
+                    .map(|t| t.load(Ordering::Relaxed))
+                    .min()
+                    .unwrap_or(u64::MAX);
+                let apps: usize = pool.apps.iter().map(|a| a.load(Ordering::Relaxed)).sum();
                 if until_apps_done && apps == 0 {
                     break;
                 }
@@ -1288,41 +1298,17 @@ impl ClusterSim {
                 }
                 let (we, inclusive, idle) =
                     self.plan_window(SimTime::from_nanos(next_ns), horizon, apps == 0);
-                // Workers are parked at the top-of-loop barrier, so the
-                // coordinator owns the claim state here.
+                let ndue =
+                    pool.plan_claims(we, inclusive, self.windows_run, &mut due, &mut by_load);
+                self.shard_claims += ndue as u64;
                 pool.claim.store(0, Ordering::Relaxed);
                 pool.window_end_ns.store(we.nanos(), Ordering::Release);
                 pool.window_inclusive.store(inclusive, Ordering::Release);
                 if nthreads == 1 {
                     pool.work(0);
                 } else {
-                    // Heaviest-first by the busy-time EWMA for stealing;
-                    // the adversarial mode rotates a reversed order every
-                    // window to prove the history does not depend on who
-                    // claims what.
-                    match pool.schedule {
-                        ShardSchedule::Stripe => {}
-                        ShardSchedule::Steal => {
-                            by_load.clear();
-                            by_load.extend(pool.shards.iter().map(|m| {
-                                let sh = lock(m);
-                                (std::cmp::Reverse(sh.busy_est), sh.node)
-                            }));
-                            by_load.sort_unstable();
-                            for (slot, &(_, i)) in pool.order.iter().zip(&by_load) {
-                                slot.store(i, Ordering::Relaxed);
-                            }
-                        }
-                        ShardSchedule::StealAdversarial => {
-                            let rot = (self.windows_run as usize) % nshards;
-                            for (k, slot) in pool.order.iter().enumerate() {
-                                let i = (nshards - 1 - k + rot) % nshards;
-                                slot.store(i as u32, Ordering::Relaxed);
-                            }
-                        }
-                    }
                     pool.barrier.wait(); // open the window
-                    pool.barrier.wait(); // all shards processed it
+                    pool.barrier.wait(); // all due shards processed it
                 }
                 if pool.abort.load(Ordering::Acquire) {
                     // A shard panicked mid-window: the window is
@@ -1330,14 +1316,10 @@ impl ClusterSim {
                     // down and re-raise below.
                     break;
                 }
-                next_ns = u64::MAX;
-                apps = 0;
                 let mut min_busy = u64::MAX;
                 let mut max_busy = 0u64;
                 for slot in &pool.slots {
                     let mut s = lock(slot);
-                    next_ns = next_ns.min(s.min_next_ns);
-                    apps += s.apps;
                     staged.append(&mut s.staged);
                     self.steals += s.steals;
                     min_busy = min_busy.min(s.busy_ns);
@@ -1350,13 +1332,15 @@ impl ClusterSim {
                     !idle || staged.is_empty(),
                     "daemon-idle window staged a cross-shard message"
                 );
-                // Ingress queueing may move a delivery later; the merge
-                // reports the *final* times, so the next window opens
-                // exactly where a scan of every queue would put it.
-                let merged_ns = Self::merge_outboxes(&mut staged, |m| {
-                    lock(&pool.shards[m.dst_node as usize]).accept_staged(m, &pool.fabric)
+                // Ingress queueing may move a delivery later, so each
+                // destination's entry is lowered to the *final* time the
+                // delivery landed at: the next window then opens, and
+                // claims, exactly where a scan of every queue would.
+                Self::merge_outboxes(&mut staged, |m| {
+                    let dst = m.dst_node as usize;
+                    let at = lock(&pool.shards[dst]).accept_staged(m, &pool.fabric);
+                    pool.next_ns[dst].fetch_min(at.nanos(), Ordering::Relaxed);
                 });
-                next_ns = next_ns.min(merged_ns);
                 // Workers are parked at the top-of-loop barrier here, so
                 // the coordinator has every shard to itself. A write
                 // failure is re-raised once the shards are back home.
@@ -1408,8 +1392,21 @@ struct WindowPool {
     fabric: FabricModel,
     schedule: ShardSchedule,
     nthreads: usize,
-    /// `order[k]` is the shard to run k-th in this window.
+    /// Earliest pending event of each shard, ns (`u64::MAX` when its
+    /// calendar is empty). Scanned once when the pool is built — which
+    /// covers `spawn_thread`, `inject_message` and `restore` between run
+    /// calls — then written by the worker that processed the shard and
+    /// lowered by the barrier merge to each delivery it schedules there.
+    /// Nothing else touches a shard's calendar during a run call.
+    /// `Relaxed` throughout: the window barriers (or, with one worker,
+    /// program order) put every write before the coordinator's reads.
+    next_ns: Vec<AtomicU64>,
+    /// Live application threads on each shard, kept like `next_ns` (only
+    /// processing a shard changes it within a run call).
+    apps: Vec<AtomicUsize>,
+    /// `order[..ndue]` are the shards due this window, in claim order.
     order: Vec<AtomicU32>,
+    ndue: AtomicUsize,
     /// Next unclaimed position in `order`.
     claim: AtomicUsize,
     window_end_ns: AtomicU64,
@@ -1431,12 +1428,23 @@ struct WindowPool {
 impl WindowPool {
     fn new(shards: Vec<Shard>, sim: &ClusterSim, nthreads: usize) -> WindowPool {
         let nshards = shards.len();
+        let next_ns = shards
+            .iter()
+            .map(|sh| AtomicU64::new(sh.next_event_ns()))
+            .collect();
+        let apps = shards
+            .iter()
+            .map(|sh| AtomicUsize::new(sh.kernel.app_alive()))
+            .collect();
         WindowPool {
             shards: shards.into_iter().map(Mutex::new).collect(),
             fabric: sim.fabric,
             schedule: sim.schedule,
             nthreads,
+            next_ns,
+            apps,
             order: (0..nshards as u32).map(AtomicU32::new).collect(),
+            ndue: AtomicUsize::new(0),
             claim: AtomicUsize::new(0),
             window_end_ns: AtomicU64::new(0),
             window_inclusive: AtomicBool::new(false),
@@ -1450,21 +1458,78 @@ impl WindowPool {
         }
     }
 
+    /// Fill `order` with the shards due in the window ending at `we`
+    /// (inclusively when `inclusive`) and return how many there are.
+    /// `window` is the window's ordinal, which rotates the adversarial
+    /// order. `due` and `by_load` are the coordinator's scratch buffers.
+    ///
+    /// With one worker, and under `Stripe`, the due shards go in node
+    /// order. `Steal` sorts them heaviest-first by the busy-time EWMA,
+    /// node as the tie-break. `StealAdversarial` rotates their reversed
+    /// order every window, to prove the history does not depend on who
+    /// claims what.
+    fn plan_claims(
+        &self,
+        we: SimTime,
+        inclusive: bool,
+        window: u64,
+        due: &mut Vec<u32>,
+        by_load: &mut Vec<(std::cmp::Reverse<u64>, u32)>,
+    ) -> usize {
+        let we = we.nanos();
+        due.clear();
+        due.extend((0..self.shards.len() as u32).filter(|&i| {
+            let t = self.next_ns[i as usize].load(Ordering::Relaxed);
+            t < we || (inclusive && t == we)
+        }));
+        let n = due.len();
+        match self.schedule {
+            ShardSchedule::Steal if self.nthreads > 1 => {
+                by_load.clear();
+                by_load.extend(due.iter().map(|&i| {
+                    (
+                        std::cmp::Reverse(lock(&self.shards[i as usize]).busy_est),
+                        i,
+                    )
+                }));
+                by_load.sort_unstable();
+                for (slot, &(_, i)) in self.order.iter().zip(by_load.iter()) {
+                    slot.store(i, Ordering::Relaxed);
+                }
+            }
+            ShardSchedule::StealAdversarial if self.nthreads > 1 => {
+                // `n >= 1`: the shard holding the window start is due.
+                let rot = (window % n as u64) as usize;
+                for (k, slot) in self.order.iter().take(n).enumerate() {
+                    slot.store(due[(n - 1 - k + rot) % n], Ordering::Relaxed);
+                }
+            }
+            _ => {
+                for (slot, &i) in self.order.iter().zip(due.iter()) {
+                    slot.store(i, Ordering::Relaxed);
+                }
+            }
+        }
+        self.ndue.store(n, Ordering::Relaxed);
+        n
+    }
+
     /// Worker `t`'s share of the open window: claim positions in
-    /// `order` and process those shards until none is left (or another
-    /// worker panicked), then file the report in slot `t` and charge each
-    /// shard its wall time. `Stripe` walks the worker's own positions
-    /// (the static assignment); the stealing modes fetch-add the shared
-    /// index. A claim off the worker's home stripe (`k % nthreads != t`)
-    /// counts as a steal.
+    /// `order[..ndue]` and process those shards until none is left (or
+    /// another worker panicked), then file the report in slot `t`. Each
+    /// processed shard gets its next-event and app entries refreshed and
+    /// is charged its wall time. `Stripe` walks the worker's own
+    /// positions (the static assignment); the stealing modes fetch-add
+    /// the shared index. A claim off the worker's home stripe
+    /// (`k % nthreads != t`) counts as a steal.
     fn work(&self, t: usize) {
         let we = SimTime::from_nanos(self.window_end_ns.load(Ordering::Acquire));
         let inclusive = self.window_inclusive.load(Ordering::Acquire);
         // Reuse the slot's staged list (the coordinator drained it but
         // left the capacity), so steady state reallocates nothing per
         // window.
+        let ndue = self.ndue.load(Ordering::Relaxed);
         let mut report = WindowReport {
-            min_next_ns: u64::MAX,
             staged: std::mem::take(&mut lock(&self.slots[t]).staged),
             ..WindowReport::default()
         };
@@ -1480,7 +1545,7 @@ impl WindowPool {
             } else {
                 self.claim.fetch_add(1, Ordering::Relaxed)
             };
-            if k >= self.shards.len() {
+            if k >= ndue {
                 break;
             }
             // A stripe walk stays home by construction.
@@ -1503,10 +1568,8 @@ impl WindowPool {
                 lock(&self.panicked).get_or_insert((node, payload));
                 break;
             }
-            if let Some(next) = sh.queue.peek_time() {
-                report.min_next_ns = report.min_next_ns.min(next.nanos());
-            }
-            report.apps += sh.kernel.app_alive();
+            self.next_ns[i].store(sh.next_event_ns(), Ordering::Relaxed);
+            self.apps[i].store(sh.kernel.app_alive(), Ordering::Relaxed);
             report.staged.append(&mut sh.outbox);
             report.busy_ns += busy;
             sh.busy_ns = sh.busy_ns.saturating_add(busy);
@@ -2560,5 +2623,163 @@ mod tests {
         assert!(serial.4 > 0, "daemon tail widened no windows: {serial:?}");
         assert_eq!(serial, run(2));
         assert_eq!(serial, run(4));
+    }
+
+    /// One run of the sparse-activity scenario: 32 nodes with a periodic
+    /// daemon everywhere, a ping-pong app pair on nodes 0 and 1, and,
+    /// between two `run_until` calls, a thread spawned on idle node 20
+    /// that round-trips a message through a blocked listener on idle node
+    /// 21, plus a message injected to a listener on idle node 22. Most
+    /// windows therefore have a few due shards out of 32. The run is
+    /// checkpointed at the 2 ms barrier, finished, then restored from
+    /// that checkpoint and finished again; both tails must match. Returns
+    /// the fingerprint, the shard claims of the uninterrupted run, and
+    /// its window count.
+    fn sparse_run(threads: usize, schedule: ShardSchedule) -> (Vec<u64>, u64, u64) {
+        const NODES: u32 = 32;
+        let spec = ClusterSpec {
+            nodes: NODES,
+            cpus_per_node: 2,
+            options: SchedOptions::vanilla(),
+            skew_max: SimDur::from_millis(1),
+            trace_capacity: 1 << 10,
+            fabric: FabricModel::default(),
+        };
+        let mut sim = ClusterSim::build(&spec, &SeedSpace::new(31));
+        sim.set_sim_threads(threads);
+        sim.set_shard_schedule(schedule);
+        // Tid 0 everywhere: a daemon computing for ~8 ms in segments
+        // whose length differs per node, so nodes fall due in different
+        // windows.
+        for n in 0..NODES {
+            let seg_us = 100 + 7 * u64::from(n);
+            let acts =
+                vec![Action::Compute(SimDur::from_micros(seg_us)); (8_000 / seg_us) as usize];
+            sim.kernel_mut(n).spawn(
+                ThreadSpec::new("syncd", ThreadClass::Daemon, Prio::USER).on_cpu(CpuId(1)),
+                Box::new(Script::new(acts)),
+            );
+        }
+        // Tid 1 on nodes 0 and 1: the app pair.
+        for n in 0..2u32 {
+            let peer = 1 - n;
+            let mut acts = Vec::new();
+            for round in 0..6u64 {
+                acts.push(Action::Compute(SimDur::from_micros(300)));
+                acts.push(Action::Send(msg(ep(n, 1), ep(peer, 1), round, 4096)));
+                acts.push(Action::Recv {
+                    tag: TagSel::Exact(round),
+                    src: SrcSel::Any,
+                    wait: WaitMode::Poll,
+                });
+            }
+            sim.kernel_mut(n).spawn(
+                ThreadSpec::new("rank", ThreadClass::App, Prio::USER).on_cpu(CpuId(0)),
+                Box::new(Script::new(acts)),
+            );
+        }
+        // Tid 1 on nodes 21 and 22: listeners blocked until a message
+        // comes. Node 21's answers the sender across the fabric, which a
+        // daemon may do here because the sender is an app waiting for the
+        // answer, so no window around it is daemon-idle.
+        sim.kernel_mut(21).spawn(
+            ThreadSpec::new("listener", ThreadClass::Daemon, Prio::USER).on_cpu(CpuId(0)),
+            Box::new(Script::new(vec![
+                Action::Recv {
+                    tag: TagSel::Exact(77),
+                    src: SrcSel::Any,
+                    wait: WaitMode::Block,
+                },
+                Action::Compute(SimDur::from_micros(40)),
+                Action::Send(msg(ep(21, 1), ep(20, 1), 78, 64)),
+            ])),
+        );
+        sim.kernel_mut(22).spawn(
+            ThreadSpec::new("listener", ThreadClass::Daemon, Prio::USER).on_cpu(CpuId(0)),
+            Box::new(Script::new(vec![
+                Action::Recv {
+                    tag: TagSel::Exact(99),
+                    src: SrcSel::Any,
+                    wait: WaitMode::Block,
+                },
+                Action::Compute(SimDur::from_micros(30)),
+            ])),
+        );
+        sim.boot();
+        sim.run_until(SimTime::from_micros(1_300));
+        let late = sim.spawn_thread(
+            20,
+            ThreadSpec::new("late", ThreadClass::App, Prio::USER).on_cpu(CpuId(0)),
+            Box::new(Script::new(vec![
+                Action::Compute(SimDur::from_micros(20)),
+                Action::Send(msg(ep(20, 1), ep(21, 1), 77, 4096)),
+                Action::Recv {
+                    tag: TagSel::Exact(78),
+                    src: SrcSel::Any,
+                    wait: WaitMode::Poll,
+                },
+                Action::Compute(SimDur::from_micros(50)),
+            ])),
+        );
+        assert_eq!(late, Tid(1));
+        sim.inject_message(msg(ep(0, 0), ep(22, 1), 99, 8));
+        sim.run_until(SimTime::from_millis(2));
+        let path = tmp_path(&format!("sparse-{threads}t-{schedule:?}"));
+        sim.checkpoint(&path).expect("checkpoint");
+        let finish = |sim: &mut ClusterSim| {
+            let end = sim.run_until(SimTime::from_millis(10));
+            assert_eq!(sim.apps_alive(), 0, "apps must finish inside the run");
+            for (node, tid) in [(20u32, 1u32), (21, 1), (22, 1)] {
+                assert_eq!(
+                    sim.kernel(node).thread_state(Tid(tid)),
+                    ThreadState::Exited,
+                    "node {node} tid {tid} never finished"
+                );
+            }
+            let q = sim.queue_stats();
+            vec![
+                end.nanos(),
+                sim.events_processed(),
+                sim.messages_routed(),
+                sim.bytes_routed(),
+                sim.fifo_clamps(),
+                q.scheduled,
+                q.popped,
+                q.cancelled,
+                sim.kernel(20).stats().dispatches,
+                sim.kernel(21).stats().dispatches,
+                sim.kernel(22).stats().dispatches,
+            ]
+        };
+        let mut want = finish(&mut sim);
+        let (claims, windows, widened) =
+            (sim.shard_claims(), sim.windows_run(), sim.widened_windows());
+        sim.restore(&path).expect("restore");
+        assert_eq!(finish(&mut sim), want, "restored tail diverged");
+        let _ = std::fs::remove_file(&path);
+        // A restored run keeps counting windows from where it stood, so
+        // the window counters join the fingerprint only here.
+        want.extend([windows, widened]);
+        (want, claims, windows)
+    }
+
+    #[test]
+    fn sparse_activity_claims_only_due_shards() {
+        let (reference, claims, windows) = sparse_run(1, ShardSchedule::Steal);
+        assert!(
+            claims < windows * 32,
+            "{claims} claims over {windows} windows: idle shards were visited"
+        );
+        for threads in [1usize, 2, 4] {
+            for schedule in [
+                ShardSchedule::Stripe,
+                ShardSchedule::Steal,
+                ShardSchedule::StealAdversarial,
+            ] {
+                let (got, got_claims, _) = sparse_run(threads, schedule);
+                assert_eq!(got, reference, "{threads} threads, {schedule:?}");
+                assert_eq!(got_claims, claims, "{threads} threads, {schedule:?}");
+            }
+        }
     }
 }

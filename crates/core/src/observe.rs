@@ -50,6 +50,10 @@ pub fn metrics_of(out: &RunOutput) -> MetricsRegistry {
     // nondeterministic across runs and live in the `local.*` namespace
     // that canonical snapshots omit (PR 6 convention).
     reg.inc("local.engine.steals", out.sim.steals());
+    // Shard claims repeat exactly, but they count the engine's schedule
+    // (which shards each window visited), not the simulated machine, so
+    // they stay out of the canonical snapshot too.
+    reg.inc("local.engine.shard_claims", out.sim.shard_claims());
     reg.inc("local.engine.shard_busy_ns", out.sim.shard_busy_ns());
     reg.inc(
         "local.engine.barrier_imbalance_ns",

@@ -52,11 +52,13 @@ pub struct TraceBuffer {
 
 impl TraceBuffer {
     /// Buffer with room for `capacity` events. Older events are dropped
-    /// once full (counted in [`TraceBuffer::dropped`]).
+    /// once full (counted in [`TraceBuffer::dropped`]). The ring starts
+    /// empty and grows as events are recorded, so a node that is never
+    /// traced allocates nothing.
     pub fn new(capacity: usize) -> TraceBuffer {
         assert!(capacity > 0, "trace buffer needs nonzero capacity");
         TraceBuffer {
-            events: VecDeque::with_capacity(capacity.min(1 << 16)),
+            events: VecDeque::new(),
             capacity,
             mask: HookMask::NONE,
             threads: HashMap::new(),
