@@ -1,11 +1,10 @@
 //! # pa-bench — figure/table regeneration harness
 //!
 //! One binary per paper figure and table (see DESIGN.md's per-experiment
-//! index) plus Criterion benches over the simulation engine. Each binary
-//! reads only the flags its row of [`BINARIES`] declares, documented once
-//! in [`FLAGS`]; `<bin> --help` lists that subset. Any other flag exits 2
-//! naming the binary and the flag, so an accepted flag always changes
-//! what the binary does.
+//! index). Each binary reads only the flags its row of [`BINARIES`]
+//! declares, documented once in [`FLAGS`]; `<bin> --help` lists that
+//! subset. Any other flag exits 2 naming the binary and the flag, so an
+//! accepted flag always changes what the binary does.
 //!
 //! The default mode is a balanced configuration that reproduces every
 //! qualitative result in a few minutes.
@@ -104,7 +103,6 @@ const SCALING_SWEEP: &str = "--quick|--full --json --seed --jobs --sim-threads -
 
 /// The [`FLAGS`] rows each binary reads, beyond `--help`.
 pub const BINARIES: &[(&str, &str)] = &[
-    ("engine_baseline", "--quick|--full"),
     ("fig1_overlap", RUN),
     ("fig2_bsp", RUN),
     ("fig3", SCALING_SWEEP),
@@ -519,7 +517,7 @@ mod tests {
             .map(|(_, d)| d.split_whitespace().count())
             .sum();
         assert_eq!(
-            pairs, 103,
+            pairs, 102,
             "(binary, flag) pairs, --quick|--full counted once"
         );
     }

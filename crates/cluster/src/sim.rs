@@ -2478,6 +2478,11 @@ mod tests {
         sim.boot();
         sim.run_until_apps_done(SimTime::from_secs(1));
         assert!(sim.windows_run() > 10, "workload too short to steal");
+        assert!(
+            sim.steals() > 0,
+            "no steal in {} windows",
+            sim.windows_run()
+        );
         let mut stripe = skewed_sim(2, ShardSchedule::Stripe);
         stripe.boot();
         stripe.run_until_apps_done(SimTime::from_secs(1));

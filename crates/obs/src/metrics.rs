@@ -11,8 +11,8 @@
 //!
 //! Wall-clock quantities (elapsed seconds, events/sec, cache hits) must
 //! **never** enter the registry; they vary run-to-run and would break
-//! snapshot identity. Report those beside the snapshot instead (see
-//! `BENCH_engine.json`). Quantities that are simulation-meaningful but
+//! snapshot identity. Report those beside the snapshot instead, as
+//! perfbench does. Quantities that are simulation-meaningful but
 //! *process*-local — a resumed run's restore count, for instance — go
 //! under the [`LOCAL_PREFIX`] namespace, which the canonical snapshot
 //! omits so determinism diffs need no text filtering.

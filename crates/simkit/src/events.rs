@@ -717,6 +717,26 @@ mod tests {
             popped += 1;
         }
         assert_eq!(popped, 50);
+
+        // The timer re-arm pattern: each round cancels and reschedules
+        // 512 far-future timers and pops one near event. No cancelled
+        // entry may stay resident in any round.
+        let far = SimTime::from_nanos(u64::MAX / 2);
+        let mut timers: Vec<EventId> = (0..512).map(|i| q.schedule(far, i)).collect();
+        for round in 0..200 {
+            for (i, t) in (0u32..).zip(timers.iter_mut()) {
+                assert!(q.cancel(*t));
+                *t = q.schedule(far, i);
+            }
+            q.schedule(q.now() + SimDur::from_nanos(1), u32::MAX);
+            assert_eq!(q.pop().map(|(_, v)| v), Some(u32::MAX));
+            assert_eq!(q.stats().tombstones, 0, "round {round}");
+            assert_eq!(
+                q.heap.len(),
+                512,
+                "round {round}: a cancelled entry stayed resident"
+            );
+        }
     }
 
     #[test]

@@ -329,17 +329,10 @@ fn large_checkpoint_verifies_and_resumes_bit_identically() {
         resumed.mean_allreduce_us().to_bits(),
         uninterrupted.mean_allreduce_us().to_bits()
     );
-    // A restored run counts only the windows it ran itself (the window
-    // counters are not part of the checkpoint), so those lines differ.
-    let snapshot = |out: &pa_core::RunOutput| {
-        metrics_of(out)
-            .snapshot_json()
-            .lines()
-            .filter(|l| !l.contains("\"engine.windows_"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    assert_eq!(snapshot(&resumed), snapshot(&uninterrupted));
+    assert_eq!(
+        metrics_of(&resumed).snapshot_json(),
+        metrics_of(&uninterrupted).snapshot_json()
+    );
     let _ = std::fs::remove_file(&path);
 }
 
