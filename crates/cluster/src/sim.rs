@@ -26,9 +26,9 @@
 
 use crate::fabric::{FabricModel, LINK_WAIT_BUCKETS, LINK_WAIT_EDGES_NS};
 use pa_kernel::{
-    seg_slots_of, ClockModel, Effects, Kernel, KernelEvent, KernelSnapshot, Message, SchedOptions,
+    ClockModel, Kernel, KernelEvent, KernelSnapshot, Message, NodeLoop, NodeSnap, SchedOptions,
 };
-use pa_simkit::{sha256_hex, EventId, EventQueue, QueueStats, SeedSpace, SimDur, SimTime};
+use pa_simkit::{sha256_hex, QueueStats, SeedSpace, SimDur, SimTime};
 use serde::value::Value;
 use serde::{Deserialize, Serialize};
 use std::any::Any;
@@ -95,17 +95,28 @@ struct StagedMsg {
     msg: Message,
 }
 
-/// One node's slice of the cluster: its kernel, its private event
-/// calendar, and the staging state for messages leaving the node. Shard
-/// structure is *per node*, never per thread, so the event history is
-/// independent of how shards are distributed over worker threads.
+/// One node's slice of the cluster: its node loop (kernel, private event
+/// calendar, event counter) and the fabric routing for messages leaving
+/// the node. Shard structure is *per node*, never per thread, so the event
+/// history is independent of how shards are distributed over worker
+/// threads.
 struct Shard {
+    node: NodeLoop,
+    router: Router,
+    /// Cumulative measured `process_window` wall time, ns.
+    busy_ns: u64,
+    /// Exponentially-weighted busy-time estimate (ns) driving the
+    /// heavy-first claim order. Like `busy_ns` it is wall-clock state:
+    /// never checkpointed, and losing it only costs a few warm-up windows.
+    busy_est: u64,
+}
+
+/// A shard's fabric routing state: everything a shard adds to its node
+/// loop.
+#[derive(Default)]
+struct Router {
     node: u32,
     nnodes: u32,
-    kernel: Kernel,
-    queue: EventQueue<KernelEvent>,
-    fx: Effects,
-    events_processed: u64,
     messages_routed: u64,
     bytes_routed: u64,
     fifo_clamps: u64,
@@ -117,10 +128,6 @@ struct Shard {
     last_delivery: HashMap<u32, SimTime>,
     /// Cross-shard messages staged during the current window.
     outbox: Vec<StagedMsg>,
-    /// Outstanding `SegEnd` calendar entry per CPU ([`EventId::NONE`]
-    /// when none), so kernel-voided segment timers are cancelled out of
-    /// the calendar instead of accumulating as stale entries.
-    seg_events: Vec<EventId>,
     /// Busy-until register of this node's egress link. Advanced at send,
     /// inside the owning shard, so it is deterministic in event order.
     egress_free_at: SimTime,
@@ -134,12 +141,6 @@ struct Shard {
     /// Queueing-delay histogram; buckets bounded by `LINK_WAIT_EDGES_NS`
     /// plus one overflow bucket.
     link_wait_hist: [u64; LINK_WAIT_BUCKETS],
-    /// Cumulative measured `process_window` wall time, ns.
-    busy_ns: u64,
-    /// Exponentially-weighted busy-time estimate (ns) driving the
-    /// heavy-first claim order. Like `busy_ns` it is wall-clock state:
-    /// never checkpointed, and losing it only costs a few warm-up windows.
-    busy_est: u64,
 }
 
 /// One shard's slice of a cluster checkpoint. Everything mutable lives
@@ -161,8 +162,9 @@ struct ShardSnap {
     msg_seq: u64,
     /// FIFO floors as a node-sorted pair list (canonical encoding).
     last_delivery: Vec<(u32, SimTime)>,
-    /// Always empty at a window barrier; serialized anyway so the format
-    /// does not change if checkpoints ever move inside a window.
+    /// Always empty at a window barrier, and restore rejects a non-empty
+    /// one; serialized anyway so the format does not change if
+    /// checkpoints ever move inside a window.
     outbox: Vec<StagedMsg>,
     egress_free_at: SimTime,
     ingress_free_at: SimTime,
@@ -178,195 +180,103 @@ impl Shard {
     /// `SimTime`-saturating horizon, where the exclusive bound is not
     /// representable).
     fn process_window(&mut self, window_end: SimTime, inclusive: bool, fabric: &FabricModel) {
-        while let Some(t) = self.queue.peek_time() {
-            if t > window_end || (t == window_end && !inclusive) {
-                break;
-            }
-            let (now, ev) = self.queue.pop().expect("peeked event vanished");
-            if let KernelEvent::SegEnd { cpu, .. } = &ev {
-                self.seg_events[cpu.0 as usize] = EventId::NONE;
-            }
-            self.events_processed += 1;
-            self.kernel.handle(now, ev, &mut self.fx);
-            self.drain_effects(now, fabric);
-        }
+        self.node.run(window_end, inclusive, false, |now, msg| {
+            self.router.send(now, msg, fabric)
+        });
     }
 
     /// Earliest pending event, ns (`u64::MAX` when the calendar is empty).
     fn next_event_ns(&self) -> u64 {
-        self.queue.peek_time().map_or(u64::MAX, SimTime::nanos)
+        self.node
+            .queue()
+            .peek_time()
+            .map_or(u64::MAX, SimTime::nanos)
     }
 
     /// Capture this shard's full mutable state.
     fn snapshot(&self) -> ShardSnap {
+        let NodeSnap {
+            queue_now,
+            queue_next_id,
+            queue_stats,
+            queue_entries,
+            kernel,
+            events_processed,
+        } = self.node.capture();
+        let r = &self.router;
         let mut last_delivery: Vec<(u32, SimTime)> =
-            self.last_delivery.iter().map(|(&n, &t)| (n, t)).collect();
+            r.last_delivery.iter().map(|(&n, &t)| (n, t)).collect();
         last_delivery.sort_by_key(|&(n, _)| n);
         ShardSnap {
-            node: self.node,
-            queue_now: self.queue.now(),
-            queue_next_id: self.queue.next_id_raw(),
-            queue_stats: self.queue.stats(),
-            queue_entries: self
-                .queue
-                .live_entries()
-                .into_iter()
-                .map(|(t, id, ev)| (t, id, ev.clone()))
-                .collect(),
-            kernel: self.kernel.snapshot(),
-            events_processed: self.events_processed,
-            messages_routed: self.messages_routed,
-            bytes_routed: self.bytes_routed,
-            fifo_clamps: self.fifo_clamps,
-            msg_seq: self.msg_seq,
+            node: r.node,
+            queue_now,
+            queue_next_id,
+            queue_stats,
+            queue_entries,
+            kernel,
+            events_processed,
+            messages_routed: r.messages_routed,
+            bytes_routed: r.bytes_routed,
+            fifo_clamps: r.fifo_clamps,
+            msg_seq: r.msg_seq,
             last_delivery,
-            outbox: self.outbox.clone(),
-            egress_free_at: self.egress_free_at,
-            ingress_free_at: self.ingress_free_at,
-            link_waits: self.link_waits,
-            link_wait_ns: self.link_wait_ns,
-            link_wait_hist: self.link_wait_hist.to_vec(),
+            outbox: r.outbox.clone(),
+            egress_free_at: r.egress_free_at,
+            ingress_free_at: r.ingress_free_at,
+            link_waits: r.link_waits,
+            link_wait_ns: r.link_wait_ns,
+            link_wait_hist: r.link_wait_hist.to_vec(),
         }
     }
 
     /// Overlay a checkpointed state onto this freshly assembled shard.
-    fn restore(&mut self, snap: &ShardSnap) -> Result<(), String> {
-        if snap.node != self.node {
+    fn restore(&mut self, snap: ShardSnap) -> Result<(), String> {
+        let r = &mut self.router;
+        if snap.node != r.node {
             return Err(format!(
                 "checkpoint shard {} restored into node {}",
-                snap.node, self.node
+                snap.node, r.node
             ));
         }
         if snap.link_wait_hist.len() != LINK_WAIT_BUCKETS {
             return Err(format!(
                 "node {}: link-wait histogram has {} buckets, engine expects {}",
-                self.node,
+                r.node,
                 snap.link_wait_hist.len(),
                 LINK_WAIT_BUCKETS
             ));
         }
-        self.kernel
-            .restore(&snap.kernel)
-            .map_err(|e| format!("node {}: {e}", self.node))?;
-        self.queue = EventQueue::from_parts(
-            snap.queue_now,
-            snap.queue_next_id,
-            snap.queue_stats,
-            snap.queue_entries.clone(),
-        )
-        .map_err(|e| format!("node {}: {e}", self.node))?;
-        // The per-CPU outstanding-SegEnd slots are derived state: with
-        // true cancellation at most one SegEnd per CPU is live at any
-        // barrier, so the restored calendar names them all.
-        self.seg_events = seg_slots_of(&self.queue, self.kernel.ncpus() as usize);
-        self.events_processed = snap.events_processed;
-        self.messages_routed = snap.messages_routed;
-        self.bytes_routed = snap.bytes_routed;
-        self.fifo_clamps = snap.fifo_clamps;
-        self.msg_seq = snap.msg_seq;
-        self.last_delivery = snap.last_delivery.iter().copied().collect();
-        self.outbox = snap.outbox.clone();
-        self.egress_free_at = snap.egress_free_at;
-        self.ingress_free_at = snap.ingress_free_at;
-        self.link_waits = snap.link_waits;
-        self.link_wait_ns = snap.link_wait_ns;
-        for (slot, &v) in self
-            .link_wait_hist
-            .iter_mut()
-            .zip(snap.link_wait_hist.iter())
-        {
-            *slot = v;
+        // Checkpoints are taken only at window barriers, after the merge
+        // has emptied every outbox; a staged message here would be
+        // delivered into a window that already closed.
+        if !snap.outbox.is_empty() {
+            return Err(format!(
+                "node {}: non-empty outbox: {} staged message(s) in a barrier checkpoint",
+                r.node,
+                snap.outbox.len()
+            ));
         }
+        self.node
+            .restore(NodeSnap {
+                queue_now: snap.queue_now,
+                queue_next_id: snap.queue_next_id,
+                queue_stats: snap.queue_stats,
+                queue_entries: snap.queue_entries,
+                kernel: snap.kernel,
+                events_processed: snap.events_processed,
+            })
+            .map_err(|e| format!("node {}: {e}", r.node))?;
+        r.messages_routed = snap.messages_routed;
+        r.bytes_routed = snap.bytes_routed;
+        r.fifo_clamps = snap.fifo_clamps;
+        r.msg_seq = snap.msg_seq;
+        r.last_delivery = snap.last_delivery.into_iter().collect();
+        r.egress_free_at = snap.egress_free_at;
+        r.ingress_free_at = snap.ingress_free_at;
+        r.link_waits = snap.link_waits;
+        r.link_wait_ns = snap.link_wait_ns;
+        r.link_wait_hist.copy_from_slice(&snap.link_wait_hist);
         Ok(())
-    }
-
-    /// Cancel the outstanding `SegEnd` entry for the CPU in `slot`.
-    fn cancel_seg_slot(queue: &mut EventQueue<KernelEvent>, slot: &mut EventId) {
-        if *slot != EventId::NONE {
-            queue.cancel(*slot);
-            *slot = EventId::NONE;
-        }
-    }
-
-    /// Move kernel effects into the calendar (local) or outbox (remote).
-    fn drain_effects(&mut self, now: SimTime, fabric: &FabricModel) {
-        // Interleave voided-segment cancels with schedules in program
-        // order — a handler may cancel a CPU's timer and then arm a new
-        // one for the same CPU, and the watermark says how many schedule
-        // entries precede each cancel. Keeping the original schedule
-        // order also keeps event-id assignment (and therefore FIFO
-        // tie-breaks) identical to the uncancelled engine.
-        let mut ci = 0;
-        for (idx, (t, ev)) in self.fx.schedule.drain(..).enumerate() {
-            while ci < self.fx.cancels.len() && (self.fx.cancels[ci].after as usize) <= idx {
-                let slot = &mut self.seg_events[self.fx.cancels[ci].cpu.0 as usize];
-                Self::cancel_seg_slot(&mut self.queue, slot);
-                ci += 1;
-            }
-            let seg_cpu = match &ev {
-                KernelEvent::SegEnd { cpu, .. } => Some(cpu.0 as usize),
-                _ => None,
-            };
-            let id = self.queue.schedule(t, ev);
-            if let Some(c) = seg_cpu {
-                self.seg_events[c] = id;
-            }
-        }
-        while ci < self.fx.cancels.len() {
-            let slot = &mut self.seg_events[self.fx.cancels[ci].cpu.0 as usize];
-            Self::cancel_seg_slot(&mut self.queue, slot);
-            ci += 1;
-        }
-        self.fx.cancels.clear();
-        for msg in self.fx.outbound.drain(..) {
-            let dst = msg.dst.node;
-            assert!(dst < self.nnodes, "message to nonexistent node {dst}");
-            self.messages_routed += 1;
-            self.bytes_routed += u64::from(msg.bytes);
-            let mut deliver_at = now + fabric.delay(&msg);
-            // Egress link: concurrent cross-node sends share the node's
-            // finite uplink, so a send issued while the link is still
-            // draining an earlier payload queues behind it. The wait is
-            // non-negative, so `deliver_at >= now + net_latency` still
-            // holds and the engine's lookahead is never shortened.
-            if dst != self.node {
-                if let Some(occ) = fabric.link_occupancy(msg.bytes) {
-                    let start = if self.egress_free_at > now {
-                        let wait = self.egress_free_at - now;
-                        self.link_waits += 1;
-                        self.link_wait_ns += wait.nanos();
-                        self.link_wait_hist[link_wait_bucket(wait)] += 1;
-                        deliver_at += wait;
-                        self.egress_free_at
-                    } else {
-                        now
-                    };
-                    self.egress_free_at = start + occ;
-                }
-            }
-            // FIFO clamp: fabric channels deliver in send order. A later
-            // (smaller) message may not overtake an earlier (larger) one
-            // still serializing on the same channel.
-            let floor = self.last_delivery.entry(dst).or_insert(SimTime::ZERO);
-            if deliver_at < *floor {
-                deliver_at = *floor;
-                self.fifo_clamps += 1;
-            }
-            *floor = deliver_at;
-            if dst == self.node {
-                self.queue
-                    .schedule(deliver_at, KernelEvent::Deliver { msg });
-            } else {
-                self.outbox.push(StagedMsg {
-                    deliver_at,
-                    src_node: self.node,
-                    seq: self.msg_seq,
-                    dst_node: dst,
-                    msg,
-                });
-                self.msg_seq += 1;
-            }
-        }
     }
 
     /// Apply ingress-link queueing to a staged cross-shard message and
@@ -376,20 +286,81 @@ impl Shard {
     /// register advances monotonically in that order, so every thread
     /// count observes identical queueing.
     fn accept_staged(&mut self, m: StagedMsg, fabric: &FabricModel) -> SimTime {
+        let r = &mut self.router;
         let mut deliver_at = m.deliver_at;
         if let Some(occ) = fabric.link_occupancy(m.msg.bytes) {
-            if self.ingress_free_at > deliver_at {
-                let wait = self.ingress_free_at - deliver_at;
-                self.link_waits += 1;
-                self.link_wait_ns += wait.nanos();
-                self.link_wait_hist[link_wait_bucket(wait)] += 1;
-                deliver_at = self.ingress_free_at;
+            if r.ingress_free_at > deliver_at {
+                r.record_wait(r.ingress_free_at - deliver_at);
+                deliver_at = r.ingress_free_at;
             }
-            self.ingress_free_at = deliver_at + occ;
+            r.ingress_free_at = deliver_at + occ;
         }
-        self.queue
-            .schedule(deliver_at, KernelEvent::Deliver { msg: m.msg });
+        self.node.deliver_at(deliver_at, m.msg);
         deliver_at
+    }
+}
+
+impl Router {
+    /// Count one message delayed `wait` behind a busy link.
+    fn record_wait(&mut self, wait: SimDur) {
+        self.link_waits += 1;
+        self.link_wait_ns += wait.nanos();
+        self.link_wait_hist[link_wait_bucket(wait)] += 1;
+    }
+
+    /// The node loop's route: price one outbound message on the fabric,
+    /// then return it for delivery on this node or stage it in the outbox
+    /// for the barrier merge.
+    fn send(
+        &mut self,
+        now: SimTime,
+        msg: Message,
+        fabric: &FabricModel,
+    ) -> Option<(SimTime, Message)> {
+        let dst = msg.dst.node;
+        assert!(dst < self.nnodes, "message to nonexistent node {dst}");
+        self.messages_routed += 1;
+        self.bytes_routed += u64::from(msg.bytes);
+        let mut deliver_at = now + fabric.delay(&msg);
+        // Egress link: concurrent cross-node sends share the node's
+        // finite uplink, so a send issued while the link is still
+        // draining an earlier payload queues behind it. The wait is
+        // non-negative, so `deliver_at >= now + net_latency` still
+        // holds and the engine's lookahead is never shortened.
+        if dst != self.node {
+            if let Some(occ) = fabric.link_occupancy(msg.bytes) {
+                let start = if self.egress_free_at > now {
+                    let wait = self.egress_free_at - now;
+                    self.record_wait(wait);
+                    deliver_at += wait;
+                    self.egress_free_at
+                } else {
+                    now
+                };
+                self.egress_free_at = start + occ;
+            }
+        }
+        // FIFO clamp: fabric channels deliver in send order. A later
+        // (smaller) message may not overtake an earlier (larger) one
+        // still serializing on the same channel.
+        let floor = self.last_delivery.entry(dst).or_insert(SimTime::ZERO);
+        if deliver_at < *floor {
+            deliver_at = *floor;
+            self.fifo_clamps += 1;
+        }
+        *floor = deliver_at;
+        if dst == self.node {
+            return Some((deliver_at, msg));
+        }
+        self.outbox.push(StagedMsg {
+            deliver_at,
+            src_node: self.node,
+            seq: self.msg_seq,
+            dst_node: dst,
+            msg,
+        });
+        self.msg_seq += 1;
+        None
     }
 }
 
@@ -679,31 +650,19 @@ impl ClusterSim {
                     SimDur::from_nanos(clock_rng.range(0, spec.skew_max.nanos()))
                 };
                 Shard {
-                    node: n,
-                    nnodes: spec.nodes,
-                    kernel: Kernel::new(
+                    node: NodeLoop::new(Kernel::new(
                         n,
                         spec.cpus_per_node,
                         spec.options,
                         ClockModel::with_offset(offset),
                         seeds.stream_at("cluster/kernel", u64::from(n), 0),
                         spec.trace_capacity,
-                    ),
-                    queue: EventQueue::new(),
-                    fx: Effects::new(),
-                    events_processed: 0,
-                    messages_routed: 0,
-                    bytes_routed: 0,
-                    fifo_clamps: 0,
-                    msg_seq: 0,
-                    last_delivery: HashMap::new(),
-                    outbox: Vec::new(),
-                    seg_events: vec![EventId::NONE; spec.cpus_per_node as usize],
-                    egress_free_at: SimTime::ZERO,
-                    ingress_free_at: SimTime::ZERO,
-                    link_waits: 0,
-                    link_wait_ns: 0,
-                    link_wait_hist: [0; LINK_WAIT_BUCKETS],
+                    )),
+                    router: Router {
+                        node: n,
+                        nnodes: spec.nodes,
+                        ..Router::default()
+                    },
                     busy_ns: 0,
                     busy_est: 0,
                 }
@@ -789,12 +748,12 @@ impl ClusterSim {
 
     /// Access a node's kernel (setup: spawning threads, enabling traces).
     pub fn kernel_mut(&mut self, node: u32) -> &mut Kernel {
-        &mut self.shards[node as usize].kernel
+        &mut self.shards[node as usize].node.kernel
     }
 
     /// Access a node's kernel read-only (post-run analysis).
     pub fn kernel(&self, node: u32) -> &Kernel {
-        &self.shards[node as usize].kernel
+        &self.shards[node as usize].node.kernel
     }
 
     /// Current global time.
@@ -818,10 +777,8 @@ impl ClusterSim {
         let sh = &mut self.shards[node as usize];
         // The shard clock may sit ahead of the global barrier time when a
         // prior `run_until` advanced it; never spawn into the past.
-        let at = self.now.max(sh.queue.now());
-        let tid = sh.kernel.spawn_at(at, spec, program, &mut sh.fx);
-        sh.drain_effects(at, &self.fabric);
-        tid
+        let at = self.now.max(sh.node.now());
+        sh.node.spawn_at(at, spec, program)
     }
 
     /// Inject a message at the current barrier time, as if sent by an
@@ -833,40 +790,40 @@ impl ClusterSim {
     pub fn inject_message(&mut self, msg: Message) {
         assert!(self.booted, "inject_message on an unbooted cluster");
         let sh = &mut self.shards[msg.dst.node as usize];
-        let at = self.now.max(sh.queue.now());
-        sh.queue.schedule(at, KernelEvent::Deliver { msg });
+        let at = self.now.max(sh.node.now());
+        sh.node.deliver_at(at, msg);
     }
 
     /// Total events processed across all shards.
     pub fn events_processed(&self) -> u64 {
-        self.shards.iter().map(|s| s.events_processed).sum()
+        self.shards.iter().map(|s| s.node.events_processed()).sum()
     }
 
     /// Messages routed over the fabric.
     pub fn messages_routed(&self) -> u64 {
-        self.shards.iter().map(|s| s.messages_routed).sum()
+        self.shards.iter().map(|s| s.router.messages_routed).sum()
     }
 
     /// Payload bytes routed over the fabric.
     pub fn bytes_routed(&self) -> u64 {
-        self.shards.iter().map(|s| s.bytes_routed).sum()
+        self.shards.iter().map(|s| s.router.bytes_routed).sum()
     }
 
     /// Deliveries delayed by the per-channel FIFO clamp (a later message
     /// would otherwise have overtaken an earlier one on the same channel).
     pub fn fifo_clamps(&self) -> u64 {
-        self.shards.iter().map(|s| s.fifo_clamps).sum()
+        self.shards.iter().map(|s| s.router.fifo_clamps).sum()
     }
 
     /// Messages delayed behind a busy ingress or egress link. Always zero
     /// in the unlimited (default) link mode.
     pub fn link_waits(&self) -> u64 {
-        self.shards.iter().map(|s| s.link_waits).sum()
+        self.shards.iter().map(|s| s.router.link_waits).sum()
     }
 
     /// Total link queueing delay across all messages, nanoseconds.
     pub fn link_wait_ns(&self) -> u64 {
-        self.shards.iter().map(|s| s.link_wait_ns).sum()
+        self.shards.iter().map(|s| s.router.link_wait_ns).sum()
     }
 
     /// One node's link contention: `(delayed messages, total queueing
@@ -874,8 +831,8 @@ impl ClusterSim {
     /// the ingress waits of messages arriving there. The per-node blame
     /// ranking reads this.
     pub fn link_wait_of(&self, node: u32) -> (u64, u64) {
-        let sh = &self.shards[node as usize];
-        (sh.link_waits, sh.link_wait_ns)
+        let r = &self.shards[node as usize].router;
+        (r.link_waits, r.link_wait_ns)
     }
 
     /// Link queueing-delay histogram, merged across shards; buckets are
@@ -883,7 +840,7 @@ impl ClusterSim {
     pub fn link_wait_hist(&self) -> [u64; LINK_WAIT_BUCKETS] {
         let mut total = [0u64; LINK_WAIT_BUCKETS];
         for sh in &self.shards {
-            for (t, &c) in total.iter_mut().zip(sh.link_wait_hist.iter()) {
+            for (t, &c) in total.iter_mut().zip(sh.router.link_wait_hist.iter()) {
                 *t += c;
             }
         }
@@ -899,7 +856,7 @@ impl ClusterSim {
     pub fn queue_stats(&self) -> QueueStats {
         let mut total = QueueStats::default();
         for sh in &self.shards {
-            total.absorb(sh.queue.stats());
+            total.absorb(sh.node.queue().stats());
         }
         total
     }
@@ -916,7 +873,7 @@ impl ClusterSim {
             } else {
                 SimDur::from_nanos(rng.range(0, residual_max.nanos()))
             };
-            sh.kernel.clock_mut().sync_to_switch(residual);
+            sh.node.kernel.clock_mut().sync_to_switch(residual);
             self.clock_resyncs += 1;
         }
     }
@@ -1004,7 +961,7 @@ impl ClusterSim {
                 self.shards.len()
             ));
         }
-        for (sh, ss) in self.shards.iter_mut().zip(snap.shards.iter()) {
+        for (sh, ss) in self.shards.iter_mut().zip(snap.shards) {
             sh.restore(ss)?;
         }
         self.now = snap.now;
@@ -1087,14 +1044,12 @@ impl ClusterSim {
     pub fn boot(&mut self) {
         assert!(!self.booted, "boot called twice");
         self.booted = true;
-        let now = self.now;
+        let fabric = self.fabric;
         let mut staged = Vec::new();
         for sh in &mut self.shards {
-            sh.kernel.boot(now, &mut sh.fx);
-            sh.drain_effects(now, &self.fabric);
-            staged.append(&mut sh.outbox);
+            sh.node.boot(|now, msg| sh.router.send(now, msg, &fabric));
+            staged.append(&mut sh.router.outbox);
         }
-        let fabric = self.fabric;
         Self::merge_outboxes(&mut staged, |m| {
             self.shards[m.dst_node as usize].accept_staged(m, &fabric);
         });
@@ -1102,7 +1057,7 @@ impl ClusterSim {
 
     /// Live application threads across the cluster.
     pub fn apps_alive(&self) -> usize {
-        self.shards.iter().map(|s| s.kernel.app_alive()).sum()
+        self.shards.iter().map(|s| s.node.kernel.app_alive()).sum()
     }
 
     /// Run until every application thread has exited or `horizon` passes.
@@ -1115,7 +1070,7 @@ impl ClusterSim {
         let end = self
             .shards
             .iter()
-            .map(|s| s.queue.now())
+            .map(|s| s.node.now())
             .max()
             .unwrap_or(self.now)
             .max(self.now);
@@ -1129,8 +1084,8 @@ impl ClusterSim {
     pub fn run_until(&mut self, horizon: SimTime) -> SimTime {
         self.run_windows(horizon, false);
         for sh in &mut self.shards {
-            let target = horizon.max(sh.queue.now());
-            sh.queue.advance_to(target);
+            let target = horizon.max(sh.node.now());
+            sh.node.advance_to(target);
         }
         self.now = self.now.max(horizon);
         self.now
@@ -1434,7 +1389,7 @@ impl WindowPool {
             .collect();
         let apps = shards
             .iter()
-            .map(|sh| AtomicUsize::new(sh.kernel.app_alive()))
+            .map(|sh| AtomicUsize::new(sh.node.kernel.app_alive()))
             .collect();
         WindowPool {
             shards: shards.into_iter().map(Mutex::new).collect(),
@@ -1554,7 +1509,7 @@ impl WindowPool {
             }
             let i = self.order[k].load(Ordering::Relaxed) as usize;
             let mut sh = lock(&self.shards[i]);
-            let node = sh.node;
+            let node = sh.router.node;
             let t0 = Instant::now();
             let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
                 sh.process_window(we, inclusive, &self.fabric);
@@ -1569,8 +1524,8 @@ impl WindowPool {
                 break;
             }
             self.next_ns[i].store(sh.next_event_ns(), Ordering::Relaxed);
-            self.apps[i].store(sh.kernel.app_alive(), Ordering::Relaxed);
-            report.staged.append(&mut sh.outbox);
+            self.apps[i].store(sh.node.kernel.app_alive(), Ordering::Relaxed);
+            report.staged.append(&mut sh.router.outbox);
             report.busy_ns += busy;
             sh.busy_ns = sh.busy_ns.saturating_add(busy);
             sh.busy_est = sh.busy_est - sh.busy_est / 4 + busy / 4;
@@ -1596,8 +1551,8 @@ impl Drop for ReleaseWorkers<'_> {
 mod tests {
     use super::*;
     use pa_kernel::{
-        Action, CpuId, Endpoint, Message, Prio, Script, SrcSel, TagSel, ThreadSpec, ThreadState,
-        Tid, WaitMode,
+        Action, CpuId, Endpoint, Message, PeriodicLoop, Prio, Script, SoloRunner, SrcSel, TagSel,
+        ThreadSpec, ThreadState, Tid, WaitMode,
     };
     use pa_trace::{HookMask, ThreadClass};
 
@@ -2288,6 +2243,32 @@ mod tests {
     }
 
     #[test]
+    fn restore_rejects_staged_outbox() {
+        // A barrier checkpoint never holds a staged message; one that
+        // does must be refused by name, not restored and left to trip an
+        // engine assert in the next run call.
+        let path = tmp_path("outbox");
+        let mut sim = two_node_cluster();
+        sim.boot();
+        sim.checkpoint(&path).expect("checkpoint");
+        let (mut snap, extras, _) = read_checkpoint_file(&path).expect("read");
+        snap.shards[0].outbox.push(StagedMsg {
+            deliver_at: SimTime::from_micros(50),
+            src_node: 0,
+            seq: 0,
+            dst_node: 1,
+            msg: msg(ep(0, 0), ep(1, 0), 1, 8),
+        });
+        write_checkpoint_file(&path, &snap, extras).expect("rewrite");
+        let mut fresh = two_node_cluster();
+        fresh.boot();
+        let err = fresh.restore(&path).unwrap_err();
+        assert!(err.contains("non-empty outbox"), "unexpected error: {err}");
+        assert_eq!(fresh.checkpoint_restores(), 0);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn restore_rejects_node_count_mismatch() {
         let path = tmp_path("shape");
         let mut sim = ring_sim(1);
@@ -2298,6 +2279,79 @@ mod tests {
         let err = small.restore(&path).unwrap_err();
         assert!(err.contains("nodes"), "unexpected error: {err}");
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Both kernel drivers run the same node loop: a 1-node cluster and
+    /// a `SoloRunner` over the same kernel (same RNG stream, no skew) and
+    /// a message-free workload with daemon preemption and voided segment
+    /// timers must produce the same history.
+    #[test]
+    fn one_node_cluster_matches_solo_runner() {
+        let spec = ClusterSpec {
+            nodes: 1,
+            cpus_per_node: 2,
+            options: SchedOptions::vanilla(),
+            skew_max: SimDur::ZERO,
+            trace_capacity: 1 << 14,
+            fabric: FabricModel::default(),
+        };
+        let seeds = SeedSpace::new(11);
+        let populate = |k: &mut Kernel| {
+            k.trace_mut().set_mask(HookMask::ALL);
+            k.spawn(
+                ThreadSpec::new("app0", ThreadClass::App, Prio::USER).on_cpu(CpuId(0)),
+                Box::new(Script::new(vec![Action::Compute(SimDur::from_millis(40))])),
+            );
+            k.spawn(
+                ThreadSpec::new("app1", ThreadClass::App, Prio::USER).on_cpu(CpuId(1)),
+                Box::new(Script::new(vec![
+                    Action::Compute(SimDur::from_millis(5)),
+                    Action::SleepUntil(SimTime::from_millis(20)),
+                    Action::Compute(SimDur::from_millis(15)),
+                ])),
+            );
+            for cpu in 0..2 {
+                k.spawn(
+                    ThreadSpec::new("syncd", ThreadClass::Daemon, Prio::DAEMON_OBSERVED)
+                        .on_cpu(CpuId(cpu)),
+                    Box::new(PeriodicLoop::new(
+                        SimDur::from_millis(10),
+                        SimDur::from_micros(500),
+                        SimDur::ZERO,
+                    )),
+                );
+            }
+        };
+        let horizon = SimTime::from_millis(60);
+
+        let mut sim = ClusterSim::build(&spec, &seeds);
+        populate(sim.kernel_mut(0));
+        sim.boot();
+        sim.run_until(horizon);
+
+        let mut k = Kernel::new(
+            0,
+            spec.cpus_per_node,
+            spec.options,
+            ClockModel::with_offset(SimDur::ZERO),
+            seeds.stream_at("cluster/kernel", 0, 0),
+            spec.trace_capacity,
+        );
+        populate(&mut k);
+        let mut solo = SoloRunner::new(k);
+        solo.boot();
+        solo.run_until(horizon);
+
+        let (ck, sk) = (sim.kernel(0), &solo.kernel);
+        assert!(ck.stats().preemptions > 0, "workload never preempted");
+        assert!(sim.queue_stats().cancelled > 0, "no segment timer voided");
+        assert_eq!(
+            ck.trace().events().copied().collect::<Vec<_>>(),
+            sk.trace().events().copied().collect::<Vec<_>>()
+        );
+        assert_eq!(ck.stats(), sk.stats());
+        assert_eq!(sim.events_processed(), solo.events_processed());
+        assert_eq!(sim.queue_stats(), solo.queue().stats());
     }
 
     /// A program that computes briefly, then panics — stands in for any

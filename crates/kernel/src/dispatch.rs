@@ -1,9 +1,10 @@
 //! Pluggable dispatcher policies over the shared ready-queue substrate.
 //!
-//! The kernel's mechanisms — per-CPU and global [`ReadyQueue`]s, tick
-//! notice points, IPI preemption, idle stealing — are policy-free: they
-//! order threads by an opaque [`DispatchKey`] and consult the active
-//! [`Dispatcher`] at each decision point. Three policies ship:
+//! The kernel's mechanisms — per-CPU and global
+//! [`ReadyQueue`](crate::runq::ReadyQueue)s, tick notice points, IPI
+//! preemption, idle stealing — are policy-free: they order threads by an
+//! opaque [`DispatchKey`] and consult the active [`Dispatcher`] at each
+//! decision point. Three policies ship:
 //!
 //! * [`DispatcherKind::Aix`] — the paper's 2003 semantics. Key = the
 //!   priority value, so strict priority dispatch with FIFO within a

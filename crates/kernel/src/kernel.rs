@@ -3,9 +3,10 @@
 //! One [`Kernel`] models one node of the cluster (e.g. a 16-way Power3 SP
 //! node). It owns the node's threads, per-CPU and global run queues, the
 //! tick machinery, the timer-callout queue, the I/O request path, and a
-//! trace buffer. It is driven externally: the cluster driver pops events
-//! from the global calendar and calls [`Kernel::handle`]; new events and
-//! outbound messages are returned through [`Effects`].
+//! trace buffer. It is driven externally, by the node event loop
+//! ([`NodeLoop`](crate::solo::NodeLoop)): the loop pops events from the
+//! node's calendar and hands each to the kernel, which returns new events
+//! and outbound messages through an effects buffer.
 //!
 //! ## Fidelity notes (mapping to the paper)
 //!
@@ -86,7 +87,8 @@ pub enum KernelEvent {
         /// Pseudo-tid of the handler.
         itid: Tid,
     },
-    /// Scheduler nudge after a post-boot spawn ([`Kernel::spawn_at`]): run
+    /// Scheduler nudge after a post-boot spawn
+    /// ([`NodeLoop::spawn_at`](crate::solo::NodeLoop::spawn_at)): run
     /// the dispatcher on `cpu` so a freshly Ready thread is picked up
     /// without waiting for the next tick. Unlike [`KernelEvent::Ipi`] this
     /// models no interrupt cost — job launch overhead is accounted by the
@@ -103,7 +105,7 @@ pub enum KernelEvent {
 /// of surfacing later as a no-op pop (the tombstone source in
 /// cancel-heavy co-scheduled runs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SegCancel {
+pub(crate) struct SegCancel {
     /// CPU whose outstanding segment timer is void.
     pub cpu: CpuId,
     /// Number of `Effects::schedule` entries already emitted when this
@@ -114,9 +116,9 @@ pub struct SegCancel {
     pub after: u32,
 }
 
-/// Side effects of handling one event, drained by the cluster driver.
+/// Side effects of handling one event, drained by the node loop.
 #[derive(Debug, Default)]
-pub struct Effects {
+pub(crate) struct Effects {
     /// Events to schedule for this same node (global time).
     pub schedule: Vec<(SimTime, KernelEvent)>,
     /// Messages leaving this thread context; the fabric routes them (both
@@ -128,21 +130,9 @@ pub struct Effects {
 }
 
 impl Effects {
-    /// Empty effects buffer.
-    pub fn new() -> Effects {
-        Effects::default()
-    }
-
-    /// Clear for reuse.
-    pub fn clear(&mut self) {
-        self.schedule.clear();
-        self.outbound.clear();
-        self.cancels.clear();
-    }
-
     /// Record that `cpu`'s in-flight segment timer is void, watermarked
     /// at the current position in `schedule`.
-    pub fn cancel_seg(&mut self, cpu: CpuId) {
+    pub(crate) fn cancel_seg(&mut self, cpu: CpuId) {
         self.cancels.push(SegCancel {
             cpu,
             after: self.schedule.len() as u32,
@@ -630,9 +620,9 @@ impl Kernel {
         &self.io_model
     }
 
-    /// Spawn a thread. Threads spawned before [`Kernel::boot`] start Ready;
-    /// for mid-run arrivals (the batch-queue layer's job launches) use
-    /// [`Kernel::spawn_at`] instead.
+    /// Spawn a thread. Threads spawned before boot start Ready; for
+    /// mid-run arrivals (the batch-queue layer's job launches) use
+    /// [`NodeLoop::spawn_at`](crate::solo::NodeLoop::spawn_at) instead.
     pub fn spawn(&mut self, spec: ThreadSpec, program: Box<dyn Program>) -> Tid {
         assert!(!self.booted, "spawn after boot: use spawn_at");
         self.spawn_inner(spec, program, SimTime::ZERO).0
@@ -645,7 +635,7 @@ impl Kernel {
     /// `now` must not precede any event already handled by this kernel;
     /// the cluster engine guarantees this by spawning only at window
     /// barriers.
-    pub fn spawn_at(
+    pub(crate) fn spawn_at(
         &mut self,
         now: SimTime,
         spec: ThreadSpec,
@@ -762,7 +752,7 @@ impl Kernel {
 
     /// Boot the node at `now`: schedules first ticks and interrupt
     /// arrivals, then fills every CPU from the ready queues.
-    pub fn boot(&mut self, now: SimTime, fx: &mut Effects) {
+    pub(crate) fn boot(&mut self, now: SimTime, fx: &mut Effects) {
         assert!(!self.booted, "boot called twice");
         self.booted = true;
         let period = self.opts.tick_period();
@@ -906,7 +896,7 @@ impl Kernel {
     // ------------------------------------------------------------------
 
     /// Handle one event at global time `now`.
-    pub fn handle(&mut self, now: SimTime, ev: KernelEvent, fx: &mut Effects) {
+    pub(crate) fn handle(&mut self, now: SimTime, ev: KernelEvent, fx: &mut Effects) {
         debug_assert!(self.booted, "events before boot");
         match ev {
             KernelEvent::Tick { cpu } => self.on_tick(cpu, now, fx),
@@ -1690,7 +1680,7 @@ impl Kernel {
 
     /// Change a thread's priority (the co-scheduler's lever), triggering
     /// forward or reverse preemption handling as configured.
-    pub fn set_priority(&mut self, target: Tid, prio: Prio, now: SimTime, fx: &mut Effects) {
+    pub(crate) fn set_priority(&mut self, target: Tid, prio: Prio, now: SimTime, fx: &mut Effects) {
         let old = self.threads[target.0 as usize].prio;
         if old == prio {
             return;
@@ -1743,12 +1733,6 @@ impl Kernel {
             }
             ThreadState::Blocked | ThreadState::Exited => {}
         }
-    }
-
-    /// Deliver a message directly (test convenience; the cluster driver
-    /// normally schedules `KernelEvent::Deliver`).
-    pub fn deliver_now(&mut self, msg: Message, now: SimTime, fx: &mut Effects) {
-        self.on_deliver(msg, now, fx);
     }
 
     // ------------------------------------------------------------------

@@ -41,14 +41,14 @@ pub use dispatch::{make_dispatcher, prio_to_weight, Dispatcher};
 pub use interrupts::InterruptSourceSpec;
 pub use io::{IoRequest, IoServiceModel};
 pub use kernel::{
-    prio_band, Effects, Kernel, KernelEvent, KernelSnapshot, KernelStats, SegCancel, ThreadAccount,
-    ThreadSpec, UsageRow, RUNQ_BANDS,
+    prio_band, Kernel, KernelEvent, KernelSnapshot, KernelStats, ThreadAccount, ThreadSpec,
+    UsageRow, RUNQ_BANDS,
 };
 pub use msg::{Endpoint, Mailbox, Message, SrcSel, TagSel};
 pub use options::{CostModel, SchedOptions};
 pub use program::{Action, PeriodicLoop, Program, Script, StepCtx, WaitMode};
 pub use runq::{DispatchKey, ReadyQueue};
-pub use solo::{seg_slots_of, SoloRunner};
+pub use solo::{NodeLoop, NodeSnap, Route, SoloRunner};
 pub use types::TickAlign;
 pub use types::{
     CpuId, DaemonQueuePolicy, DispatcherKind, PreemptMode, Prio, QueueDiscipline, ThreadState, Tid,
@@ -57,6 +57,7 @@ pub use types::{
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::Effects;
     use pa_simkit::{SimDur, SimRng, SimTime};
     use pa_trace::{HookId, HookMask, ThreadClass};
 
@@ -248,7 +249,7 @@ mod tests {
             let mut r = SoloRunner::new(k);
             r.boot();
             r.run_until(SimTime::from_millis(2));
-            let mut fx = Effects::new();
+            let mut fx = Effects::default();
             r.kernel
                 .set_priority(a, Prio::UNFAVORED, SimTime::from_millis(2), &mut fx);
             // Feed any scheduled IPIs through the kernel at their time.
@@ -256,13 +257,13 @@ mod tests {
             pending.sort_by_key(|(t, _)| *t);
             for (t, ev) in pending {
                 r.run_until(t);
-                let mut fx2 = Effects::new();
+                let mut fx2 = Effects::default();
                 r.kernel.handle(t, ev, &mut fx2);
                 for (t2, ev2) in fx2.schedule {
                     // Only SegEnd rescheduling for the preempted thread can
                     // appear; replay it inline as well.
                     r.run_until(t2);
-                    let mut fx3 = Effects::new();
+                    let mut fx3 = Effects::default();
                     r.kernel.handle(t2, ev2, &mut fx3);
                     assert!(fx3.schedule.iter().all(|(t3, _)| *t3 > t2));
                 }
@@ -404,23 +405,24 @@ mod tests {
         let mut r = SoloRunner::new(k);
         r.boot();
         r.run_until(SimTime::from_millis(1));
-        let mut fx = Effects::new();
-        r.kernel.deliver_now(
-            Message {
-                src: Endpoint {
-                    node: 0,
-                    tid: Tid(50),
-                },
-                dst: Endpoint {
-                    node: 0,
-                    tid: Tid(0),
-                },
-                tag: 7,
-                bytes: 8,
-                sent_at: SimTime::from_millis(1),
-                payload: 0,
+        let mut fx = Effects::default();
+        let msg = Message {
+            src: Endpoint {
+                node: 0,
+                tid: Tid(50),
             },
+            dst: Endpoint {
+                node: 0,
+                tid: Tid(0),
+            },
+            tag: 7,
+            bytes: 8,
+            sent_at: SimTime::from_millis(1),
+            payload: 0,
+        };
+        r.kernel.handle(
             SimTime::from_millis(1),
+            KernelEvent::Deliver { msg },
             &mut fx,
         );
         // PollNotice scheduled shortly after delivery.
@@ -576,7 +578,7 @@ mod tests {
         r.boot();
         r.run_until(SimTime::from_millis(1));
         assert_eq!(r.kernel.thread_prio(waiter), Prio::USER);
-        let mut fx = Effects::new();
+        let mut fx = Effects::default();
         r.kernel
             .set_priority(waiter, Prio::FAVORED, SimTime::from_millis(1), &mut fx);
         assert_eq!(r.kernel.thread_prio(waiter), Prio::FAVORED);
@@ -672,24 +674,12 @@ mod tests {
         // freshly assembled node via a JSON round trip, and continue.
         let mut b = assemble();
         b.run_until(SimTime::from_millis(55));
-        let snap = b.kernel.snapshot();
-        let json = snap.to_value().to_json_string();
-        let q_events: Vec<(SimTime, u64, KernelEvent)> = b
-            .queue()
-            .live_entries()
-            .into_iter()
-            .map(|(t, id, ev)| (t, id, ev.clone()))
-            .collect();
-        let (q_now, q_next, q_stats) =
-            (b.queue().now(), b.queue().next_id_raw(), b.queue().stats());
+        let mut snap = b.capture();
+        let json = snap.kernel.to_value().to_json_string();
+        snap.kernel = KernelSnapshot::from_value(&serde_json::parse(&json).unwrap()).unwrap();
 
         let mut c = assemble();
-        let back = KernelSnapshot::from_value(&serde_json::parse(&json).unwrap()).unwrap();
-        c.kernel.restore(&back).unwrap();
-        c.restore_queue(
-            pa_simkit::EventQueue::from_parts(q_now, q_next, q_stats, q_events).unwrap(),
-            b.events_processed(),
-        );
+        c.restore(snap).unwrap();
         c.run_until(horizon);
 
         let c_trace: Vec<_> = c.kernel.trace().events().copied().collect();
@@ -861,25 +851,13 @@ mod tests {
             let mut b = SoloRunner::new(assemble());
             b.boot();
             b.run_until(SimTime::from_millis(4));
-            let snap = b.kernel.snapshot();
-            let q_events: Vec<(SimTime, u64, KernelEvent)> = b
-                .queue()
-                .live_entries()
-                .into_iter()
-                .map(|(t, id, ev)| (t, id, ev.clone()))
-                .collect();
-            let (q_now, q_next, q_stats) =
-                (b.queue().now(), b.queue().next_id_raw(), b.queue().stats());
+            let snap = b.capture();
 
             let mut c = SoloRunner::new(assemble());
             c.boot();
-            c.kernel.restore(&snap).unwrap_or_else(|e| {
+            c.restore(snap).unwrap_or_else(|e| {
                 panic!("{kind:?} snapshot failed to restore: {e}");
             });
-            c.restore_queue(
-                pa_simkit::EventQueue::from_parts(q_now, q_next, q_stats, q_events).unwrap(),
-                b.events_processed(),
-            );
             c.run_until(horizon);
             let c_trace: Vec<_> = c.kernel.trace().events().copied().collect();
             assert_eq!(c_trace, a_trace, "{kind:?} diverged after restore");
@@ -896,23 +874,20 @@ mod tests {
         let mut r = SoloRunner::new(k);
         r.boot();
         r.run_until_apps_done(SimTime::from_secs(1));
-        let mut fx = Effects::new();
+        let mut fx = Effects::default();
         let now = r.now();
-        r.kernel.deliver_now(
-            Message {
-                src: Endpoint {
-                    node: 0,
-                    tid: Tid(9),
-                },
-                dst: Endpoint { node: 0, tid: t },
-                tag: 1,
-                bytes: 8,
-                sent_at: now,
-                payload: 0,
+        let msg = Message {
+            src: Endpoint {
+                node: 0,
+                tid: Tid(9),
             },
-            now,
-            &mut fx,
-        );
+            dst: Endpoint { node: 0, tid: t },
+            tag: 1,
+            bytes: 8,
+            sent_at: now,
+            payload: 0,
+        };
+        r.kernel.handle(now, KernelEvent::Deliver { msg }, &mut fx);
         assert!(fx.schedule.is_empty(), "no events for a dead thread");
     }
 }

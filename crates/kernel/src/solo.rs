@@ -1,43 +1,78 @@
-//! Single-node driver.
+//! The node event loop.
 //!
-//! Runs one [`Kernel`] standalone with an immediate-loopback "fabric"
-//! (all messages are node-local with a fixed shared-memory latency).
-//! Used for kernel/noise unit tests and single-node experiments; the
-//! multi-node driver lives in `pa-cluster`.
+//! [`NodeLoop`] is the one driver of a [`Kernel`]: it owns the kernel's
+//! event calendar, effects buffer, per-CPU outstanding-`SegEnd` slots and
+//! event counter, and runs pop → handle → schedule and cancel → [`Route`]
+//! each outbound message. [`SoloRunner`] is a node loop with a loopback
+//! route, for single-node experiments and the kernel, noise and MPI unit
+//! tests; `pa-cluster`'s shard embeds a node loop and adds only fabric
+//! routing.
 
-use crate::kernel::{Effects, Kernel, KernelEvent};
-use pa_simkit::{EventId, EventQueue, SimDur, SimTime};
+use crate::kernel::{Effects, Kernel, KernelEvent, KernelSnapshot, ThreadSpec};
+use crate::msg::Message;
+use crate::program::Program;
+use crate::types::Tid;
+use pa_simkit::{EventId, EventQueue, QueueStats, SimDur, SimTime};
+use std::ops::{Deref, DerefMut};
 
-/// Drives one kernel to completion or a time horizon.
-pub struct SoloRunner {
+/// Loopback latency of [`SoloRunner`]. Not the cluster fabric's node-local
+/// delay (3 µs plus size over bandwidth): `oversub` and `tab_overhead`
+/// were calibrated on this single-node model.
+const SHM_LATENCY: SimDur = SimDur::from_nanos(2_000);
+
+/// Everything a [`NodeLoop`] mutates after boot, for checkpoints: the
+/// kernel state plus the calendar's clock, id counter, statistics and
+/// live entries.
+#[derive(Debug)]
+pub struct NodeSnap {
+    /// Calendar clock.
+    pub queue_now: SimTime,
+    /// Next event id the calendar assigns.
+    pub queue_next_id: u64,
+    /// Calendar statistics.
+    pub queue_stats: QueueStats,
+    /// Live calendar entries as `(time, id, event)`.
+    pub queue_entries: Vec<(SimTime, u64, KernelEvent)>,
+    /// Kernel state.
+    pub kernel: KernelSnapshot,
+    /// Events handled so far.
+    pub events_processed: u64,
+}
+
+/// Where a node loop sends each outbound message: `route(now, msg)`
+/// returns `Some((deliver_at, msg))` to deliver it on this node, or `None`
+/// when it took the message off the node.
+pub trait Route: FnMut(SimTime, Message) -> Option<(SimTime, Message)> {}
+
+impl<F: FnMut(SimTime, Message) -> Option<(SimTime, Message)>> Route for F {}
+
+/// Drives one kernel through its event calendar (see the module docs).
+pub struct NodeLoop {
     /// The node kernel.
     pub kernel: Kernel,
     queue: EventQueue<KernelEvent>,
     fx: Effects,
-    /// Loopback latency applied to node-local messages.
-    pub shm_latency: SimDur,
-    events_processed: u64,
     /// Outstanding `SegEnd` calendar entry per CPU ([`EventId::NONE`]
     /// when none), so kernel-voided segment timers are cancelled out of
     /// the calendar instead of surfacing as stale pops.
     seg_events: Vec<EventId>,
+    events_processed: u64,
 }
 
-impl SoloRunner {
+impl NodeLoop {
     /// Wrap a kernel (not yet booted).
-    pub fn new(kernel: Kernel) -> SoloRunner {
+    pub fn new(kernel: Kernel) -> NodeLoop {
         let ncpus = kernel.ncpus() as usize;
-        SoloRunner {
+        NodeLoop {
             kernel,
             queue: EventQueue::new(),
-            fx: Effects::new(),
-            shm_latency: SimDur::from_micros(2),
-            events_processed: 0,
+            fx: Effects::default(),
             seg_events: vec![EventId::NONE; ncpus],
+            events_processed: 0,
         }
     }
 
-    /// Current simulation time.
+    /// Current simulation time: the calendar clock.
     pub fn now(&self) -> SimTime {
         self.queue.now()
     }
@@ -47,34 +82,78 @@ impl SoloRunner {
         self.events_processed
     }
 
-    /// The pending event calendar (checkpoint capture).
+    /// The pending event calendar.
     pub fn queue(&self) -> &EventQueue<KernelEvent> {
         &self.queue
     }
 
-    /// Replace the event calendar and event counter (checkpoint restore).
-    /// The per-CPU outstanding-`SegEnd` slots are rebuilt from the
-    /// queue's live entries — with true cancellation at most one is live
-    /// per CPU at any event boundary.
-    pub fn restore_queue(&mut self, queue: EventQueue<KernelEvent>, events_processed: u64) {
-        self.seg_events = seg_slots_of(&queue, self.kernel.ncpus() as usize);
-        self.queue = queue;
-        self.events_processed = events_processed;
+    /// Move the calendar clock forward to `t` without handling anything.
+    pub fn advance_to(&mut self, t: SimTime) {
+        self.queue.advance_to(t);
     }
 
-    fn drain_effects(&mut self) {
+    /// Schedule the arrival of `msg` at this node at `at`.
+    pub fn deliver_at(&mut self, at: SimTime, msg: Message) {
+        self.queue.schedule(at, KernelEvent::Deliver { msg });
+    }
+
+    /// Boot the kernel at the current time.
+    pub fn boot(&mut self, mut route: impl Route) {
         let now = self.queue.now();
-        let node = self.kernel.node_id();
+        self.kernel.boot(now, &mut self.fx);
+        self.drain(now, &mut route);
+    }
+
+    /// Spawn a thread on the booted kernel at `at` (see
+    /// [`Kernel::spawn`] for threads present at boot).
+    pub fn spawn_at(&mut self, at: SimTime, spec: ThreadSpec, program: Box<dyn Program>) -> Tid {
+        let tid = self.kernel.spawn_at(at, spec, program, &mut self.fx);
+        self.drain(at, &mut |_, _| unreachable!("a spawn sends no message"));
+        tid
+    }
+
+    /// Handle every pending event before `end`, or up to and including
+    /// it when `inclusive`. With `until_apps_done` the loop also stops as
+    /// soon as no application thread is alive.
+    pub fn run(
+        &mut self,
+        end: SimTime,
+        inclusive: bool,
+        until_apps_done: bool,
+        mut route: impl Route,
+    ) {
+        while let Some(t) = self.queue.peek_time() {
+            if t > end || (t == end && !inclusive) {
+                break;
+            }
+            if until_apps_done && self.kernel.app_alive() == 0 {
+                break;
+            }
+            let (now, ev) = self.queue.pop().expect("peeked event vanished");
+            if let KernelEvent::SegEnd { cpu, .. } = ev {
+                self.seg_events[cpu.0 as usize] = EventId::NONE;
+            }
+            self.events_processed += 1;
+            self.kernel.handle(now, ev, &mut self.fx);
+            self.drain(now, &mut route);
+        }
+    }
+
+    /// Move one handler's effects into the calendar, then route its
+    /// outbound messages in send order. Voided segment timers are
+    /// cancelled interleaved with the schedules in program order: a
+    /// handler may void a CPU's timer and then arm a new one for the same
+    /// CPU, and each cancel's watermark says how many schedule entries
+    /// precede it. Keeping the original schedule order also keeps
+    /// event-id assignment (and therefore FIFO tie-breaks) identical to
+    /// an engine that never cancels.
+    fn drain(&mut self, now: SimTime, route: &mut impl Route) {
         let Self {
             queue,
             fx,
             seg_events,
             ..
         } = self;
-        // Interleave voided-segment cancels with schedules in program
-        // order (a handler may cancel a CPU's timer and then arm a new
-        // one); the watermark says how many schedule entries precede
-        // each cancel.
         let mut ci = 0;
         for (idx, (t, ev)) in fx.schedule.drain(..).enumerate() {
             while ci < fx.cancels.len() && (fx.cancels[ci].after as usize) <= idx {
@@ -90,67 +169,56 @@ impl SoloRunner {
                 seg_events[c] = id;
             }
         }
-        while ci < fx.cancels.len() {
-            cancel_slot(queue, &mut seg_events[fx.cancels[ci].cpu.0 as usize]);
-            ci += 1;
+        for c in &fx.cancels[ci..] {
+            cancel_slot(queue, &mut seg_events[c.cpu.0 as usize]);
         }
         fx.cancels.clear();
         for msg in fx.outbound.drain(..) {
-            assert_eq!(
-                msg.dst.node, node,
-                "SoloRunner cannot route cross-node messages"
-            );
-            queue.schedule(now + self.shm_latency, KernelEvent::Deliver { msg });
-        }
-    }
-
-    fn pop_event(&mut self) -> (SimTime, KernelEvent) {
-        let (now, ev) = self.queue.pop().expect("peeked event vanished");
-        if let KernelEvent::SegEnd { cpu, .. } = ev {
-            self.seg_events[cpu.0 as usize] = EventId::NONE;
-        }
-        (now, ev)
-    }
-
-    /// Boot the kernel at the current time.
-    pub fn boot(&mut self) {
-        let now = self.queue.now();
-        self.kernel.boot(now, &mut self.fx);
-        self.drain_effects();
-    }
-
-    /// Run until all application threads exit or `horizon` passes.
-    /// Returns the stop time.
-    pub fn run_until_apps_done(&mut self, horizon: SimTime) -> SimTime {
-        loop {
-            if self.kernel.app_alive() == 0 {
-                return self.queue.now();
+            if let Some((at, msg)) = route(now, msg) {
+                queue.schedule(at, KernelEvent::Deliver { msg });
             }
-            let Some(t) = self.queue.peek_time() else {
-                return self.queue.now();
-            };
-            if t > horizon {
-                return self.queue.now();
-            }
-            let (now, ev) = self.pop_event();
-            self.events_processed += 1;
-            self.kernel.handle(now, ev, &mut self.fx);
-            self.drain_effects();
         }
     }
 
-    /// Run until `horizon` regardless of application state.
-    pub fn run_until(&mut self, horizon: SimTime) -> SimTime {
-        while let Some(t) = self.queue.peek_time() {
-            if t > horizon {
-                break;
-            }
-            let (now, ev) = self.pop_event();
-            self.events_processed += 1;
-            self.kernel.handle(now, ev, &mut self.fx);
-            self.drain_effects();
+    /// Capture the kernel and calendar (checkpoint).
+    pub fn capture(&self) -> NodeSnap {
+        NodeSnap {
+            queue_now: self.queue.now(),
+            queue_next_id: self.queue.next_id_raw(),
+            queue_stats: self.queue.stats(),
+            queue_entries: self
+                .queue
+                .live_entries()
+                .into_iter()
+                .map(|(t, id, ev)| (t, id, ev.clone()))
+                .collect(),
+            kernel: self.kernel.snapshot(),
+            events_processed: self.events_processed,
         }
-        horizon
+    }
+
+    /// Overlay a captured state onto this freshly assembled, booted node.
+    /// The per-CPU outstanding-`SegEnd` slots are derived state: with true
+    /// cancellation at most one `SegEnd` per CPU is live at any event
+    /// boundary, so the restored calendar names them all.
+    pub fn restore(&mut self, snap: NodeSnap) -> Result<(), String> {
+        self.kernel.restore(&snap.kernel)?;
+        self.queue = EventQueue::from_parts(
+            snap.queue_now,
+            snap.queue_next_id,
+            snap.queue_stats,
+            snap.queue_entries,
+        )?;
+        self.seg_events.fill(EventId::NONE);
+        for (_, id, ev) in self.queue.live_entries() {
+            if let KernelEvent::SegEnd { cpu, .. } = ev {
+                let slot = &mut self.seg_events[cpu.0 as usize];
+                debug_assert_eq!(*slot, EventId::NONE, "two live SegEnds on cpu {}", cpu.0);
+                *slot = EventId::from_raw(id);
+            }
+        }
+        self.events_processed = snap.events_processed;
+        Ok(())
     }
 }
 
@@ -162,23 +230,57 @@ fn cancel_slot(queue: &mut EventQueue<KernelEvent>, slot: &mut EventId) {
     }
 }
 
-/// Rebuild per-CPU outstanding-`SegEnd` slots from a calendar's live
-/// entries (checkpoint restore). True cancellation guarantees at most
-/// one live `SegEnd` per CPU at any event boundary. Shared by every
-/// kernel driver that restores a calendar (`SoloRunner` here, the
-/// sharded cluster engine in `pa-cluster`).
-pub fn seg_slots_of(queue: &EventQueue<KernelEvent>, ncpus: usize) -> Vec<EventId> {
-    let mut slots = vec![EventId::NONE; ncpus];
-    for (_, id, ev) in queue.live_entries() {
-        if let KernelEvent::SegEnd { cpu, .. } = ev {
-            debug_assert_eq!(
-                slots[cpu.0 as usize],
-                EventId::NONE,
-                "two live SegEnd entries for cpu {}",
-                cpu.0
-            );
-            slots[cpu.0 as usize] = EventId::from_raw(id);
-        }
+/// A [`NodeLoop`] whose route is a loopback: every message is node-local
+/// and arrives 2 µs after it is sent. Dereferences to its node loop.
+pub struct SoloRunner(NodeLoop);
+
+impl SoloRunner {
+    /// Wrap a kernel (not yet booted).
+    pub fn new(kernel: Kernel) -> SoloRunner {
+        SoloRunner(NodeLoop::new(kernel))
     }
-    slots
+
+    /// Boot the kernel at the current time.
+    pub fn boot(&mut self) {
+        self.0.boot(loopback(self.kernel.node_id()));
+    }
+
+    /// Run until all application threads exit or `horizon` passes.
+    /// Returns the stop time.
+    pub fn run_until_apps_done(&mut self, horizon: SimTime) -> SimTime {
+        self.0
+            .run(horizon, true, true, loopback(self.kernel.node_id()));
+        self.now()
+    }
+
+    /// Run until `horizon` regardless of application state.
+    pub fn run_until(&mut self, horizon: SimTime) -> SimTime {
+        self.0
+            .run(horizon, true, false, loopback(self.kernel.node_id()));
+        horizon
+    }
+}
+
+fn loopback(node: u32) -> impl Route {
+    move |now, msg: Message| {
+        assert!(
+            msg.dst.node == node,
+            "SoloRunner cannot route cross-node messages"
+        );
+        Some((now + SHM_LATENCY, msg))
+    }
+}
+
+impl Deref for SoloRunner {
+    type Target = NodeLoop;
+
+    fn deref(&self) -> &NodeLoop {
+        &self.0
+    }
+}
+
+impl DerefMut for SoloRunner {
+    fn deref_mut(&mut self) -> &mut NodeLoop {
+        &mut self.0
+    }
 }
