@@ -32,7 +32,6 @@ use pa_simkit::{sha256_hex, QueueStats, SeedSpace, SimDur, SimTime};
 use serde::value::Value;
 use serde::{Deserialize, Serialize};
 use std::any::Any;
-use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -124,8 +123,11 @@ struct Router {
     /// forms the deterministic tie-break of the barrier merge.
     msg_seq: u64,
     /// Per-destination FIFO floor: the latest delivery time already
-    /// promised on the `(this node → dst)` channel.
-    last_delivery: HashMap<u32, SimTime>,
+    /// promised on the `(this node → dst)` channel, as pairs sorted by
+    /// `dst` (the checkpoint's own encoding). A node talks to few peers,
+    /// so a binary search beats hashing, and memory stays proportional to
+    /// the peers rather than to the machine.
+    last_delivery: Vec<(u32, SimTime)>,
     /// Cross-shard messages staged during the current window.
     outbox: Vec<StagedMsg>,
     /// Busy-until register of this node's egress link. Advanced at send,
@@ -204,9 +206,6 @@ impl Shard {
             events_processed,
         } = self.node.capture();
         let r = &self.router;
-        let mut last_delivery: Vec<(u32, SimTime)> =
-            r.last_delivery.iter().map(|(&n, &t)| (n, t)).collect();
-        last_delivery.sort_by_key(|&(n, _)| n);
         ShardSnap {
             node: r.node,
             queue_now,
@@ -219,7 +218,7 @@ impl Shard {
             bytes_routed: r.bytes_routed,
             fifo_clamps: r.fifo_clamps,
             msg_seq: r.msg_seq,
-            last_delivery,
+            last_delivery: r.last_delivery.clone(),
             outbox: r.outbox.clone(),
             egress_free_at: r.egress_free_at,
             ingress_free_at: r.ingress_free_at,
@@ -256,6 +255,22 @@ impl Shard {
                 snap.outbox.len()
             ));
         }
+        if let Some(&(dst, _)) = snap.last_delivery.iter().find(|&&(n, _)| n >= r.nnodes) {
+            return Err(format!(
+                "node {}: FIFO floor for nonexistent node {dst}",
+                r.node
+            ));
+        }
+        if let Some(w) = snap.last_delivery.windows(2).find(|w| w[0].0 >= w[1].0) {
+            return Err(if w[0].0 == w[1].0 {
+                format!("node {}: duplicate FIFO floor for node {}", r.node, w[0].0)
+            } else {
+                format!(
+                    "node {}: FIFO floors out of node order: node {} after node {}",
+                    r.node, w[1].0, w[0].0
+                )
+            });
+        }
         self.node
             .restore(NodeSnap {
                 queue_now: snap.queue_now,
@@ -270,7 +285,7 @@ impl Shard {
         r.bytes_routed = snap.bytes_routed;
         r.fifo_clamps = snap.fifo_clamps;
         r.msg_seq = snap.msg_seq;
-        r.last_delivery = snap.last_delivery.into_iter().collect();
+        r.last_delivery = snap.last_delivery;
         r.egress_free_at = snap.egress_free_at;
         r.ingress_free_at = snap.ingress_free_at;
         r.link_waits = snap.link_waits;
@@ -343,7 +358,14 @@ impl Router {
         // FIFO clamp: fabric channels deliver in send order. A later
         // (smaller) message may not overtake an earlier (larger) one
         // still serializing on the same channel.
-        let floor = self.last_delivery.entry(dst).or_insert(SimTime::ZERO);
+        let i = match self.last_delivery.binary_search_by_key(&dst, |&(n, _)| n) {
+            Ok(i) => i,
+            Err(i) => {
+                self.last_delivery.insert(i, (dst, SimTime::ZERO));
+                i
+            }
+        };
+        let floor = &mut self.last_delivery[i].1;
         if deliver_at < *floor {
             deliver_at = *floor;
             self.fifo_clamps += 1;
@@ -2247,25 +2269,118 @@ mod tests {
         // A barrier checkpoint never holds a staged message; one that
         // does must be refused by name, not restored and left to trip an
         // engine assert in the next run call.
-        let path = tmp_path("outbox");
+        let err = restore_edited("outbox", |snap| {
+            snap.shards[0].outbox.push(StagedMsg {
+                deliver_at: SimTime::from_micros(150),
+                src_node: 0,
+                seq: 0,
+                dst_node: 1,
+                msg: msg(ep(0, 0), ep(1, 0), 1, 8),
+            })
+        })
+        .unwrap_err();
+        assert!(err.contains("non-empty outbox"), "unexpected error: {err}");
+    }
+
+    /// A booted 2-node, 2-cpu cluster with one 5 ms compute segment on
+    /// node 0's cpu 0.
+    fn one_segment_cluster() -> ClusterSim {
         let mut sim = two_node_cluster();
+        sim.kernel_mut(0).spawn(
+            ThreadSpec::new("app", ThreadClass::App, Prio::USER).on_cpu(CpuId(0)),
+            Box::new(Script::new(vec![Action::Compute(SimDur::from_millis(5))])),
+        );
         sim.boot();
+        sim
+    }
+
+    /// Checkpoint [`one_segment_cluster`] mid-segment, so node 0's
+    /// calendar holds cpu 0's `SegEnd`; rewrite the checkpoint as `edit`
+    /// leaves it, re-hashed so it passes the integrity check; and restore
+    /// it into a fresh copy of the cluster.
+    fn restore_edited(name: &str, edit: impl FnOnce(&mut ClusterSnap)) -> Result<(), String> {
+        let path = tmp_path(name);
+        let mut sim = one_segment_cluster();
+        sim.run_until(SimTime::from_micros(100));
         sim.checkpoint(&path).expect("checkpoint");
         let (mut snap, extras, _) = read_checkpoint_file(&path).expect("read");
-        snap.shards[0].outbox.push(StagedMsg {
-            deliver_at: SimTime::from_micros(50),
-            src_node: 0,
-            seq: 0,
-            dst_node: 1,
-            msg: msg(ep(0, 0), ep(1, 0), 1, 8),
-        });
+        edit(&mut snap);
         write_checkpoint_file(&path, &snap, extras).expect("rewrite");
-        let mut fresh = two_node_cluster();
-        fresh.boot();
-        let err = fresh.restore(&path).unwrap_err();
-        assert!(err.contains("non-empty outbox"), "unexpected error: {err}");
-        assert_eq!(fresh.checkpoint_restores(), 0);
+        let mut fresh = one_segment_cluster();
+        let r = fresh.restore(&path);
+        if r.is_err() {
+            assert_eq!(fresh.checkpoint_restores(), 0);
+        }
         let _ = std::fs::remove_file(&path);
+        r
+    }
+
+    #[test]
+    fn restore_rejects_bad_segment_timers() {
+        // Each CPU has at most one live `SegEnd`, armed in its timer
+        // slot. A second one for the same CPU, or one naming a CPU the
+        // node does not have, must be refused by name: a release build
+        // would otherwise keep an entry nothing can cancel, or panic.
+        let seg_end = |snap: &ClusterSnap| {
+            let entries = &snap.shards[0].queue_entries;
+            let seg = entries
+                .iter()
+                .find(|(_, _, ev)| matches!(ev, KernelEvent::SegEnd { .. }));
+            seg.cloned().expect("node 0 is mid-segment")
+        };
+        assert_eq!(restore_edited("seg-ok", |_| {}), Ok(()));
+
+        let err = restore_edited("seg-twice", |snap| {
+            let (t, _, ev) = seg_end(snap);
+            let shard = &mut snap.shards[0];
+            shard.queue_entries.push((t, shard.queue_next_id, ev));
+            shard.queue_next_id += 1;
+        })
+        .unwrap_err();
+        assert!(
+            err.contains("node 0") && err.contains("timer 0 holds two pending events"),
+            "unexpected error: {err}"
+        );
+
+        let err = restore_edited("seg-cpu", |snap| {
+            let (t, id, _) = seg_end(snap);
+            let shard = &mut snap.shards[0];
+            shard.queue_entries.retain(|&(_, i, _)| i != id);
+            let ev = KernelEvent::SegEnd {
+                cpu: CpuId(7),
+                token: 0,
+            };
+            shard.queue_entries.push((t, id, ev));
+        })
+        .unwrap_err();
+        assert!(
+            err.contains("node 0") && err.contains("timer 7 out of range"),
+            "unexpected error: {err}"
+        );
+    }
+
+    #[test]
+    fn restore_rejects_bad_fifo_floors() {
+        // FIFO floors are a node-sorted pair list; restore moves it in as
+        // is, so an unsorted, duplicated or out-of-range node is refused.
+        let t = SimTime::from_micros(10);
+        for (floors, want) in [
+            (
+                vec![(1, t), (0, t)],
+                "FIFO floors out of node order: node 0 after node 1",
+            ),
+            (vec![(1, t), (1, t)], "duplicate FIFO floor for node 1"),
+            (vec![(0, t), (2, t)], "FIFO floor for nonexistent node 2"),
+        ] {
+            let err =
+                restore_edited("floors", |snap| snap.shards[0].last_delivery = floors).unwrap_err();
+            assert!(err.contains(want), "unexpected error: {err}");
+        }
+        let ok = vec![(0, t), (1, t)];
+        assert_eq!(
+            restore_edited("floors-ok", |snap| snap.shards[0].last_delivery = ok),
+            Ok(())
+        );
     }
 
     #[test]

@@ -1,18 +1,18 @@
 //! The node event loop.
 //!
 //! [`NodeLoop`] is the one driver of a [`Kernel`]: it owns the kernel's
-//! event calendar, effects buffer, per-CPU outstanding-`SegEnd` slots and
-//! event counter, and runs pop → handle → schedule and cancel → [`Route`]
-//! each outbound message. [`SoloRunner`] is a node loop with a loopback
-//! route, for single-node experiments and the kernel, noise and MPI unit
-//! tests; `pa-cluster`'s shard embeds a node loop and adds only fabric
-//! routing.
+//! event calendar (with one `SegEnd` timer slot per CPU), effects buffer
+//! and event counter, and runs pop → handle → schedule, arm and disarm →
+//! [`Route`] each outbound message. [`SoloRunner`] is a node loop with a
+//! loopback route, for single-node experiments and the kernel, noise and
+//! MPI unit tests; `pa-cluster`'s shard embeds a node loop and adds only
+//! fabric routing.
 
 use crate::kernel::{Effects, Kernel, KernelEvent, KernelSnapshot, ThreadSpec};
 use crate::msg::Message;
 use crate::program::Program;
 use crate::types::Tid;
-use pa_simkit::{EventId, EventQueue, QueueStats, SimDur, SimTime};
+use pa_simkit::{EventQueue, QueueStats, SimDur, SimTime};
 use std::ops::{Deref, DerefMut};
 
 /// Loopback latency of [`SoloRunner`]. Not the cluster fabric's node-local
@@ -50,13 +50,21 @@ impl<F: FnMut(SimTime, Message) -> Option<(SimTime, Message)>> Route for F {}
 pub struct NodeLoop {
     /// The node kernel.
     pub kernel: Kernel,
+    /// The calendar, with one timer slot per CPU for its outstanding
+    /// `SegEnd`, so kernel-voided segment timers are disarmed instead of
+    /// surfacing as stale pops.
     queue: EventQueue<KernelEvent>,
     fx: Effects,
-    /// Outstanding `SegEnd` calendar entry per CPU ([`EventId::NONE`]
-    /// when none), so kernel-voided segment timers are cancelled out of
-    /// the calendar instead of surfacing as stale pops.
-    seg_events: Vec<EventId>,
     events_processed: u64,
+}
+
+/// The timer slot of a calendar entry: a `SegEnd` is armed in its CPU's
+/// slot, and every other event goes to the heap.
+fn seg_slot(ev: &KernelEvent) -> Option<usize> {
+    match ev {
+        KernelEvent::SegEnd { cpu, .. } => Some(cpu.0 as usize),
+        _ => None,
+    }
 }
 
 impl NodeLoop {
@@ -65,9 +73,8 @@ impl NodeLoop {
         let ncpus = kernel.ncpus() as usize;
         NodeLoop {
             kernel,
-            queue: EventQueue::new(),
+            queue: EventQueue::with_timers(ncpus),
             fx: Effects::default(),
-            seg_events: vec![EventId::NONE; ncpus],
             events_processed: 0,
         }
     }
@@ -130,9 +137,6 @@ impl NodeLoop {
                 break;
             }
             let (now, ev) = self.queue.pop().expect("peeked event vanished");
-            if let KernelEvent::SegEnd { cpu, .. } = ev {
-                self.seg_events[cpu.0 as usize] = EventId::NONE;
-            }
             self.events_processed += 1;
             self.kernel.handle(now, ev, &mut self.fx);
             self.drain(now, &mut route);
@@ -141,36 +145,27 @@ impl NodeLoop {
 
     /// Move one handler's effects into the calendar, then route its
     /// outbound messages in send order. Voided segment timers are
-    /// cancelled interleaved with the schedules in program order: a
+    /// disarmed interleaved with the schedules in program order: a
     /// handler may void a CPU's timer and then arm a new one for the same
     /// CPU, and each cancel's watermark says how many schedule entries
     /// precede it. Keeping the original schedule order also keeps
     /// event-id assignment (and therefore FIFO tie-breaks) identical to
     /// an engine that never cancels.
     fn drain(&mut self, now: SimTime, route: &mut impl Route) {
-        let Self {
-            queue,
-            fx,
-            seg_events,
-            ..
-        } = self;
+        let Self { queue, fx, .. } = self;
         let mut ci = 0;
         for (idx, (t, ev)) in fx.schedule.drain(..).enumerate() {
             while ci < fx.cancels.len() && (fx.cancels[ci].after as usize) <= idx {
-                cancel_slot(queue, &mut seg_events[fx.cancels[ci].cpu.0 as usize]);
+                queue.disarm(fx.cancels[ci].cpu.0 as usize);
                 ci += 1;
             }
-            let seg_cpu = match &ev {
-                KernelEvent::SegEnd { cpu, .. } => Some(cpu.0 as usize),
-                _ => None,
-            };
-            let id = queue.schedule(t, ev);
-            if let Some(c) = seg_cpu {
-                seg_events[c] = id;
+            match seg_slot(&ev) {
+                Some(cpu) => queue.arm(cpu, t, ev),
+                None => queue.schedule(t, ev),
             }
         }
         for c in &fx.cancels[ci..] {
-            cancel_slot(queue, &mut seg_events[c.cpu.0 as usize]);
+            queue.disarm(c.cpu.0 as usize);
         }
         fx.cancels.clear();
         for msg in fx.outbound.drain(..) {
@@ -198,9 +193,9 @@ impl NodeLoop {
     }
 
     /// Overlay a captured state onto this freshly assembled, booted node.
-    /// The per-CPU outstanding-`SegEnd` slots are derived state: with true
-    /// cancellation at most one `SegEnd` per CPU is live at any event
-    /// boundary, so the restored calendar names them all.
+    /// Each `SegEnd` goes back into its CPU's timer slot; a `SegEnd` for
+    /// a CPU the node does not have, or a second one for the same CPU,
+    /// is an error.
     pub fn restore(&mut self, snap: NodeSnap) -> Result<(), String> {
         self.kernel.restore(&snap.kernel)?;
         self.queue = EventQueue::from_parts(
@@ -208,25 +203,12 @@ impl NodeLoop {
             snap.queue_next_id,
             snap.queue_stats,
             snap.queue_entries,
-        )?;
-        self.seg_events.fill(EventId::NONE);
-        for (_, id, ev) in self.queue.live_entries() {
-            if let KernelEvent::SegEnd { cpu, .. } = ev {
-                let slot = &mut self.seg_events[cpu.0 as usize];
-                debug_assert_eq!(*slot, EventId::NONE, "two live SegEnds on cpu {}", cpu.0);
-                *slot = EventId::from_raw(id);
-            }
-        }
+            self.kernel.ncpus() as usize,
+            seg_slot,
+        )
+        .map_err(|e| format!("calendar (SegEnd timers keyed by cpu): {e}"))?;
         self.events_processed = snap.events_processed;
         Ok(())
-    }
-}
-
-/// Cancel the calendar entry in `slot` (if any) and clear the slot.
-fn cancel_slot(queue: &mut EventQueue<KernelEvent>, slot: &mut EventId) {
-    if *slot != EventId::NONE {
-        queue.cancel(*slot);
-        *slot = EventId::NONE;
     }
 }
 

@@ -1,4 +1,4 @@
-//! Cancellable discrete-event queue.
+//! Discrete-event calendar with keyed timers.
 //!
 //! The engine is a classic calendar: events are `(time, payload)` pairs
 //! popped in time order, with FIFO tie-breaking so that same-timestamp
@@ -7,96 +7,79 @@
 //!
 //! # Structure
 //!
-//! The calendar is an **indexed 4-ary min-heap**: a flat `Vec` ordered by
-//! `(time, id)` plus a position map from [`EventId`] to heap slot. The
-//! position map doubles as the pending set, so `len`/`is_pending` are a
-//! single hash probe and — the part that matters — [`EventQueue::cancel`]
-//! is a true O(log n) removal: swap the victim with the last slot and
-//! sift. Nothing dead ever stays resident, so [`EventQueue::peek_time`]
-//! is a non-allocating, non-mutating `&self` read of slot 0. A 4-ary
-//! layout halves the tree depth of a binary heap and keeps each node's
-//! children in one cache line, which is where a discrete-event simulator
-//! spends its time.
+//! Two tiers share one id counter and one `(time, id)` pop order. Each
+//! pending event has a 16-byte key that packs its time, its id and a slot
+//! index into one integer, so ordering two events is one integer compare.
+//!
+//! * **Heap.** [`EventQueue::schedule`] pushes onto a 4-ary min-heap of
+//!   keys; the key's slot names the payload's place in a side table.
+//!   Payloads stay put while keys sift, so a node's four children take
+//!   64 bytes, one cache line's worth. Heap events are never cancelled,
+//!   so the heap needs no position map and only ever pushes and pops.
+//! * **Timer slots.** A queue built with [`EventQueue::with_timers`]
+//!   holds one slot per key, each with at most one pending event — a
+//!   component's single wake-up time, such as a CPU's segment end.
+//!   [`EventQueue::arm`] fills a slot and [`EventQueue::disarm`] empties
+//!   it; disarming is the queue's only cancellation. The earliest armed
+//!   slot is cached and rescanned only when that slot fires or is
+//!   disarmed.
+//!
+//! [`EventQueue::pop`] and [`EventQueue::peek_time`] take the smaller of
+//! the heap root and the earliest armed slot, so the pop order is the
+//! one a single heap over both tiers would give.
 //!
 //! # Queue health
 //!
-//! Cancellation has one policy — the entry leaves the heap at once — so
-//! no dead entry is ever resident. [`QueueStats::tombstones`] (dead
-//! entries resident) and [`QueueStats::compactions`] (times dead entries
-//! were compacted out) therefore read zero. They stay in the stats so
-//! checkpoints and metric snapshots keep their schema, and a nonzero
-//! value would flag a leak.
+//! A disarmed timer leaves nothing behind, so no dead entry is ever
+//! resident. [`QueueStats::tombstones`] (dead entries resident) and
+//! [`QueueStats::compactions`] (times dead entries were compacted out)
+//! therefore read zero. They stay in the stats so checkpoints and metric
+//! snapshots keep their schema, and a nonzero value would flag a leak.
 
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// Heap arity. Four children per node: shallower than binary, and a
-/// node's child block spans a single cache line of `(time, id)` keys.
+/// node's child block is 64 bytes of keys.
 const D: usize = 4;
 
-/// Handle to a scheduled event; use with [`EventQueue::cancel`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EventId(u64);
+/// Low bits of a [`Key`] holding the slot index.
+const SLOT_BITS: u32 = 24;
+const SLOT_LIMIT: usize = 1 << SLOT_BITS;
+/// Event ids fill the 40 bits between the time and the slot.
+const ID_LIMIT: u64 = 1 << (64 - SLOT_BITS);
 
-impl EventId {
-    /// A handle that never corresponds to a live event. Useful as an
-    /// initializer for "no event outstanding" slots.
-    pub const NONE: EventId = EventId(u64::MAX);
+/// An event's place in the pop order: time in the high 64 bits, then the
+/// event id, then a slot (payload slot for a heap event, timer key for a
+/// timer). Ids are unique, so keys order exactly as `(time, id)` and the
+/// slot bits never decide.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Key(u128);
 
-    /// The raw id, for checkpoint plumbing. Pairs with
-    /// [`EventId::from_raw`] and the raw ids in
-    /// [`EventQueue::live_entries`].
-    pub const fn raw(self) -> u64 {
-        self.0
-    }
+/// The key of an empty timer slot: above every real key, whose id bits
+/// are below [`ID_LIMIT`].
+const IDLE: Key = Key(u128::MAX);
 
-    /// Rebuild a handle from a checkpointed raw id. Only meaningful for
-    /// ids previously obtained from [`EventId::raw`] against the same
-    /// queue history.
-    pub const fn from_raw(raw: u64) -> Self {
-        EventId(raw)
-    }
-}
-
-/// Event ids are dense, monotonically assigned integers, so a general
-/// SipHash is wasted cycles on the hottest map in the engine. One
-/// Fibonacci multiply mixes the low bits into the high ones, which is
-/// all a power-of-two-capacity table needs.
-#[derive(Default)]
-struct IdHasher(u64);
-
-impl Hasher for IdHasher {
+impl Key {
     #[inline]
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("EventId hashes via write_u64");
+    fn new(time: SimTime, id: u64, slot: usize) -> Key {
+        debug_assert!(id < ID_LIMIT && slot < SLOT_LIMIT);
+        Key(u128::from(time.nanos()) << 64 | u128::from(id) << SLOT_BITS | slot as u128)
     }
+
     #[inline]
-    fn write_u64(&mut self, x: u64) {
-        self.0 = x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    fn time(self) -> SimTime {
+        SimTime::from_nanos((self.0 >> 64) as u64)
     }
+
     #[inline]
-    fn finish(&self) -> u64 {
-        self.0
+    fn id(self) -> u64 {
+        (self.0 as u64) >> SLOT_BITS
     }
-}
 
-type PosMap = HashMap<EventId, u32, BuildHasherDefault<IdHasher>>;
-
-#[derive(Debug)]
-struct Entry<E> {
-    time: SimTime,
-    id: EventId,
-    payload: E,
-}
-
-impl<E> Entry<E> {
-    /// Pop order: earliest time first, insertion order among ties (ids
-    /// are handed out monotonically).
     #[inline]
-    fn key(&self) -> (SimTime, EventId) {
-        (self.time, self.id)
+    fn slot(self) -> usize {
+        (self.0 as usize) & (SLOT_LIMIT - 1)
     }
 }
 
@@ -109,20 +92,20 @@ impl<E> Entry<E> {
 /// snapshots.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QueueStats {
-    /// Events ever scheduled.
+    /// Events ever scheduled or armed.
     pub scheduled: u64,
-    /// Live events popped (tombstones excluded).
+    /// Events popped.
     pub popped: u64,
-    /// Successful cancellations.
+    /// Armed timers disarmed before they fired.
     pub cancelled: u64,
-    /// High-water mark of live events pending at once.
+    /// High-water mark of events pending at once, both tiers together.
     pub max_pending: u64,
-    /// Dead entries currently resident in the heap (a gauge, not a
-    /// lifetime total). Always 0: cancellation removes the entry. A
-    /// nonzero value here would be the leak this field exists to catch.
+    /// Dead entries currently resident (a gauge, not a lifetime total).
+    /// Always 0: disarming empties the slot. A nonzero value here would
+    /// be the leak this field exists to catch.
     pub tombstones: u64,
-    /// Times dead entries were compacted out of the heap. Always 0, kept
-    /// for the checkpoint and metrics schema.
+    /// Times dead entries were compacted out. Always 0, kept for the
+    /// checkpoint and metrics schema.
     pub compactions: u64,
 }
 
@@ -144,15 +127,16 @@ impl QueueStats {
     }
 }
 
-/// A deterministic, cancellable event queue.
+/// A deterministic event queue: a heap of fire-and-forget events beside
+/// one cancellable timer slot per key.
 ///
 /// ```
 /// use pa_simkit::{EventQueue, SimTime};
 ///
-/// let mut q: EventQueue<&str> = EventQueue::new();
+/// let mut q: EventQueue<&str> = EventQueue::with_timers(1);
 /// q.schedule(SimTime::from_micros(10), "b");
-/// let a = q.schedule(SimTime::from_micros(5), "a");
-/// q.cancel(a);
+/// q.arm(0, SimTime::from_micros(5), "a");
+/// q.disarm(0);
 /// assert_eq!(q.pop(), Some((SimTime::from_micros(10), "b")));
 /// assert_eq!(q.pop(), None);
 /// assert_eq!(q.stats().popped, 1);
@@ -160,11 +144,20 @@ impl QueueStats {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// 4-ary min-heap by `(time, id)`; every entry is live.
-    heap: Vec<Entry<E>>,
-    /// Ids scheduled but neither fired nor cancelled, mapped to their
-    /// heap slot.
-    live: PosMap,
+    /// 4-ary min-heap of keys.
+    heap: Vec<Key>,
+    /// Heap payloads by slot; `None` in free slots.
+    events: Vec<Option<E>>,
+    /// Free slots of `events`.
+    free: Vec<u32>,
+    /// Key per timer slot, [`IDLE`] when empty. Kept apart from the
+    /// payloads so the rescan reads 16 bytes per slot.
+    timer_keys: Vec<Key>,
+    /// Payload per timer slot; `Some` exactly when the slot is armed.
+    timer_events: Vec<Option<E>>,
+    /// The smallest of `timer_keys`: [`IDLE`] when no timer is armed.
+    next_timer: Key,
+    armed: usize,
     next_id: u64,
     now: SimTime,
     stats: QueueStats,
@@ -177,12 +170,29 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// An empty queue positioned at the epoch, with indexed (true
-    /// removal) cancellation. This is the production configuration.
+    /// An empty queue positioned at the epoch, with no timer slots.
     pub fn new() -> Self {
+        Self::with_timers(0)
+    }
+
+    /// An empty queue positioned at the epoch, with timer slots keyed
+    /// `0..timers`.
+    ///
+    /// # Panics
+    /// Panics if `timers` exceeds 2^24.
+    pub fn with_timers(timers: usize) -> Self {
+        assert!(
+            timers <= SLOT_LIMIT,
+            "{timers} timer slots: at most {SLOT_LIMIT} fit a key"
+        );
         EventQueue {
             heap: Vec::new(),
-            live: PosMap::default(),
+            events: Vec::new(),
+            free: Vec::new(),
+            timer_keys: vec![IDLE; timers],
+            timer_events: std::iter::repeat_with(|| None).take(timers).collect(),
+            next_timer: IDLE,
+            armed: 0,
             next_id: 0,
             now: SimTime::ZERO,
             stats: QueueStats::default(),
@@ -200,141 +210,174 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Number of live (non-cancelled) events still queued.
+    /// Number of pending events, both tiers together.
     pub fn len(&self) -> usize {
-        self.live.len()
+        self.heap.len() + self.armed
     }
 
-    /// True iff no live events remain.
+    /// True iff no event is pending.
     pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
+        self.len() == 0
     }
 
-    #[inline]
-    fn entry_less(a: &Entry<E>, b: &Entry<E>) -> bool {
-        a.key() < b.key()
-    }
-
-    /// Record that the entry in heap slot `i` now lives there.
-    #[inline]
-    fn set_pos(&mut self, i: usize) {
-        let id = self.heap[i].id;
-        if let Some(slot) = self.live.get_mut(&id) {
-            *slot = i as u32;
-        }
-    }
-
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / D;
-            if Self::entry_less(&self.heap[i], &self.heap[parent]) {
-                self.heap.swap(i, parent);
-                self.set_pos(i);
-                i = parent;
-            } else {
-                break;
-            }
-        }
-        self.set_pos(i);
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        loop {
-            let first = i * D + 1;
-            if first >= self.heap.len() {
-                break;
-            }
-            let mut best = first;
-            let end = (first + D).min(self.heap.len());
-            for c in first + 1..end {
-                if Self::entry_less(&self.heap[c], &self.heap[best]) {
-                    best = c;
-                }
-            }
-            if Self::entry_less(&self.heap[best], &self.heap[i]) {
-                self.heap.swap(i, best);
-                self.set_pos(i);
-                i = best;
-            } else {
-                break;
-            }
-        }
-        self.set_pos(i);
-    }
-
-    /// Remove the entry at heap slot `i`, restoring the heap property
-    /// around the hole.
-    fn remove_at(&mut self, i: usize) {
-        self.heap.swap_remove(i);
-        if i < self.heap.len() {
-            // The displaced last entry may belong above or below `i`.
-            self.set_pos(i);
-            if i > 0 && Self::entry_less(&self.heap[i], &self.heap[(i - 1) / D]) {
-                self.sift_up(i);
-            } else {
-                self.sift_down(i);
-            }
-        }
-    }
-
-    /// Schedule `payload` at `time`.
-    ///
-    /// # Panics
-    /// Panics if `time` is earlier than the current clock — an event in the
-    /// past is always a simulator bug and silently reordering it would
-    /// corrupt causality.
-    pub fn schedule(&mut self, time: SimTime, payload: E) -> EventId {
+    /// Hand out the next event id, bumping the lifetime counters.
+    fn take_id(&mut self, time: SimTime) -> u64 {
         assert!(
             time >= self.now,
             "scheduled event at {time} before current time {}",
             self.now
         );
-        let id = EventId(self.next_id);
+        let id = self.next_id;
+        assert!(
+            id < ID_LIMIT,
+            "event id {id} does not fit a key's 40 id bits"
+        );
         self.next_id += 1;
-        let i = self.heap.len();
-        self.heap.push(Entry { time, id, payload });
-        self.live.insert(id, i as u32);
-        self.sift_up(i);
         self.stats.scheduled += 1;
-        self.stats.max_pending = self.stats.max_pending.max(self.live.len() as u64);
+        self.stats.max_pending = self.stats.max_pending.max(self.len() as u64 + 1);
         id
     }
 
-    /// Cancel a previously scheduled event. Returns `true` if the event was
-    /// still pending (and is now dead), `false` if it had already fired,
-    /// been cancelled, or is [`EventId::NONE`].
-    ///
-    /// The heap entry is removed outright (O(log n)).
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        let Some(pos) = self.live.remove(&id) else {
-            return false;
+    /// Move the key at heap index `i` up to its place.
+    fn sift_up(&mut self, mut i: usize) {
+        let key = self.heap[i];
+        while i > 0 {
+            let parent = (i - 1) / D;
+            if key >= self.heap[parent] {
+                break;
+            }
+            self.heap[i] = self.heap[parent];
+            i = parent;
+        }
+        self.heap[i] = key;
+    }
+
+    /// Move the key at heap index `i` down to its place.
+    fn sift_down(&mut self, mut i: usize) {
+        let key = self.heap[i];
+        let len = self.heap.len();
+        loop {
+            let first = i * D + 1;
+            if first >= len {
+                break;
+            }
+            let mut best = first;
+            for c in first + 1..(first + D).min(len) {
+                if self.heap[c] < self.heap[best] {
+                    best = c;
+                }
+            }
+            if self.heap[best] >= key {
+                break;
+            }
+            self.heap[i] = self.heap[best];
+            i = best;
+        }
+        self.heap[i] = key;
+    }
+
+    /// Store a heap payload and push its key (no sift).
+    fn push_heap(&mut self, time: SimTime, id: u64, payload: E) {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.events[slot as usize] = Some(payload);
+                slot as usize
+            }
+            None => {
+                let slot = self.events.len();
+                assert!(
+                    slot < SLOT_LIMIT,
+                    "{slot} heap events pending: at most {SLOT_LIMIT} fit a key"
+                );
+                self.events.push(Some(payload));
+                slot
+            }
         };
+        self.heap.push(Key::new(time, id, slot));
+    }
+
+    /// Schedule `payload` at `time`. Heap events cannot be cancelled; use
+    /// a timer slot ([`EventQueue::arm`]) for an event that may be.
+    ///
+    /// # Panics
+    /// Panics if `time` is earlier than the current clock — an event in the
+    /// past is always a simulator bug and silently reordering it would
+    /// corrupt causality.
+    pub fn schedule(&mut self, time: SimTime, payload: E) {
+        let id = self.take_id(time);
+        self.push_heap(time, id, payload);
+        self.sift_up(self.heap.len() - 1);
+    }
+
+    /// Arm timer slot `key` to fire `payload` at `time`.
+    ///
+    /// # Panics
+    /// Panics if the slot is already armed, if `key` is not below the
+    /// queue's timer count, or if `time` is earlier than the current
+    /// clock.
+    pub fn arm(&mut self, key: usize, time: SimTime, payload: E) {
+        assert!(
+            self.timer_events[key].is_none(),
+            "timer {key} armed while its previous event is still pending"
+        );
+        let id = self.take_id(time);
+        let k = Key::new(time, id, key);
+        self.timer_keys[key] = k;
+        self.timer_events[key] = Some(payload);
+        self.armed += 1;
+        self.next_timer = self.next_timer.min(k);
+    }
+
+    /// Empty timer slot `key`. Returns `true` if it was armed (the event
+    /// will now never fire), `false` if it was already empty.
+    pub fn disarm(&mut self, key: usize) -> bool {
+        if self.timer_events[key].take().is_none() {
+            return false;
+        }
+        let was_next = self.timer_keys[key] == self.next_timer;
+        self.timer_keys[key] = IDLE;
+        self.armed -= 1;
         self.stats.cancelled += 1;
-        self.remove_at(pos as usize);
+        if was_next {
+            self.rescan_timers();
+        }
         true
     }
 
-    /// True iff `id` is scheduled and has neither fired nor been cancelled.
-    pub fn is_pending(&self, id: EventId) -> bool {
-        self.live.contains_key(&id)
+    /// Recompute the cached earliest timer.
+    fn rescan_timers(&mut self) {
+        self.next_timer = self.timer_keys.iter().copied().min().unwrap_or(IDLE);
     }
 
-    /// Pop the earliest live event, advancing the clock to its timestamp.
+    /// Pop the earliest pending event, advancing the clock to its
+    /// timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.heap.is_empty() {
+        let root = self.heap.first().copied().unwrap_or(IDLE);
+        let (key, payload) = if root < self.next_timer {
+            let last = self.heap.pop().expect("heap has a root");
+            if !self.heap.is_empty() {
+                self.heap[0] = last;
+                self.sift_down(0);
+            }
+            let slot = root.slot();
+            self.free.push(slot as u32);
+            let payload = self.events[slot].take();
+            (root, payload.expect("heap key names a payload"))
+        } else if self.next_timer != IDLE {
+            let key = self.next_timer;
+            let payload = self.timer_events[key.slot()].take();
+            self.timer_keys[key.slot()] = IDLE;
+            self.armed -= 1;
+            self.rescan_timers();
+            (key, payload.expect("earliest timer is armed"))
+        } else {
             return None;
-        }
-        let entry = self.heap.swap_remove(0);
-        if !self.heap.is_empty() {
-            self.set_pos(0);
-            self.sift_down(0);
-        }
-        let was_live = self.live.remove(&entry.id).is_some();
-        debug_assert!(was_live, "heap root was a tombstone");
-        debug_assert!(entry.time >= self.now, "event queue went backwards");
-        self.now = entry.time;
+        };
+        let time = key.time();
+        debug_assert!(time >= self.now, "event queue went backwards");
+        self.now = time;
         self.stats.popped += 1;
-        Some((entry.time, entry.payload))
+        Some((time, payload))
     }
 
     /// Advance the clock to `time` without popping anything, so that
@@ -353,17 +396,24 @@ impl<E> EventQueue<E> {
         self.now = time;
     }
 
-    /// Live (non-cancelled) entries as `(time, raw event id, payload)`,
+    /// Pending entries of both tiers as `(time, raw event id, payload)`,
     /// sorted in pop order `(time, id)`. Ids are exposed raw so a restored
     /// queue can reproduce the exact FIFO tie-breaking of the original.
     pub fn live_entries(&self) -> Vec<(SimTime, u64, &E)> {
-        let mut out: Vec<(SimTime, u64, &E)> = self
-            .heap
+        let heap = self.heap.iter().map(|&k| {
+            let payload = self.events[k.slot()].as_ref();
+            (k, payload.expect("heap key names a payload"))
+        });
+        let timers = self
+            .timer_keys
             .iter()
-            .map(|e| (e.time, e.id.0, &e.payload))
-            .collect();
-        out.sort_by_key(|&(t, id, _)| (t, id));
-        out
+            .zip(&self.timer_events)
+            .filter_map(|(&k, e)| e.as_ref().map(|e| (k, e)));
+        let mut out: Vec<(Key, &E)> = heap.chain(timers).collect();
+        out.sort_unstable_by_key(|&(k, _)| k);
+        out.into_iter()
+            .map(|(k, e)| (k.time(), k.id(), e))
+            .collect()
     }
 
     /// The next id this queue would hand out (checkpoint bookkeeping).
@@ -372,65 +422,86 @@ impl<E> EventQueue<E> {
     }
 
     /// Rebuild a queue from checkpointed parts: clock position, id
-    /// allocator, lifetime stats, and the live entries with their
+    /// allocator, lifetime stats, and the pending entries with their
     /// original ids. The inverse of [`EventQueue::live_entries`] plus the
-    /// scalar accessors. The rebuilt queue holds no dead entries, so its
+    /// scalar accessors. The queue gets `timers` timer slots, and
+    /// `timer_of` names the slot each entry is armed in (`None` for a heap
+    /// event). The rebuilt queue holds no dead entries, so its
     /// `tombstones` gauge is zero regardless of what the snapshot's stats
     /// carried.
     ///
     /// Errors (rather than corrupting causality) if an entry lies in the
-    /// past of `now`, reuses an id, or holds an id at or above `next_id`.
+    /// past of `now`, reuses an id, holds an id at or above `next_id` or
+    /// beyond a key's 40 id bits, names a timer slot the queue does not
+    /// have, or shares a timer slot with another entry.
     pub fn from_parts(
         now: SimTime,
         next_id: u64,
         stats: QueueStats,
         entries: Vec<(SimTime, u64, E)>,
+        timers: usize,
+        timer_of: impl Fn(&E) -> Option<usize>,
     ) -> Result<Self, String> {
-        let mut heap = Vec::with_capacity(entries.len());
-        let mut live = PosMap::default();
-        live.reserve(entries.len());
+        let mut ids: Vec<u64> = entries.iter().map(|&(_, id, _)| id).collect();
+        ids.sort_unstable();
+        if let Some(w) = ids.windows(2).find(|w| w[0] == w[1]) {
+            return Err(format!("checkpointed event id {} appears twice", w[0]));
+        }
+        let mut q = EventQueue::with_timers(timers);
+        q.heap.reserve(entries.len());
+        q.events.reserve(entries.len());
         for (time, id, payload) in entries {
             if time < now {
                 return Err(format!(
                     "checkpointed event at {time} lies before the queue clock {now}"
                 ));
             }
-            if id >= next_id {
+            if id >= next_id || id >= ID_LIMIT {
                 return Err(format!(
-                    "checkpointed event id {id} not below the id allocator {next_id}"
+                    "checkpointed event id {id} not below the id allocator {next_id} \
+                     and the id limit {ID_LIMIT}"
                 ));
             }
-            if live.insert(EventId(id), heap.len() as u32).is_some() {
-                return Err(format!("checkpointed event id {id} appears twice"));
+            match timer_of(&payload) {
+                Some(key) if key >= timers => {
+                    return Err(format!(
+                        "checkpointed timer {key} out of range: the queue has {timers} timer slots"
+                    ));
+                }
+                Some(key) if q.timer_events[key].is_some() => {
+                    return Err(format!("checkpointed timer {key} holds two pending events"));
+                }
+                Some(key) => {
+                    q.timer_keys[key] = Key::new(time, id, key);
+                    q.timer_events[key] = Some(payload);
+                    q.armed += 1;
+                }
+                None => q.push_heap(time, id, payload),
             }
-            heap.push(Entry {
-                time,
-                id: EventId(id),
-                payload,
-            });
         }
-        let mut q = EventQueue {
-            heap,
-            live,
-            next_id,
-            now,
-            stats: QueueStats {
-                tombstones: 0,
-                ..stats
-            },
-        };
         if q.heap.len() > 1 {
             for i in (0..=(q.heap.len() - 2) / D).rev() {
                 q.sift_down(i);
             }
         }
+        q.rescan_timers();
+        q.next_id = next_id;
+        q.now = now;
+        q.stats = QueueStats {
+            tombstones: 0,
+            ..stats
+        };
         Ok(q)
     }
 
-    /// Timestamp of the next live event without popping it: one bounds
-    /// check and one load.
+    /// Timestamp of the next pending event without popping it: the
+    /// smaller of the heap root and the cached earliest timer.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|e| e.time)
+        let next = self
+            .heap
+            .first()
+            .map_or(self.next_timer, |&root| root.min(self.next_timer));
+        (next != IDLE).then(|| next.time())
     }
 }
 
@@ -453,10 +524,15 @@ mod tests {
 
     #[test]
     fn ties_break_by_insertion_order() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::with_timers(10);
         let t = SimTime::from_micros(5);
         for i in 0..10 {
-            q.schedule(t, i);
+            // Alternate the tiers: FIFO order holds across both.
+            if i % 2 == 0 {
+                q.schedule(t, i);
+            } else {
+                q.arm(i, t, i);
+            }
         }
         for i in 0..10 {
             assert_eq!(q.pop().unwrap().1, i);
@@ -482,37 +558,73 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "before current time")]
+    fn arming_in_past_panics() {
+        let mut q = EventQueue::with_timers(1);
+        q.schedule(SimTime::from_micros(10), ());
+        q.pop();
+        q.arm(0, SimTime::from_micros(5), ());
+    }
+
+    #[test]
+    #[should_panic(expected = "timer 2 armed while its previous event is still pending")]
+    fn arming_a_live_timer_panics() {
+        let mut q = EventQueue::with_timers(3);
+        q.arm(2, SimTime::from_micros(5), ());
+        q.arm(2, SimTime::from_micros(6), ());
+    }
+
+    #[test]
     fn cancel_removes_event() {
-        let mut q = EventQueue::new();
-        let id = q.schedule(SimTime::from_micros(1), "dead");
+        let mut q = EventQueue::with_timers(1);
+        q.arm(0, SimTime::from_micros(1), "dead");
         q.schedule(SimTime::from_micros(2), "live");
-        assert!(q.cancel(id));
-        assert!(!q.cancel(id), "double cancel reports false");
+        assert!(q.disarm(0));
+        assert!(!q.disarm(0), "double disarm reports false");
         assert_eq!(q.pop().unwrap().1, "live");
     }
 
     #[test]
     fn cancel_none_is_noop() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        assert!(!q.cancel(EventId::NONE));
+        let mut q: EventQueue<()> = EventQueue::with_timers(2);
+        assert!(!q.disarm(1), "disarming an empty slot reports false");
+        assert_eq!(q.stats().cancelled, 0, "and counts nothing");
+    }
+
+    #[test]
+    fn is_pending_lifecycle() {
+        // An armed timer is pending until it fires or is disarmed, and
+        // its slot is free again afterwards.
+        let mut q = EventQueue::with_timers(1);
+        q.arm(0, SimTime::from_micros(1), "fires");
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop(), Some((SimTime::from_micros(1), "fires")));
+        assert!(q.is_empty());
+        q.arm(0, SimTime::from_micros(2), "disarmed");
+        assert!(q.disarm(0));
+        assert!(q.is_empty());
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn cancel_after_fire_reports_false() {
-        let mut q = EventQueue::new();
-        let id = q.schedule(SimTime::from_micros(1), ());
+        let mut q = EventQueue::with_timers(1);
+        q.arm(0, SimTime::from_micros(1), ());
         q.pop();
-        assert!(!q.cancel(id));
+        assert!(!q.disarm(0));
         assert!(q.is_empty());
+        // A fired slot can be armed again.
+        q.arm(0, SimTime::from_micros(2), ());
+        assert_eq!(q.pop(), Some((SimTime::from_micros(2), ())));
     }
 
     #[test]
     fn len_tracks_live_events() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_micros(1), ());
+        let mut q = EventQueue::with_timers(1);
+        q.arm(0, SimTime::from_micros(1), ());
         q.schedule(SimTime::from_micros(2), ());
         assert_eq!(q.len(), 2);
-        q.cancel(a);
+        q.disarm(0);
         assert_eq!(q.len(), 1);
         q.pop();
         assert_eq!(q.len(), 0);
@@ -520,31 +632,21 @@ mod tests {
     }
 
     #[test]
-    fn is_pending_lifecycle() {
-        let mut q = EventQueue::new();
-        let id = q.schedule(SimTime::from_micros(1), ());
-        assert!(q.is_pending(id));
-        q.pop();
-        assert!(!q.is_pending(id));
-        assert!(!q.is_pending(EventId::NONE));
-    }
-
-    #[test]
     fn stats_track_lifecycle() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_micros(1), ());
+        let mut q = EventQueue::with_timers(1);
+        q.arm(0, SimTime::from_micros(1), ());
         q.schedule(SimTime::from_micros(2), ());
         q.schedule(SimTime::from_micros(3), ());
-        q.cancel(a);
-        q.cancel(a); // double cancel must not double count
+        q.disarm(0);
+        q.disarm(0); // double disarm must not double count
         q.pop();
         q.pop();
         let s = q.stats();
         assert_eq!(s.scheduled, 3);
         assert_eq!(s.cancelled, 1);
         assert_eq!(s.popped, 2);
-        assert_eq!(s.max_pending, 3);
-        assert_eq!(s.tombstones, 0, "indexed mode never leaves tombstones");
+        assert_eq!(s.max_pending, 3, "max_pending counts armed timers");
+        assert_eq!(s.tombstones, 0, "disarming never leaves tombstones");
         assert_eq!(s.compactions, 0);
     }
 
@@ -603,10 +705,14 @@ mod tests {
 
     #[test]
     fn peek_time_skips_cancelled() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_micros(1), ());
+        let mut q = EventQueue::with_timers(2);
+        q.arm(1, SimTime::from_micros(1), ());
+        q.arm(0, SimTime::from_micros(3), ());
         q.schedule(SimTime::from_micros(9), ());
-        q.cancel(a);
+        assert_eq!(q.peek_time(), Some(SimTime::from_micros(1)));
+        q.disarm(1);
+        assert_eq!(q.peek_time(), Some(SimTime::from_micros(3)));
+        q.disarm(0);
         assert_eq!(q.peek_time(), Some(SimTime::from_micros(9)));
     }
 
@@ -619,65 +725,64 @@ mod tests {
         assert_eq!(shared.peek_time(), shared.peek_time());
     }
 
+    /// Timer slot of a test payload: its first character, if a digit.
+    fn slot_of(p: &&str) -> Option<usize> {
+        p.chars().next()?.to_digit(10).map(|d| d as usize)
+    }
+
     #[test]
     fn live_entries_round_trip_preserves_order_and_ids() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::with_timers(3);
         q.schedule(SimTime::from_micros(10), "late");
-        let dead = q.schedule(SimTime::from_micros(2), "dead");
+        q.arm(0, SimTime::from_micros(2), "0-dead");
         let t = SimTime::from_micros(5);
         q.schedule(t, "tie-a");
-        q.schedule(t, "tie-b");
-        q.cancel(dead);
-        q.schedule(SimTime::from_micros(3), "early");
-        q.pop(); // consumes "early", clock now at 3 us
+        q.arm(1, t, "1-tie-b");
+        q.schedule(t, "tie-c");
+        q.disarm(0);
+        q.arm(2, SimTime::from_micros(3), "2-early");
+        q.pop(); // consumes "2-early", clock now at 3 us
 
         let entries: Vec<(SimTime, u64, &str)> = q
             .live_entries()
             .into_iter()
             .map(|(t, id, p)| (t, id, *p))
             .collect();
-        let mut r = EventQueue::from_parts(q.now(), q.next_id_raw(), q.stats(), entries).unwrap();
+        let mut r =
+            EventQueue::from_parts(q.now(), q.next_id_raw(), q.stats(), entries, 3, slot_of)
+                .unwrap();
         assert_eq!(r.now(), q.now());
         assert_eq!(r.stats(), q.stats());
-        assert_eq!(r.len(), 3, "tombstone must not survive the round trip");
-        // Same-timestamp events keep their original FIFO order.
+        assert_eq!(
+            r.len(),
+            4,
+            "a disarmed timer must not survive the round trip"
+        );
+        assert_eq!(r.armed, 1, "the armed timer is restored into its slot");
+        // Same-timestamp events keep their original FIFO order across
+        // both tiers.
         assert_eq!(r.pop().unwrap().1, "tie-a");
-        assert_eq!(r.pop().unwrap().1, "tie-b");
+        assert_eq!(r.pop().unwrap().1, "1-tie-b");
+        assert_eq!(r.pop().unwrap().1, "tie-c");
         assert_eq!(r.pop().unwrap().1, "late");
         // The id allocator continues where the original left off.
-        assert_eq!(r.schedule(SimTime::from_micros(20), "new"), {
-            let mut orig = q;
-            orig.pop();
-            orig.pop();
-            orig.pop();
-            orig.schedule(SimTime::from_micros(20), "new")
-        });
+        r.schedule(SimTime::from_micros(20), "new");
+        assert_eq!(r.live_entries()[0].1, q.next_id_raw());
     }
 
     #[test]
     fn from_parts_rejects_corrupt_entries() {
         let stats = QueueStats::default();
         let now = SimTime::from_micros(10);
-        // Event in the past of the clock.
-        assert!(
-            EventQueue::from_parts(now, 5, stats, vec![(SimTime::from_micros(9), 0, ())],).is_err()
-        );
-        // Id at/above the allocator.
-        assert!(
-            EventQueue::from_parts(now, 5, stats, vec![(SimTime::from_micros(11), 5, ())],)
-                .is_err()
-        );
-        // Duplicate id.
-        assert!(EventQueue::from_parts(
-            now,
-            5,
-            stats,
-            vec![
-                (SimTime::from_micros(11), 2, ()),
-                (SimTime::from_micros(12), 2, ()),
-            ],
-        )
-        .is_err());
+        let at = |us| SimTime::from_micros(us);
+        let rebuild = |entries| EventQueue::from_parts(now, 5, stats, entries, 2, slot_of);
+        let err = |entries| rebuild(entries).unwrap_err();
+        assert!(err(vec![(at(9), 0, "a")]).contains("before the queue clock"));
+        assert!(err(vec![(at(11), 5, "a")]).contains("not below the id allocator"));
+        assert!(err(vec![(at(11), 2, "a"), (at(12), 2, "b")]).contains("appears twice"));
+        assert!(err(vec![(at(11), 1, "2")]).contains("timer 2 out of range"));
+        assert!(err(vec![(at(11), 1, "1"), (at(12), 2, "1")]).contains("timer 1 holds two pending"));
+        assert!(rebuild(vec![(at(11), 1, "1"), (at(12), 2, "0")]).is_ok());
     }
 
     #[test]
@@ -691,59 +796,68 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, 1);
     }
 
+    /// Entries physically resident in either tier.
+    fn resident<E>(q: &EventQueue<E>) -> usize {
+        q.heap.len() + q.timer_events.iter().filter(|e| e.is_some()).count()
+    }
+
     #[test]
     fn indexed_cancel_removes_resident_entry() {
-        let mut q = EventQueue::new();
-        let mut ids = Vec::new();
-        for i in 0..100u32 {
-            ids.push(q.schedule(SimTime::from_micros(u64::from(i % 13)), i));
+        let mut q = EventQueue::with_timers(512);
+        for key in 0..100 {
+            q.arm(key, SimTime::from_micros(key as u64 % 13), key as u32);
         }
-        for id in ids.iter().step_by(2) {
-            assert!(q.cancel(*id));
+        for key in (0..100).step_by(2) {
+            assert!(q.disarm(key));
         }
         assert_eq!(q.len(), 50);
-        assert_eq!(
-            q.heap.len(),
-            50,
-            "indexed cancel must physically remove the entry"
-        );
+        assert_eq!(resident(&q), 50, "disarm must empty the slot");
         assert_eq!(q.stats().tombstones, 0);
         // Survivors still pop in (time, id) order.
         let mut last = (SimTime::ZERO, 0u32);
         let mut popped = 0;
         while let Some((t, v)) = q.pop() {
             assert!((t, v) > last || popped == 0);
+            assert_eq!(v % 2, 1, "disarmed timer {v} fired");
             last = (t, v);
             popped += 1;
         }
         assert_eq!(popped, 50);
 
-        // The timer re-arm pattern: each round cancels and reschedules
-        // 512 far-future timers and pops one near event. No cancelled
-        // entry may stay resident in any round.
+        // The timer re-arm pattern: each round disarms and re-arms 512
+        // far-future timers and pops one near event. No disarmed entry
+        // may stay resident in any round.
         let far = SimTime::from_nanos(u64::MAX / 2);
-        let mut timers: Vec<EventId> = (0..512).map(|i| q.schedule(far, i)).collect();
+        for key in 0..512 {
+            q.arm(key, far, key as u32);
+        }
         for round in 0..200 {
-            for (i, t) in (0u32..).zip(timers.iter_mut()) {
-                assert!(q.cancel(*t));
-                *t = q.schedule(far, i);
+            for key in 0..512 {
+                assert!(q.disarm(key));
+                q.arm(key, far, key as u32);
             }
             q.schedule(q.now() + SimDur::from_nanos(1), u32::MAX);
             assert_eq!(q.pop().map(|(_, v)| v), Some(u32::MAX));
             assert_eq!(q.stats().tombstones, 0, "round {round}");
             assert_eq!(
-                q.heap.len(),
+                resident(&q),
                 512,
-                "round {round}: a cancelled entry stayed resident"
+                "round {round}: a disarmed entry stayed resident"
             );
         }
     }
 
     #[test]
-    fn event_id_raw_round_trip() {
+    fn heap_payload_slots_are_reused() {
         let mut q = EventQueue::new();
-        let id = q.schedule(SimTime::from_micros(1), ());
-        assert_eq!(EventId::from_raw(id.raw()), id);
-        assert_eq!(EventId::NONE.raw(), u64::MAX);
+        for round in 0..100u64 {
+            for i in 0..8 {
+                q.schedule(SimTime::from_micros(round * 10 + i), i);
+            }
+            for _ in 0..8 {
+                q.pop();
+            }
+        }
+        assert_eq!(q.events.len(), 8, "payload table grew past the peak");
     }
 }

@@ -7,7 +7,7 @@
 //! Provides the pieces every higher layer builds on:
 //!
 //! * [`SimTime`] / [`SimDur`] — nanosecond-resolution simulation time;
-//! * [`EventQueue`] — a deterministic, cancellable calendar queue;
+//! * [`EventQueue`] — a deterministic event calendar with keyed timers;
 //! * [`SeedSpace`] / [`SimRng`] — per-component reproducible RNG streams;
 //! * [`stats`] — Welford accumulators, summaries, percentiles, OLS fits;
 //! * [`report`] — the table/series formats used by the figure harnesses.
@@ -25,7 +25,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use events::{EventId, EventQueue, QueueStats};
+pub use events::{EventQueue, QueueStats};
 pub use hash::{sha256_hex, Sha256};
 pub use report::{Series, SeriesPoint, Table};
 pub use rng::{RngState, SeedSpace, SimRng};

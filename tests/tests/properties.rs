@@ -7,7 +7,7 @@ use pa_mpi::coll::{
     CollStep,
 };
 use pa_mpi::{MpiOp, OpList, RankWorkload};
-use pa_simkit::{EventQueue, SimDur, SimTime, Summary};
+use pa_simkit::{EventQueue, QueueStats, SimDur, SimTime, Summary};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -124,20 +124,24 @@ proptest! {
 
     #[test]
     fn cancelled_events_never_fire(
-        times in prop::collection::vec(0u64..1_000_000, 1..100),
-        cancel_mask in prop::collection::vec(any::<bool>(), 1..100),
+        timer_times in prop::collection::vec(0u64..1_000_000, 1..100),
+        heap_times in prop::collection::vec(0u64..1_000_000, 0..100),
+        disarm_mask in prop::collection::vec(any::<bool>(), 1..100),
     ) {
-        let mut q = EventQueue::new();
-        let ids: Vec<_> = times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| q.schedule(SimTime::from_nanos(t), i))
-            .collect();
+        // One timer per slot beside a heap of plain events; disarmed
+        // timers must never fire, and everything else must.
+        let mut q = EventQueue::with_timers(timer_times.len());
+        for (key, &t) in timer_times.iter().enumerate() {
+            q.arm(key, SimTime::from_nanos(t), key);
+        }
+        for (i, &t) in heap_times.iter().enumerate() {
+            q.schedule(SimTime::from_nanos(t), timer_times.len() + i);
+        }
         let mut cancelled = HashSet::new();
-        for (i, id) in ids.iter().enumerate() {
-            if *cancel_mask.get(i).unwrap_or(&false) {
-                q.cancel(*id);
-                cancelled.insert(i);
+        for key in 0..timer_times.len() {
+            if *disarm_mask.get(key).unwrap_or(&false) {
+                prop_assert!(q.disarm(key));
+                cancelled.insert(key);
             }
         }
         let mut fired = HashSet::new();
@@ -145,28 +149,34 @@ proptest! {
             fired.insert(v);
         }
         prop_assert!(fired.is_disjoint(&cancelled));
-        prop_assert_eq!(fired.len() + cancelled.len(), times.len());
+        prop_assert_eq!(fired.len() + cancelled.len(), timer_times.len() + heap_times.len());
     }
 }
 
 // ---------------------------------------------------------------------
-// Event queue vs the old heap: the indexed queue must replay the exact
-// pop order and core stats of the structure it replaced (a plain binary
-// heap + pending set) under any interleaving of
-// schedule/cancel/advance_to/pop.
+// Event queue vs a flat model: the two-tier queue (heap plus keyed timer
+// slots) must replay the exact pop order and every stat of one flat list
+// of pending events under any interleaving of schedule/arm/disarm/
+// advance_to/pop and checkpoint round trips.
 // ---------------------------------------------------------------------
 
-/// Reference model of the pre-overhaul queue: ids are handed out in
-/// schedule order, pops come in `(time, id)` order, and a cancelled id
-/// simply never fires. Any correct priority structure must agree with
-/// this observable behavior exactly.
+/// Timer slots the model test uses: few, so arms often find a live slot
+/// and re-arm it.
+const MODEL_TIMERS: usize = 4;
+
+/// Queue payload in the model test: the step that created the event, and
+/// the timer slot it is armed in (`None` for a heap event).
+type ModelPayload = (usize, Option<usize>);
+
+/// Reference model: ids are handed out in schedule/arm order, pops come
+/// in `(time, id)` order, and a disarmed timer simply never fires. Any
+/// correct priority structure must agree with this observable behavior
+/// exactly.
 struct ModelQueue {
     now: u64,
     next_id: u64,
-    live: Vec<(u64, u64, usize)>, // (time, id, value)
-    scheduled: u64,
-    popped: u64,
-    cancelled: u64,
+    live: Vec<(u64, u64, ModelPayload)>, // (time, id, payload)
+    stats: QueueStats,
 }
 
 impl ModelQueue {
@@ -175,29 +185,29 @@ impl ModelQueue {
             now: 0,
             next_id: 0,
             live: Vec::new(),
-            scheduled: 0,
-            popped: 0,
-            cancelled: 0,
+            stats: QueueStats::default(),
         }
     }
-    fn schedule(&mut self, t: u64, value: usize) -> u64 {
+    fn add(&mut self, t: u64, payload: ModelPayload) {
         let id = self.next_id;
         self.next_id += 1;
-        self.scheduled += 1;
-        self.live.push((t, id, value));
-        id
+        self.stats.scheduled += 1;
+        self.live.push((t, id, payload));
+        self.stats.max_pending = self.stats.max_pending.max(self.live.len() as u64);
     }
-    fn cancel(&mut self, id: u64) {
-        if let Some(i) = self.live.iter().position(|&(_, lid, _)| lid == id) {
-            self.live.swap_remove(i);
-            self.cancelled += 1;
-        }
+    fn disarm(&mut self, key: usize) -> bool {
+        let Some(i) = self.live.iter().position(|&(_, _, (_, k))| k == Some(key)) else {
+            return false;
+        };
+        self.live.swap_remove(i);
+        self.stats.cancelled += 1;
+        true
     }
-    fn pop(&mut self) -> Option<(u64, usize)> {
+    fn pop(&mut self) -> Option<(u64, ModelPayload)> {
         let i = (0..self.live.len()).min_by_key(|&i| (self.live[i].0, self.live[i].1))?;
         let (t, _, v) = self.live.swap_remove(i);
         self.now = self.now.max(t);
-        self.popped += 1;
+        self.stats.popped += 1;
         Some((t, v))
     }
     fn peek_time(&self) -> Option<u64> {
@@ -215,34 +225,74 @@ struct QueueOp {
 }
 
 fn arb_queue_op() -> impl Strategy<Value = QueueOp> {
-    (0u8..10, 1u64..50_000, any::<usize>()).prop_map(|(kind, delta, pick)| QueueOp {
-        kind,
-        delta,
-        pick,
+    // Deltas below 4 ns half the time make same-time events across the
+    // two tiers common, so the FIFO tie-break between the heap root and
+    // the earliest timer is exercised.
+    (0u8..12, any::<bool>(), 1u64..50_000, any::<usize>()).prop_map(|(kind, near, delta, pick)| {
+        QueueOp {
+            kind,
+            delta: if near { delta % 4 } else { delta },
+            pick,
+        }
     })
 }
 
+/// The queue's pending entries in pop order, payloads copied.
+fn queue_entries(q: &EventQueue<ModelPayload>) -> Vec<(SimTime, u64, ModelPayload)> {
+    q.live_entries()
+        .into_iter()
+        .map(|(t, id, v)| (t, id, *v))
+        .collect()
+}
+
+/// A checkpoint round trip: rebuild `q` from its scalar parts and live
+/// entries, the way the engine snapshot does.
+fn round_trip(q: &EventQueue<ModelPayload>) -> EventQueue<ModelPayload> {
+    let entries = queue_entries(q);
+    EventQueue::from_parts(
+        q.now(),
+        q.next_id_raw(),
+        q.stats(),
+        entries,
+        MODEL_TIMERS,
+        |&(_, key)| key,
+    )
+    .expect("live entries rebuild")
+}
+
 fn check_queue_against_model(ops: &[QueueOp]) -> Result<(), TestCaseError> {
-    let mut q = EventQueue::<usize>::new();
+    let mut q = EventQueue::<ModelPayload>::with_timers(MODEL_TIMERS);
     let mut model = ModelQueue::new();
-    // Parallel id registries for the same logical live entry.
-    let mut ids: Vec<(pa_simkit::EventId, u64)> = Vec::new();
     for (step, op) in ops.iter().enumerate() {
+        let t = model.now + op.delta;
         match op.kind {
-            // schedule (weighted heaviest)
-            0..=4 => {
-                let t = model.now + op.delta;
-                let qid = q.schedule(SimTime::from_nanos(t), step);
-                let mid = model.schedule(t, step);
-                ids.push((qid, mid));
+            // schedule onto the heap
+            0..=3 => {
+                q.schedule(SimTime::from_nanos(t), (step, None));
+                model.add(t, (step, None));
             }
-            // cancel a random live entry
-            5..=6 => {
-                if !ids.is_empty() {
-                    let (qid, mid) = ids.swap_remove(op.pick % ids.len());
-                    q.cancel(qid);
-                    model.cancel(mid);
-                }
+            // arm a timer; a live slot is disarmed first (the re-arm
+            // pattern of a voided segment timer)
+            4..=5 => {
+                let key = op.pick % MODEL_TIMERS;
+                prop_assert_eq!(
+                    q.disarm(key),
+                    model.disarm(key),
+                    "re-arm diverged at step {}",
+                    step
+                );
+                q.arm(key, SimTime::from_nanos(t), (step, Some(key)));
+                model.add(t, (step, Some(key)));
+            }
+            // disarm a slot, live or not
+            6 => {
+                let key = op.pick % MODEL_TIMERS;
+                prop_assert_eq!(
+                    q.disarm(key),
+                    model.disarm(key),
+                    "disarm diverged at step {}",
+                    step
+                );
             }
             // advance the clock into the pending future
             7 => {
@@ -252,6 +302,13 @@ fn check_queue_against_model(ops: &[QueueOp]) -> Result<(), TestCaseError> {
                 let target = target.max(model.now);
                 q.advance_to(SimTime::from_nanos(target));
                 model.now = target;
+            }
+            // checkpoint round trip mid-sequence
+            8 => {
+                let restored = round_trip(&q);
+                prop_assert_eq!(queue_entries(&restored), queue_entries(&q));
+                prop_assert_eq!(restored.next_id_raw(), q.next_id_raw());
+                q = restored;
             }
             // pop
             _ => {
@@ -263,9 +320,6 @@ fn check_queue_against_model(ops: &[QueueOp]) -> Result<(), TestCaseError> {
                     "pop diverged at step {}",
                     step
                 );
-                // The popped entry's id pair stays in `ids`; a later
-                // cancel picking it is a no-op in both queue and model,
-                // so the registries remain in lockstep.
             }
         }
         prop_assert_eq!(
@@ -274,12 +328,8 @@ fn check_queue_against_model(ops: &[QueueOp]) -> Result<(), TestCaseError> {
             "peek diverged at step {}",
             step
         );
-        let live = model.live.len();
-        prop_assert!(
-            q.stats().tombstones as usize <= live.max(1),
-            "tombstones exceed live entries at step {}",
-            step
-        );
+        prop_assert_eq!(q.len(), model.live.len(), "len diverged at step {}", step);
+        prop_assert_eq!(q.stats(), model.stats, "stats diverged at step {}", step);
     }
     // Drain both to the end: full remaining order must agree.
     loop {
@@ -290,11 +340,7 @@ fn check_queue_against_model(ops: &[QueueOp]) -> Result<(), TestCaseError> {
             break;
         }
     }
-    let s = q.stats();
-    prop_assert_eq!(s.scheduled, model.scheduled);
-    prop_assert_eq!(s.popped, model.popped);
-    prop_assert_eq!(s.cancelled, model.cancelled);
-    prop_assert_eq!(s.tombstones, 0, "drained queue still reports tombstones");
+    prop_assert_eq!(q.stats(), model.stats, "stats diverged after the drain");
     Ok(())
 }
 
@@ -306,31 +352,34 @@ proptest! {
 
     #[test]
     fn queue_with_live_tombstones_roundtrips_through_checkpoint(
-        times in prop::collection::vec(1u64..1_000_000, 2..80),
-        cancel_mask in prop::collection::vec(any::<bool>(), 2..80),
+        timer_times in prop::collection::vec(1u64..1_000_000, 2..80),
+        heap_times in prop::collection::vec(1u64..1_000_000, 0..80),
+        disarm_mask in prop::collection::vec(any::<bool>(), 2..80),
     ) {
-        // A queue mid-flight: some entries cancelled, then checkpointed
-        // via the same live_entries / from_parts path the engine snapshot
-        // uses. The restored queue must replay the identical pop
-        // sequence, with no tombstones reported after the round trip.
-        let mut q = EventQueue::<usize>::new();
-        let ids: Vec<_> = times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| q.schedule(SimTime::from_nanos(t), i))
-            .collect();
-        for (i, id) in ids.iter().enumerate() {
-            if *cancel_mask.get(i).unwrap_or(&false) {
-                q.cancel(*id);
+        // A queue mid-flight: some timers disarmed, then checkpointed via
+        // the same live_entries / from_parts path the engine snapshot
+        // uses. The restored queue must hold exactly the live entries,
+        // replay the identical pop sequence, and report no tombstones.
+        let timers = timer_times.len();
+        let mut q = EventQueue::with_timers(timers);
+        for (key, &t) in timer_times.iter().enumerate() {
+            q.arm(key, SimTime::from_nanos(t), (key, Some(key)));
+        }
+        for (i, &t) in heap_times.iter().enumerate() {
+            q.schedule(SimTime::from_nanos(t), (timers + i, None));
+        }
+        for key in 0..timers {
+            if *disarm_mask.get(key).unwrap_or(&false) {
+                q.disarm(key);
             }
         }
-        let entries: Vec<(SimTime, u64, usize)> = q
-            .live_entries()
-            .into_iter()
-            .map(|(t, id, v)| (t, id, *v))
-            .collect();
+        let entries = queue_entries(&q);
+        let live = entries.len();
         let mut restored =
-            EventQueue::from_parts(q.now(), q.next_id_raw(), q.stats(), entries).unwrap();
+            EventQueue::from_parts(q.now(), q.next_id_raw(), q.stats(), entries, timers, |&(_, k)| k)
+                .unwrap();
+        prop_assert_eq!(restored.len(), live);
+        prop_assert_eq!(restored.stats(), q.stats());
         prop_assert_eq!(restored.stats().tombstones, 0);
         loop {
             let want = q.pop();
@@ -340,9 +389,7 @@ proptest! {
                 break;
             }
         }
-        let (a, b) = (q.stats(), restored.stats());
-        prop_assert_eq!(a.scheduled - a.cancelled, b.scheduled - b.cancelled);
-        prop_assert_eq!(a.popped, b.popped);
+        prop_assert_eq!(restored.stats(), q.stats());
     }
 }
 
