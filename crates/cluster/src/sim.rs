@@ -177,14 +177,11 @@ struct ShardSnap {
 }
 
 impl Shard {
-    /// Process every local event strictly before `window_end` — or up to
-    /// and including it when `inclusive` (the final window of a
-    /// `SimTime`-saturating horizon, where the exclusive bound is not
-    /// representable).
-    fn process_window(&mut self, window_end: SimTime, inclusive: bool, fabric: &FabricModel) {
-        self.node.run(window_end, inclusive, false, |now, msg| {
-            self.router.send(now, msg, fabric)
-        });
+    /// Process every local event due at or before `last`, the window's
+    /// last instant.
+    fn process_window(&mut self, last: SimTime, fabric: &FabricModel) {
+        self.node
+            .run(last, false, |now, msg| self.router.send(now, msg, fabric));
     }
 
     /// Earliest pending event, ns (`u64::MAX` when the calendar is empty).
@@ -432,36 +429,6 @@ struct WindowReport {
     busy_ns: u64,
     /// Claims outside this worker's static stripe.
     steals: u64,
-}
-
-/// Bounds of the window opening at `t_start`: `(end, inclusive)`. The
-/// window covers `[t_start, end)`, or `[t_start, end]` when `inclusive`.
-///
-/// `horizon` is an inclusive cap, so the exclusive end is
-/// `min(t_start + lookahead, horizon + 1)` — computed in 128 bits because
-/// at `horizon = SimTime::FAR_FUTURE` the `+ 1` is not representable in
-/// nanoseconds. A saturating add here would silently shrink the final
-/// window by one nanosecond: events at the last representable instant
-/// would never be processed and the window loop would spin on them
-/// forever. When the true bound exceeds `u64::MAX`, the window is instead
-/// closed *inclusively* at `FAR_FUTURE`.
-fn window_bounds(t_start: SimTime, horizon: SimTime, lookahead: SimDur) -> (SimTime, bool) {
-    bounds_from_end(window_end_u128(t_start, horizon, lookahead))
-}
-
-/// Exclusive window end in 128-bit nanoseconds (see [`window_bounds`]).
-fn window_end_u128(t_start: SimTime, horizon: SimTime, lookahead: SimDur) -> u128 {
-    let end = u128::from(t_start.nanos()) + u128::from(lookahead.nanos());
-    end.min(u128::from(horizon.nanos()) + 1)
-}
-
-/// Convert a 128-bit exclusive window end to `(end, inclusive)` bounds.
-fn bounds_from_end(end: u128) -> (SimTime, bool) {
-    if end > u128::from(u64::MAX) {
-        (SimTime::FAR_FUTURE, true)
-    } else {
-        (SimTime::from_nanos(end as u64), false)
-    }
 }
 
 /// Magic string identifying a cluster checkpoint file.
@@ -1021,21 +988,22 @@ impl ClusterSim {
         Ok(bytes)
     }
 
-    /// Is a periodic checkpoint due at the barrier ending at `we`?
-    fn checkpoint_due(&self, we: SimTime) -> bool {
-        matches!(self.next_checkpoint_at, Some(at) if we >= at)
+    /// Is a periodic checkpoint due at the barrier closing the window
+    /// whose last instant is `last`? The barrier sits at `last + 1`.
+    fn checkpoint_due(&self, last: SimTime) -> bool {
+        matches!(self.next_checkpoint_at, Some(at) if at.nanos() <= last.nanos().saturating_add(1))
     }
 
-    /// Advance the periodic schedule strictly past `we`. Done *before*
-    /// capturing the snapshot so the restored run continues the schedule
-    /// exactly where the interrupted run would have (no repeated write at
-    /// the restore barrier).
-    fn advance_schedule(next: &mut Option<SimTime>, every: SimDur, we: SimTime) {
+    /// Advance the periodic schedule strictly past the barrier at
+    /// `last + 1`. Done *before* capturing the snapshot so the restored
+    /// run continues the schedule exactly where the interrupted run would
+    /// have (no repeated write at the restore barrier).
+    fn advance_schedule(next: &mut Option<SimTime>, every: SimDur, last: SimTime) {
         let Some(at) = *next else { return };
         let step = u128::from(every.nanos()).max(1);
         let mut at = u128::from(at.nanos());
-        let we = u128::from(we.nanos());
-        while at <= we {
+        let barrier = u128::from(last.nanos()) + 1;
+        while at <= barrier {
             at += step;
         }
         *next = if at > u128::from(u64::MAX) {
@@ -1045,19 +1013,24 @@ impl ClusterSim {
         };
     }
 
-    /// The periodic-checkpoint step at the barrier ending at `we`, after
-    /// the merge. A schedule restored from a checkpoint but never armed
-    /// with [`ClusterSim::set_checkpoint_every`] has nowhere to write, so
-    /// it writes nothing.
-    fn periodic_checkpoint(&mut self, we: SimTime, shards: &[Mutex<Shard>]) -> Result<(), String> {
-        if !self.checkpoint_due(we) {
+    /// The periodic-checkpoint step at the barrier closing the window
+    /// whose last instant is `last`, after the merge. A schedule restored
+    /// from a checkpoint but never armed with
+    /// [`ClusterSim::set_checkpoint_every`] has nowhere to write, so it
+    /// writes nothing.
+    fn periodic_checkpoint(
+        &mut self,
+        last: SimTime,
+        shards: &[Mutex<Shard>],
+    ) -> Result<(), String> {
+        if !self.checkpoint_due(last) {
             return Ok(());
         }
         let Some((every, path)) = &self.periodic else {
             return Ok(());
         };
         let (every, path) = (*every, path.clone());
-        Self::advance_schedule(&mut self.next_checkpoint_at, every, we);
+        Self::advance_schedule(&mut self.next_checkpoint_at, every, last);
         let snaps = shards.iter().map(|m| lock(m).snapshot()).collect();
         self.write_checkpoint(&path, snaps).map(|_| ())
     }
@@ -1144,9 +1117,11 @@ impl ClusterSim {
         self.shard_claims
     }
 
-    /// Bounds of the window opening at `t_start`, widened when the whole
-    /// cluster is daemon-idle. Returns `(end, inclusive, idle)`; `idle`
-    /// marks a daemon-idle window whose merge must stage nothing.
+    /// The last instant of the window opening at `t_start`: normally
+    /// `min(t_start + lookahead - 1, horizon)`, widened when the whole
+    /// cluster is daemon-idle. The add saturates, which is exact: a sum
+    /// past `u64::MAX` lies past every horizon. Returns `(last, idle)`;
+    /// `idle` marks a daemon-idle window whose merge must stage nothing.
     ///
     /// Widening is sound because only application threads send cross-node
     /// messages: with `apps == 0` everywhere, no event processed anywhere
@@ -1162,39 +1137,34 @@ impl ClusterSim {
     ///
     /// The checkpoint cap also *shortens* the window when the due time
     /// falls inside the lookahead (`t_start < at < t_start + lookahead`)
-    /// or at `t_start` itself. Before this, the `max(at, t_start + 1)`
-    /// clamp made the capped end no wider than a normal window, the
-    /// widening branch was skipped, and the barrier — and therefore the
-    /// checkpoint — slid a full lookahead past the due time. Now the
-    /// barrier lands at `max(at, t_start + 1)`: exactly the due time, or
-    /// one nanosecond past it when the checkpoint is due exactly at
-    /// `t_start` (a zero-width window cannot exist — the event at
-    /// `t_start` must be processed or the loop would spin). Shrinking a
-    /// daemon-idle window is as sound as widening one: no cross-shard
-    /// message exists for the partition to reorder.
+    /// or at `t_start` itself: the barrier then lands at
+    /// `max(at, t_start + 1)`, so the window's last instant is
+    /// `max(at - 1, t_start)` — exactly the due time's barrier, or one
+    /// nanosecond past it when the checkpoint is due at `t_start` (a
+    /// window always holds `t_start`, whose event must be processed or
+    /// the loop would spin). Shrinking a daemon-idle window is as sound as
+    /// widening one: no cross-shard message exists for the partition to
+    /// reorder.
     fn plan_window(
         &mut self,
         t_start: SimTime,
         horizon: SimTime,
         daemon_idle: bool,
-    ) -> (SimTime, bool, bool) {
+    ) -> (SimTime, bool) {
         self.windows_run += 1;
-        let normal = window_end_u128(t_start, horizon, self.lookahead);
+        let la = self.lookahead.nanos() - 1;
+        let normal = t_start.nanos().saturating_add(la).min(horizon.nanos());
+        let mut last = normal;
         if daemon_idle {
-            let mut wide = u128::from(horizon.nanos()) + 1;
+            last = horizon.nanos();
             if let Some(at) = self.next_checkpoint_at {
-                wide = wide.min(u128::from(at.nanos()).max(u128::from(t_start.nanos()) + 1));
+                last = last.min(at.nanos().saturating_sub(1).max(t_start.nanos()));
             }
-            if wide != normal {
-                if wide > normal {
-                    self.widened_windows += 1;
-                }
-                let (we, inclusive) = bounds_from_end(wide);
-                return (we, inclusive, true);
+            if last > normal {
+                self.widened_windows += 1;
             }
         }
-        let (we, inclusive) = window_bounds(t_start, horizon, self.lookahead);
-        (we, inclusive, daemon_idle)
+        (SimTime::from_nanos(last), daemon_idle)
     }
 
     /// The window engine: plan → process → merge → checkpoint, once per
@@ -1273,14 +1243,12 @@ impl ClusterSim {
                 if next_ns == u64::MAX || next_ns > horizon.nanos() {
                     break;
                 }
-                let (we, inclusive, idle) =
+                let (last, idle) =
                     self.plan_window(SimTime::from_nanos(next_ns), horizon, apps == 0);
-                let ndue =
-                    pool.plan_claims(we, inclusive, self.windows_run, &mut due, &mut by_load);
+                let ndue = pool.plan_claims(last, self.windows_run, &mut due, &mut by_load);
                 self.shard_claims += ndue as u64;
                 pool.claim.store(0, Ordering::Relaxed);
-                pool.window_end_ns.store(we.nanos(), Ordering::Release);
-                pool.window_inclusive.store(inclusive, Ordering::Release);
+                pool.window_last_ns.store(last.nanos(), Ordering::Release);
                 if nthreads == 1 {
                     pool.work(0);
                 } else {
@@ -1321,7 +1289,7 @@ impl ClusterSim {
                 // Workers are parked at the top-of-loop barrier here, so
                 // the coordinator has every shard to itself. A write
                 // failure is re-raised once the shards are back home.
-                if let Err(e) = self.periodic_checkpoint(we, &pool.shards) {
+                if let Err(e) = self.periodic_checkpoint(last, &pool.shards) {
                     ckpt_err = Some(e);
                     break;
                 }
@@ -1386,8 +1354,8 @@ struct WindowPool {
     ndue: AtomicUsize,
     /// Next unclaimed position in `order`.
     claim: AtomicUsize,
-    window_end_ns: AtomicU64,
-    window_inclusive: AtomicBool,
+    /// The open window's last instant, ns.
+    window_last_ns: AtomicU64,
     /// One report per worker, folded by the coordinator at the barrier.
     slots: Vec<Mutex<WindowReport>>,
     /// Worker pool only: the top-of-loop and end-of-window barrier, and
@@ -1423,8 +1391,7 @@ impl WindowPool {
             order: (0..nshards as u32).map(AtomicU32::new).collect(),
             ndue: AtomicUsize::new(0),
             claim: AtomicUsize::new(0),
-            window_end_ns: AtomicU64::new(0),
-            window_inclusive: AtomicBool::new(false),
+            window_last_ns: AtomicU64::new(0),
             slots: (0..nthreads)
                 .map(|_| Mutex::new(WindowReport::default()))
                 .collect(),
@@ -1435,8 +1402,8 @@ impl WindowPool {
         }
     }
 
-    /// Fill `order` with the shards due in the window ending at `we`
-    /// (inclusively when `inclusive`) and return how many there are.
+    /// Fill `order` with the shards due in the window whose last instant
+    /// is `last` and return how many there are.
     /// `window` is the window's ordinal, which rotates the adversarial
     /// order. `due` and `by_load` are the coordinator's scratch buffers.
     ///
@@ -1447,18 +1414,16 @@ impl WindowPool {
     /// claims what.
     fn plan_claims(
         &self,
-        we: SimTime,
-        inclusive: bool,
+        last: SimTime,
         window: u64,
         due: &mut Vec<u32>,
         by_load: &mut Vec<(std::cmp::Reverse<u64>, u32)>,
     ) -> usize {
-        let we = we.nanos();
         due.clear();
-        due.extend((0..self.shards.len() as u32).filter(|&i| {
-            let t = self.next_ns[i as usize].load(Ordering::Relaxed);
-            t < we || (inclusive && t == we)
-        }));
+        due.extend(
+            (0..self.shards.len() as u32)
+                .filter(|&i| self.next_ns[i as usize].load(Ordering::Relaxed) <= last.nanos()),
+        );
         let n = due.len();
         match self.schedule {
             ShardSchedule::Steal if self.nthreads > 1 => {
@@ -1500,8 +1465,7 @@ impl WindowPool {
     /// the shared index. A claim off the worker's home stripe
     /// (`k % nthreads != t`) counts as a steal.
     fn work(&self, t: usize) {
-        let we = SimTime::from_nanos(self.window_end_ns.load(Ordering::Acquire));
-        let inclusive = self.window_inclusive.load(Ordering::Acquire);
+        let last = SimTime::from_nanos(self.window_last_ns.load(Ordering::Acquire));
         // Reuse the slot's staged list (the coordinator drained it but
         // left the capacity), so steady state reallocates nothing per
         // window.
@@ -1534,7 +1498,7 @@ impl WindowPool {
             let node = sh.router.node;
             let t0 = Instant::now();
             let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                sh.process_window(we, inclusive, &self.fabric);
+                sh.process_window(last, &self.fabric);
             }));
             let busy = t0.elapsed().as_nanos() as u64;
             if let Err(payload) = outcome {
@@ -2048,26 +2012,23 @@ mod tests {
 
     #[test]
     fn window_bounds_handles_max_horizon() {
-        let la = SimDur::from_micros(10);
-        // Ordinary window: end = start + lookahead, exclusive.
-        let (we, inc) = window_bounds(SimTime::from_micros(100), SimTime::from_secs(1), la);
-        assert_eq!(we, SimTime::from_micros(110));
-        assert!(!inc);
-        // Clamped to horizon + 1 ns near the horizon (still exclusive:
-        // events *at* the horizon are inside the window).
-        let (we, inc) = window_bounds(SimTime::from_nanos(999_999_995), SimTime::from_secs(1), la);
-        assert_eq!(we, SimTime::from_nanos(1_000_000_001));
-        assert!(!inc);
-        // At the maximum representable horizon the old arithmetic
-        // saturated at u64::MAX and silently dropped events in the final
-        // nanosecond; the bound must become *inclusive* instead.
-        let (we, inc) = window_bounds(SimTime::from_nanos(u64::MAX - 5), SimTime::FAR_FUTURE, la);
-        assert_eq!(we, SimTime::FAR_FUTURE);
-        assert!(inc, "final window at the max horizon must be inclusive");
+        let mut sim = two_node_cluster();
+        sim.lookahead = SimDur::from_micros(10);
+        let mut last = |t_start: SimTime, horizon| sim.plan_window(t_start, horizon, false).0;
+        // Ordinary window: last instant = start + lookahead - 1 ns.
+        let l = last(SimTime::from_micros(100), SimTime::from_secs(1));
+        assert_eq!(l, SimTime::from_nanos(109_999));
+        // Clamped to the horizon near it: events *at* the horizon are
+        // inside the window.
+        let l = last(SimTime::from_nanos(999_999_995), SimTime::from_secs(1));
+        assert_eq!(l, SimTime::from_secs(1));
+        // At the maximum representable horizon the add saturates, which
+        // is exact: the window still holds the final nanosecond.
+        let l = last(SimTime::from_nanos(u64::MAX - 5), SimTime::FAR_FUTURE);
+        assert_eq!(l, SimTime::FAR_FUTURE, "final window must hold FAR_FUTURE");
         // A start far from the max horizon is unaffected.
-        let (we, inc) = window_bounds(SimTime::from_micros(100), SimTime::FAR_FUTURE, la);
-        assert_eq!(we, SimTime::from_micros(110));
-        assert!(!inc);
+        let l = last(SimTime::from_micros(100), SimTime::FAR_FUTURE);
+        assert_eq!(l, SimTime::from_nanos(109_999));
     }
 
     fn tmp_path(name: &str) -> PathBuf {
@@ -2467,6 +2428,7 @@ mod tests {
         assert_eq!(ck.stats(), sk.stats());
         assert_eq!(sim.events_processed(), solo.events_processed());
         assert_eq!(sim.queue_stats(), solo.queue().stats());
+        assert_eq!(sim.now(), solo.now());
     }
 
     /// A program that computes briefly, then panics — stands in for any
@@ -2689,21 +2651,25 @@ mod tests {
         let horizon = SimTime::from_secs(1);
         let t0 = SimTime::from_micros(500);
 
-        // Due exactly at t_start: the barrier lands 1 ns past the due
-        // time (a zero-width window cannot exist), not lookahead ns past.
+        // Due exactly at t_start: the window holds only t_start, so the
+        // barrier lands 1 ns past the due time, not lookahead ns past.
         sim.next_checkpoint_at = Some(t0);
-        let (we, inclusive, idle) = sim.plan_window(t0, horizon, true);
-        assert!(idle && !inclusive);
-        assert_eq!(we.nanos(), t0.nanos() + 1, "barrier must hug the due time");
-        assert!(sim.checkpoint_due(we));
+        let (last, idle) = sim.plan_window(t0, horizon, true);
+        assert!(idle);
+        assert_eq!(last, t0, "barrier must hug the due time");
+        assert!(sim.checkpoint_due(last));
 
         // Due inside the lookahead: the barrier lands exactly on it.
         let due = SimTime::from_nanos(t0.nanos() + la / 2);
         sim.next_checkpoint_at = Some(due);
-        let (we, _inc, idle) = sim.plan_window(t0, horizon, true);
+        let (last, idle) = sim.plan_window(t0, horizon, true);
         assert!(idle);
-        assert_eq!(we, due, "barrier must land exactly on the due time");
-        assert!(sim.checkpoint_due(we));
+        assert_eq!(
+            last.nanos() + 1,
+            due.nanos(),
+            "barrier must land exactly on the due time"
+        );
+        assert!(sim.checkpoint_due(last));
 
         // Shortened windows are not "widened": the counter tracks only
         // genuine fast-forwards.
@@ -2711,20 +2677,20 @@ mod tests {
 
         // No checkpoint armed: the idle window widens to the horizon.
         sim.next_checkpoint_at = None;
-        let (we, _inc, idle) = sim.plan_window(t0, horizon, true);
+        let (last, idle) = sim.plan_window(t0, horizon, true);
         assert!(idle);
-        assert_eq!(we.nanos(), horizon.nanos() + 1);
+        assert_eq!(last, horizon);
         assert_eq!(sim.widened_windows(), 1);
 
         // Busy (non-idle) windows ignore the cap entirely: shrinking one
         // would change which cross-shard messages share a barrier, which
         // is history-visible under finite link bandwidth.
         sim.next_checkpoint_at = Some(t0);
-        let (we, _inc, idle) = sim.plan_window(t0, horizon, false);
+        let (last, idle) = sim.plan_window(t0, horizon, false);
         assert!(!idle);
         assert_eq!(
-            we.nanos(),
-            t0.nanos() + la,
+            last.nanos(),
+            t0.nanos() + la - 1,
             "busy windows keep the lookahead bound"
         );
     }

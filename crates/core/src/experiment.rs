@@ -104,11 +104,9 @@ pub struct Experiment {
     /// and benchmark hook, see [`pa_cluster::ShardSchedule`]).
     #[doc(hidden)]
     pub shard_schedule: pa_cluster::ShardSchedule,
-    /// Periodic checkpoint interval (sim time; None = off). Requires
-    /// `checkpoint_to`.
-    pub checkpoint_every: Option<SimDur>,
-    /// File the periodic checkpointer overwrites.
-    pub checkpoint_to: Option<std::path::PathBuf>,
+    /// Periodic checkpoints: the interval (sim time) and the file each
+    /// one overwrites (None = off).
+    pub checkpoint: Option<(SimDur, std::path::PathBuf)>,
     /// Restore engine + recorder state from this checkpoint right after
     /// boot, then run the remaining tail of the job.
     pub restore_from: Option<std::path::PathBuf>,
@@ -138,8 +136,7 @@ impl Experiment {
             horizon: SimDur::from_secs(3_600),
             sim_threads: 1,
             shard_schedule: pa_cluster::ShardSchedule::Steal,
-            checkpoint_every: None,
-            checkpoint_to: None,
+            checkpoint: None,
             restore_from: None,
         }
     }
@@ -250,8 +247,7 @@ impl Experiment {
         every: SimDur,
         path: impl Into<std::path::PathBuf>,
     ) -> Self {
-        self.checkpoint_every = Some(every);
-        self.checkpoint_to = Some(path.into());
+        self.checkpoint = Some((every, path.into()));
         self
     }
 
@@ -346,8 +342,8 @@ impl Experiment {
                 recorder.lock().unwrap().snapshot_value(),
             )]
         }));
-        if let (Some(every), Some(path)) = (self.checkpoint_every, &self.checkpoint_to) {
-            sim.set_checkpoint_every(every, path.clone());
+        if let Some((every, path)) = &self.checkpoint {
+            sim.set_checkpoint_every(*every, path.clone());
         }
         if let Some(from) = &self.restore_from {
             let extras = sim

@@ -5,8 +5,9 @@
 //! tick machinery, the timer-callout queue, the I/O request path, and a
 //! trace buffer. It is driven externally, by the node event loop
 //! ([`NodeLoop`](crate::solo::NodeLoop)): the loop pops events from the
-//! node's calendar and hands each to the kernel, which returns new events
-//! and outbound messages through an effects buffer.
+//! node's calendar and hands each to the kernel, whose handlers schedule,
+//! arm and disarm on that calendar directly and queue outbound messages
+//! for the loop to route.
 //!
 //! ## Fidelity notes (mapping to the paper)
 //!
@@ -37,7 +38,7 @@ use crate::runq::{DispatchKey, ReadyQueue};
 use crate::types::{
     CpuId, DaemonQueuePolicy, PreemptMode, Prio, QueueDiscipline, ThreadState, Tid,
 };
-use pa_simkit::{RngState, SimDur, SimRng, SimTime};
+use pa_simkit::{EventQueue, RngState, SimDur, SimRng, SimTime};
 use pa_trace::{HookId, ThreadClass, TraceBuffer, TraceEvent};
 use serde::value::Value;
 use serde::{Deserialize, Serialize};
@@ -99,44 +100,40 @@ pub enum KernelEvent {
     },
 }
 
-/// A voided in-flight [`KernelEvent::SegEnd`] timer. The kernel already
-/// guards against stale timers with occupancy tokens; this tells the
-/// driver the calendar entry itself is dead so it can be removed instead
-/// of surfacing later as a no-op pop (the tombstone source in
-/// cancel-heavy co-scheduled runs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct SegCancel {
-    /// CPU whose outstanding segment timer is void.
-    pub cpu: CpuId,
-    /// Number of `Effects::schedule` entries already emitted when this
-    /// cancel was recorded. A handler may void a segment and then arm a
-    /// new one for the same CPU in a single event, so the driver must
-    /// interleave cancels with schedules in program order: apply this
-    /// cancel after scheduling exactly `after` entries of the batch.
-    pub after: u32,
-}
-
-/// Side effects of handling one event, drained by the node loop.
-#[derive(Debug, Default)]
+/// What a kernel handler acts on: the node's event calendar, with one
+/// timer slot per CPU for its outstanding [`KernelEvent::SegEnd`], and
+/// the outbox of messages the node loop routes once the handler returns.
+/// Handlers schedule, arm and disarm in program order, so event ids (and
+/// therefore FIFO tie-breaks) follow the order the handler acted in.
+#[derive(Debug)]
 pub(crate) struct Effects {
-    /// Events to schedule for this same node (global time).
-    pub schedule: Vec<(SimTime, KernelEvent)>,
+    /// The node's event calendar (global time).
+    pub queue: EventQueue<KernelEvent>,
     /// Messages leaving this thread context; the fabric routes them (both
     /// cross-node and node-local loopback).
     pub outbound: Vec<Message>,
-    /// Segment timers voided by this event, watermarked against
-    /// `schedule` (see [`SegCancel::after`]).
-    pub cancels: Vec<SegCancel>,
 }
 
 impl Effects {
-    /// Record that `cpu`'s in-flight segment timer is void, watermarked
-    /// at the current position in `schedule`.
-    pub(crate) fn cancel_seg(&mut self, cpu: CpuId) {
-        self.cancels.push(SegCancel {
-            cpu,
-            after: self.schedule.len() as u32,
-        });
+    /// An empty calendar with a `SegEnd` timer slot per CPU.
+    pub(crate) fn new(ncpus: u8) -> Effects {
+        Effects {
+            queue: EventQueue::with_timers(usize::from(ncpus)),
+            outbound: Vec::new(),
+        }
+    }
+
+    /// Arm `cpu`'s segment timer to fire at `end`.
+    fn arm_seg(&mut self, cpu: CpuId, end: SimTime, token: u64) {
+        let ev = KernelEvent::SegEnd { cpu, token };
+        self.queue.arm(usize::from(cpu.0), end, ev);
+    }
+
+    /// Void `cpu`'s in-flight segment timer. The token bump already makes
+    /// it stale; disarming removes the calendar entry instead of leaving
+    /// it to surface later as a no-op pop.
+    fn disarm_seg(&mut self, cpu: CpuId) {
+        self.queue.disarm(usize::from(cpu.0));
     }
 }
 
@@ -644,7 +641,7 @@ impl Kernel {
     ) -> Tid {
         assert!(self.booted, "spawn_at before boot: use spawn");
         let (tid, home) = self.spawn_inner(spec, program, now);
-        fx.schedule.push((now, KernelEvent::Resched { cpu: home }));
+        fx.queue.schedule(now, KernelEvent::Resched { cpu: home });
         tid
     }
 
@@ -759,14 +756,14 @@ impl Kernel {
         for c in 0..self.ncpus {
             let phase = self.opts.tick_phase(c, self.ncpus);
             let first = self.clock.next_local_boundary(now, period, phase);
-            fx.schedule
-                .push((first, KernelEvent::Tick { cpu: CpuId(c) }));
+            fx.queue
+                .schedule(first, KernelEvent::Tick { cpu: CpuId(c) });
         }
         for i in 0..self.interrupt_sources.len() {
             let mean = self.interrupt_sources[i].spec.mean_interval;
             let gap = self.rng.exp_dur(mean);
-            fx.schedule
-                .push((now + gap, KernelEvent::DeviceInterrupt { source: i }));
+            fx.queue
+                .schedule(now + gap, KernelEvent::DeviceInterrupt { source: i });
         }
         for c in 0..self.ncpus {
             if self.cpus[c as usize].running.is_none() {
@@ -950,8 +947,8 @@ impl Kernel {
         let period = self.opts.tick_period();
         let phase = self.opts.tick_phase(cpu.0, self.ncpus);
         let local_next = self.clock.to_local(now).next_boundary(period, phase);
-        fx.schedule
-            .push((self.clock.to_global(local_next), KernelEvent::Tick { cpu }));
+        fx.queue
+            .schedule(self.clock.to_global(local_next), KernelEvent::Tick { cpu });
     }
 
     fn on_seg_end(&mut self, cpu: CpuId, token: u64, now: SimTime, fx: &mut Effects) {
@@ -970,7 +967,7 @@ impl Kernel {
             let end = now + debt;
             self.cpus[ci].seg_end = Some(end);
             let token = self.cpus[ci].token;
-            fx.schedule.push((end, KernelEvent::SegEnd { cpu, token }));
+            fx.arm_seg(cpu, end, token);
             return;
         }
         self.cpus[ci].seg_end = None;
@@ -1038,13 +1035,13 @@ impl Kernel {
                     .position(|c| c.running == Some(tid))
                     .expect("running thread must occupy a CPU");
                 let token = self.cpus[cpu].token;
-                fx.schedule.push((
+                fx.queue.schedule(
                     now + poll_detect,
                     KernelEvent::PollNotice {
                         cpu: CpuId(cpu as u8),
                         token,
                     },
-                ));
+                );
             }
             (&Cont::BlockedRecv { tag, src }, ThreadState::Blocked)
                 if slot.mailbox.has_match(tag, src) =>
@@ -1089,13 +1086,13 @@ impl Kernel {
         }
         self.trace.emit(now, cpu.0, HookId::Dispatch, itid.0, 0);
         self.threads[itid.0 as usize].cpu_time += dur;
-        fx.schedule
-            .push((now + dur, KernelEvent::InterruptEnd { cpu, itid }));
+        fx.queue
+            .schedule(now + dur, KernelEvent::InterruptEnd { cpu, itid });
         // Next arrival of this source.
         let mean = self.interrupt_sources[source].spec.mean_interval;
         let gap = self.rng.exp_dur(mean);
-        fx.schedule
-            .push((now + gap, KernelEvent::DeviceInterrupt { source }));
+        fx.queue
+            .schedule(now + gap, KernelEvent::DeviceInterrupt { source });
     }
 
     fn on_interrupt_end(&mut self, cpu: CpuId, itid: Tid, now: SimTime, fx: &mut Effects) {
@@ -1262,7 +1259,7 @@ impl Kernel {
         let end = now + remaining;
         self.cpus[ci].seg_end = Some(end);
         let token = self.cpus[ci].token;
-        fx.schedule.push((end, KernelEvent::SegEnd { cpu, token }));
+        fx.arm_seg(cpu, end, token);
     }
 
     /// The current busy segment completed: perform its continuation, then
@@ -1473,9 +1470,7 @@ impl Kernel {
         let debt = core::mem::take(&mut self.cpus[ci].debt);
         self.cpus[ci].token += 1;
         if seg_end.is_some() {
-            // The token bump already voids the in-flight SegEnd; tell the
-            // driver so the calendar entry dies instead of lingering.
-            fx.cancel_seg(cpu);
+            fx.disarm_seg(cpu);
         }
         let slot = &mut self.threads[tid.0 as usize];
         let mut spin = SimDur::ZERO;
@@ -1510,7 +1505,7 @@ impl Kernel {
         );
         self.cpus[ci].running = None;
         if self.cpus[ci].seg_end.take().is_some() {
-            fx.cancel_seg(cpu);
+            fx.disarm_seg(cpu);
         }
         self.cpus[ci].debt = SimDur::ZERO;
         self.cpus[ci].token += 1;
@@ -1636,7 +1631,7 @@ impl Kernel {
                         self.opts.costs.ipi_latency_min,
                         self.opts.costs.ipi_latency_max,
                     );
-                    fx.schedule.push((now + lat, KernelEvent::Ipi { cpu }));
+                    fx.queue.schedule(now + lat, KernelEvent::Ipi { cpu });
                 }
             }
             PreemptMode::RtIpiImproved => {
@@ -1647,7 +1642,7 @@ impl Kernel {
                         self.opts.costs.ipi_latency_min,
                         self.opts.costs.ipi_latency_max,
                     );
-                    fx.schedule.push((now + lat, KernelEvent::Ipi { cpu }));
+                    fx.queue.schedule(now + lat, KernelEvent::Ipi { cpu });
                 }
             }
         }
@@ -1954,5 +1949,65 @@ fn best_of(a: Option<DispatchKey>, b: Option<DispatchKey>) -> Option<DispatchKey
     match (a, b) {
         (Some(x), Some(y)) => Some(x.min(y)),
         (x, y) => x.or(y),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::program::Script;
+
+    /// Tokens of the `SegEnd` events pending for `cpu`.
+    fn seg_tokens(fx: &Effects, cpu: CpuId) -> Vec<u64> {
+        let live = fx.queue.live_entries().into_iter();
+        live.filter_map(|(_, _, ev)| match *ev {
+            KernelEvent::SegEnd { cpu: c, token } if c == cpu => Some(token),
+            _ => None,
+        })
+        .collect()
+    }
+
+    /// Handle every event due by `last`, asserting that each segment
+    /// timer that fires carries its CPU's current token.
+    fn run_to(k: &mut Kernel, fx: &mut Effects, last: SimTime) {
+        while let Some((now, ev)) = fx.queue.pop_until(last) {
+            if let KernelEvent::SegEnd { cpu, token } = ev {
+                let current = k.cpus[cpu.0 as usize].token;
+                assert_eq!(token, current, "stale SegEnd popped at {now}");
+            }
+            k.handle(now, ev, fx);
+        }
+    }
+
+    #[test]
+    fn preemption_voids_and_rearms_segment_timer_in_one_event() {
+        // One handler voids CPU 0's segment timer and arms a new one on
+        // the same CPU: an IPI that preempts `a` for a favored `b`.
+        let cpu = CpuId(0);
+        let opts = SchedOptions::vanilla();
+        let mut k = Kernel::new(0, 1, opts, ClockModel::synced(), SimRng::from_seed(7), 64);
+        let app = |name| ThreadSpec::new(name, ThreadClass::App, Prio::USER).on_cpu(cpu);
+        let compute = |ms| Box::new(Script::new(vec![Action::Compute(SimDur::from_millis(ms))]));
+        k.spawn(app("a"), compute(50));
+        let b = k.spawn(app("b"), compute(1));
+        let mut fx = Effects::new(1);
+        k.boot(SimTime::ZERO, &mut fx);
+        let t = SimTime::from_millis(1);
+        run_to(&mut k, &mut fx, t);
+        // Lazy preemption: the flip alone schedules nothing.
+        k.set_priority(b, Prio::FAVORED, t, &mut fx);
+        let voided = seg_tokens(&fx, cpu);
+        assert_eq!(voided.len(), 1, "a's segment timer is armed");
+        let cancelled = fx.queue.stats().cancelled;
+
+        k.handle(t, KernelEvent::Ipi { cpu }, &mut fx);
+        assert_eq!(k.running_on(cpu), Some(b));
+        let token = k.cpus[0].token;
+        assert_ne!(voided[0], token);
+        assert_eq!(seg_tokens(&fx, cpu), [token], "one timer, the new token");
+        assert_eq!(fx.queue.stats().cancelled, cancelled + 1);
+
+        run_to(&mut k, &mut fx, SimTime::from_millis(100));
+        assert_eq!(k.app_alive(), 0);
     }
 }

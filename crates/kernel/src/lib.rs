@@ -57,7 +57,6 @@ pub use types::{
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::Effects;
     use pa_simkit::{SimDur, SimRng, SimTime};
     use pa_trace::{HookId, HookMask, ThreadClass};
 
@@ -96,6 +95,25 @@ mod tests {
         // CPU time should be demand + overheads, close to wall time here.
         let cpu_t = r.kernel.thread_cpu_time(tid);
         assert!(cpu_t >= SimDur::from_millis(3));
+    }
+
+    #[test]
+    fn run_until_advances_clock_to_horizon() {
+        // As `ClusterSim::run_until` does: the clock reads the horizon
+        // afterwards, here one on which no event lands.
+        let mut k = mk_kernel(1, SchedOptions::vanilla());
+        k.spawn(
+            app_spec("app", 0),
+            Box::new(Script::new(vec![Action::Compute(SimDur::from_millis(3))])),
+        );
+        let mut r = SoloRunner::new(k);
+        r.boot();
+        let horizon = SimTime::from_nanos(7_777_777);
+        assert_eq!(r.run_until(horizon), horizon);
+        assert_eq!(r.now(), horizon, "clock must land on the horizon");
+        assert!(r.queue().peek_time() > Some(horizon));
+        // A horizon already passed leaves the clock where it is.
+        assert_eq!(r.run_until(SimTime::from_millis(1)), horizon);
     }
 
     #[test]
@@ -249,25 +267,10 @@ mod tests {
             let mut r = SoloRunner::new(k);
             r.boot();
             r.run_until(SimTime::from_millis(2));
-            let mut fx = Effects::default();
-            r.kernel
-                .set_priority(a, Prio::UNFAVORED, SimTime::from_millis(2), &mut fx);
-            // Feed any scheduled IPIs through the kernel at their time.
-            let mut pending = fx.schedule;
-            pending.sort_by_key(|(t, _)| *t);
-            for (t, ev) in pending {
-                r.run_until(t);
-                let mut fx2 = Effects::default();
-                r.kernel.handle(t, ev, &mut fx2);
-                for (t2, ev2) in fx2.schedule {
-                    // Only SegEnd rescheduling for the preempted thread can
-                    // appear; replay it inline as well.
-                    r.run_until(t2);
-                    let mut fx3 = Effects::default();
-                    r.kernel.handle(t2, ev2, &mut fx3);
-                    assert!(fx3.schedule.iter().all(|(t3, _)| *t3 > t2));
-                }
-            }
+            // The flip schedules any IPI on the node's own calendar, where
+            // the run below handles it in time order.
+            let NodeLoop { kernel, fx, .. } = &mut *r;
+            kernel.set_priority(a, Prio::UNFAVORED, SimTime::from_millis(2), fx);
             r.run_until(SimTime::from_millis(30));
             let first = r
                 .kernel
@@ -405,7 +408,6 @@ mod tests {
         let mut r = SoloRunner::new(k);
         r.boot();
         r.run_until(SimTime::from_millis(1));
-        let mut fx = Effects::default();
         let msg = Message {
             src: Endpoint {
                 node: 0,
@@ -420,17 +422,14 @@ mod tests {
             sent_at: SimTime::from_millis(1),
             payload: 0,
         };
-        r.kernel.handle(
-            SimTime::from_millis(1),
-            KernelEvent::Deliver { msg },
-            &mut fx,
-        );
+        let NodeLoop { kernel, fx, .. } = &mut *r;
+        kernel.handle(SimTime::from_millis(1), KernelEvent::Deliver { msg }, fx);
         // PollNotice scheduled shortly after delivery.
-        assert!(fx
-            .schedule
-            .iter()
-            .any(|(t, e)| matches!(e, KernelEvent::PollNotice { .. })
-                && *t <= SimTime::from_millis(1) + SimDur::from_micros(2)));
+        assert!(r.queue().live_entries().iter().any(|(t, _, e)| matches!(
+            e,
+            KernelEvent::PollNotice { .. }
+        ) && *t
+            <= SimTime::from_millis(1) + SimDur::from_micros(2)));
     }
 
     #[test]
@@ -578,9 +577,8 @@ mod tests {
         r.boot();
         r.run_until(SimTime::from_millis(1));
         assert_eq!(r.kernel.thread_prio(waiter), Prio::USER);
-        let mut fx = Effects::default();
-        r.kernel
-            .set_priority(waiter, Prio::FAVORED, SimTime::from_millis(1), &mut fx);
+        let NodeLoop { kernel, fx, .. } = &mut *r;
+        kernel.set_priority(waiter, Prio::FAVORED, SimTime::from_millis(1), fx);
         assert_eq!(r.kernel.thread_prio(waiter), Prio::FAVORED);
         // Lazy mode: the next tick (10ms) performs the switch; the waiter
         // then runs its 1ms of work and exits.
@@ -874,8 +872,8 @@ mod tests {
         let mut r = SoloRunner::new(k);
         r.boot();
         r.run_until_apps_done(SimTime::from_secs(1));
-        let mut fx = Effects::default();
         let now = r.now();
+        let scheduled = r.queue().stats().scheduled;
         let msg = Message {
             src: Endpoint {
                 node: 0,
@@ -887,7 +885,12 @@ mod tests {
             sent_at: now,
             payload: 0,
         };
-        r.kernel.handle(now, KernelEvent::Deliver { msg }, &mut fx);
-        assert!(fx.schedule.is_empty(), "no events for a dead thread");
+        let NodeLoop { kernel, fx, .. } = &mut *r;
+        kernel.handle(now, KernelEvent::Deliver { msg }, fx);
+        assert_eq!(
+            r.queue().stats().scheduled,
+            scheduled,
+            "no events for a dead thread"
+        );
     }
 }

@@ -1,12 +1,13 @@
 //! The node event loop.
 //!
 //! [`NodeLoop`] is the one driver of a [`Kernel`]: it owns the kernel's
-//! event calendar (with one `SegEnd` timer slot per CPU), effects buffer
-//! and event counter, and runs pop → handle → schedule, arm and disarm →
-//! [`Route`] each outbound message. [`SoloRunner`] is a node loop with a
-//! loopback route, for single-node experiments and the kernel, noise and
-//! MPI unit tests; `pa-cluster`'s shard embeds a node loop and adds only
-//! fabric routing.
+//! event calendar (with one `SegEnd` timer slot per CPU) and outbox, and
+//! its event counter, and runs pop → handle → [`Route`] each outbound
+//! message. The handler schedules, arms and disarms on the calendar
+//! itself, in program order, so the loop moves no event in between.
+//! [`SoloRunner`] is a node loop with a loopback route, for single-node
+//! experiments and the kernel, noise and MPI unit tests; `pa-cluster`'s
+//! shard embeds a node loop and adds only fabric routing.
 
 use crate::kernel::{Effects, Kernel, KernelEvent, KernelSnapshot, ThreadSpec};
 use crate::msg::Message;
@@ -50,16 +51,14 @@ impl<F: FnMut(SimTime, Message) -> Option<(SimTime, Message)>> Route for F {}
 pub struct NodeLoop {
     /// The node kernel.
     pub kernel: Kernel,
-    /// The calendar, with one timer slot per CPU for its outstanding
-    /// `SegEnd`, so kernel-voided segment timers are disarmed instead of
-    /// surfacing as stale pops.
-    queue: EventQueue<KernelEvent>,
-    fx: Effects,
+    /// The calendar (one timer slot per CPU for its outstanding `SegEnd`)
+    /// and outbox the kernel's handlers act on.
+    pub(crate) fx: Effects,
     events_processed: u64,
 }
 
-/// The timer slot of a calendar entry: a `SegEnd` is armed in its CPU's
-/// slot, and every other event goes to the heap.
+/// The timer slot of a restored calendar entry: a `SegEnd` is armed in
+/// its CPU's slot, and every other event goes to the heap.
 fn seg_slot(ev: &KernelEvent) -> Option<usize> {
     match ev {
         KernelEvent::SegEnd { cpu, .. } => Some(cpu.0 as usize),
@@ -70,18 +69,16 @@ fn seg_slot(ev: &KernelEvent) -> Option<usize> {
 impl NodeLoop {
     /// Wrap a kernel (not yet booted).
     pub fn new(kernel: Kernel) -> NodeLoop {
-        let ncpus = kernel.ncpus() as usize;
         NodeLoop {
+            fx: Effects::new(kernel.ncpus()),
             kernel,
-            queue: EventQueue::with_timers(ncpus),
-            fx: Effects::default(),
             events_processed: 0,
         }
     }
 
     /// Current simulation time: the calendar clock.
     pub fn now(&self) -> SimTime {
-        self.queue.now()
+        self.fx.queue.now()
     }
 
     /// Total events processed so far.
@@ -91,84 +88,53 @@ impl NodeLoop {
 
     /// The pending event calendar.
     pub fn queue(&self) -> &EventQueue<KernelEvent> {
-        &self.queue
+        &self.fx.queue
     }
 
     /// Move the calendar clock forward to `t` without handling anything.
     pub fn advance_to(&mut self, t: SimTime) {
-        self.queue.advance_to(t);
+        self.fx.queue.advance_to(t);
     }
 
     /// Schedule the arrival of `msg` at this node at `at`.
     pub fn deliver_at(&mut self, at: SimTime, msg: Message) {
-        self.queue.schedule(at, KernelEvent::Deliver { msg });
+        self.fx.queue.schedule(at, KernelEvent::Deliver { msg });
     }
 
     /// Boot the kernel at the current time.
     pub fn boot(&mut self, mut route: impl Route) {
-        let now = self.queue.now();
+        let now = self.fx.queue.now();
         self.kernel.boot(now, &mut self.fx);
-        self.drain(now, &mut route);
+        self.route_outbound(now, &mut route);
     }
 
     /// Spawn a thread on the booted kernel at `at` (see
     /// [`Kernel::spawn`] for threads present at boot).
     pub fn spawn_at(&mut self, at: SimTime, spec: ThreadSpec, program: Box<dyn Program>) -> Tid {
         let tid = self.kernel.spawn_at(at, spec, program, &mut self.fx);
-        self.drain(at, &mut |_, _| unreachable!("a spawn sends no message"));
+        debug_assert!(self.fx.outbound.is_empty(), "a spawn sends no message");
         tid
     }
 
-    /// Handle every pending event before `end`, or up to and including
-    /// it when `inclusive`. With `until_apps_done` the loop also stops as
-    /// soon as no application thread is alive.
-    pub fn run(
-        &mut self,
-        end: SimTime,
-        inclusive: bool,
-        until_apps_done: bool,
-        mut route: impl Route,
-    ) {
-        while let Some(t) = self.queue.peek_time() {
-            if t > end || (t == end && !inclusive) {
+    /// Handle every pending event due at or before `last`. With
+    /// `until_apps_done` the loop also stops as soon as no application
+    /// thread is alive.
+    pub fn run(&mut self, last: SimTime, until_apps_done: bool, mut route: impl Route) {
+        while !(until_apps_done && self.kernel.app_alive() == 0) {
+            let Some((now, ev)) = self.fx.queue.pop_until(last) else {
                 break;
-            }
-            if until_apps_done && self.kernel.app_alive() == 0 {
-                break;
-            }
-            let (now, ev) = self.queue.pop().expect("peeked event vanished");
+            };
             self.events_processed += 1;
             self.kernel.handle(now, ev, &mut self.fx);
-            self.drain(now, &mut route);
+            self.route_outbound(now, &mut route);
         }
     }
 
-    /// Move one handler's effects into the calendar, then route its
-    /// outbound messages in send order. Voided segment timers are
-    /// disarmed interleaved with the schedules in program order: a
-    /// handler may void a CPU's timer and then arm a new one for the same
-    /// CPU, and each cancel's watermark says how many schedule entries
-    /// precede it. Keeping the original schedule order also keeps
-    /// event-id assignment (and therefore FIFO tie-breaks) identical to
-    /// an engine that never cancels.
-    fn drain(&mut self, now: SimTime, route: &mut impl Route) {
-        let Self { queue, fx, .. } = self;
-        let mut ci = 0;
-        for (idx, (t, ev)) in fx.schedule.drain(..).enumerate() {
-            while ci < fx.cancels.len() && (fx.cancels[ci].after as usize) <= idx {
-                queue.disarm(fx.cancels[ci].cpu.0 as usize);
-                ci += 1;
-            }
-            match seg_slot(&ev) {
-                Some(cpu) => queue.arm(cpu, t, ev),
-                None => queue.schedule(t, ev),
-            }
-        }
-        for c in &fx.cancels[ci..] {
-            queue.disarm(c.cpu.0 as usize);
-        }
-        fx.cancels.clear();
-        for msg in fx.outbound.drain(..) {
+    /// Route the outbound messages of the event handled at `now`, in send
+    /// order, scheduling each one the route keeps on this node.
+    fn route_outbound(&mut self, now: SimTime, route: &mut impl Route) {
+        let Effects { queue, outbound } = &mut self.fx;
+        for msg in outbound.drain(..) {
             if let Some((at, msg)) = route(now, msg) {
                 queue.schedule(at, KernelEvent::Deliver { msg });
             }
@@ -178,10 +144,11 @@ impl NodeLoop {
     /// Capture the kernel and calendar (checkpoint).
     pub fn capture(&self) -> NodeSnap {
         NodeSnap {
-            queue_now: self.queue.now(),
-            queue_next_id: self.queue.next_id_raw(),
-            queue_stats: self.queue.stats(),
+            queue_now: self.fx.queue.now(),
+            queue_next_id: self.fx.queue.next_id_raw(),
+            queue_stats: self.fx.queue.stats(),
             queue_entries: self
+                .fx
                 .queue
                 .live_entries()
                 .into_iter()
@@ -198,7 +165,7 @@ impl NodeLoop {
     /// is an error.
     pub fn restore(&mut self, snap: NodeSnap) -> Result<(), String> {
         self.kernel.restore(&snap.kernel)?;
-        self.queue = EventQueue::from_parts(
+        self.fx.queue = EventQueue::from_parts(
             snap.queue_now,
             snap.queue_next_id,
             snap.queue_stats,
@@ -228,18 +195,20 @@ impl SoloRunner {
     }
 
     /// Run until all application threads exit or `horizon` passes.
-    /// Returns the stop time.
+    /// Returns the stop time: the last event handled.
     pub fn run_until_apps_done(&mut self, horizon: SimTime) -> SimTime {
-        self.0
-            .run(horizon, true, true, loopback(self.kernel.node_id()));
+        self.0.run(horizon, true, loopback(self.kernel.node_id()));
         self.now()
     }
 
-    /// Run until `horizon` regardless of application state.
+    /// Run until `horizon` regardless of application state. Afterwards
+    /// the clock reads `horizon` (or the last event handled, if a
+    /// previous call ran past it), and that time is returned, as
+    /// `ClusterSim::run_until` does.
     pub fn run_until(&mut self, horizon: SimTime) -> SimTime {
-        self.0
-            .run(horizon, true, false, loopback(self.kernel.node_id()));
-        horizon
+        self.0.run(horizon, false, loopback(self.kernel.node_id()));
+        self.0.advance_to(horizon.max(self.now()));
+        self.now()
     }
 }
 

@@ -24,9 +24,12 @@
 //!   slot is cached and rescanned only when that slot fires or is
 //!   disarmed.
 //!
-//! [`EventQueue::pop`] and [`EventQueue::peek_time`] take the smaller of
-//! the heap root and the earliest armed slot, so the pop order is the
-//! one a single heap over both tiers would give.
+//! [`EventQueue::pop_until`] (and [`EventQueue::pop`], its unbounded
+//! form) and [`EventQueue::peek_time`] take the smaller of the heap root
+//! and the earliest armed slot, so the pop order is the one a single heap
+//! over both tiers would give. `pop_until` makes that choice once per
+//! event: a loop bounded by a window end pops with it instead of
+//! peeking first.
 //!
 //! # Queue health
 //!
@@ -352,26 +355,34 @@ impl<E> EventQueue<E> {
     /// Pop the earliest pending event, advancing the clock to its
     /// timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.pop_until(SimTime::FAR_FUTURE)
+    }
+
+    /// Pop the earliest pending event if it is due at or before `last`,
+    /// advancing the clock to its timestamp. `None` (nothing pending, or
+    /// nothing due by `last`) leaves the queue untouched.
+    pub fn pop_until(&mut self, last: SimTime) -> Option<(SimTime, E)> {
         let root = self.heap.first().copied().unwrap_or(IDLE);
-        let (key, payload) = if root < self.next_timer {
-            let last = self.heap.pop().expect("heap has a root");
+        let key = root.min(self.next_timer);
+        if key == IDLE || key.time() > last {
+            return None;
+        }
+        let payload = if root < self.next_timer {
+            let tail = self.heap.pop().expect("heap has a root");
             if !self.heap.is_empty() {
-                self.heap[0] = last;
+                self.heap[0] = tail;
                 self.sift_down(0);
             }
-            let slot = root.slot();
-            self.free.push(slot as u32);
-            let payload = self.events[slot].take();
-            (root, payload.expect("heap key names a payload"))
-        } else if self.next_timer != IDLE {
-            let key = self.next_timer;
+            self.free.push(key.slot() as u32);
+            self.events[key.slot()]
+                .take()
+                .expect("heap key names a payload")
+        } else {
             let payload = self.timer_events[key.slot()].take();
             self.timer_keys[key.slot()] = IDLE;
             self.armed -= 1;
             self.rescan_timers();
-            (key, payload.expect("earliest timer is armed"))
-        } else {
-            return None;
+            payload.expect("earliest timer is armed")
         };
         let time = key.time();
         debug_assert!(time >= self.now, "event queue went backwards");

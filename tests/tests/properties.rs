@@ -157,7 +157,7 @@ proptest! {
 // Event queue vs a flat model: the two-tier queue (heap plus keyed timer
 // slots) must replay the exact pop order and every stat of one flat list
 // of pending events under any interleaving of schedule/arm/disarm/
-// advance_to/pop and checkpoint round trips.
+// advance_to/pop/bounded pop and checkpoint round trips.
 // ---------------------------------------------------------------------
 
 /// Timer slots the model test uses: few, so arms often find a live slot
@@ -310,16 +310,34 @@ fn check_queue_against_model(ops: &[QueueOp]) -> Result<(), TestCaseError> {
                 prop_assert_eq!(restored.next_id_raw(), q.next_id_raw());
                 q = restored;
             }
-            // pop
+            // pop, or a pop bounded below, at or above the next event
             _ => {
-                let got = q.pop();
-                let want = model.pop();
+                let next = model.peek_time();
+                let limit = match (op.pick % 4, next) {
+                    (0, _) => None,
+                    (1, Some(n)) => Some(n.saturating_sub(1 + op.delta % 3)),
+                    (2, Some(n)) => Some(n),
+                    (_, n) => Some(n.unwrap_or(model.now) + op.delta),
+                };
+                let (entries, len, stats) = (queue_entries(&q), q.len(), q.stats());
+                let got = match limit {
+                    None => q.pop(),
+                    Some(last) => q.pop_until(SimTime::from_nanos(last)),
+                };
+                let due = next.is_some_and(|n| limit.is_none_or(|last| n <= last));
+                let want = if due { model.pop() } else { None };
                 prop_assert_eq!(
                     got.map(|(t, v)| (t.nanos(), v)),
                     want,
-                    "pop diverged at step {}",
-                    step
+                    "pop diverged at step {} (limit {:?})",
+                    step,
+                    limit
                 );
+                if want.is_none() {
+                    prop_assert_eq!(queue_entries(&q), entries, "empty pop moved entries");
+                    prop_assert_eq!(q.len(), len, "empty pop changed len");
+                    prop_assert_eq!(q.stats(), stats, "empty pop changed stats");
+                }
             }
         }
         prop_assert_eq!(
