@@ -6,7 +6,6 @@
 
 use crate::spec::PointSpec;
 use pa_core::RunOutput;
-use pa_mpi::OpKind;
 use serde::value::{get, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -103,22 +102,6 @@ impl PointResult {
             extra,
         }
     }
-
-    /// Extraction including the global per-call duration summary (what
-    /// the timer table reports).
-    pub fn from_run_with_global_summary(out: &RunOutput) -> PointResult {
-        let s = out
-            .job
-            .recorder
-            .lock()
-            .unwrap()
-            .global_dur_summary_us(OpKind::Allreduce);
-        let mut r = PointResult::from_run(out);
-        r.extra.insert("global_mean_us".into(), s.mean);
-        r.extra.insert("global_p99_us".into(), s.p99);
-        r.extra.insert("global_max_us".into(), s.max);
-        r
-    }
 }
 
 static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -196,7 +179,8 @@ impl Cache {
     }
 
     /// Store an entry atomically (temp file + rename), so a concurrent
-    /// reader sees either nothing or a complete entry.
+    /// reader sees either nothing or a complete entry. On error the temp
+    /// file is removed.
     pub fn store<W: Serialize>(
         &self,
         key: &str,
@@ -214,8 +198,11 @@ impl Cache {
             std::process::id(),
             TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
         ));
-        std::fs::write(&tmp, entry.to_json_string_pretty() + "\n")?;
-        std::fs::rename(&tmp, self.path_for(key))
+        std::fs::write(&tmp, entry.to_json_string_pretty() + "\n")
+            .and_then(|()| std::fs::rename(&tmp, self.path_for(key)))
+            .inspect_err(|_| {
+                let _ = std::fs::remove_file(&tmp);
+            })
     }
 }
 

@@ -1,7 +1,7 @@
-//! The campaign executor: a crossbeam thread pool pulling points from a
-//! shared queue. Each DES run is single-threaded internally and fully
-//! determined by its spec, so results are bit-identical at any `--jobs`;
-//! the executor restores submission order before returning.
+//! The campaign executor: a scoped pool of std threads claiming points
+//! through a shared atomic index. Each point's result is fully determined
+//! by its spec, so results are bit-identical at any `--jobs`; the
+//! executor restores submission order before returning.
 
 use crate::cache::{Cache, PointResult};
 use crate::manifest::{CampaignManifest, CampaignMetrics, ManifestPoint};
@@ -9,7 +9,10 @@ use crate::spec::PointSpec;
 use pa_simkit::SimDur;
 use serde::Serialize;
 use std::fmt;
+use std::io;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
 use std::time::Instant;
 
 /// How a campaign executes: parallelism, caching, reporting.
@@ -161,11 +164,13 @@ impl CampaignOutcome {
 enum WorkerMsg {
     /// A fresh (uncached) simulation is starting.
     Started { index: usize },
-    /// A point finished (fresh run or cache hit).
+    /// A point finished (fresh run or cache hit). `store_error` is set
+    /// when a fresh result could not be cached; its checkpoint is kept.
     Done {
         index: usize,
         result: PointResult,
         cached: bool,
+        store_error: Option<io::Error>,
     },
 }
 
@@ -194,76 +199,72 @@ where
     let total = specs.len();
     let keys: Vec<String> = specs.iter().map(|s| s.content_key()).collect();
 
-    let (task_tx, task_rx) = crossbeam::channel::unbounded::<usize>();
-    let (msg_tx, msg_rx) = crossbeam::channel::unbounded::<WorkerMsg>();
-    for i in 0..total {
-        task_tx.send(i).expect("queue open");
-    }
-    drop(task_tx);
-
     let jobs = cfg.jobs.max(1).min(total.max(1));
     let cache = cfg.cache.as_ref();
     let corrupt_before = cache.map_or(0, |c| c.corrupt_entries());
     let runner = &runner;
     let keys_ref = &keys;
+    let next = &AtomicUsize::new(0);
+    let (msg_tx, msg_rx) = mpsc::channel::<WorkerMsg>();
 
     let mut slots: Vec<Option<(PointResult, bool)>> = (0..total).map(|_| None).collect();
-    crossbeam::scope(|s| {
+    // A panicking worker drops its sender and the others run dry, so the
+    // reporter loop ends and the scope re-raises the panic on join.
+    std::thread::scope(|s| {
         for _ in 0..jobs {
-            let task_rx = task_rx.clone();
             let msg_tx = msg_tx.clone();
-            s.spawn(move |_| {
-                while let Ok(i) = task_rx.recv() {
-                    let spec = &specs[i];
-                    let key = &keys_ref[i];
-                    let cached_hit = match cache {
-                        Some(c) if !cfg.rerun => c.lookup(key),
-                        _ => None,
-                    };
-                    let (result, cached) = match cached_hit {
-                        Some(r) => (r, true),
-                        None => {
-                            let _ = msg_tx.send(WorkerMsg::Started { index: i });
-                            let ctx = PointCtx {
-                                sim_threads: cfg.sim_threads.max(1),
-                                checkpoint: match (cache, cfg.checkpoint_every) {
-                                    (Some(c), Some(every)) => Some(CheckpointCtx {
-                                        path: c
-                                            .dir()
-                                            .join("checkpoints")
-                                            .join(format!("{key}.json")),
-                                        every,
-                                    }),
-                                    _ => None,
-                                },
-                            };
-                            let r = runner(spec, &ctx);
-                            if let Some(c) = cache {
-                                let _ = c.store(key, spec, &r);
-                            }
-                            // The result is durable now; the mid-run
-                            // checkpoint has served its purpose.
-                            if let Some(cx) = &ctx.checkpoint {
-                                let _ = std::fs::remove_file(&cx.path);
-                            }
-                            (r, false)
+            s.spawn(move || loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= total {
+                    break;
+                }
+                let spec = &specs[i];
+                let key = &keys_ref[i];
+                let cached_hit = match cache {
+                    Some(c) if !cfg.rerun => c.lookup(key),
+                    _ => None,
+                };
+                let mut store_error = None;
+                let (result, cached) = match cached_hit {
+                    Some(r) => (r, true),
+                    None => {
+                        let _ = msg_tx.send(WorkerMsg::Started { index: i });
+                        let ctx = PointCtx {
+                            sim_threads: cfg.sim_threads.max(1),
+                            checkpoint: match (cache, cfg.checkpoint_every) {
+                                (Some(c), Some(every)) => Some(CheckpointCtx {
+                                    path: c.dir().join("checkpoints").join(format!("{key}.json")),
+                                    every,
+                                }),
+                                _ => None,
+                            },
+                        };
+                        let r = runner(spec, &ctx);
+                        if let Some(c) = cache {
+                            store_error = c.store(key, spec, &r).err();
                         }
-                    };
-                    if msg_tx
-                        .send(WorkerMsg::Done {
-                            index: i,
-                            result,
-                            cached,
-                        })
-                        .is_err()
-                    {
-                        break;
+                        // Once the result is durable, the mid-run
+                        // checkpoint has served its purpose; until then it
+                        // is the point's only resume point.
+                        if let (None, Some(cx)) = (&store_error, &ctx.checkpoint) {
+                            let _ = std::fs::remove_file(&cx.path);
+                        }
+                        (r, false)
                     }
+                };
+                let done = WorkerMsg::Done {
+                    index: i,
+                    result,
+                    cached,
+                    store_error,
+                };
+                if msg_tx.send(done).is_err() {
+                    break;
                 }
             });
         }
         drop(msg_tx);
-        while let Ok(msg) = msg_rx.recv() {
+        for msg in msg_rx {
             match msg {
                 WorkerMsg::Started { index } => {
                     if cfg.progress {
@@ -280,7 +281,14 @@ where
                     index,
                     result,
                     cached,
+                    store_error,
                 } => {
+                    if let Some(e) = store_error {
+                        eprintln!(
+                            "  [{}] warning: result {} not cached: {e}",
+                            cfg.label, keys[index]
+                        );
+                    }
                     if cfg.progress {
                         eprintln!(
                             "  [{}] point {}/{total}: {} procs seed {} — {} ({:.1} µs)",
@@ -296,8 +304,7 @@ where
                 }
             }
         }
-    })
-    .expect("campaign worker panicked");
+    });
 
     let wall_s = started.elapsed().as_secs_f64();
     let mut results = Vec::with_capacity(total);
@@ -513,5 +520,53 @@ mod tests {
         let out = run_campaign(&specs, &ExecutorConfig::serial("t"), fake_runner);
         assert!(out.truncated.is_empty());
         assert!(out.ensure_complete("t").is_ok());
+    }
+
+    #[test]
+    fn failed_store_keeps_the_checkpoint_and_no_temp_file() {
+        let dir = std::env::temp_dir().join(format!("pa-exec-store-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let specs = vec![spec(1)];
+        let cache = Cache::at(&dir).unwrap();
+        // A directory at the entry's path: the lookup misses and the
+        // store's rename fails.
+        std::fs::create_dir_all(cache.path_for(&specs[0].content_key())).unwrap();
+        let cfg = ExecutorConfig::serial("store")
+            .with_cache(cache)
+            .with_checkpoint_every(SimDur::from_millis(5));
+        let out = run_campaign(&specs, &cfg, |s, ctx| {
+            let path = &ctx.checkpoint.as_ref().expect("checkpointing armed").path;
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(path, "stand-in checkpoint").unwrap();
+            fake_runner(s, ctx)
+        });
+        assert_eq!(out.metrics.points_run, 1);
+        let ckpt = dir
+            .join("checkpoints")
+            .join(format!("{}.json", specs[0].content_key()));
+        assert!(ckpt.exists(), "the point's only resume point was deleted");
+        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.starts_with(".tmp-"))
+            .collect();
+        assert!(
+            leftovers.is_empty(),
+            "temp files left behind: {leftovers:?}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_panicking_point_fails_the_campaign_without_hanging() {
+        let specs: Vec<_> = (0..6).map(spec).collect();
+        let cfg = ExecutorConfig::serial("panic").with_jobs(2);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_campaign(&specs, &cfg, |s, ctx| {
+                assert_ne!(s.seed, 3, "deliberate runner panic");
+                fake_runner(s, ctx)
+            })
+        }));
+        assert!(outcome.is_err(), "a point's panic must fail the campaign");
     }
 }

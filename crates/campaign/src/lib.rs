@@ -3,7 +3,6 @@
 
 pub mod cache;
 pub mod executor;
-pub mod hash;
 pub mod manifest;
 pub mod spec;
 

@@ -3,11 +3,11 @@
 //! equal content keys produce bit-identical results.
 
 use crate::cache::CACHE_SCHEMA_VERSION;
-use crate::hash::sha256_hex;
 use pa_core::{CoschedSetup, Experiment};
 use pa_kernel::SchedOptions;
 use pa_mpi::{MpiConfig, ProgressSpec};
 use pa_noise::NoiseProfile;
+use pa_simkit::sha256_hex;
 use pa_simkit::SimDur;
 use serde::value::{get, Value};
 use serde::{Deserialize, Error, Serialize};

@@ -750,20 +750,23 @@ impl ClusterSim {
         self.now
     }
 
-    /// Spawn a thread on `node` at the current barrier time — a mid-run
-    /// arrival (the batch layer's job launch). Callable only between run
-    /// calls, when every shard is quiescent at a window barrier, so the
-    /// spawn lands at the same instant regardless of `--sim-threads`.
-    /// The kernel schedules a dispatcher nudge so the thread starts
-    /// without waiting for the next tick.
+    /// Spawn a thread on `node`. Before boot it starts with the cluster
+    /// ([`Kernel::spawn`]). After boot it is a mid-run arrival (the batch
+    /// layer's job launch) at the current barrier time: callable only
+    /// between run calls, when every shard is quiescent at a window
+    /// barrier, so the spawn lands at the same instant regardless of
+    /// `--sim-threads`. The kernel schedules a dispatcher nudge so the
+    /// thread starts without waiting for the next tick.
     pub fn spawn_thread(
         &mut self,
         node: u32,
         spec: pa_kernel::ThreadSpec,
         program: Box<dyn pa_kernel::Program>,
     ) -> pa_kernel::Tid {
-        assert!(self.booted, "spawn_thread on an unbooted cluster");
         let sh = &mut self.shards[node as usize];
+        if !self.booted {
+            return sh.node.kernel.spawn(spec, program);
+        }
         // The shard clock may sit ahead of the global barrier time when a
         // prior `run_until` advanced it; never spawn into the past.
         let at = self.now.max(sh.node.now());

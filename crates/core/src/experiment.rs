@@ -23,9 +23,7 @@
 use crate::cosched::{CoschedDaemon, CoschedParams};
 use pa_cluster::{ClusterSim, ClusterSpec, FabricModel};
 use pa_kernel::{Endpoint, Prio, SchedOptions, ThreadSpec};
-use pa_mpi::{
-    fresh_layout, install_job, Job, JobSpec, MpiConfig, OpKind, ProgressSpec, RankWorkload,
-};
+use pa_mpi::{install_job, Job, JobSpec, MpiConfig, OpKind, ProgressSpec, RankWorkload};
 use pa_simkit::{SeedSpace, SimDur, SimTime};
 use pa_trace::{AttributionReport, CpuTimeline, HookMask, ThreadClass};
 use serde::{Deserialize, Serialize};
@@ -280,7 +278,6 @@ impl Experiment {
         // Co-scheduler startup: clock sync first (it rewrites the AIX
         // clock's low-order bits from the switch clock), then one daemon
         // per node.
-        let layout = fresh_layout();
         let mut cosched_eps: Vec<Option<Endpoint>> = vec![None; self.nodes as usize];
         if let Some(cs) = &self.cosched {
             if cs.sync_clocks {
@@ -291,9 +288,7 @@ impl Experiment {
                     ThreadSpec::new("cosched", ThreadClass::Cosched, Prio::COSCHED),
                     Box::new(CoschedDaemon::new(cs.params, self.tasks_per_node)),
                 );
-                let ep = Endpoint { node, tid };
-                layout.write().unwrap().set_cosched(node, ep);
-                cosched_eps[node as usize] = Some(ep);
+                cosched_eps[node as usize] = Some(Endpoint { node, tid });
             }
         }
 
@@ -304,26 +299,26 @@ impl Experiment {
             progress: self.progress,
             rank_prio: Prio::USER,
         };
-        let job = install_job(&mut sim, layout, &job_spec, &seeds, make_workload);
+        let nodes: Vec<u32> = (0..self.nodes).collect();
+        let job = install_job(&mut sim, &job_spec, &seeds, &nodes, "mpi_", make_workload);
 
         // Interference. GPFS service endpoints go into the layout so
         // ranks route their I/O through (possibly remote) mmfsd daemons.
+        let mut gpfs = Vec::new();
         for node in 0..self.nodes {
             let installed = self.noise.install(sim.kernel_mut(node), &seeds, node);
             if let Some(tid) = installed.gpfs {
-                job.layout
-                    .write()
-                    .unwrap()
-                    .set_gpfs(node, Endpoint { node, tid });
+                gpfs.push(Endpoint { node, tid });
             }
         }
+        job.freeze_layout(cosched_eps.iter().flatten().copied(), gpfs);
 
         // Tracing and watch lists.
         for &node in &self.trace_nodes {
             sim.kernel_mut(node).trace_mut().set_mask(HookMask::study());
         }
         if let Some(node) = self.watch_node {
-            let ranks = job.layout.read().unwrap().ranks_on(node);
+            let ranks = job.layout().ranks_on(node);
             job.recorder.lock().unwrap().watch_ranks(&ranks);
         }
         if self.record_all_ranks {

@@ -252,7 +252,7 @@ pub fn blame_input_of(out: &RunOutput, label: impl Into<String>) -> BlameInput {
     let recorder = out.job.recorder.lock().unwrap();
     let mut samples = Vec::new();
     if recorder.records_all_ranks() {
-        let layout = out.job.layout.read().unwrap();
+        let layout = out.job.layout();
         for rank in 0..out.job.nranks {
             for s in recorder.samples(rank).unwrap_or_default() {
                 samples.push(OpSpan {

@@ -30,7 +30,7 @@ use pa_blame::{Categories, JobBlame};
 use pa_cluster::{ClusterSim, ClusterSpec, FabricModel};
 use pa_core::{CoschedDaemon, CoschedParams, SchedOptions};
 use pa_kernel::{Endpoint, Message, Prio, ThreadSpec, ThreadState};
-use pa_mpi::{fresh_layout, install_job_on, CtrlOp, Job, JobSpec, MpiConfig};
+use pa_mpi::{install_job, CtrlOp, Job, JobSpec, MpiConfig};
 use pa_noise::NoiseProfile;
 use pa_obs::{MetricsRegistry, SpanTimeline};
 use pa_simkit::{SeedSpace, SimDur, SimTime};
@@ -574,7 +574,6 @@ impl JobsEngine {
         let rec = &recs[id as usize];
         let chunk = rec.chunks_done;
         let req = &rec.req;
-        let layout = fresh_layout();
         let mut cosched = Vec::new();
         if self.spec.gang {
             let params = self.gang_params(id);
@@ -588,9 +587,7 @@ impl JobsEngine {
                     ),
                     Box::new(CoschedDaemon::new(params, req.tasks_per_node)),
                 );
-                let ep = Endpoint { node, tid };
-                layout.write().unwrap().set_cosched(node, ep);
-                cosched.push(ep);
+                cosched.push(Endpoint { node, tid });
             }
         }
         let job_spec = JobSpec {
@@ -610,9 +607,8 @@ impl JobsEngine {
             req.bytes,
             req.jitter,
         );
-        let handles = install_job_on(
+        let handles = install_job(
             sim,
-            layout,
             &job_spec,
             seeds,
             &launch.nodes,
@@ -628,6 +624,7 @@ impl JobsEngine {
                 ))
             },
         );
+        handles.freeze_layout(cosched.iter().copied(), []);
         Active {
             job: id as usize,
             nodes: launch.nodes.clone(),

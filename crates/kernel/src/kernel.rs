@@ -607,11 +607,6 @@ impl Kernel {
         &mut self.trace
     }
 
-    /// Replace the I/O service model.
-    pub fn set_io_model(&mut self, model: IoServiceModel) {
-        self.io_model = model;
-    }
-
     /// The I/O service model.
     pub fn io_model(&self) -> &IoServiceModel {
         &self.io_model

@@ -2,9 +2,10 @@
 //!
 //! Mirrors POE's job start (§4): on each node the partition manager
 //! spawns one task per CPU (or `tasks_per_node` of them), each task's pid
-//! becomes known as it is created, and the MPI library registers tasks
-//! with the node co-scheduler at init time. Here, the installer records
-//! actual kernel thread ids into the shared [`JobLayout`].
+//! becomes known as it is created, and the map is handed out once. Here
+//! [`install_job`] spawns the threads and returns their kernel thread
+//! ids; the caller adds the co-scheduler and GPFS endpoints and freezes
+//! the [`JobLayout`] with [`Job::freeze_layout`] before the ranks run.
 
 use crate::layout::{JobLayout, LayoutHandle};
 use crate::progress::{ProgressSpec, ProgressThread};
@@ -44,8 +45,9 @@ impl Default for JobSpec {
 /// Handles to an installed job.
 #[derive(Debug)]
 pub struct Job {
-    /// Rank addresses (shared with the rank programs).
-    pub layout: LayoutHandle,
+    /// Rank addresses, shared with the rank programs: unset until
+    /// [`Job::freeze_layout`].
+    layout: LayoutHandle,
     /// Timing collector (shared with the rank programs).
     pub recorder: RecorderHandle,
     /// Rank thread ids, rank order.
@@ -54,99 +56,57 @@ pub struct Job {
     pub timer_tids: Vec<Endpoint>,
     /// Total ranks.
     pub nranks: u32,
+    /// Tasks per node.
+    pub tasks_per_node: u32,
 }
 
-/// Spawn a job across all nodes of `sim`.
-///
-/// `make_workload` is called once per global rank. Pre-registered
-/// co-scheduler endpoints (from `pa-core`) must already be present in
-/// `layout` — pass [`JobLayout::empty`]'s handle through the co-scheduler
-/// installer first, or leave it fresh for an uncontrolled job.
-pub fn install_job(
-    sim: &mut ClusterSim,
-    layout: LayoutHandle,
-    spec: &JobSpec,
-    seeds: &SeedSpace,
-    make_workload: &mut dyn FnMut(u32) -> Box<dyn RankWorkload>,
-) -> Job {
-    let nodes = sim.nodes();
-    let tpn = spec.tasks_per_node;
-    assert!(tpn > 0, "a job needs at least one task per node");
-    let nranks = nodes * tpn;
-    let recorder = RunRecorder::shared();
-    let mut rank_tids = Vec::with_capacity(nranks as usize);
-    let mut timer_tids = Vec::new();
-    let aux_prio = Prio(spec.rank_prio.0.saturating_sub(5));
-    // One firing phase for the whole job: timer threads are armed at
-    // MPI_Init, so they tick (nearly) together across every rank.
-    let timer_phase = spec.progress.map(|ps| {
-        let mut rng = seeds.stream_at("mpi/timer-phase", 0, 0);
-        pa_simkit::SimDur::from_nanos(rng.range(0, ps.interval.nanos().max(1)))
-    });
-
-    for node in 0..nodes {
-        let kernel = sim.kernel_mut(node);
-        assert!(
-            tpn <= u32::from(kernel.ncpus()),
-            "more tasks per node than CPUs is not the paper's regime"
-        );
-        for local in 0..tpn {
-            let rank = node * tpn + local;
-            let program = RankProgram::new(
-                rank,
-                nranks,
-                layout.clone(),
-                make_workload(rank),
-                recorder.clone(),
-                spec.mpi,
-            );
-            let tid = kernel.spawn(
-                ThreadSpec::new(format!("mpi_rank_{rank}"), ThreadClass::App, spec.rank_prio)
-                    .on_cpu(CpuId(local as u8)),
-                Box::new(program),
-            );
-            rank_tids.push(Endpoint { node, tid });
-            if let Some(ps) = spec.progress {
-                let rng = seeds.stream_at("mpi/timer", u64::from(node), u64::from(local));
-                let phase = timer_phase.expect("phase drawn when progress is set");
-                let ttid: Tid = kernel.spawn(
-                    ThreadSpec::new(format!("mpi_timer_{rank}"), ThreadClass::MpiAux, aux_prio)
-                        .on_cpu(CpuId(local as u8)),
-                    Box::new(ProgressThread::with_phase(ps, phase, rng)),
-                );
-                timer_tids.push(Endpoint { node, tid: ttid });
-            }
-        }
+impl Job {
+    /// Hand the ranks their address map: this job's rank endpoints plus
+    /// the co-scheduler and GPFS service endpoints (node order). Call it
+    /// exactly once, before the ranks run.
+    ///
+    /// # Panics
+    /// Panics if the layout was already frozen.
+    pub fn freeze_layout(
+        &self,
+        cosched: impl IntoIterator<Item = Endpoint>,
+        gpfs: impl IntoIterator<Item = Endpoint>,
+    ) {
+        let layout = JobLayout::new(self.rank_tids.clone(), self.tasks_per_node, cosched, gpfs);
+        assert!(self.layout.set(layout).is_ok(), "job layout frozen twice");
     }
-    layout.write().unwrap().set_ranks(rank_tids.clone(), tpn);
-    Job {
-        layout,
-        recorder,
-        rank_tids,
-        timer_tids,
-        nranks,
+
+    /// The frozen layout.
+    ///
+    /// # Panics
+    /// Panics if [`Job::freeze_layout`] has not been called.
+    pub fn layout(&self) -> &JobLayout {
+        self.layout
+            .get()
+            .expect("job layout read before it was frozen")
     }
 }
 
-/// Spawn a job on an explicit subset of nodes of a *booted* cluster — the
-/// batch layer's job launch. Differences from [`install_job`]:
+/// Spawn a job on `nodes` of `sim`, one rank (and timer thread) per
+/// local CPU slot, and return its handles with the layout still unset.
 ///
-/// * ranks are numbered by position in `nodes` (`idx * tpn + local`), so
+/// * Ranks are numbered by position in `nodes` (`idx * tpn + local`), so
 ///   a job on nodes `[2, 5]` has ranks 0..2·tpn with endpoints carrying
 ///   the physical node ids — collectives route by endpoint and need no
-///   remapping;
-/// * threads are spawned through [`ClusterSim::spawn_thread`] at the
-///   current window barrier, so the launch instant is identical at any
-///   `--sim-threads`;
-/// * thread names carry `name_prefix` (e.g. `j3_rank_0`) so traces from
-///   co-resident jobs stay distinguishable.
+///   remapping.
+/// * Threads are spawned through [`ClusterSim::spawn_thread`]: before
+///   boot they start with the cluster; on a booted cluster (the batch
+///   layer's launch) they land at the current window barrier, so the
+///   launch instant is identical at any `--sim-threads`.
+/// * Thread names carry `name_prefix` (`mpi_rank_0`, `j3.c0.rank_0`) so
+///   traces from co-resident jobs stay distinguishable.
 ///
 /// Rank CPU slots restart at 0 on each node: two jobs time-sharing a node
 /// pin their local rank *i* to the same CPU *i* and the per-job gang
-/// windows arbitrate between them.
-pub fn install_job_on(
+/// windows arbitrate between them. `make_workload` is called once per
+/// rank.
+pub fn install_job(
     sim: &mut ClusterSim,
-    layout: LayoutHandle,
     spec: &JobSpec,
     seeds: &SeedSpace,
     nodes: &[u32],
@@ -157,10 +117,13 @@ pub fn install_job_on(
     assert!(tpn > 0, "a job needs at least one task per node");
     assert!(!nodes.is_empty(), "a job needs at least one node");
     let nranks = nodes.len() as u32 * tpn;
+    let layout = LayoutHandle::default();
     let recorder = RunRecorder::shared();
     let mut rank_tids = Vec::with_capacity(nranks as usize);
     let mut timer_tids = Vec::new();
     let aux_prio = Prio(spec.rank_prio.0.saturating_sub(5));
+    // One firing phase for the whole job: timer threads are armed at
+    // MPI_Init, so they tick (nearly) together across every rank.
     let timer_phase = spec.progress.map(|ps| {
         let mut rng = seeds.stream_at("mpi/timer-phase", 0, 0);
         pa_simkit::SimDur::from_nanos(rng.range(0, ps.interval.nanos().max(1)))
@@ -209,19 +172,14 @@ pub fn install_job_on(
             }
         }
     }
-    layout.write().unwrap().set_ranks(rank_tids.clone(), tpn);
     Job {
         layout,
         recorder,
         rank_tids,
         timer_tids,
         nranks,
+        tasks_per_node: tpn,
     }
-}
-
-/// Convenience: an empty layout handle (no co-scheduler registered).
-pub fn fresh_layout() -> LayoutHandle {
-    JobLayout::empty()
 }
 
 #[cfg(test)]
@@ -242,6 +200,28 @@ mod tests {
         ClusterSim::build(&spec, &SeedSpace::new(7))
     }
 
+    /// Install `spec` on every node of `sim` with no co-scheduler or GPFS
+    /// server, freeze its layout and boot.
+    fn boot_job(
+        sim: &mut ClusterSim,
+        spec: &JobSpec,
+        make_workload: &mut dyn FnMut(u32) -> Box<dyn RankWorkload>,
+    ) -> Job {
+        let job = install_unfrozen(sim, spec, make_workload);
+        job.freeze_layout([], []);
+        sim.boot();
+        job
+    }
+
+    fn install_unfrozen(
+        sim: &mut ClusterSim,
+        spec: &JobSpec,
+        make_workload: &mut dyn FnMut(u32) -> Box<dyn RankWorkload>,
+    ) -> Job {
+        let nodes: Vec<u32> = (0..sim.nodes()).collect();
+        install_job(sim, spec, &SeedSpace::new(7), &nodes, "mpi_", make_workload)
+    }
+
     #[test]
     fn whole_job_barrier_completes() {
         let mut sim = tiny_cluster(2, 4);
@@ -250,14 +230,9 @@ mod tests {
             progress: None,
             ..JobSpec::default()
         };
-        let job = install_job(
-            &mut sim,
-            fresh_layout(),
-            &spec,
-            &SeedSpace::new(7),
-            &mut |_r| Box::new(OpList::new(vec![MpiOp::Barrier])),
-        );
-        sim.boot();
+        let job = boot_job(&mut sim, &spec, &mut |_r| {
+            Box::new(OpList::new(vec![MpiOp::Barrier]))
+        });
         let end = sim.run_until_apps_done(SimTime::from_secs(1));
         assert_eq!(sim.apps_alive(), 0, "deadlock: barrier never completed");
         let rec = job.recorder.lock().unwrap();
@@ -277,19 +252,12 @@ mod tests {
             progress: None,
             ..JobSpec::default()
         };
-        let job = install_job(
-            &mut sim,
-            fresh_layout(),
-            &spec,
-            &SeedSpace::new(7),
-            &mut |_r| {
-                Box::new(OpList::new(vec![
-                    MpiOp::Allreduce { bytes: 8 },
-                    MpiOp::Allreduce { bytes: 8 },
-                ]))
-            },
-        );
-        sim.boot();
+        let job = boot_job(&mut sim, &spec, &mut |_r| {
+            Box::new(OpList::new(vec![
+                MpiOp::Allreduce { bytes: 8 },
+                MpiOp::Allreduce { bytes: 8 },
+            ]))
+        });
         sim.run_until_apps_done(SimTime::from_secs(1));
         assert_eq!(sim.apps_alive(), 0);
         let rec = job.recorder.lock().unwrap();
@@ -308,14 +276,9 @@ mod tests {
             progress: None,
             ..JobSpec::default()
         };
-        let job = install_job(
-            &mut sim,
-            fresh_layout(),
-            &spec,
-            &SeedSpace::new(7),
-            &mut |_r| Box::new(RingExchange { left: 2 }),
-        );
-        sim.boot();
+        let job = boot_job(&mut sim, &spec, &mut |_r| {
+            Box::new(RingExchange { left: 2 })
+        });
         sim.run_until_apps_done(SimTime::from_secs(1));
         assert_eq!(sim.apps_alive(), 0);
         let rec = job.recorder.lock().unwrap();
@@ -350,16 +313,11 @@ mod tests {
             progress: Some(ProgressSpec::default()),
             ..JobSpec::default()
         };
-        let job = install_job(
-            &mut sim,
-            fresh_layout(),
-            &spec,
-            &SeedSpace::new(7),
-            &mut |_r| Box::new(OpList::new(vec![MpiOp::Compute(SimDur::from_millis(1))])),
-        );
+        let job = boot_job(&mut sim, &spec, &mut |_r| {
+            Box::new(OpList::new(vec![MpiOp::Compute(SimDur::from_millis(1))]))
+        });
         assert_eq!(job.timer_tids.len(), 4);
         assert_eq!(job.rank_tids.len(), 4);
-        sim.boot();
         sim.run_until_apps_done(SimTime::from_secs(1));
         assert_eq!(sim.apps_alive(), 0);
     }
@@ -372,16 +330,43 @@ mod tests {
             progress: None,
             ..JobSpec::default()
         };
-        let job = install_job(
-            &mut sim,
-            fresh_layout(),
-            &spec,
-            &SeedSpace::new(7),
-            &mut |_r| Box::new(OpList::new(vec![MpiOp::Barrier])),
-        );
+        let job = boot_job(&mut sim, &spec, &mut |_r| {
+            Box::new(OpList::new(vec![MpiOp::Barrier]))
+        });
         assert_eq!(job.nranks, 15);
-        sim.boot();
+        assert_eq!(job.layout().ranks_on(0).len(), 15);
         sim.run_until_apps_done(SimTime::from_secs(1));
         assert_eq!(sim.apps_alive(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "job layout read before it was frozen")]
+    fn ranks_need_a_frozen_layout() {
+        let mut sim = tiny_cluster(2, 2);
+        let spec = JobSpec {
+            tasks_per_node: 2,
+            progress: None,
+            ..JobSpec::default()
+        };
+        install_unfrozen(&mut sim, &spec, &mut |_r| {
+            Box::new(OpList::new(vec![MpiOp::Barrier]))
+        });
+        sim.boot();
+        sim.run_until_apps_done(SimTime::from_secs(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "job layout frozen twice")]
+    fn second_layout_freeze_panics() {
+        let mut sim = tiny_cluster(1, 2);
+        let spec = JobSpec {
+            tasks_per_node: 2,
+            progress: None,
+            ..JobSpec::default()
+        };
+        let job = boot_job(&mut sim, &spec, &mut |_r| {
+            Box::new(OpList::new(vec![MpiOp::Barrier]))
+        });
+        job.freeze_layout([], []);
     }
 }

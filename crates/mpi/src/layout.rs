@@ -1,53 +1,60 @@
 //! Job layout: the rank ↔ thread address map.
 //!
-//! Built by the job installer after spawning (thread ids are assigned by
-//! each node's kernel), and read by rank programs at run time through a
-//! shared handle — mirroring how POE's partition manager daemon learns
-//! task pids after fork and distributes them (§4).
+//! Thread ids are assigned by each node's kernel as the installer spawns
+//! ranks, so the map can only be built after the spawn — mirroring how
+//! POE's partition manager daemon learns task pids after fork and hands
+//! the map out once (§4). The installer gives its ranks an unset
+//! [`LayoutHandle`]; the caller builds the owned [`JobLayout`] and sets it
+//! exactly once ([`Job::freeze_layout`](crate::Job::freeze_layout))
+//! before the ranks run. From then on it is plain read-only data, shared
+//! by rank programs on every shard of the parallel engine.
 
 use pa_kernel::Endpoint;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock};
 
-/// Addresses of every rank and of each node's co-scheduler control pipe.
-#[derive(Debug, Default, Clone)]
+/// Addresses of every rank, each node's co-scheduler control pipe and
+/// the GPFS servers.
+#[derive(Debug, Clone)]
 pub struct JobLayout {
     endpoints: Vec<Endpoint>,
     tasks_per_node: u32,
+    /// Indexed by node.
     cosched: Vec<Option<Endpoint>>,
-    gpfs: Vec<Option<Endpoint>>,
+    /// GPFS (mmfsd) service endpoints, in node order.
+    gpfs: Vec<Endpoint>,
 }
 
-/// Shared layout handle. An `RwLock` (not `RefCell`): rank programs on
-/// different shards of the parallel cluster engine read the layout
-/// concurrently. It is written only during job installation — before the
-/// cluster boots, or (batch-layer launches) at a quiescent window barrier
-/// while no worker threads run — so runtime reads never contend with a
-/// writer.
-pub type LayoutHandle = Arc<RwLock<JobLayout>>;
+/// Shared layout handle, set once before the ranks run. A rank that runs
+/// before it is set panics.
+pub type LayoutHandle = Arc<OnceLock<JobLayout>>;
 
 impl JobLayout {
-    /// Empty layout to be filled by the installer.
-    pub fn empty() -> LayoutHandle {
-        Arc::new(RwLock::new(JobLayout::default()))
-    }
-
-    /// Fill in rank endpoints (rank order) and block shape.
-    pub fn set_ranks(&mut self, endpoints: Vec<Endpoint>, tasks_per_node: u32) {
+    /// A layout from rank endpoints (rank order) and the block shape,
+    /// plus the co-scheduler and GPFS service endpoints (node order).
+    pub fn new(
+        endpoints: Vec<Endpoint>,
+        tasks_per_node: u32,
+        cosched: impl IntoIterator<Item = Endpoint>,
+        gpfs: impl IntoIterator<Item = Endpoint>,
+    ) -> JobLayout {
         assert!(tasks_per_node > 0);
         assert!(
             endpoints.len() as u32 % tasks_per_node == 0,
             "ragged layouts are not modeled"
         );
-        self.endpoints = endpoints;
-        self.tasks_per_node = tasks_per_node;
-    }
-
-    /// Register a node's co-scheduler endpoint.
-    pub fn set_cosched(&mut self, node: u32, ep: Endpoint) {
-        if self.cosched.len() <= node as usize {
-            self.cosched.resize(node as usize + 1, None);
+        let mut by_node: Vec<Option<Endpoint>> = Vec::new();
+        for ep in cosched {
+            if by_node.len() <= ep.node as usize {
+                by_node.resize(ep.node as usize + 1, None);
+            }
+            by_node[ep.node as usize] = Some(ep);
         }
-        self.cosched[node as usize] = Some(ep);
+        JobLayout {
+            endpoints,
+            tasks_per_node,
+            cosched: by_node,
+            gpfs: gpfs.into_iter().collect(),
+        }
     }
 
     /// Total ranks.
@@ -63,8 +70,7 @@ impl JobLayout {
     /// A rank's address.
     ///
     /// # Panics
-    /// Panics if the layout has not been filled or the rank is out of
-    /// range — both are installer bugs.
+    /// Panics if the rank is out of range — an installer bug.
     pub fn endpoint(&self, rank: u32) -> Endpoint {
         self.endpoints[rank as usize]
     }
@@ -86,29 +92,15 @@ impl JobLayout {
         self.cosched.get(node as usize).copied().flatten()
     }
 
-    /// Register a node's GPFS (mmfsd) service endpoint.
-    pub fn set_gpfs(&mut self, node: u32, ep: Endpoint) {
-        if self.gpfs.len() <= node as usize {
-            self.gpfs.resize(node as usize + 1, None);
-        }
-        self.gpfs[node as usize] = Some(ep);
-    }
-
-    /// The GPFS service endpoint on `node`, if any.
-    pub fn gpfs(&self, node: u32) -> Option<Endpoint> {
-        self.gpfs.get(node as usize).copied().flatten()
-    }
-
     /// Pick the GPFS server for transaction `token` issued by `rank`:
     /// GPFS spreads blocks (and therefore metanode/NSD service) across the
     /// cluster, so requests hash over the nodes that run a server.
     pub fn gpfs_server_for(&self, rank: u32, token: u64) -> Option<Endpoint> {
-        let servers: Vec<Endpoint> = self.gpfs.iter().flatten().copied().collect();
-        if servers.is_empty() {
+        if self.gpfs.is_empty() {
             return None;
         }
-        let idx = (u64::from(rank).wrapping_mul(31).wrapping_add(token)) % servers.len() as u64;
-        Some(servers[idx as usize])
+        let idx = (u64::from(rank).wrapping_mul(31).wrapping_add(token)) % self.gpfs.len() as u64;
+        Some(self.gpfs[idx as usize])
     }
 }
 
@@ -126,8 +118,8 @@ mod tests {
 
     #[test]
     fn block_layout_queries() {
-        let mut l = JobLayout::default();
-        l.set_ranks(vec![ep(0, 1), ep(0, 2), ep(1, 1), ep(1, 2)], 2);
+        let ranks = vec![ep(0, 1), ep(0, 2), ep(1, 1), ep(1, 2)];
+        let l = JobLayout::new(ranks, 2, [], []);
         assert_eq!(l.nranks(), 4);
         assert_eq!(l.tasks_per_node(), 2);
         assert_eq!(l.endpoint(2), ep(1, 1));
@@ -138,18 +130,25 @@ mod tests {
 
     #[test]
     fn cosched_registration() {
-        let mut l = JobLayout::default();
-        assert_eq!(l.cosched(0), None);
-        l.set_cosched(1, ep(1, 0));
+        let l = JobLayout::new(vec![ep(0, 1), ep(1, 1)], 1, [ep(1, 0)], []);
         assert_eq!(l.cosched(1), Some(ep(1, 0)));
         assert_eq!(l.cosched(0), None);
         assert_eq!(l.cosched(7), None);
     }
 
     #[test]
+    fn gpfs_requests_hash_over_servers_in_node_order() {
+        let ranks = vec![ep(0, 1), ep(1, 1), ep(2, 1)];
+        let l = JobLayout::new(ranks.clone(), 1, [], [ep(0, 9), ep(2, 9)]);
+        assert_eq!(l.gpfs_server_for(0, 0), Some(ep(0, 9)));
+        assert_eq!(l.gpfs_server_for(0, 1), Some(ep(2, 9)));
+        assert_eq!(l.gpfs_server_for(1, 0), Some(ep(2, 9)));
+        assert_eq!(JobLayout::new(ranks, 1, [], []).gpfs_server_for(0, 0), None);
+    }
+
+    #[test]
     #[should_panic(expected = "ragged")]
     fn ragged_layout_rejected() {
-        let mut l = JobLayout::default();
-        l.set_ranks(vec![ep(0, 1), ep(0, 2), ep(1, 1)], 2);
+        JobLayout::new(vec![ep(0, 1), ep(0, 2), ep(1, 1)], 2, [], []);
     }
 }

@@ -13,7 +13,10 @@
 //!   mitigation;
 //! * [`RunRecorder`] — per-operation timing capture (mean per-task times
 //!   for Figures 3/5/6, per-call series for Figure 4);
-//! * [`install_job`] — POE-style job start across a [`ClusterSim`](pa_cluster::ClusterSim).
+//! * [`install_job`] — POE-style job start on nodes of a
+//!   [`ClusterSim`](pa_cluster::ClusterSim), before boot or at a window
+//!   barrier, with a write-once [`JobLayout`] the caller freezes
+//!   ([`Job::freeze_layout`]) before the ranks run.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -27,7 +30,7 @@ pub mod recorder;
 pub mod tags;
 
 pub use coll::{Algorithm, CollStep};
-pub use job::{fresh_layout, install_job, install_job_on, Job, JobSpec};
+pub use job::{install_job, Job, JobSpec};
 pub use layout::{JobLayout, LayoutHandle};
 pub use progress::{ProgressSpec, ProgressThread};
 pub use rank::{MpiConfig, MpiOp, OpList, RankProgram, RankWorkload};

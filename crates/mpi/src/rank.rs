@@ -11,7 +11,7 @@
 //! node's co-scheduler at MPI-init time through the control pipe (§4).
 
 use crate::coll::{self, Algorithm, CollStep};
-use crate::layout::LayoutHandle;
+use crate::layout::{JobLayout, LayoutHandle};
 use crate::recorder::{OpKind, RecorderHandle};
 use crate::tags::{coll_tag, p2p_tag, CtrlOp};
 use pa_kernel::{Action, Endpoint, Message, SrcSel, TagSel, WaitMode};
@@ -189,8 +189,8 @@ pub struct RankProgram {
 }
 
 impl RankProgram {
-    /// Build a rank program. `layout` may still be unfilled at
-    /// construction; it must be complete before the cluster boots.
+    /// Build a rank program. `layout` may still be unset at
+    /// construction; it must be frozen before the rank runs.
     pub fn new(
         rank: u32,
         nranks: u32,
@@ -261,7 +261,7 @@ impl RankProgram {
         let wait = self.cfg.wait_mode();
         let reduce_cost = self.cfg.reduce_cost;
         let steps = self.schedule_for(kind);
-        let layout = self.layout.read().unwrap();
+        let layout = frozen(&self.layout, self.rank);
         for step in steps {
             match step {
                 CollStep::Send { peer, phase } => {
@@ -290,7 +290,6 @@ impl RankProgram {
                 }
             }
         }
-        drop(layout);
         self.queue.push_back(Action::Trace {
             hook: HookId::CollEnd,
             aux: seq,
@@ -307,7 +306,7 @@ impl RankProgram {
         });
         let me = self.me(ctx);
         let wait = self.cfg.wait_mode();
-        let layout = self.layout.read().unwrap();
+        let layout = frozen(&self.layout, self.rank);
         // Eager sends first (buffered by the fabric), then the receives:
         // the standard deadlock-free exchange.
         for &p in peers {
@@ -330,8 +329,7 @@ impl RankProgram {
     }
 
     fn ctrl_message(&self, op: CtrlOp, ctx: &StepCtx<'_>) -> Option<Action> {
-        let layout = self.layout.read().unwrap();
-        let cosched = layout.cosched(ctx.node)?;
+        let cosched = frozen(&self.layout, self.rank).cosched(ctx.node)?;
         Some(Action::Send(Message {
             src: self.me(ctx),
             dst: cosched,
@@ -341,6 +339,14 @@ impl RankProgram {
             payload: u64::from(ctx.tid.0),
         }))
     }
+}
+
+/// The job layout a rank reads; unset means the installer's caller never
+/// froze it.
+fn frozen(layout: &LayoutHandle, rank: u32) -> &JobLayout {
+    layout.get().unwrap_or_else(|| {
+        panic!("rank {rank}: job layout read before it was frozen (see Job::freeze_layout)")
+    })
 }
 
 impl Program for RankProgram {
@@ -389,11 +395,7 @@ impl Program for RankProgram {
                     // when no GPFS servers are registered.
                     let token = self.next_io;
                     self.next_io += 1;
-                    let server = self
-                        .layout
-                        .read()
-                        .unwrap()
-                        .gpfs_server_for(self.rank, token);
+                    let server = frozen(&self.layout, self.rank).gpfs_server_for(self.rank, token);
                     match server {
                         Some(server) => {
                             use pa_kernel::msg::ioproto;

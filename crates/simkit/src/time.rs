@@ -144,22 +144,6 @@ impl SimDur {
     pub fn from_secs(s: u64) -> Self {
         SimDur(checked_ns(s, 1_000_000_000, "s"))
     }
-    /// Duration from fractional microseconds (truncating to ns).
-    pub fn from_micros_f64(us: f64) -> Self {
-        assert!(
-            us >= 0.0 && us.is_finite(),
-            "duration must be finite and non-negative"
-        );
-        SimDur((us * 1e3) as u64)
-    }
-    /// Duration from fractional seconds (truncating to ns).
-    pub fn from_secs_f64(s: f64) -> Self {
-        assert!(
-            s >= 0.0 && s.is_finite(),
-            "duration must be finite and non-negative"
-        );
-        SimDur((s * 1e9) as u64)
-    }
 
     /// Raw nanosecond count.
     pub const fn nanos(self) -> u64 {

@@ -134,7 +134,7 @@ pub fn fig2(seed: u64, sim_threads: usize) -> Vec<BspRankRow> {
     assert!(out.completed, "fig2 run did not finish");
     let recorder = out.job.recorder.lock().unwrap();
     let wall_ms = out.wall.as_millis_f64();
-    let ranks = out.job.layout.read().unwrap().ranks_on(0);
+    let ranks = out.job.layout().ranks_on(0);
     ranks
         .iter()
         .map(|&rank| {
