@@ -39,16 +39,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// to a lookahead late, shifting `engine.windows_*` (and checkpoint
 /// cadence) for checkpoint-armed runs; v8 entries would disagree with a
 /// fresh run of the same spec.
+/// Still v9: the `dispatcher` key later left `PointSpec`, which repeated
+/// `kernel.dispatcher`. Dropping a canonical field changes every content
+/// key, so old entries already read as misses.
 pub const CACHE_SCHEMA_VERSION: u32 = 9;
-
-/// Whether a point was served from disk or freshly simulated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheStatus {
-    /// Served from `results/cache`.
-    Hit,
-    /// Simulated this invocation.
-    Miss,
-}
 
 /// The cacheable extract of one run. `RunOutput` itself holds the whole
 /// post-run cluster and is deliberately not serialized; campaigns cache
@@ -106,15 +100,24 @@ impl PointResult {
 
 static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
+/// What [`Cache::lookup`] found for one key.
+#[derive(Debug, PartialEq)]
+pub enum Lookup {
+    /// No entry on disk: a plain miss.
+    Absent,
+    /// An entry on disk that is unusable (unreadable, unparseable, wrong
+    /// schema, wrong key, or a malformed result). It reads as a miss —
+    /// the point is re-run and its result stored over the entry — but is
+    /// reported so silent corruption is visible.
+    Corrupt,
+    /// A valid stored result.
+    Hit(PointResult),
+}
+
 /// Handle on one cache directory.
 #[derive(Debug)]
 pub struct Cache {
     dir: PathBuf,
-    /// Entries found on disk but unusable (unreadable, unparseable,
-    /// wrong schema, wrong key, or a malformed result). Each reads as a
-    /// miss — the point is re-run and the entry overwritten — but the
-    /// count is surfaced so silent corruption is visible.
-    corrupt: AtomicU64,
 }
 
 impl Cache {
@@ -122,10 +125,7 @@ impl Cache {
     pub fn at(dir: impl Into<PathBuf>) -> io::Result<Cache> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        Ok(Cache {
-            dir,
-            corrupt: AtomicU64::new(0),
-        })
+        Ok(Cache { dir })
     }
 
     /// The conventional location relative to the repo root.
@@ -143,17 +143,13 @@ impl Cache {
         self.dir.join(format!("{key}.json"))
     }
 
-    /// Read a stored result, if a valid entry for `key` exists. Corrupt
-    /// or mismatched entries read as misses, never as wrong data or a
-    /// panic; they are tallied in [`Cache::corrupt_entries`].
-    pub fn lookup(&self, key: &str) -> Option<PointResult> {
+    /// Read the stored result for `key`. Corrupt or mismatched entries
+    /// read as [`Lookup::Corrupt`], never as wrong data or a panic.
+    pub fn lookup(&self, key: &str) -> Lookup {
         let text = match std::fs::read_to_string(self.path_for(key)) {
             Ok(text) => text,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return None,
-            Err(_) => {
-                self.corrupt.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Lookup::Absent,
+            Err(_) => return Lookup::Corrupt,
         };
         let parsed = (|| {
             let value = serde_json::parse(&text).ok()?;
@@ -166,16 +162,7 @@ impl Cache {
             }
             PointResult::from_value(get(map, "result")?).ok()
         })();
-        if parsed.is_none() {
-            self.corrupt.fetch_add(1, Ordering::Relaxed);
-        }
-        parsed
-    }
-
-    /// Entries that existed on disk but read as misses (see
-    /// [`Cache::lookup`]), accumulated over this handle's lifetime.
-    pub fn corrupt_entries(&self) -> u64 {
-        self.corrupt.load(Ordering::Relaxed)
+        parsed.map_or(Lookup::Corrupt, Lookup::Hit)
     }
 
     /// Store an entry atomically (temp file + rename), so a concurrent
@@ -229,7 +216,6 @@ mod tests {
             horizon: None,
             link_bandwidth: None,
             policy: None,
-            dispatcher: None,
         }
     }
 
@@ -256,9 +242,11 @@ mod tests {
         let cache = tmp_cache("roundtrip");
         let s = spec();
         let key = s.content_key();
-        assert!(cache.lookup(&key).is_none(), "cold cache must miss");
+        assert_eq!(cache.lookup(&key), Lookup::Absent, "cold cache must miss");
         cache.store(&key, &s, &result()).unwrap();
-        let back = cache.lookup(&key).expect("stored entry reads back");
+        let Lookup::Hit(back) = cache.lookup(&key) else {
+            panic!("stored entry must read back");
+        };
         assert_eq!(back, result());
         assert_eq!(
             back.mean_allreduce_us.to_bits(),
@@ -272,32 +260,26 @@ mod tests {
         let s = spec();
         let key = s.content_key();
         cache.store(&key, &s, &result()).unwrap();
-        assert_eq!(cache.corrupt_entries(), 0);
         // An absent entry is a plain miss, not corruption.
-        assert!(cache.lookup(&"f".repeat(64)).is_none());
-        assert_eq!(cache.corrupt_entries(), 0);
+        assert_eq!(cache.lookup(&"f".repeat(64)), Lookup::Absent);
         // An entry stored under the wrong name must not satisfy lookups.
         let other = "0".repeat(64);
         std::fs::copy(cache.path_for(&key), cache.path_for(&other)).unwrap();
-        assert!(cache.lookup(&other).is_none());
-        assert_eq!(cache.corrupt_entries(), 1);
+        assert_eq!(cache.lookup(&other), Lookup::Corrupt);
         // Truncated JSON (a half-written entry) reads as a miss, not an
         // error.
         std::fs::write(cache.path_for(&key), "{\"schema\": 1,").unwrap();
-        assert!(cache.lookup(&key).is_none());
-        assert_eq!(cache.corrupt_entries(), 2);
+        assert_eq!(cache.lookup(&key), Lookup::Corrupt);
         // Valid JSON from a different schema version also misses.
         std::fs::write(
             cache.path_for(&key),
             format!("{{\"schema\": 999, \"key\": \"{key}\"}}"),
         )
         .unwrap();
-        assert!(cache.lookup(&key).is_none());
-        assert_eq!(cache.corrupt_entries(), 3);
+        assert_eq!(cache.lookup(&key), Lookup::Corrupt);
         // Re-running the point overwrites the bad entry in place.
         cache.store(&key, &s, &result()).unwrap();
-        assert_eq!(cache.lookup(&key), Some(result()));
-        assert_eq!(cache.corrupt_entries(), 3);
+        assert_eq!(cache.lookup(&key), Lookup::Hit(result()));
     }
 
     #[test]
@@ -305,7 +287,7 @@ mod tests {
         // Well-formed entries written under older schemas — v4 (before
         // `PointSpec.policy`) and v7 (before `PointSpec.dispatcher` and
         // the `kernel.dispatches` extra) — must read as misses under the
-        // current schema, never as results; each also tallies as corrupt.
+        // current schema, never as results; each reads as corrupt.
         for (tag, old) in [("schema-v4", 4u32), ("schema-v7", 7u32)] {
             let cache = tmp_cache(tag);
             let s = spec();
@@ -319,11 +301,11 @@ mod tests {
             );
             assert_ne!(entry, downgraded, "entry must carry the schema field");
             std::fs::write(cache.path_for(&key), downgraded).unwrap();
-            assert!(
-                cache.lookup(&key).is_none(),
+            assert_eq!(
+                cache.lookup(&key),
+                Lookup::Corrupt,
                 "v{old} entry must not satisfy a v{CACHE_SCHEMA_VERSION} lookup"
             );
-            assert_eq!(cache.corrupt_entries(), 1);
         }
     }
 }

@@ -3,7 +3,7 @@
 //! by its spec, so results are bit-identical at any `--jobs`; the
 //! executor restores submission order before returning.
 
-use crate::cache::{Cache, PointResult};
+use crate::cache::{Cache, Lookup, PointResult};
 use crate::manifest::{CampaignManifest, CampaignMetrics, ManifestPoint};
 use crate::spec::PointSpec;
 use pa_simkit::SimDur;
@@ -164,12 +164,14 @@ impl CampaignOutcome {
 enum WorkerMsg {
     /// A fresh (uncached) simulation is starting.
     Started { index: usize },
-    /// A point finished (fresh run or cache hit). `store_error` is set
-    /// when a fresh result could not be cached; its checkpoint is kept.
+    /// A point finished (fresh run or cache hit). `corrupt` marks a point
+    /// whose cache entry was unusable; `store_error` is set when a fresh
+    /// result could not be cached, and its checkpoint is kept.
     Done {
         index: usize,
         result: PointResult,
         cached: bool,
+        corrupt: bool,
         store_error: Option<io::Error>,
     },
 }
@@ -201,13 +203,15 @@ where
 
     let jobs = cfg.jobs.max(1).min(total.max(1));
     let cache = cfg.cache.as_ref();
-    let corrupt_before = cache.map_or(0, |c| c.corrupt_entries());
     let runner = &runner;
     let keys_ref = &keys;
     let next = &AtomicUsize::new(0);
     let (msg_tx, msg_rx) = mpsc::channel::<WorkerMsg>();
 
     let mut slots: Vec<Option<(PointResult, bool)>> = (0..total).map(|_| None).collect();
+    // Corrupt entries re-run this invocation: overwritten, or not cached
+    // because the store failed.
+    let (mut overwritten, mut unstored) = (0u64, 0u64);
     // A panicking worker drops its sender and the others run dry, so the
     // reporter loop ends and the scope re-raises the panic on join.
     std::thread::scope(|s| {
@@ -220,14 +224,15 @@ where
                 }
                 let spec = &specs[i];
                 let key = &keys_ref[i];
-                let cached_hit = match cache {
+                let found = match cache {
                     Some(c) if !cfg.rerun => c.lookup(key),
-                    _ => None,
+                    _ => Lookup::Absent,
                 };
+                let corrupt = found == Lookup::Corrupt;
                 let mut store_error = None;
-                let (result, cached) = match cached_hit {
-                    Some(r) => (r, true),
-                    None => {
+                let (result, cached) = match found {
+                    Lookup::Hit(r) => (r, true),
+                    Lookup::Absent | Lookup::Corrupt => {
                         let _ = msg_tx.send(WorkerMsg::Started { index: i });
                         let ctx = PointCtx {
                             sim_threads: cfg.sim_threads.max(1),
@@ -256,6 +261,7 @@ where
                     index: i,
                     result,
                     cached,
+                    corrupt,
                     store_error,
                 };
                 if msg_tx.send(done).is_err() {
@@ -281,8 +287,14 @@ where
                     index,
                     result,
                     cached,
+                    corrupt,
                     store_error,
                 } => {
+                    match (corrupt, store_error.is_some()) {
+                        (true, false) => overwritten += 1,
+                        (true, true) => unstored += 1,
+                        (false, _) => {}
+                    }
                     if let Some(e) = store_error {
                         eprintln!(
                             "  [{}] warning: result {} not cached: {e}",
@@ -328,12 +340,11 @@ where
         .filter(|(_, (s, r))| s.horizon.is_none() && !r.completed)
         .map(|(i, _)| i)
         .collect();
-    let corrupt_entries = cache.map_or(0, |c| c.corrupt_entries()) - corrupt_before;
     let metrics = CampaignMetrics {
         points_total: total,
         points_run: total - cache_hits,
         cache_hits,
-        corrupt_entries,
+        corrupt_entries: overwritten,
         sim_events,
         wall_s,
         events_per_sec: if wall_s > 0.0 {
@@ -347,12 +358,17 @@ where
             "  [{}] {} points ({} cache hits) in {:.2}s — {:.0} events/s",
             cfg.label, total, cache_hits, wall_s, metrics.events_per_sec
         );
-        if corrupt_entries > 0 {
-            eprintln!(
-                "  [{}] warning: {corrupt_entries} corrupt cache entr{} re-run and overwritten",
-                cfg.label,
-                if corrupt_entries == 1 { "y" } else { "ies" }
-            );
+        for (n, fate) in [
+            (overwritten, "and overwritten"),
+            (unstored, "but not cached"),
+        ] {
+            if n > 0 {
+                eprintln!(
+                    "  [{}] warning: {n} corrupt cache entr{} re-run {fate}",
+                    cfg.label,
+                    if n == 1 { "y" } else { "ies" }
+                );
+            }
         }
     }
 
@@ -415,7 +431,6 @@ mod tests {
             horizon: None,
             link_bandwidth: None,
             policy: None,
-            dispatcher: None,
         }
     }
 
@@ -507,6 +522,26 @@ mod tests {
         let third = run_campaign(&specs, &cfg(), fake_runner);
         assert_eq!(third.metrics.cache_hits, 4);
         assert_eq!(third.metrics.corrupt_entries, 0);
+    }
+
+    #[test]
+    fn corrupt_entries_count_only_the_ones_overwritten() {
+        let dir = std::env::temp_dir().join(format!("pa-exec-unstored-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let specs: Vec<_> = (0..2).map(spec).collect();
+        let cache = Cache::at(&dir).unwrap();
+        // A garbled entry the re-run overwrites, and a directory at the
+        // other entry's path that reads as corrupt and cannot be replaced.
+        std::fs::write(cache.path_for(&specs[0].content_key()), "{\"schema\": 1,").unwrap();
+        std::fs::create_dir_all(cache.path_for(&specs[1].content_key())).unwrap();
+        let out = run_campaign(
+            &specs,
+            &ExecutorConfig::serial("unstored").with_cache(cache),
+            fake_runner,
+        );
+        assert_eq!(out.metrics.points_run, 2);
+        assert_eq!(out.metrics.corrupt_entries, 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -6,7 +6,7 @@ pub mod executor;
 pub mod manifest;
 pub mod spec;
 
-pub use cache::{Cache, CacheStatus, PointResult, CACHE_SCHEMA_VERSION};
+pub use cache::{Cache, Lookup, PointResult, CACHE_SCHEMA_VERSION};
 pub use executor::{
     run_campaign, CampaignOutcome, CheckpointCtx, ExecutorConfig, PointCtx, TruncatedPoints,
 };

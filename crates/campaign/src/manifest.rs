@@ -14,7 +14,8 @@ pub struct CampaignMetrics {
     /// Points served from the cache.
     pub cache_hits: usize,
     /// Cache entries found on disk but unusable (truncated, unparseable,
-    /// or wrong schema/key); each was re-run and overwritten.
+    /// or wrong schema/key) that were re-run and overwritten. One whose
+    /// re-store failed is not counted: it stays unusable on disk.
     #[serde(default)]
     pub corrupt_entries: u64,
     /// Simulator events processed by the fresh runs.

@@ -50,11 +50,6 @@ pub struct PointSpec<W> {
     /// Batch placement policy name for multi-job points (`pa-jobs`
     /// families); `None` for single-job points.
     pub policy: Option<String>,
-    /// Dispatcher policy name (`"cfs"`, `"eevdf"`); `None` means the AIX
-    /// default. Redundant with `kernel.dispatcher` but kept as an explicit
-    /// canonical key so per-dispatcher sweeps are visible in the spec
-    /// itself; [`PointSpec::experiment`] applies it over the kernel block.
-    pub dispatcher: Option<String>,
 }
 
 // Manual impls: the derive macro in the serde shim does not handle
@@ -78,7 +73,6 @@ impl<W: Serialize> Serialize for PointSpec<W> {
             ("horizon".into(), self.horizon.to_value()),
             ("link_bandwidth".into(), self.link_bandwidth.to_value()),
             ("policy".into(), self.policy.to_value()),
-            ("dispatcher".into(), self.dispatcher.to_value()),
         ])
     }
 }
@@ -108,7 +102,6 @@ impl<W: Deserialize> Deserialize for PointSpec<W> {
             horizon: field(map, "horizon")?,
             link_bandwidth: field(map, "link_bandwidth")?,
             policy: field(map, "policy")?,
-            dispatcher: field(map, "dispatcher")?,
         })
     }
 }
@@ -122,14 +115,9 @@ impl<W> PointSpec<W> {
     /// Assemble the experiment this spec describes. The caller supplies
     /// the per-rank workload factory built from `self.workload`.
     pub fn experiment(&self) -> Experiment {
-        let mut kernel = self.kernel;
-        if let Some(name) = &self.dispatcher {
-            kernel.dispatcher = pa_kernel::DispatcherKind::parse(name)
-                .unwrap_or_else(|| panic!("unknown dispatcher '{name}' in spec"));
-        }
         let mut e = Experiment::new(self.nodes, self.tasks_per_node)
             .with_cpus_per_node(self.cpus_per_node)
-            .with_kernel(kernel)
+            .with_kernel(self.kernel)
             .with_noise(self.noise.clone())
             .with_mpi(self.mpi)
             .with_progress(self.progress)
@@ -176,7 +164,6 @@ mod tests {
             horizon: None,
             link_bandwidth: None,
             policy: None,
-            dispatcher: None,
         }
     }
 
@@ -211,7 +198,7 @@ mod tests {
         f.policy = Some("backfill".into());
         assert_ne!(a.content_key(), f.content_key());
         let mut g = spec();
-        g.dispatcher = Some("cfs".into());
+        g.kernel.dispatcher = pa_kernel::DispatcherKind::Cfs;
         assert_ne!(a.content_key(), g.content_key());
     }
 
@@ -225,7 +212,7 @@ mod tests {
         assert_eq!(e.kernel.dispatcher, pa_kernel::DispatcherKind::Aix);
 
         let mut s = spec();
-        s.dispatcher = Some("eevdf".into());
+        s.kernel.dispatcher = pa_kernel::DispatcherKind::Eevdf;
         assert_eq!(
             s.experiment().kernel.dispatcher,
             pa_kernel::DispatcherKind::Eevdf

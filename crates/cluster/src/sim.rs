@@ -69,19 +69,6 @@ impl ClusterSpec {
             fabric: FabricModel::default(),
         }
     }
-
-    /// Same, with the prototype kernel options.
-    pub fn sp_system_prototype(nodes: u32) -> ClusterSpec {
-        ClusterSpec {
-            options: SchedOptions::prototype(),
-            ..ClusterSpec::sp_system(nodes)
-        }
-    }
-
-    /// Total CPU count.
-    pub fn total_cpus(&self) -> u32 {
-        self.nodes * u32::from(self.cpus_per_node)
-    }
 }
 
 /// A cross-shard message staged during a window, delivered at the barrier.
@@ -723,11 +710,6 @@ impl ClusterSim {
         self.shards.iter().map(|s| s.busy_ns).sum()
     }
 
-    /// One shard's cumulative measured window wall time, ns.
-    pub fn shard_busy_ns_of(&self, node: u32) -> u64 {
-        self.shards[node as usize].busy_ns
-    }
-
     /// Sum over windows of the busiest-minus-idlest worker wall time at
     /// the barrier (wall-clock diagnostic, `local.*`): how long barriers
     /// spent waiting on load imbalance.
@@ -889,8 +871,8 @@ impl ClusterSim {
     }
 
     /// Install a callback that contributes engine-external state (e.g. the
-    /// MPI run recorder) to every checkpoint's `extras` section; restore
-    /// hands the section back via [`ClusterSim::restore_with_extras`].
+    /// MPI run recorder) to every checkpoint's `extras` section;
+    /// [`ClusterSim::restore`] hands the section back.
     pub fn set_checkpoint_extras(&mut self, provider: ExtrasProvider) {
         self.extras_provider = Some(provider);
     }
@@ -927,18 +909,9 @@ impl ClusterSim {
     /// must have been rebuilt from the *same* spec (same node/CPU/thread
     /// layout, same programs in the same spawn order) and booted; restore
     /// then rewinds every mutable piece of engine state to the barrier the
-    /// checkpoint captured. Returns nothing; see
-    /// [`ClusterSim::restore_with_extras`] for the extras section.
-    pub fn restore(&mut self, path: impl AsRef<Path>) -> Result<(), String> {
-        self.restore_with_extras(path).map(|_| ())
-    }
-
-    /// [`ClusterSim::restore`], additionally returning the checkpoint's
-    /// `extras` section for the caller to apply (e.g. run-recorder state).
-    pub fn restore_with_extras(
-        &mut self,
-        path: impl AsRef<Path>,
-    ) -> Result<Vec<(String, Value)>, String> {
+    /// checkpoint captured. Returns the checkpoint's `extras` section for
+    /// the caller to apply (e.g. run-recorder state).
+    pub fn restore(&mut self, path: impl AsRef<Path>) -> Result<Vec<(String, Value)>, String> {
         if !self.booted {
             return Err(
                 "restore requires a booted cluster (rebuild the experiment, boot, then restore)"
@@ -2007,9 +1980,7 @@ mod tests {
     #[test]
     fn spec_presets() {
         let v = ClusterSpec::sp_system(59);
-        assert_eq!(v.total_cpus(), 944);
-        let p = ClusterSpec::sp_system_prototype(59);
-        assert_eq!(p.options.big_tick, 25);
+        assert_eq!(v.nodes * u32::from(v.cpus_per_node), 944);
         assert_eq!(v.options.big_tick, 1);
     }
 
@@ -2271,7 +2242,7 @@ mod tests {
         edit(&mut snap);
         write_checkpoint_file(&path, &snap, extras).expect("rewrite");
         let mut fresh = one_segment_cluster();
-        let r = fresh.restore(&path);
+        let r = fresh.restore(&path).map(|_| ());
         if r.is_err() {
             assert_eq!(fresh.checkpoint_restores(), 0);
         }
@@ -2637,8 +2608,6 @@ mod tests {
         assert_eq!(sim.steals(), 0, "serial engine has nothing to steal");
         assert_eq!(sim.barrier_imbalance_ns(), 0);
         assert!(sim.shard_busy_ns() > 0);
-        let per_node: u64 = (0..4).map(|n| sim.shard_busy_ns_of(n)).sum();
-        assert_eq!(per_node, sim.shard_busy_ns());
     }
 
     #[test]

@@ -342,7 +342,7 @@ impl Experiment {
         }
         if let Some(from) = &self.restore_from {
             let extras = sim
-                .restore_with_extras(from)
+                .restore(from)
                 .unwrap_or_else(|e| panic!("restore from {}: {e}", from.display()));
             for (key, value) in extras {
                 if key == "recorder" {

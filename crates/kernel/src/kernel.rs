@@ -208,9 +208,9 @@ enum BlockReason {
     Sleep,
 }
 
-/// One thread's kernel-side state.
+/// One thread's kernel-side state. Its name lives in the trace
+/// buffer's thread registry.
 struct ThreadSlot {
-    name: String,
     class: ThreadClass,
     prio: Prio,
     discipline: QueueDiscipline,
@@ -667,7 +667,6 @@ impl Kernel {
         self.trace
             .register_thread(tid.0, spec.name.clone(), spec.class);
         self.threads.push(ThreadSlot {
-            name: spec.name,
             class: spec.class,
             prio: spec.prio,
             discipline,
@@ -706,7 +705,6 @@ impl Kernel {
             .register_thread(itid.0, spec.name.clone(), ThreadClass::Interrupt);
         // Pseudo slot so tid indexing stays uniform; never scheduled.
         self.threads.push(ThreadSlot {
-            name: spec.name.clone(),
             class: ThreadClass::Interrupt,
             prio: Prio(0),
             discipline: QueueDiscipline::Global,
@@ -848,11 +846,11 @@ impl Kernel {
 
     /// Per-thread usage rows (for the overhead audit experiment).
     pub fn usage_report(&self) -> Vec<UsageRow> {
-        self.threads
-            .iter()
-            .filter(|t| t.program.is_some() || t.cpu_time > SimDur::ZERO)
-            .map(|t| UsageRow {
-                name: t.name.clone(),
+        (0u32..)
+            .zip(&self.threads)
+            .filter(|(_, t)| t.program.is_some() || t.cpu_time > SimDur::ZERO)
+            .map(|(tid, t)| UsageRow {
+                name: self.trace.thread_name(tid),
                 class: t.class,
                 cpu_time: t.cpu_time,
             })
@@ -1211,7 +1209,7 @@ impl Kernel {
                     Cont::Step | Cont::FinishSend(_) | Cont::FinishRecv | Cont::PollWait { .. }
                 ),
                 "dispatched a blocked thread ({})",
-                slot.name
+                self.trace.thread_name(tid.0)
             );
             slot.state = ThreadState::Running;
             slot.last_dispatch = now;
@@ -1289,7 +1287,7 @@ impl Kernel {
             assert!(
                 zero_steps < MAX_ZERO_COST_STEPS,
                 "program '{}' livelocked the stepping loop",
-                self.threads[tid.0 as usize].name
+                self.trace.thread_name(tid.0)
             );
             let mut program = self.threads[tid.0 as usize]
                 .program
@@ -1756,11 +1754,10 @@ impl Kernel {
                     ipi_pending: c.ipi_pending,
                 })
                 .collect(),
-            threads: self
-                .threads
-                .iter()
-                .map(|t| ThreadSnap {
-                    name: t.name.clone(),
+            threads: (0u32..)
+                .zip(&self.threads)
+                .map(|(tid, t)| ThreadSnap {
+                    name: self.trace.thread_name(tid),
                     state: t.state,
                     prio: t.prio,
                     cont: t.cont.clone(),
@@ -1857,11 +1854,12 @@ impl Kernel {
                 self.node
             ));
         }
-        for (slot, ts) in self.threads.iter().zip(&snap.threads) {
-            if slot.name != ts.name {
+        for (tid, ts) in (0u32..).zip(&snap.threads) {
+            let name = self.trace.thread_name(tid);
+            if name != ts.name {
                 return Err(format!(
-                    "checkpoint thread '{}' does not match rebuilt thread '{}' on node {}",
-                    ts.name, slot.name, self.node
+                    "checkpoint thread '{}' does not match rebuilt thread '{name}' on node {}",
+                    ts.name, self.node
                 ));
             }
         }
@@ -1899,7 +1897,7 @@ impl Kernel {
             slot.mailbox.restore(ts.mailbox.clone());
             if let Some(p) = slot.program.as_mut() {
                 p.restore_state(&ts.program)
-                    .map_err(|e| format!("program state for thread '{}': {e}", slot.name))?;
+                    .map_err(|e| format!("program state for thread '{}': {e}", ts.name))?;
             }
         }
         self.global_q = snap.global_q.rebuild()?;

@@ -121,11 +121,6 @@ impl StepCtx<'_> {
     pub fn take_io_request(&mut self) -> Option<IoRequest> {
         self.io_pending.pop_front()
     }
-
-    /// (I/O daemon) how many I/O requests are pending.
-    pub fn io_backlog(&self) -> usize {
-        self.io_pending.len()
-    }
 }
 
 /// A thread body. Implementations are Mealy machines: `step` is called
@@ -343,10 +338,8 @@ mod tests {
             bytes: 4096,
         });
         let mut c = ctx(&mut io);
-        assert_eq!(c.io_backlog(), 1);
         let req = c.take_io_request().unwrap();
         assert_eq!(req.requester, Tid(3));
-        assert_eq!(c.io_backlog(), 0);
         assert!(c.take_io_request().is_none());
     }
 }

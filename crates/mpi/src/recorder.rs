@@ -50,15 +50,6 @@ impl OpAgg {
     pub fn global_dur(&self) -> SimDur {
         self.last_end - self.first_start
     }
-
-    /// Mean per-rank duration.
-    pub fn mean_rank_dur(&self) -> SimDur {
-        if self.completions == 0 {
-            SimDur::ZERO
-        } else {
-            SimDur::from_nanos(self.sum_rank_dur_ns / u64::from(self.completions))
-        }
-    }
 }
 
 /// One watched rank's per-call sample.
@@ -282,7 +273,7 @@ mod tests {
         assert_eq!(a.last_end, t(460));
         assert_eq!(a.completions, 3);
         assert_eq!(a.global_dur(), SimDur::from_micros(370));
-        assert_eq!(a.mean_rank_dur(), SimDur::from_micros(350));
+        assert_eq!(a.sum_rank_dur_ns, 3 * 350_000);
     }
 
     #[test]

@@ -323,18 +323,7 @@ impl MetricsRegistry {
     /// excluded: they are process-local by design (restore counts, wall
     /// clocks) and must not leak into determinism fingerprints.
     pub fn snapshot_value(&self) -> Value {
-        self.snapshot_value_filtered(true)
-    }
-
-    /// Like [`MetricsRegistry::snapshot_value`] but including the
-    /// `local.*` namespace — for debugging output, never for fingerprints
-    /// or byte-compared artifacts.
-    pub fn snapshot_value_full(&self) -> Value {
-        self.snapshot_value_filtered(false)
-    }
-
-    fn snapshot_value_filtered(&self, canonical: bool) -> Value {
-        let keep = |k: &str| !(canonical && k.starts_with(LOCAL_PREFIX));
+        let keep = |k: &str| !k.starts_with(LOCAL_PREFIX);
         let counters = self
             .counters
             .iter()
@@ -519,11 +508,6 @@ mod tests {
         let canon = r.snapshot_json();
         assert!(!canon.contains("local."), "local.* leaked: {canon}");
         assert!(canon.contains("engine.events"));
-        // The full snapshot keeps them, for debugging.
-        let full = r.snapshot_value_full().to_json_string_pretty();
-        assert!(full.contains("local.checkpoint.restores"));
-        assert!(full.contains("local.wall_ms"));
-        assert!(full.contains("local.lat"));
     }
 
     #[test]

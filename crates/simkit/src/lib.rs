@@ -10,7 +10,7 @@
 //! * [`EventQueue`] — a deterministic event calendar with keyed timers;
 //! * [`SeedSpace`] / [`SimRng`] — per-component reproducible RNG streams;
 //! * [`stats`] — Welford accumulators, summaries, percentiles, OLS fits;
-//! * [`report`] — the table/series formats used by the figure harnesses.
+//! * [`report`] — the aligned text table the figure harnesses print.
 //!
 //! The crate is intentionally free of any OS- or MPI-specific notions: it
 //! knows nothing about CPUs, daemons, or collectives.
@@ -27,7 +27,7 @@ pub mod time;
 
 pub use events::{EventQueue, QueueStats};
 pub use hash::{sha256_hex, Sha256};
-pub use report::{Series, SeriesPoint, Table};
+pub use report::Table;
 pub use rng::{RngState, SeedSpace, SimRng};
 pub use stats::{linfit, LineFit, OnlineStats, Summary};
 pub use time::{SimDur, SimTime};

@@ -1,4 +1,4 @@
-//! Plain-text tables and series for the figure/table harnesses.
+//! Plain-text tables for the figure/table harnesses.
 //!
 //! Every experiment binary prints the same rows the paper reports; this
 //! module keeps the formatting consistent (fixed-width, aligned columns)
@@ -102,46 +102,6 @@ pub fn fnum(x: f64, prec: usize) -> String {
     format!("{x:.prec$}")
 }
 
-/// One (x, y ± detail) point of a reported series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SeriesPoint {
-    /// Independent variable (e.g. processor count).
-    pub x: f64,
-    /// Dependent variable (e.g. mean Allreduce µs).
-    pub y: f64,
-    /// Spread (e.g. stddev over repetitions).
-    pub spread: f64,
-}
-
-/// A named data series, as plotted in one of the paper's figures.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Series {
-    /// Legend label.
-    pub name: String,
-    /// Points in x order.
-    pub points: Vec<SeriesPoint>,
-}
-
-impl Series {
-    /// New empty series.
-    pub fn new(name: impl Into<String>) -> Series {
-        Series {
-            name: name.into(),
-            points: Vec::new(),
-        }
-    }
-
-    /// Append a point.
-    pub fn push(&mut self, x: f64, y: f64, spread: f64) {
-        self.points.push(SeriesPoint { x, y, spread });
-    }
-
-    /// `(x, y)` pairs for line fitting.
-    pub fn xy(&self) -> Vec<(f64, f64)> {
-        self.points.iter().map(|p| (p.x, p.y)).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,15 +126,6 @@ mod tests {
     fn row_arity_checked() {
         let mut t = Table::new("x", &["a", "b"]);
         t.row(&["only one".into()]);
-    }
-
-    #[test]
-    fn series_collects_xy() {
-        let mut s = Series::new("vanilla");
-        s.push(64.0, 200.0, 10.0);
-        s.push(128.0, 260.0, 14.0);
-        assert_eq!(s.xy(), vec![(64.0, 200.0), (128.0, 260.0)]);
-        assert_eq!(s.points.len(), 2);
     }
 
     #[test]

@@ -177,14 +177,6 @@ impl SimRng {
         let z = self.std_normal();
         median.mul_f64((sigma * z).exp())
     }
-
-    /// Shuffle a slice in place (Fisher–Yates).
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.range(0, i as u64 + 1) as usize;
-            xs.swap(i, j);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -298,20 +290,5 @@ mod tests {
         let mut s = r.save_state();
         s.state.pop();
         assert!(r.load_state(&s).is_err());
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = SimRng::from_seed(6);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(
-            v,
-            (0..50).collect::<Vec<_>>(),
-            "50 elements should not stay sorted"
-        );
     }
 }

@@ -72,26 +72,6 @@ impl OnlineStats {
     pub fn max(&self) -> f64 {
         self.max
     }
-
-    /// Merge another accumulator into this one (parallel reduction form).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let d = other.mean - self.mean;
-        let n = n1 + n2;
-        self.mean += d * n2 / n;
-        self.m2 += other.m2 + d * d * n1 * n2 / n;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// Batch summary of a sample: moments plus order statistics.
@@ -145,15 +125,6 @@ impl Summary {
             median: percentile_sorted(&sorted, 50.0),
             p90: percentile_sorted(&sorted, 90.0),
             p99: percentile_sorted(&sorted, 99.0),
-        }
-    }
-
-    /// Coefficient of variation (stddev / mean), 0 when mean is 0.
-    pub fn cv(&self) -> f64 {
-        if self.mean == 0.0 {
-            0.0
-        } else {
-            self.stddev / self.mean
         }
     }
 }
@@ -228,61 +199,6 @@ pub fn linfit(points: &[(f64, f64)]) -> LineFit {
     }
 }
 
-/// A fixed-width histogram for quick-look distributions in reports.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    /// Observations below `lo`.
-    pub underflow: u64,
-    /// Observations at or above `hi`.
-    pub overflow: u64,
-}
-
-impl Histogram {
-    /// `nbins` equal-width bins covering `[lo, hi)`.
-    pub fn new(lo: f64, hi: f64, nbins: usize) -> Histogram {
-        assert!(hi > lo && nbins > 0, "bad histogram bounds");
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; nbins],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Record one observation.
-    pub fn push(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let idx = ((x - self.lo) / (self.hi - self.lo) * self.bins.len() as f64) as usize;
-            let idx = idx.min(self.bins.len() - 1);
-            self.bins[idx] += 1;
-        }
-    }
-
-    /// Per-bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Inclusive-lo/exclusive-hi bounds of bin `i`.
-    pub fn bin_bounds(&self, i: usize) -> (f64, f64) {
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
-        (self.lo + w * i as f64, self.lo + w * (i + 1) as f64)
-    }
-
-    /// Total observations including under/overflow.
-    pub fn total(&self) -> u64 {
-        self.bins.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,40 +220,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_single_pass() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = OnlineStats::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &xs[..37] {
-            a.push(x);
-        }
-        for &x in &xs[37..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-        assert_eq!(a.count(), whole.count());
-    }
-
-    #[test]
-    fn merge_with_empty() {
-        let mut a = OnlineStats::new();
-        a.push(5.0);
-        let b = OnlineStats::new();
-        let mut a2 = a;
-        a2.merge(&b);
-        assert_eq!(a2, a);
-        let mut c = OnlineStats::new();
-        c.merge(&a);
-        assert_eq!(c.mean(), 5.0);
-    }
-
-    #[test]
     fn summary_order_stats() {
         let xs: Vec<f64> = (1..=100).map(|i| i as f64).collect();
         let s = Summary::of(&xs);
@@ -353,7 +235,6 @@ mod tests {
         let s = Summary::of(&[]);
         assert_eq!(s.count, 0);
         assert_eq!(s.mean, 0.0);
-        assert_eq!(s.cv(), 0.0);
     }
 
     #[test]
@@ -393,21 +274,5 @@ mod tests {
     #[should_panic(expected = "at least two points")]
     fn linfit_rejects_single_point() {
         linfit(&[(1.0, 1.0)]);
-    }
-
-    #[test]
-    fn histogram_buckets() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for i in 0..10 {
-            h.push(i as f64 + 0.5);
-        }
-        h.push(-1.0);
-        h.push(10.0);
-        assert_eq!(h.counts(), &[1; 10]);
-        assert_eq!(h.underflow, 1);
-        assert_eq!(h.overflow, 1);
-        assert_eq!(h.total(), 12);
-        assert_eq!(h.bin_bounds(0), (0.0, 1.0));
-        assert_eq!(h.bin_bounds(9), (9.0, 10.0));
     }
 }

@@ -27,14 +27,12 @@ pub struct TraceEvent {
 }
 
 /// Thread metadata registered with the buffer.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ThreadMeta {
-    /// Node-local thread id.
-    pub tid: u32,
+#[derive(Debug, Clone)]
+struct ThreadMeta {
     /// Human-readable name ("syncd", "mpi_rank_17", "cron.perl", ...).
-    pub name: String,
+    name: String,
     /// Coarse class for attribution.
-    pub class: ThreadClass,
+    class: ThreadClass,
 }
 
 /// A bounded per-node trace ring.
@@ -82,16 +80,10 @@ impl TraceBuffer {
         self.threads.insert(
             tid,
             ThreadMeta {
-                tid,
                 name: name.into(),
                 class,
             },
         );
-    }
-
-    /// Metadata for a thread id, if registered.
-    pub fn thread(&self, tid: u32) -> Option<&ThreadMeta> {
-        self.threads.get(&tid)
     }
 
     /// Display name of `tid` (`tid<N>` if unregistered).
@@ -141,13 +133,6 @@ impl TraceBuffer {
     /// All retained events in time order.
     pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
         self.events.iter()
-    }
-
-    /// Retained events within `[start, end)`.
-    pub fn events_in(&self, start: SimTime, end: SimTime) -> impl Iterator<Item = &TraceEvent> {
-        self.events
-            .iter()
-            .filter(move |e| e.time >= start && e.time < end)
     }
 
     /// Number of retained events.
@@ -216,17 +201,6 @@ impl TraceBuffer {
         self.evicted_until = evicted_until;
         Ok(())
     }
-
-    /// Times of `AppMarker` events with the given marker value, in order.
-    /// The aggregate benchmark brackets every 64-call block with markers,
-    /// so this is how the figure harness finds block boundaries.
-    pub fn marker_times(&self, marker: u64) -> Vec<SimTime> {
-        self.events
-            .iter()
-            .filter(|e| e.hook == HookId::AppMarker && e.aux == marker)
-            .map(|e| e.time)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -281,20 +255,6 @@ mod tests {
     }
 
     #[test]
-    fn interval_query() {
-        let mut b = TraceBuffer::new(16);
-        b.set_mask(HookMask::ALL);
-        for i in 0..10 {
-            b.record(ev(i, HookId::Tick, 0));
-        }
-        let got: Vec<u64> = b
-            .events_in(SimTime::from_micros(3), SimTime::from_micros(7))
-            .map(|e| e.time.micros())
-            .collect();
-        assert_eq!(got, vec![3, 4, 5, 6]);
-    }
-
-    #[test]
     fn registry_lookup() {
         let mut b = TraceBuffer::new(4);
         b.register_thread(7, "syncd", ThreadClass::Daemon);
@@ -302,7 +262,6 @@ mod tests {
         assert_eq!(b.thread_class(7), ThreadClass::Daemon);
         assert_eq!(b.thread_name(8), "tid8");
         assert_eq!(b.thread_class(8), ThreadClass::Kernel);
-        assert_eq!(b.thread(7).unwrap().tid, 7);
     }
 
     #[test]
@@ -355,18 +314,5 @@ mod tests {
         assert!(small.restore_ring(too_many, 0, None).is_err());
         let out_of_order = vec![ev(5, HookId::Tick, 0), ev(4, HookId::Tick, 0)];
         assert!(small.restore_ring(out_of_order, 0, None).is_err());
-    }
-
-    #[test]
-    fn marker_times_filters_by_value() {
-        let mut b = TraceBuffer::new(16);
-        b.set_mask(HookMask::ALL);
-        b.emit(SimTime::from_micros(1), 0, HookId::AppMarker, 1, 64);
-        b.emit(SimTime::from_micros(2), 0, HookId::AppMarker, 1, 128);
-        b.emit(SimTime::from_micros(3), 0, HookId::AppMarker, 1, 64);
-        assert_eq!(
-            b.marker_times(64),
-            vec![SimTime::from_micros(1), SimTime::from_micros(3)]
-        );
     }
 }

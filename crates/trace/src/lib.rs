@@ -19,5 +19,5 @@ pub mod buffer;
 pub mod hooks;
 
 pub use attribution::{AttributionReport, CpuTimeline, Culprit, Segment};
-pub use buffer::{ThreadMeta, TraceBuffer, TraceEvent};
+pub use buffer::{TraceBuffer, TraceEvent};
 pub use hooks::{HookId, HookMask, ThreadClass};

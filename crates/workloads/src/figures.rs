@@ -149,13 +149,6 @@ impl ScalingConfig {
             horizon: self.target_sim_time,
             link_bandwidth: self.link_bandwidth,
             policy: None,
-            // Mirror the kernel block into the explicit canonical key so
-            // per-dispatcher sweeps are visible in the spec itself (None
-            // keeps pre-dispatcher AIX specs' canonical form unchanged).
-            dispatcher: match self.kernel.dispatcher {
-                pa_kernel::DispatcherKind::Aix => None,
-                k => Some(k.as_str().to_string()),
-            },
         }
     }
 
@@ -535,7 +528,8 @@ pub fn fig4_with_output(cfg: &Fig4Config) -> (Fig4Result, RunOutput) {
     let summary = Summary::of(&sorted_for_figure);
 
     // Attribute the slowest call across the whole machine: sum each
-    // interferer's CPU time over all nodes during the interval.
+    // interferer's CPU time over all nodes during the interval. A node
+    // whose trace ring evicted part of it may under-count; say so.
     let worst = samples
         .iter()
         .max_by_key(|s| s.dur())
@@ -543,6 +537,9 @@ pub fn fig4_with_output(cfg: &Fig4Config) -> (Fig4Result, RunOutput) {
     let mut merged: std::collections::BTreeMap<(String, String), f64> = Default::default();
     for node in 0..cfg.nodes {
         let report = out.attribute(node, worst.start, worst.end);
+        if let Some(warning) = report.eviction_warning() {
+            eprintln!("fig4: node {node}: {warning}");
+        }
         for c in &report.culprits {
             *merged
                 .entry((c.name.clone(), format!("{:?}", c.class)))

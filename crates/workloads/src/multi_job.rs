@@ -102,7 +102,6 @@ pub fn batch_point(
         horizon: None,
         link_bandwidth,
         policy: Some(policy.name().to_string()),
-        dispatcher: None,
     }
 }
 

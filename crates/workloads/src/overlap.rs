@@ -8,7 +8,9 @@
 //!
 //! [`green_fraction`] computes that metric from a node's trace: the
 //! fraction of an interval during which every app CPU simultaneously runs
-//! an application thread.
+//! an application thread. [`red_touch_fraction`] is its counterpart, the
+//! fraction during which any app CPU runs interference; both come from
+//! one edge sweep.
 
 use pa_simkit::{SimDur, SimTime};
 use pa_trace::{CpuTimeline, ThreadClass, TraceBuffer};
@@ -16,60 +18,47 @@ use pa_trace::{CpuTimeline, ThreadClass, TraceBuffer};
 /// Fraction of `[start, end)` during which all of the node's first
 /// `ntasks` CPUs were simultaneously running App-class threads.
 pub fn green_fraction(trace: &TraceBuffer, ntasks: u8, start: SimTime, end: SimTime) -> f64 {
-    assert!(end > start, "empty interval");
-    let timeline = CpuTimeline::build(trace, end);
-    // Boundary sweep: +1 when a task CPU starts running App, -1 when it
-    // stops. Green when the counter equals ntasks.
-    let mut edges: Vec<(SimTime, i32)> = Vec::new();
-    for seg in timeline.segments() {
-        if seg.cpu >= ntasks {
-            continue;
-        }
-        if trace.thread_class(seg.tid) != ThreadClass::App {
-            continue;
-        }
-        let lo = seg.start.max(start);
-        let hi = seg.end.min(end);
-        if hi > lo {
-            edges.push((lo, 1));
-            edges.push((hi, -1));
-        }
-    }
-    edges.sort_by_key(|&(t, delta)| (t, -delta));
-    let mut level = 0i32;
-    let mut green = SimDur::ZERO;
-    let mut green_since: Option<SimTime> = None;
-    for (t, delta) in edges {
-        let was_green = level == i32::from(ntasks);
-        level += delta;
-        let is_green = level == i32::from(ntasks);
-        match (was_green, is_green) {
-            (false, true) => green_since = Some(t),
-            (true, false) => {
-                if let Some(s) = green_since.take() {
-                    green += t - s;
-                }
-            }
-            _ => {}
-        }
-    }
-    if let Some(s) = green_since {
-        green += end - s;
-    }
-    green.nanos() as f64 / (end - start).nanos() as f64
+    let all = i32::from(ntasks);
+    covered_fraction(
+        trace,
+        ntasks,
+        start,
+        end,
+        |class| class == ThreadClass::App,
+        |level| level == all,
+    )
 }
 
 /// Fraction of `[start, end)` during which at least one of the first
 /// `ntasks` CPUs was running interference (the "red" share of Figure 1).
 pub fn red_touch_fraction(trace: &TraceBuffer, ntasks: u8, start: SimTime, end: SimTime) -> f64 {
+    covered_fraction(
+        trace,
+        ntasks,
+        start,
+        end,
+        ThreadClass::is_interference,
+        |level| level > 0,
+    )
+}
+
+/// Fraction of `[start, end)` during which `covered(level)` holds, where
+/// `level` counts the first `ntasks` CPUs running a thread whose class
+/// satisfies `select`. Boundary sweep: +1 when such a segment starts, -1
+/// when it ends; starts sort before ends at the same instant.
+fn covered_fraction(
+    trace: &TraceBuffer,
+    ntasks: u8,
+    start: SimTime,
+    end: SimTime,
+    select: impl Fn(ThreadClass) -> bool,
+    covered: impl Fn(i32) -> bool,
+) -> f64 {
     assert!(end > start, "empty interval");
     let timeline = CpuTimeline::build(trace, end);
     let mut edges: Vec<(SimTime, i32)> = Vec::new();
     for seg in timeline.segments() {
-        if seg.cpu >= ntasks {
-            continue;
-        }
-        if !trace.thread_class(seg.tid).is_interference() {
+        if seg.cpu >= ntasks || !select(trace.thread_class(seg.tid)) {
             continue;
         }
         let lo = seg.start.max(start);
@@ -81,26 +70,26 @@ pub fn red_touch_fraction(trace: &TraceBuffer, ntasks: u8, start: SimTime, end: 
     }
     edges.sort_by_key(|&(t, delta)| (t, -delta));
     let mut level = 0i32;
-    let mut red = SimDur::ZERO;
-    let mut red_since: Option<SimTime> = None;
+    let mut total = SimDur::ZERO;
+    let mut since: Option<SimTime> = None;
     for (t, delta) in edges {
-        let was = level > 0;
+        let was = covered(level);
         level += delta;
-        let is = level > 0;
+        let is = covered(level);
         match (was, is) {
-            (false, true) => red_since = Some(t),
+            (false, true) => since = Some(t),
             (true, false) => {
-                if let Some(s) = red_since.take() {
-                    red += t - s;
+                if let Some(s) = since.take() {
+                    total += t - s;
                 }
             }
             _ => {}
         }
     }
-    if let Some(s) = red_since {
-        red += end - s;
+    if let Some(s) = since {
+        total += end - s;
     }
-    red.nanos() as f64 / (end - start).nanos() as f64
+    total.nanos() as f64 / (end - start).nanos() as f64
 }
 
 #[cfg(test)]

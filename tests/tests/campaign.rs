@@ -2,7 +2,7 @@
 //! content-key stability, cache round-trips through disk, and the
 //! bit-identical-results-at-any-job-count guarantee.
 
-use pa_campaign::{run_campaign, Cache, ExecutorConfig, PointCtx, PointSpec};
+use pa_campaign::{run_campaign, Cache, ExecutorConfig, Lookup, PointCtx, PointSpec};
 use pa_workloads::{aggregate_runner, ScalingConfig};
 use std::path::PathBuf;
 
@@ -48,7 +48,9 @@ fn cache_round_trips_real_results_bit_exactly() {
     let cache = Cache::at(&dir).unwrap();
     let fresh = aggregate_runner(spec, &PointCtx::serial());
     cache.store(&key, spec, &fresh).unwrap();
-    let loaded = cache.lookup(&key).expect("stored entry must load");
+    let Lookup::Hit(loaded) = cache.lookup(&key) else {
+        panic!("stored entry must load");
+    };
     // f64s survive the JSON round-trip exactly, not approximately.
     assert_eq!(loaded, fresh);
     assert_eq!(

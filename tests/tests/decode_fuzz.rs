@@ -5,7 +5,7 @@
 //! The case count follows `PROPTEST_CASES`; CI reruns this file in
 //! release mode at 2000 cases per property.
 
-use pa_campaign::{Cache, CheckpointCtx, PointCtx, PointResult};
+use pa_campaign::{Cache, CheckpointCtx, Lookup, PointCtx, PointResult};
 use pa_simkit::SimDur;
 use pa_workloads::{run_point_with, ScalingConfig};
 use proptest::prelude::*;
@@ -48,7 +48,7 @@ fn originals() -> &'static Originals {
         let key = spec.content_key();
         let result = PointResult::from_run(&out);
         cache.store(&key, &spec, &result).unwrap();
-        assert_eq!(cache.lookup(&key).as_ref(), Some(&result));
+        assert_eq!(cache.lookup(&key), Lookup::Hit(result.clone()));
         let originals = Originals {
             checkpoint: std::fs::read(&path).unwrap(),
             entry: std::fs::read(cache.path_for(&key)).unwrap(),
@@ -135,8 +135,8 @@ proptest! {
         std::fs::write(cache.path_for(&o.key), damage.apply(&o.entry)).unwrap();
         let got = cache.lookup(&o.key);
         std::fs::remove_dir_all(&dir).unwrap();
-        prop_assert_eq!(cache.corrupt_entries(), u64::from(got.is_none()));
-        let Some(got) = got else {
+        prop_assert_ne!(&got, &Lookup::Absent, "{:?}: a present entry read as absent", damage);
+        let Lookup::Hit(got) = got else {
             return Ok(());
         };
         // Entries carry no checksum, so some damage still decodes:

@@ -772,3 +772,106 @@ proptest! {
         prop_assert_eq!(parsed.render(), t.render());
     }
 }
+
+// ---------------------------------------------------------------------
+// Figure 1 overlap: the shared edge sweep behind `green_fraction` and
+// `red_touch_fraction` against a brute-force reference that tests the
+// all-App and any-interference predicates on every elementary interval
+// between segment edges.
+// ---------------------------------------------------------------------
+
+/// Thread classes of the random traces' tids; tid 0 means "leave the CPU
+/// idle" and is never dispatched.
+const OVERLAP_CLASSES: [(u32, pa_trace::ThreadClass); 5] = [
+    (1, pa_trace::ThreadClass::App),
+    (2, pa_trace::ThreadClass::App),
+    (3, pa_trace::ThreadClass::Daemon),
+    (4, pa_trace::ThreadClass::Kernel),
+    (5, pa_trace::ThreadClass::Cron),
+];
+
+/// One ground-truth occupancy segment: `(cpu, tid, start µs, end µs)`.
+type OverlapSeg = (u8, u32, u64, u64);
+
+/// Build a 3-CPU trace from `(gap µs, cpu, tid)` steps: each step
+/// undispatches the CPU's occupant and dispatches `tid` (unless 0).
+/// Returns the trace and its segments, open ones ending at `u64::MAX`.
+fn overlap_trace(steps: &[(u64, u8, u32)]) -> (pa_trace::TraceBuffer, Vec<OverlapSeg>) {
+    use pa_trace::{HookId, HookMask, TraceBuffer};
+    let mut b = TraceBuffer::new(1 << 12);
+    b.set_mask(HookMask::ALL);
+    for (tid, class) in OVERLAP_CLASSES {
+        b.register_thread(tid, format!("t{tid}"), class);
+    }
+    let mut running: [Option<(u32, u64)>; 3] = [None; 3];
+    let mut segs = Vec::new();
+    let mut now = 0u64;
+    for &(gap, cpu, tid) in steps {
+        now += gap;
+        let at = SimTime::from_micros(now);
+        if let Some((old, since)) = running[cpu as usize].take() {
+            b.emit(at, cpu, HookId::Undispatch, old, 0);
+            segs.push((cpu, old, since, now));
+        }
+        if tid != 0 {
+            b.emit(at, cpu, HookId::Dispatch, tid, 0);
+            running[cpu as usize] = Some((tid, now));
+        }
+    }
+    for (cpu, open) in (0u8..).zip(running) {
+        if let Some((tid, since)) = open {
+            segs.push((cpu, tid, since, u64::MAX));
+        }
+    }
+    (b, segs)
+}
+
+/// Brute-force `(green, red)` fractions of `[start, end)` µs over the
+/// first `ntasks` CPUs.
+fn overlap_reference(segs: &[OverlapSeg], ntasks: u8, start: u64, end: u64) -> (f64, f64) {
+    let class = |tid: u32| OVERLAP_CLASSES.iter().find(|c| c.0 == tid).unwrap().1;
+    let mut cuts = vec![start, end];
+    for &(_, _, s, e) in segs {
+        cuts.extend([s.clamp(start, end), e.clamp(start, end)]);
+    }
+    cuts.sort_unstable();
+    cuts.dedup();
+    let (mut green, mut red) = (0u64, 0u64);
+    for w in cuts.windows(2) {
+        let (a, b) = (w[0], w[1]);
+        // No edge falls inside (a, b): whatever covers a covers it all.
+        let on = |cpu: u8| {
+            segs.iter()
+                .find(|&&(c, _, s, e)| c == cpu && s <= a && b <= e)
+                .map(|&(_, tid, _, _)| class(tid))
+        };
+        if (0..ntasks).all(|cpu| on(cpu) == Some(pa_trace::ThreadClass::App)) {
+            green += b - a;
+        }
+        if (0..ntasks).any(|cpu| on(cpu).is_some_and(pa_trace::ThreadClass::is_interference)) {
+            red += b - a;
+        }
+    }
+    let len = ((end - start) * 1000) as f64;
+    ((green * 1000) as f64 / len, (red * 1000) as f64 / len)
+}
+
+proptest! {
+    #[test]
+    fn overlap_sweep_matches_brute_force(
+        steps in prop::collection::vec((0u64..30, 0u8..3, 0u32..6), 1..40),
+        ntasks in 1u8..4,
+        start in 0u64..100,
+        len in 1u64..600,
+    ) {
+        let (trace, segs) = overlap_trace(&steps);
+        let (lo, hi) = (SimTime::from_micros(start), SimTime::from_micros(start + len));
+        let want = overlap_reference(&segs, ntasks, start, start + len);
+        let got = (
+            pa_workloads::overlap::green_fraction(&trace, ntasks, lo, hi),
+            pa_workloads::overlap::red_touch_fraction(&trace, ntasks, lo, hi),
+        );
+        prop_assert_eq!(got.0.to_bits(), want.0.to_bits(), "green {} vs {}", got.0, want.0);
+        prop_assert_eq!(got.1.to_bits(), want.1.to_bits(), "red {} vs {}", got.1, want.1);
+    }
+}
