@@ -32,17 +32,11 @@ impl Arbitrary for bool {
     }
 }
 
-macro_rules! arb_uint {
-    ($($t:ty),*) => {$(
-        impl Arbitrary for $t {
-            fn arbitrary(rng: &mut TestRng) -> $t {
-                rng.next_u64() as $t
-            }
-        }
-    )*};
+impl Arbitrary for usize {
+    fn arbitrary(rng: &mut TestRng) -> usize {
+        rng.next_u64() as usize
+    }
 }
-
-arb_uint!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 #[cfg(test)]
 mod tests {

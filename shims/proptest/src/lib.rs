@@ -1,6 +1,6 @@
 //! Offline stand-in for `proptest`: generates random cases from the same
-//! strategy expressions (`1u32..260`, `prop::collection::vec`,
-//! `"[A-Z]{2,8}"`, tuples, `prop_filter_map`) and runs each property over
+//! strategy expressions (`1u32..260`, `prop::collection::vec`, tuples,
+//! `prop_map`, `prop_filter_map`) and runs each property over
 //! a deterministic per-test seed. No shrinking — a failing case reports
 //! its case index and the runner seed instead of a minimized input.
 
@@ -117,12 +117,6 @@ mod tests {
         #[test]
         fn vec_and_any(v in prop::collection::vec(any::<bool>(), 1..20)) {
             prop_assert!(!v.is_empty() && v.len() < 20);
-        }
-
-        #[test]
-        fn regex_strings_match_shape(s in "[A-Z]{2,8}") {
-            prop_assert!(s.len() >= 2 && s.len() <= 8, "bad len {:?}", s);
-            prop_assert!(s.chars().all(|c| c.is_ascii_uppercase()));
         }
 
         #[test]

@@ -1,5 +1,5 @@
-//! Value-generation strategies: integer/float ranges, tuples, string
-//! patterns, and combinators.
+//! Value-generation strategies: integer/float ranges, tuples and
+//! combinators.
 
 use crate::test_runner::TestRng;
 use std::ops::{Range, RangeInclusive};
@@ -82,15 +82,6 @@ where
     }
 }
 
-/// A strategy behind a reference works like the strategy itself.
-impl<S: Strategy + ?Sized> Strategy for &S {
-    type Value = S::Value;
-
-    fn generate(&self, rng: &mut TestRng) -> S::Value {
-        (**self).generate(rng)
-    }
-}
-
 macro_rules! uint_range_strategy {
     ($($t:ty),*) => {$(
         impl Strategy for Range<$t> {
@@ -128,151 +119,20 @@ macro_rules! uint_range_strategy {
     )*};
 }
 
-uint_range_strategy!(u8, u16, u32, u64, usize);
+uint_range_strategy!(u8, u32, u64, usize);
 
-macro_rules! int_range_strategy {
-    ($($t:ty),*) => {$(
-        impl Strategy for Range<$t> {
-            type Value = $t;
-            fn generate(&self, rng: &mut TestRng) -> $t {
-                assert!(self.start < self.end, "empty range strategy");
-                let span = self.end.wrapping_sub(self.start) as u64;
-                match rng.below(16) {
-                    0 => self.start,
-                    1 => self.end - 1,
-                    _ => self.start.wrapping_add(rng.below(span) as $t),
-                }
-            }
-        }
-    )*};
-}
-
-int_range_strategy!(i8, i16, i32, i64, isize);
-
-macro_rules! float_range_strategy {
-    ($($t:ty),*) => {$(
-        impl Strategy for Range<$t> {
-            type Value = $t;
-            fn generate(&self, rng: &mut TestRng) -> $t {
-                assert!(self.start < self.end, "empty range strategy");
-                let u = rng.unit_f64() as $t;
-                let v = self.start + u * (self.end - self.start);
-                // Rounding can land exactly on `end`; stay half-open.
-                if v >= self.end { self.start } else { v }
-            }
-        }
-    )*};
-}
-
-float_range_strategy!(f32, f64);
-
-/// String literals act as (a small subset of) regex strategies:
-/// sequences of literal chars or classes like `[A-Z]`/`[a-z0-9_]`, each
-/// optionally quantified with `{n}`, `{m,n}`, `+`, `*`, or `?`.
-impl Strategy for str {
-    type Value = String;
-
-    fn generate(&self, rng: &mut TestRng) -> String {
-        let atoms = parse_pattern(self);
-        let mut out = String::new();
-        for (chars, min, max) in &atoms {
-            let n = *min + rng.below((*max - *min + 1) as u64) as usize;
-            for _ in 0..n {
-                out.push(chars[rng.below(chars.len() as u64) as usize]);
-            }
-        }
-        out
-    }
-}
-
-/// Parse into (alphabet, min repeats, max repeats) atoms.
-fn parse_pattern(pat: &str) -> Vec<(Vec<char>, usize, usize)> {
-    let chars: Vec<char> = pat.chars().collect();
-    let mut i = 0;
-    let mut atoms = Vec::new();
-    while i < chars.len() {
-        let alphabet = match chars[i] {
-            '[' => {
-                let close = chars[i..]
-                    .iter()
-                    .position(|&c| c == ']')
-                    .map(|p| i + p)
-                    .unwrap_or_else(|| panic!("unclosed class in pattern {pat:?}"));
-                let mut set = Vec::new();
-                let mut j = i + 1;
-                while j < close {
-                    if j + 2 < close && chars[j + 1] == '-' {
-                        let (lo, hi) = (chars[j], chars[j + 2]);
-                        for c in lo..=hi {
-                            set.push(c);
-                        }
-                        j += 3;
-                    } else {
-                        set.push(chars[j]);
-                        j += 1;
-                    }
-                }
-                i = close + 1;
-                set
-            }
-            '\\' => {
-                i += 1;
-                let c = chars[i];
-                i += 1;
-                match c {
-                    'd' => ('0'..='9').collect(),
-                    'w' => ('a'..='z').chain('A'..='Z').chain('0'..='9').collect(),
-                    other => vec![other],
-                }
-            }
-            c => {
-                i += 1;
-                vec![c]
-            }
-        };
-        assert!(!alphabet.is_empty(), "empty class in pattern {pat:?}");
-        let (min, max) = if i < chars.len() {
-            match chars[i] {
-                '{' => {
-                    let close = chars[i..]
-                        .iter()
-                        .position(|&c| c == '}')
-                        .map(|p| i + p)
-                        .unwrap_or_else(|| panic!("unclosed quantifier in {pat:?}"));
-                    let body: String = chars[i + 1..close].iter().collect();
-                    i = close + 1;
-                    match body.split_once(',') {
-                        Some((m, n)) => (
-                            m.trim().parse().expect("quantifier min"),
-                            n.trim().parse().expect("quantifier max"),
-                        ),
-                        None => {
-                            let n = body.trim().parse().expect("quantifier count");
-                            (n, n)
-                        }
-                    }
-                }
-                '+' => {
-                    i += 1;
-                    (1, 8)
-                }
-                '*' => {
-                    i += 1;
-                    (0, 8)
-                }
-                '?' => {
-                    i += 1;
-                    (0, 1)
-                }
-                _ => (1, 1),
-            }
+impl Strategy for Range<f64> {
+    type Value = f64;
+    fn generate(&self, rng: &mut TestRng) -> f64 {
+        assert!(self.start < self.end, "empty range strategy");
+        let v = self.start + rng.unit_f64() * (self.end - self.start);
+        // Rounding can land exactly on `end`; stay half-open.
+        if v >= self.end {
+            self.start
         } else {
-            (1, 1)
-        };
-        assert!(min <= max, "bad quantifier in pattern {pat:?}");
-        atoms.push((alphabet, min, max));
+            v
+        }
     }
-    atoms
 }
 
 macro_rules! tuple_strategy {
@@ -287,31 +147,16 @@ macro_rules! tuple_strategy {
 }
 
 tuple_strategy! {
-    (A.0)
     (A.0, B.1)
     (A.0, B.1, C.2)
     (A.0, B.1, C.2, D.3)
     (A.0, B.1, C.2, D.3, E.4)
     (A.0, B.1, C.2, D.3, E.4, F.5)
-    (A.0, B.1, C.2, D.3, E.4, F.5, G.6)
-    (A.0, B.1, C.2, D.3, E.4, F.5, G.6, H.7)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pattern_parser_handles_classes_and_quantifiers() {
-        let atoms = parse_pattern("[A-Z]{2,8}");
-        assert_eq!(atoms.len(), 1);
-        assert_eq!(atoms[0].0.len(), 26);
-        assert_eq!((atoms[0].1, atoms[0].2), (2, 8));
-
-        let atoms = parse_pattern("ab[0-9]+");
-        assert_eq!(atoms.len(), 3);
-        assert_eq!(atoms[2].0.len(), 10);
-    }
 
     #[test]
     fn float_range_stays_half_open() {

@@ -39,8 +39,6 @@ impl std::fmt::Display for Error {
     }
 }
 
-impl std::error::Error for Error {}
-
 /// A type that can render itself as a [`Value`] tree.
 pub trait Serialize {
     /// Convert to the self-describing value model.
@@ -86,32 +84,14 @@ impl Deserialize for usize {
     }
 }
 
-macro_rules! ser_int {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value { Value::Int(i64::from(*self)) }
-        }
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                let n = v.as_i64().ok_or_else(|| Error::expected("integer", stringify!($t)))?;
-                <$t>::try_from(n).map_err(|_| Error(format!("{n} out of range for {}", stringify!($t))))
-            }
-        }
-    )*};
-}
-ser_int!(i8, i16, i32, i64);
-
-impl Serialize for isize {
+impl Serialize for i64 {
     fn to_value(&self) -> Value {
-        Value::Int(*self as i64)
+        Value::Int(*self)
     }
 }
-impl Deserialize for isize {
+impl Deserialize for i64 {
     fn from_value(v: &Value) -> Result<Self, Error> {
-        let n = v
-            .as_i64()
-            .ok_or_else(|| Error::expected("integer", "isize"))?;
-        isize::try_from(n).map_err(|_| Error(format!("{n} out of range for isize")))
+        v.as_i64().ok_or_else(|| Error::expected("integer", "i64"))
     }
 }
 
@@ -123,17 +103,6 @@ impl Serialize for f64 {
 impl Deserialize for f64 {
     fn from_value(v: &Value) -> Result<Self, Error> {
         v.as_f64().ok_or_else(|| Error::expected("number", "f64"))
-    }
-}
-
-impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        Value::Float(f64::from(*self))
-    }
-}
-impl Deserialize for f32 {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        Ok(v.as_f64().ok_or_else(|| Error::expected("number", "f32"))? as f32)
     }
 }
 
@@ -171,40 +140,9 @@ impl Serialize for str {
     }
 }
 
-impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-}
-impl Deserialize for char {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Str(s) if s.chars().count() == 1 => Ok(s.chars().next().unwrap()),
-            _ => Err(Error::expected("single-char string", "char")),
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // Compound impls
 // ---------------------------------------------------------------------
-
-impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-
-impl<T: Serialize> Serialize for Box<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-impl<T: Deserialize> Deserialize for Box<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        T::from_value(v).map(Box::new)
-    }
-}
 
 impl<T: Serialize> Serialize for Option<T> {
     fn to_value(&self) -> Value {
@@ -237,26 +175,11 @@ impl<T: Deserialize> Deserialize for Vec<T> {
     }
 }
 
-impl<T: Serialize> Serialize for [T] {
+impl<V: Serialize> Serialize for std::collections::BTreeMap<String, V> {
     fn to_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<K: Serialize + Ord, V: Serialize> Serialize for std::collections::BTreeMap<K, V> {
-    fn to_value(&self) -> Value {
-        // Keys render through their value form; strings stay strings,
-        // everything else uses its JSON text (stable because BTreeMap
-        // iterates in key order).
         Value::Map(
             self.iter()
-                .map(|(k, v)| {
-                    let key = match k.to_value() {
-                        Value::Str(s) => s,
-                        other => other.to_json_string(),
-                    };
-                    (key, v.to_value())
-                })
+                .map(|(k, v)| (k.clone(), v.to_value()))
                 .collect(),
         )
     }
@@ -313,14 +236,9 @@ macro_rules! ser_tuple {
 }
 
 ser_tuple! {
-    (0 A)
     (0 A, 1 B)
     (0 A, 1 B, 2 C)
     (0 A, 1 B, 2 C, 3 D)
-    (0 A, 1 B, 2 C, 3 D, 4 E)
-    (0 A, 1 B, 2 C, 3 D, 4 E, 5 F)
-    (0 A, 1 B, 2 C, 3 D, 4 E, 5 F, 6 G)
-    (0 A, 1 B, 2 C, 3 D, 4 E, 5 F, 6 G, 7 H)
 }
 
 #[cfg(test)]

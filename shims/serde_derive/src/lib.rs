@@ -7,11 +7,12 @@
 //! shapes (everything this workspace derives on):
 //!
 //! * structs with named fields, honoring `#[serde(default)]`;
-//! * tuple structs (newtypes serialize transparently, like real serde);
-//! * enums with unit, tuple, and struct variants (externally tagged).
+//! * newtype structs (serialized transparently, like real serde);
+//! * enums with unit, newtype and struct variants (externally tagged).
 //!
-//! Generics are rejected with a compile error rather than silently
-//! miscompiled.
+//! Other shapes (generics, unit structs, tuple structs or variants with
+//! more than one field) are rejected with a compile error rather than
+//! silently miscompiled.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -56,9 +57,11 @@ struct Field {
     default: bool,
 }
 
+/// The shape of an enum variant.
 enum Shape {
     Named(Vec<Field>),
-    Tuple(usize),
+    /// One unnamed field.
+    Newtype,
     Unit,
 }
 
@@ -68,10 +71,10 @@ struct Variant {
 }
 
 enum Item {
-    Struct {
-        name: String,
-        shape: Shape,
-    },
+    /// A struct with named fields.
+    Struct { name: String, fields: Vec<Field> },
+    /// A tuple struct with one field.
+    Newtype { name: String },
     Enum {
         name: String,
         variants: Vec<Variant>,
@@ -183,19 +186,17 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
         }
     }
     match kw.as_str() {
-        "struct" => {
-            let shape = match p.bump() {
-                Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                    Shape::Named(parse_named_fields(g.stream())?)
-                }
-                Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                    Shape::Tuple(count_tuple_fields(g.stream()))
-                }
-                Some(TokenTree::Punct(pt)) if pt.as_char() == ';' => Shape::Unit,
-                other => return Err(format!("unsupported struct body: {other:?}")),
-            };
-            Ok(Item::Struct { name, shape })
-        }
+        "struct" => match p.bump() {
+            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => Ok(Item::Struct {
+                fields: parse_named_fields(g.stream())?,
+                name,
+            }),
+            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
+                expect_one_field(g.stream(), &name)?;
+                Ok(Item::Newtype { name })
+            }
+            other => Err(format!("unsupported struct body: {other:?}")),
+        },
         "enum" => {
             let Some(TokenTree::Group(g)) = p.bump() else {
                 return Err("expected enum body".into());
@@ -235,6 +236,17 @@ fn parse_named_fields(body: TokenStream) -> Result<Vec<Field>, String> {
     Ok(fields)
 }
 
+/// Accept a tuple body of exactly one field; `owner` names the struct or
+/// variant in the error.
+fn expect_one_field(body: TokenStream, owner: &str) -> Result<(), String> {
+    match count_tuple_fields(body) {
+        1 => Ok(()),
+        n => Err(format!(
+            "serde stand-in derive supports one-field tuples only (`{owner}` has {n})"
+        )),
+    }
+}
+
 fn count_tuple_fields(body: TokenStream) -> usize {
     let mut p = Parser::new(body);
     let mut n = 0;
@@ -271,9 +283,9 @@ fn parse_variants(body: TokenStream) -> Result<Vec<Variant>, String> {
                 Shape::Named(fields)
             }
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                let n = count_tuple_fields(g.stream());
+                expect_one_field(g.stream(), &name)?;
                 p.bump();
-                Shape::Tuple(n)
+                Shape::Newtype
             }
             _ => Shape::Unit,
         };
@@ -294,35 +306,28 @@ const VAL: &str = "::serde::value::Value";
 
 fn gen_serialize(item: &Item) -> String {
     match item {
-        Item::Struct { name, shape } => {
-            let body = match shape {
-                Shape::Named(fields) => {
-                    let pairs: Vec<String> = fields
-                        .iter()
-                        .map(|f| {
-                            format!(
-                                "(::std::string::String::from({n:?}), ::serde::Serialize::to_value(&self.{n}))",
-                                n = f.name
-                            )
-                        })
-                        .collect();
-                    format!("{VAL}::Map(::std::vec![{}])", pairs.join(", "))
-                }
-                Shape::Tuple(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
-                Shape::Tuple(n) => {
-                    let items: Vec<String> = (0..*n)
-                        .map(|i| format!("::serde::Serialize::to_value(&self.{i})"))
-                        .collect();
-                    format!("{VAL}::Seq(::std::vec![{}])", items.join(", "))
-                }
-                Shape::Unit => format!("{VAL}::Null"),
-            };
+        Item::Struct { name, fields } => {
+            let pairs: Vec<String> = fields
+                .iter()
+                .map(|f| {
+                    format!(
+                        "(::std::string::String::from({n:?}), ::serde::Serialize::to_value(&self.{n}))",
+                        n = f.name
+                    )
+                })
+                .collect();
+            let body = format!("{VAL}::Map(::std::vec![{}])", pairs.join(", "));
             format!(
                 "impl ::serde::Serialize for {name} {{\n\
                      fn to_value(&self) -> {VAL} {{ {body} }}\n\
                  }}"
             )
         }
+        Item::Newtype { name } => format!(
+            "impl ::serde::Serialize for {name} {{\n\
+                 fn to_value(&self) -> {VAL} {{ ::serde::Serialize::to_value(&self.0) }}\n\
+             }}"
+        ),
         Item::Enum { name, variants } => {
             let arms: Vec<String> = variants
                 .iter()
@@ -332,20 +337,9 @@ fn gen_serialize(item: &Item) -> String {
                         Shape::Unit => format!(
                             "{name}::{vn} => {VAL}::Str(::std::string::String::from({vn:?})),"
                         ),
-                        Shape::Tuple(1) => format!(
+                        Shape::Newtype => format!(
                             "{name}::{vn}(f0) => {VAL}::Map(::std::vec![(::std::string::String::from({vn:?}), ::serde::Serialize::to_value(f0))]),"
                         ),
-                        Shape::Tuple(n) => {
-                            let binds: Vec<String> = (0..*n).map(|i| format!("f{i}")).collect();
-                            let items: Vec<String> = (0..*n)
-                                .map(|i| format!("::serde::Serialize::to_value(f{i})"))
-                                .collect();
-                            format!(
-                                "{name}::{vn}({b}) => {VAL}::Map(::std::vec![(::std::string::String::from({vn:?}), {VAL}::Seq(::std::vec![{i}]))]),",
-                                b = binds.join(", "),
-                                i = items.join(", ")
-                            )
-                        }
                         Shape::Named(fields) => {
                             let binds: Vec<String> =
                                 fields.iter().map(|f| f.name.clone()).collect();
@@ -400,34 +394,20 @@ fn named_field_decoder(owner: &str, f: &Field) -> String {
 
 fn gen_deserialize(item: &Item) -> String {
     let body = match item {
-        Item::Struct { name, shape } => match shape {
-            Shape::Named(fields) => {
-                let decoders: Vec<String> = fields
-                    .iter()
-                    .map(|f| named_field_decoder(name, f))
-                    .collect();
-                format!(
-                    "let m = v.as_map().ok_or_else(|| ::serde::Error::expected(\"map\", {name:?}))?;\n\
-                     ::std::result::Result::Ok({name} {{ {} }})",
-                    decoders.join(", ")
-                )
-            }
-            Shape::Tuple(1) => {
-                format!("::std::result::Result::Ok({name}(::serde::Deserialize::from_value(v)?))")
-            }
-            Shape::Tuple(n) => {
-                let items: Vec<String> = (0..*n)
-                    .map(|i| format!("::serde::Deserialize::from_value(&xs[{i}])?"))
-                    .collect();
-                format!(
-                    "let xs = v.as_seq().ok_or_else(|| ::serde::Error::expected(\"sequence\", {name:?}))?;\n\
-                     if xs.len() != {n} {{ return ::std::result::Result::Err(::serde::Error::expected(\"{n}-tuple\", {name:?})); }}\n\
-                     ::std::result::Result::Ok({name}({}))",
-                    items.join(", ")
-                )
-            }
-            Shape::Unit => format!("::std::result::Result::Ok({name})"),
-        },
+        Item::Struct { name, fields } => {
+            let decoders: Vec<String> = fields
+                .iter()
+                .map(|f| named_field_decoder(name, f))
+                .collect();
+            format!(
+                "let m = v.as_map().ok_or_else(|| ::serde::Error::expected(\"map\", {name:?}))?;\n\
+                 ::std::result::Result::Ok({name} {{ {} }})",
+                decoders.join(", ")
+            )
+        }
+        Item::Newtype { name } => {
+            format!("::std::result::Result::Ok({name}(::serde::Deserialize::from_value(v)?))")
+        }
         Item::Enum { name, variants } => {
             let unit_arms: Vec<String> = variants
                 .iter()
@@ -445,22 +425,9 @@ fn gen_deserialize(item: &Item) -> String {
                     let vn = &v.name;
                     match &v.shape {
                         Shape::Unit => None,
-                        Shape::Tuple(1) => Some(format!(
+                        Shape::Newtype => Some(format!(
                             "{vn:?} => ::std::result::Result::Ok({name}::{vn}(::serde::Deserialize::from_value(inner)?)),"
                         )),
-                        Shape::Tuple(n) => {
-                            let items: Vec<String> = (0..*n)
-                                .map(|i| format!("::serde::Deserialize::from_value(&xs[{i}])?"))
-                                .collect();
-                            Some(format!(
-                                "{vn:?} => {{\n\
-                                     let xs = inner.as_seq().ok_or_else(|| ::serde::Error::expected(\"sequence\", {vn:?}))?;\n\
-                                     if xs.len() != {n} {{ return ::std::result::Result::Err(::serde::Error::expected(\"{n}-tuple\", {vn:?})); }}\n\
-                                     ::std::result::Result::Ok({name}::{vn}({}))\n\
-                                 }}",
-                                items.join(", ")
-                            ))
-                        }
                         Shape::Named(fields) => {
                             let owner = format!("{name}::{vn}");
                             let decoders: Vec<String> = fields
@@ -499,7 +466,7 @@ fn gen_deserialize(item: &Item) -> String {
         }
     };
     let name = match item {
-        Item::Struct { name, .. } | Item::Enum { name, .. } => name,
+        Item::Struct { name, .. } | Item::Newtype { name } | Item::Enum { name, .. } => name,
     };
     format!(
         "impl ::serde::Deserialize for {name} {{\n\

@@ -653,6 +653,139 @@ fn cancel_heavy_cosched_history_is_identical_at_1_2_4_8_threads() {
 }
 
 // ---------------------------------------------------------------------
+// Both kernel drivers run one node loop: a 1-node `ClusterSim` and a
+// `SoloRunner` over the same kernel must produce the same history.
+// ---------------------------------------------------------------------
+
+/// App and daemon timings for one node-loop comparison, in microseconds.
+#[derive(Debug, Clone, Copy)]
+struct NodeLoopCase {
+    seed: u64,
+    /// CPU 0's app: one compute phase.
+    compute0: u64,
+    /// CPU 1's app: compute, sleep until `wake`, compute again.
+    compute1: u64,
+    wake: u64,
+    compute2: u64,
+    /// One observed daemon per CPU: `burst` every `period`.
+    period: u64,
+    burst: u64,
+}
+
+/// Run `case` on both drivers to a fixed horizon; fail on any difference
+/// in trace, kernel stats, event count, calendar stats or clock.
+fn check_cluster_matches_solo(case: NodeLoopCase) -> Result<(), TestCaseError> {
+    use pa_cluster::{ClusterSim, ClusterSpec, FabricModel};
+    use pa_kernel::{
+        Action, CpuId, Kernel, PeriodicLoop, SchedOptions, Script, SoloRunner, ThreadSpec,
+    };
+    use pa_simkit::SeedSpace;
+    use pa_trace::{HookMask, ThreadClass};
+
+    let spec = ClusterSpec {
+        nodes: 1,
+        cpus_per_node: 2,
+        options: SchedOptions::vanilla(),
+        skew_max: SimDur::ZERO,
+        trace_capacity: 1 << 14,
+        fabric: FabricModel::default(),
+    };
+    let seeds = SeedSpace::new(case.seed);
+    let us = SimDur::from_micros;
+    let populate = |k: &mut Kernel| {
+        k.trace_mut().set_mask(HookMask::ALL);
+        k.spawn(
+            ThreadSpec::new("app0", ThreadClass::App, Prio::USER).on_cpu(CpuId(0)),
+            Box::new(Script::new(vec![Action::Compute(us(case.compute0))])),
+        );
+        k.spawn(
+            ThreadSpec::new("app1", ThreadClass::App, Prio::USER).on_cpu(CpuId(1)),
+            Box::new(Script::new(vec![
+                Action::Compute(us(case.compute1)),
+                Action::SleepUntil(SimTime::from_micros(case.wake)),
+                Action::Compute(us(case.compute2)),
+            ])),
+        );
+        for cpu in 0..2 {
+            k.spawn(
+                ThreadSpec::new("syncd", ThreadClass::Daemon, Prio::DAEMON_OBSERVED)
+                    .on_cpu(CpuId(cpu)),
+                Box::new(PeriodicLoop::new(
+                    us(case.period),
+                    us(case.burst),
+                    SimDur::ZERO,
+                )),
+            );
+        }
+    };
+    let horizon = SimTime::from_millis(60);
+
+    let mut sim = ClusterSim::build(&spec, &seeds);
+    populate(sim.kernel_mut(0));
+    sim.boot();
+    sim.run_until(horizon);
+
+    let mut k = Kernel::new(
+        0,
+        spec.cpus_per_node,
+        spec.options,
+        ClockModel::with_offset(SimDur::ZERO),
+        seeds.stream_at("cluster/kernel", 0, 0),
+        spec.trace_capacity,
+    );
+    populate(&mut k);
+    let mut solo = SoloRunner::new(k);
+    solo.boot();
+    solo.run_until(horizon);
+
+    let (ck, sk) = (sim.kernel(0), &solo.kernel);
+    prop_assert_eq!(
+        ck.trace().events().copied().collect::<Vec<_>>(),
+        sk.trace().events().copied().collect::<Vec<_>>(),
+        "trace diverges: {:?}",
+        case
+    );
+    prop_assert_eq!(ck.stats(), sk.stats(), "kernel stats diverge: {:?}", case);
+    prop_assert_eq!(
+        sim.events_processed(),
+        solo.events_processed(),
+        "event counts diverge: {:?}",
+        case
+    );
+    prop_assert_eq!(
+        sim.queue_stats(),
+        solo.queue().stats(),
+        "calendar stats diverge: {:?}",
+        case
+    );
+    prop_assert_eq!(sim.now(), solo.now(), "clocks diverge: {:?}", case);
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn one_node_cluster_matches_solo_runner_for_any_seed(
+        seed in 0u64..10_000,
+        compute0 in 1u64..60_000,
+        compute1 in 1u64..30_000,
+        wake in 0u64..50_000,
+        compute2 in 1u64..30_000,
+        period in 1_000u64..20_000,
+        burst in 50u64..1_000,
+    ) {
+        check_cluster_matches_solo(NodeLoopCase {
+            seed,
+            compute0,
+            compute1,
+            wake,
+            compute2,
+            period,
+            burst,
+        })?;
+    }
+}
+
+// ---------------------------------------------------------------------
 // Checkpoint/restore: resuming from a mid-run checkpoint reproduces the
 // uninterrupted run bit for bit, at any engine thread count. The
 // checkpoint interval is random, so across cases the restore point lands
@@ -738,7 +871,7 @@ proptest! {
 
 fn arb_record() -> impl Strategy<Value = PriorityRecord> {
     (
-        "[A-Z]{2,8}",
+        prop::collection::vec(b'A'..=b'Z', 2..9),
         0u32..65_536,
         1u8..100,
         1u8..120,
@@ -756,6 +889,7 @@ fn arb_record() -> impl Strategy<Value = PriorityRecord> {
                 params.unfavored = Prio(u);
                 params.period = SimDur::from_secs(per);
                 params.duty = f64::from(duty) / 100.0;
+                let class = class.into_iter().map(char::from).collect();
                 Some(PriorityRecord { class, uid, params })
             },
         )
