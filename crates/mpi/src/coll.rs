@@ -313,19 +313,19 @@ pub enum Algorithm {
     RecursiveDoubling,
 }
 
-/// Total messages a schedule set sends (test/diagnostic helper).
-pub fn total_messages(schedules: &[Vec<CollStep>]) -> usize {
-    schedules
-        .iter()
-        .flat_map(|s| s.iter())
-        .filter(|s| matches!(s, CollStep::Send { .. }))
-        .count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::{HashMap, HashSet, VecDeque};
+
+    /// Total messages a schedule set sends.
+    fn total_messages(schedules: &[Vec<CollStep>]) -> usize {
+        schedules
+            .iter()
+            .flat_map(|s| s.iter())
+            .filter(|s| matches!(s, CollStep::Send { .. }))
+            .count()
+    }
 
     /// Execute a schedule set abstractly: each rank runs its steps in
     /// order; a Recv blocks until the matching Send has executed. Carried

@@ -9,6 +9,17 @@
 //! Per the study's IBM MPI configuration, waits busy-poll by default
 //! (user-space polling), and each rank registers its process id with the
 //! node's co-scheduler at MPI-init time through the control pipe (§4).
+//!
+//! A collective is walked in place. Each rank builds its schedule for a
+//! kind once, keeps it in a per-kind slot and never copies it. A call
+//! then holds only a cursor into that schedule (a `Walk`), and each step
+//! yields the next action from it: `CollBegin`, then per schedule step a
+//! `Send`, or a `Recv` followed by the reduce `Compute` when the step
+//! combines and the cost is non-zero, then `CollEnd`. Exchanges, GPFS
+//! requests and restored actions are queued instead. A checkpoint writes
+//! a walk's remaining actions after the queue: the same list, in the same
+//! order, that an expanded action queue would hold, so checkpoint files
+//! are unchanged and a restored rank simply drains them from its queue.
 
 use crate::coll::{self, Algorithm, CollStep};
 use crate::layout::{JobLayout, LayoutHandle};
@@ -20,7 +31,7 @@ use pa_simkit::{SimDur, SimTime};
 use pa_trace::HookId;
 use serde::value::Value;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// One high-level operation of a rank's workload.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -140,11 +151,99 @@ struct CurOp {
     kind: OpKind,
     seq: u64,
     start: SimTime,
+    /// The cursor of a scheduled collective; None for an exchange, a
+    /// restored call (its actions are queued) or a finished walk.
+    walk: Option<Walk>,
 }
 
-/// Checkpointed mutable state of a [`RankProgram`]. The schedule cache is
-/// deliberately absent: it is a pure function of (rank, nranks, algorithm)
-/// and is lazily rebuilt after restore.
+/// Where a collective's walk over its cached schedule stands.
+#[derive(Debug, Clone, Copy)]
+struct Walk {
+    /// Next position: 0 yields `CollBegin`, `1..=len` the schedule's
+    /// steps, `len + 1` yields `CollEnd`.
+    pos: u32,
+    /// The reduce `Compute` owed after the `Recv` just yielded.
+    reduce_due: bool,
+    bytes: u32,
+    me: Endpoint,
+}
+
+impl Walk {
+    /// The next action of collective `seq` over `sched`, advancing the
+    /// cursor; None once `CollEnd` has been yielded.
+    fn next(
+        &mut self,
+        seq: u64,
+        sched: &[CollStep],
+        layout: &JobLayout,
+        cfg: &MpiConfig,
+    ) -> Option<Action> {
+        if self.reduce_due {
+            self.reduce_due = false;
+            return Some(Action::Compute(cfg.reduce_cost));
+        }
+        let pos = self.pos as usize;
+        if pos > sched.len() + 1 {
+            return None;
+        }
+        self.pos += 1;
+        if pos == 0 || pos == sched.len() + 1 {
+            let hook = if pos == 0 {
+                HookId::CollBegin
+            } else {
+                HookId::CollEnd
+            };
+            return Some(Action::Trace { hook, aux: seq });
+        }
+        Some(match sched[pos - 1] {
+            CollStep::Send { peer, phase } => Action::Send(Message {
+                src: self.me,
+                dst: layout.endpoint(peer),
+                tag: coll_tag(seq, phase),
+                bytes: self.bytes,
+                sent_at: SimTime::ZERO,
+                payload: 0,
+            }),
+            CollStep::Recv {
+                peer,
+                phase,
+                reduce,
+            } => {
+                self.reduce_due = reduce && !cfg.reduce_cost.is_zero();
+                Action::Recv {
+                    tag: TagSel::Exact(coll_tag(seq, phase)),
+                    src: SrcSel::Exact(layout.endpoint(peer)),
+                    wait: cfg.wait_mode(),
+                }
+            }
+        })
+    }
+}
+
+/// The schedule slot of a collective kind.
+fn slot(kind: OpKind) -> usize {
+    match kind {
+        OpKind::Allreduce => 0,
+        OpKind::Barrier => 1,
+        OpKind::Allgather => 2,
+        OpKind::Reduce => 3,
+        OpKind::Bcast => 4,
+        OpKind::Exchange => unreachable!("exchanges are built ad hoc"),
+    }
+}
+
+/// The schedule of `kind`, built when its first walk began.
+fn built(cache: &[Option<Box<[CollStep]>>; 5], kind: OpKind) -> &[CollStep] {
+    cache[slot(kind)]
+        .as_deref()
+        .expect("a walk's schedule is built when the walk begins")
+}
+
+/// Checkpointed mutable state of a [`RankProgram`]. The schedule slots
+/// are deliberately absent: they are a pure function of (rank, nranks,
+/// algorithm) and are lazily rebuilt after restore. A walk in progress
+/// is written out as the actions it has left, after the queue, so the
+/// format is the one an expanded action queue had; restore queues them.
 #[derive(Debug, Serialize, Deserialize)]
 struct RankSnap {
     registered: bool,
@@ -184,8 +283,10 @@ pub struct RankProgram {
     /// complete.
     pending_compute: SimDur,
     cur: Option<CurOp>,
+    /// Exchange, GPFS and restored actions, yielded before the walk.
     queue: VecDeque<Action>,
-    sched_cache: HashMap<OpKind, Vec<CollStep>>,
+    /// One schedule per collective kind (see [`slot`]), built on first use.
+    sched_cache: [Option<Box<[CollStep]>>; 5],
 }
 
 impl RankProgram {
@@ -213,7 +314,7 @@ impl RankProgram {
             pending_compute: SimDur::ZERO,
             cur: None,
             queue: VecDeque::new(),
-            sched_cache: HashMap::new(),
+            sched_cache: Default::default(),
         }
     }
 
@@ -224,13 +325,12 @@ impl RankProgram {
         }
     }
 
-    fn schedule_for(&mut self, kind: OpKind) -> Vec<CollStep> {
-        let rank = self.rank;
-        let n = self.nranks;
+    /// Build the schedule slot of `kind` if this rank has not yet.
+    fn ensure_schedule(&mut self, kind: OpKind) {
+        let (rank, n) = (self.rank, self.nranks);
         let alg = self.cfg.algorithm;
-        self.sched_cache
-            .entry(kind)
-            .or_insert_with(|| match kind {
+        self.sched_cache[slot(kind)].get_or_insert_with(|| {
+            match kind {
                 OpKind::Allreduce => match alg {
                     Algorithm::BinomialTree => coll::binomial_allreduce(rank, n),
                     Algorithm::RecursiveDoubling => coll::recursive_doubling_allreduce(rank, n),
@@ -241,59 +341,38 @@ impl RankProgram {
                 OpKind::Reduce => coll::binomial_reduce(rank, n, 0),
                 OpKind::Bcast => coll::binomial_bcast(rank, n, 0),
                 OpKind::Exchange => unreachable!("exchanges are built ad hoc"),
-            })
-            .clone()
+            }
+            .into_boxed_slice()
+        });
     }
 
     fn begin_collective(&mut self, kind: OpKind, bytes: u32, ctx: &StepCtx<'_>) {
+        self.ensure_schedule(kind);
         let seq = self.next_seq;
         self.next_seq += 1;
         self.cur = Some(CurOp {
             kind,
             seq,
             start: ctx.now,
+            walk: Some(Walk {
+                pos: 0,
+                reduce_due: false,
+                bytes,
+                me: self.me(ctx),
+            }),
         });
-        self.queue.push_back(Action::Trace {
-            hook: HookId::CollBegin,
-            aux: seq,
-        });
-        let me = self.me(ctx);
-        let wait = self.cfg.wait_mode();
-        let reduce_cost = self.cfg.reduce_cost;
-        let steps = self.schedule_for(kind);
-        let layout = frozen(&self.layout, self.rank);
-        for step in steps {
-            match step {
-                CollStep::Send { peer, phase } => {
-                    self.queue.push_back(Action::Send(Message {
-                        src: me,
-                        dst: layout.endpoint(peer),
-                        tag: coll_tag(seq, phase),
-                        bytes,
-                        sent_at: SimTime::ZERO,
-                        payload: 0,
-                    }));
-                }
-                CollStep::Recv {
-                    peer,
-                    phase,
-                    reduce,
-                } => {
-                    self.queue.push_back(Action::Recv {
-                        tag: TagSel::Exact(coll_tag(seq, phase)),
-                        src: SrcSel::Exact(layout.endpoint(peer)),
-                        wait,
-                    });
-                    if reduce && !reduce_cost.is_zero() {
-                        self.queue.push_back(Action::Compute(reduce_cost));
-                    }
-                }
-            }
+    }
+
+    /// The next action of the collective being walked, if any.
+    fn advance_walk(&mut self) -> Option<Action> {
+        let cur = self.cur.as_mut()?;
+        let walk = cur.walk.as_mut()?;
+        let sched = built(&self.sched_cache, cur.kind);
+        let action = walk.next(cur.seq, sched, frozen(&self.layout, self.rank), &self.cfg);
+        if action.is_none() {
+            cur.walk = None;
         }
-        self.queue.push_back(Action::Trace {
-            hook: HookId::CollEnd,
-            aux: seq,
-        });
+        action
     }
 
     fn begin_exchange(&mut self, peers: &[u32], bytes: u32, ctx: &StepCtx<'_>) {
@@ -303,6 +382,7 @@ impl RankProgram {
             kind: OpKind::Exchange,
             seq,
             start: ctx.now,
+            walk: None,
         });
         let me = self.me(ctx);
         let wait = self.cfg.wait_mode();
@@ -368,8 +448,11 @@ impl Program for RankProgram {
             if let Some(a) = self.queue.pop_front() {
                 return a;
             }
-            // Queue drained: the in-flight collective (if any) finished at
-            // the step that brought us here.
+            if let Some(a) = self.advance_walk() {
+                return a;
+            }
+            // Queue and walk drained: the in-flight collective (if any)
+            // finished at the step that brought us here.
             if let Some(cur) = self.cur.take() {
                 self.recorder
                     .lock()
@@ -450,6 +533,16 @@ impl Program for RankProgram {
     }
 
     fn snapshot_state(&self) -> Value {
+        let mut queue: Vec<Action> = self.queue.iter().cloned().collect();
+        if let Some(cur) = &self.cur {
+            if let Some(mut walk) = cur.walk {
+                let sched = built(&self.sched_cache, cur.kind);
+                let layout = frozen(&self.layout, self.rank);
+                while let Some(a) = walk.next(cur.seq, sched, layout, &self.cfg) {
+                    queue.push(a);
+                }
+            }
+        }
         RankSnap {
             registered: self.registered,
             next_seq: self.next_seq,
@@ -457,7 +550,7 @@ impl Program for RankProgram {
             compute_ns: self.compute_ns,
             pending_compute: self.pending_compute,
             cur: self.cur.as_ref().map(|c| (c.kind, c.seq, c.start)),
-            queue: self.queue.iter().cloned().collect(),
+            queue,
             workload: self.workload.snapshot_state(),
         }
         .to_value()
@@ -470,11 +563,13 @@ impl Program for RankProgram {
         self.next_io = snap.next_io;
         self.compute_ns = snap.compute_ns;
         self.pending_compute = snap.pending_compute;
-        self.cur = snap
-            .cur
-            .map(|(kind, seq, start)| CurOp { kind, seq, start });
+        self.cur = snap.cur.map(|(kind, seq, start)| CurOp {
+            kind,
+            seq,
+            start,
+            walk: None,
+        });
         self.queue = snap.queue.into();
-        self.sched_cache.clear();
         self.workload.restore_state(&snap.workload)
     }
 }

@@ -60,7 +60,42 @@ pub struct AggregateTrace {
     rng: SimRng,
     issued: u32,
     /// Pending micro-sequence for the current iteration.
-    pending: Vec<MpiOp>,
+    pending: Pending,
+}
+
+/// The rest of one iteration: a stack of at most two ops (the Allreduce
+/// under the Compute before it), held inline.
+#[derive(Debug, Default)]
+struct Pending([Option<MpiOp>; 2]);
+
+impl Pending {
+    fn push(&mut self, op: MpiOp) {
+        let free = self.0.iter_mut().find(|s| s.is_none());
+        *free.expect("an iteration queues at most two ops") = Some(op);
+    }
+
+    fn pop(&mut self) -> Option<MpiOp> {
+        self.0.iter_mut().rev().find_map(Option::take)
+    }
+
+    /// Bottom first, as the snapshot lists them.
+    fn to_vec(&self) -> Vec<MpiOp> {
+        self.0.iter().flatten().cloned().collect()
+    }
+
+    fn from_vec(ops: Vec<MpiOp>) -> Result<Pending, serde::Error> {
+        if ops.len() > 2 {
+            return Err(serde::Error(format!(
+                "aggregate_trace state holds {} pending ops; an iteration queues at most 2",
+                ops.len()
+            )));
+        }
+        let mut pending = Pending::default();
+        for op in ops {
+            pending.push(op);
+        }
+        Ok(pending)
+    }
 }
 
 impl AggregateTrace {
@@ -70,7 +105,7 @@ impl AggregateTrace {
             spec,
             rng,
             issued: 0,
-            pending: Vec::new(),
+            pending: Pending::default(),
         }
     }
 }
@@ -102,13 +137,13 @@ impl RankWorkload for AggregateTrace {
     }
 
     fn snapshot_state(&self) -> Value {
-        (self.issued, self.pending.clone(), self.rng.save_state()).to_value()
+        (self.issued, self.pending.to_vec(), self.rng.save_state()).to_value()
     }
 
     fn restore_state(&mut self, state: &Value) -> Result<(), serde::Error> {
         let (issued, pending, rng): (u32, Vec<MpiOp>, RngState) = Deserialize::from_value(state)?;
+        self.pending = Pending::from_vec(pending)?;
         self.issued = issued;
-        self.pending = pending;
         self.rng.load_state(&rng).map_err(serde::Error)?;
         Ok(())
     }
@@ -188,6 +223,39 @@ mod tests {
         let mut w = AggregateTrace::new(spec, SimRng::from_seed(1));
         let ops = drain(&mut w);
         assert!(ops.iter().all(|o| matches!(o, MpiOp::Allreduce { .. })));
+    }
+
+    #[test]
+    fn restore_rejects_more_than_two_pending_ops() {
+        let spec = AggregateSpec::default().with_calls(4);
+        let mut w = AggregateTrace::new(spec, SimRng::from_seed(1));
+        let three = vec![MpiOp::Allreduce { bytes: 8 }; 3];
+        let state = (0u32, three, SimRng::from_seed(1).save_state()).to_value();
+        let err = w.restore_state(&state).unwrap_err();
+        assert!(err.0.contains("3 pending ops"), "{err}");
+    }
+
+    /// Snapshot and restore into a fresh instance at every op of the
+    /// first iteration (Mark, Compute, Allreduce): the rest of the
+    /// stream must match the uninterrupted one.
+    #[test]
+    fn snapshot_round_trips_at_each_position() {
+        let spec = AggregateSpec::default().with_calls(3);
+        let full = drain(&mut AggregateTrace::new(spec, SimRng::from_seed(5)));
+        assert!(matches!(
+            full[..3],
+            [MpiOp::Mark(0), MpiOp::Compute(_), MpiOp::Allreduce { .. }]
+        ));
+        for taken in 0..=3 {
+            let mut w = AggregateTrace::new(spec, SimRng::from_seed(5));
+            for _ in 0..taken {
+                w.next_op(0, 4);
+            }
+            let mut resumed = AggregateTrace::new(spec, SimRng::from_seed(99));
+            resumed.restore_state(&w.snapshot_state()).unwrap();
+            assert_eq!(resumed.snapshot_state(), w.snapshot_state());
+            assert_eq!(drain(&mut resumed), full[taken..], "after {taken} ops");
+        }
     }
 
     #[test]

@@ -865,6 +865,94 @@ proptest! {
     }
 }
 
+/// One rank's op list from drawn op codes: every collective kind, an
+/// exchange with its ring neighbours, and compute.
+fn mixed_ops(codes: &[u8], rank: u32, nranks: u32) -> Vec<MpiOp> {
+    let mut peers = vec![(rank + 1) % nranks, (rank + nranks - 1) % nranks];
+    peers.dedup();
+    codes
+        .iter()
+        .map(|&c| match c {
+            0 => MpiOp::Allreduce { bytes: 64 },
+            1 => MpiOp::Barrier,
+            2 => MpiOp::Allgather { bytes: 32 },
+            3 => MpiOp::Reduce { bytes: 128 },
+            4 => MpiOp::Bcast { bytes: 128 },
+            5 => MpiOp::Exchange {
+                peers: peers.clone(),
+                bytes: 256,
+            },
+            _ => MpiOp::Compute(SimDur::from_micros(u64::from(c) * 3)),
+        })
+        .collect()
+}
+
+proptest! {
+    /// Checkpoints land inside every collective kind, under both
+    /// algorithms and both wait modes; the resumed tail must replay the
+    /// uninterrupted history.
+    #[test]
+    fn restore_mid_collective_of_any_kind_is_bit_identical(
+        nodes in 2u32..4,
+        tasks in 1u32..3,
+        seed in 0u64..10_000,
+        codes in prop::collection::vec(0u8..8, 3..14),
+        doubling in any::<bool>(),
+        polling in any::<bool>(),
+        every_us in 10u64..200,
+    ) {
+        let nranks = nodes * tasks;
+        let mpi = pa_mpi::MpiConfig {
+            algorithm: if doubling {
+                pa_mpi::Algorithm::RecursiveDoubling
+            } else {
+                pa_mpi::Algorithm::BinomialTree
+            },
+            polling,
+            ..pa_mpi::MpiConfig::default()
+        };
+        let base = || {
+            Experiment::new(nodes, tasks)
+                .with_cpus_per_node(4)
+                .with_trace_node(0)
+                .with_seed(seed)
+                .with_mpi(mpi)
+        };
+        let codes = &codes;
+        let wl = || {
+            move |rank: u32| -> Box<dyn RankWorkload> {
+                Box::new(OpList::new(mixed_ops(codes, rank, nranks)))
+            }
+        };
+        let path = std::env::temp_dir().join(format!(
+            "pa-prop-mixed-ckpt-{}-{nodes}-{tasks}-{seed}-{every_us}.json",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+
+        let want = run_print(&base().run(&mut wl()));
+        let ckpt = base()
+            .with_checkpoint_every(SimDur::from_micros(every_us), &path)
+            .run(&mut wl());
+        prop_assert_eq!(&run_print(&ckpt), &want, "checkpointing perturbed the run");
+        if ckpt.sim.checkpoints_written() > 0 {
+            for threads in [1usize, 2, 4] {
+                let resumed = base()
+                    .with_sim_threads(threads)
+                    .with_restore_from(&path)
+                    .run(&mut wl());
+                prop_assert_eq!(resumed.sim.checkpoint_restores(), 1);
+                prop_assert_eq!(
+                    &run_print(&resumed), &want,
+                    "restore diverges at {} threads (nodes={}, tasks={}, seed={}, codes={:?}, every={}µs)",
+                    threads, nodes, tasks, seed, codes, every_us
+                );
+            }
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Admin table round trip.
 // ---------------------------------------------------------------------
