@@ -73,9 +73,7 @@ impl PointResult {
         // Total dispatcher decisions across the cluster: the activity
         // proof per dispatcher policy (CI asserts it nonzero) and a cheap
         // context-switch-pressure signal for fair-vs-AIX comparisons.
-        let dispatches: u64 = (0..out.sim.nodes())
-            .map(|n| out.sim.kernel(n).stats().dispatches)
-            .sum();
+        let dispatches = out.sim.kernel_stats().dispatches;
         extra.insert("kernel.dispatches".into(), dispatches as f64);
         // Wait-state category sums (ns over all ranks). Exact u64/i64
         // counts; f64 is lossless far beyond any realistic run. Cached so

@@ -25,9 +25,7 @@
 //! makes the large one slower), which no real in-order fabric permits.
 
 use crate::fabric::{FabricModel, LINK_WAIT_BUCKETS, LINK_WAIT_EDGES_NS};
-use pa_kernel::{
-    ClockModel, Kernel, KernelEvent, KernelSnapshot, Message, NodeLoop, NodeSnap, SchedOptions,
-};
+use pa_kernel::{ClockModel, Kernel, KernelStats, Message, NodeLoop, NodeSnap, SchedOptions};
 use pa_simkit::{sha256_hex, QueueStats, SeedSpace, SimDur, SimTime};
 use serde::value::Value;
 use serde::{Deserialize, Serialize};
@@ -97,12 +95,18 @@ struct Shard {
     busy_est: u64,
 }
 
-/// A shard's fabric routing state: everything a shard adds to its node
-/// loop.
+/// A shard's fabric routing: everything a shard adds to its node loop.
 #[derive(Default)]
 struct Router {
     node: u32,
     nnodes: u32,
+    state: RouterState,
+}
+
+/// The router's mutable state, checkpointed as is (its fields sit in the
+/// shard's checkpoint map, in this order).
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+struct RouterState {
     messages_routed: u64,
     bytes_routed: u64,
     fifo_clamps: u64,
@@ -115,7 +119,10 @@ struct Router {
     /// so a binary search beats hashing, and memory stays proportional to
     /// the peers rather than to the machine.
     last_delivery: Vec<(u32, SimTime)>,
-    /// Cross-shard messages staged during the current window.
+    /// Cross-shard messages staged during the current window. Always
+    /// empty at a window barrier, and restore rejects a non-empty one;
+    /// checkpointed anyway so the format does not change if checkpoints
+    /// ever move inside a window.
     outbox: Vec<StagedMsg>,
     /// Busy-until register of this node's egress link. Advanced at send,
     /// inside the owning shard, so it is deterministic in event order.
@@ -132,35 +139,18 @@ struct Router {
     link_wait_hist: [u64; LINK_WAIT_BUCKETS],
 }
 
-/// One shard's slice of a cluster checkpoint. Everything mutable lives
-/// here; static structure (node config, fabric, trace registrations) is
-/// rebuilt from the [`ClusterSpec`] on restore and validated against the
-/// snapshot by [`Kernel::restore`].
+/// One shard's slice of a cluster checkpoint: the node id, then the node
+/// loop's and the router's fields in one flat map. Everything mutable
+/// lives here; static structure (node config, fabric, trace
+/// registrations) is rebuilt from the [`ClusterSpec`] on restore and
+/// validated against the snapshot by [`Kernel::restore`].
 #[derive(Debug, Serialize, Deserialize)]
 struct ShardSnap {
     node: u32,
-    queue_now: SimTime,
-    queue_next_id: u64,
-    queue_stats: QueueStats,
-    queue_entries: Vec<(SimTime, u64, KernelEvent)>,
-    kernel: KernelSnapshot,
-    events_processed: u64,
-    messages_routed: u64,
-    bytes_routed: u64,
-    fifo_clamps: u64,
-    msg_seq: u64,
-    /// FIFO floors as a node-sorted pair list (canonical encoding).
-    last_delivery: Vec<(u32, SimTime)>,
-    /// Always empty at a window barrier, and restore rejects a non-empty
-    /// one; serialized anyway so the format does not change if
-    /// checkpoints ever move inside a window.
-    outbox: Vec<StagedMsg>,
-    egress_free_at: SimTime,
-    ingress_free_at: SimTime,
-    link_waits: u64,
-    link_wait_ns: u64,
-    /// `LINK_WAIT_BUCKETS` entries (length-checked on restore).
-    link_wait_hist: Vec<u64>,
+    #[serde(flatten)]
+    node_loop: NodeSnap,
+    #[serde(flatten)]
+    router: RouterState,
 }
 
 impl Shard {
@@ -181,34 +171,10 @@ impl Shard {
 
     /// Capture this shard's full mutable state.
     fn snapshot(&self) -> ShardSnap {
-        let NodeSnap {
-            queue_now,
-            queue_next_id,
-            queue_stats,
-            queue_entries,
-            kernel,
-            events_processed,
-        } = self.node.capture();
-        let r = &self.router;
         ShardSnap {
-            node: r.node,
-            queue_now,
-            queue_next_id,
-            queue_stats,
-            queue_entries,
-            kernel,
-            events_processed,
-            messages_routed: r.messages_routed,
-            bytes_routed: r.bytes_routed,
-            fifo_clamps: r.fifo_clamps,
-            msg_seq: r.msg_seq,
-            last_delivery: r.last_delivery.clone(),
-            outbox: r.outbox.clone(),
-            egress_free_at: r.egress_free_at,
-            ingress_free_at: r.ingress_free_at,
-            link_waits: r.link_waits,
-            link_wait_ns: r.link_wait_ns,
-            link_wait_hist: r.link_wait_hist.to_vec(),
+            node: self.router.node,
+            node_loop: self.node.capture(),
+            router: self.router.state.clone(),
         }
     }
 
@@ -221,31 +187,25 @@ impl Shard {
                 snap.node, r.node
             ));
         }
-        if snap.link_wait_hist.len() != LINK_WAIT_BUCKETS {
-            return Err(format!(
-                "node {}: link-wait histogram has {} buckets, engine expects {}",
-                r.node,
-                snap.link_wait_hist.len(),
-                LINK_WAIT_BUCKETS
-            ));
-        }
+        let state = &snap.router;
         // Checkpoints are taken only at window barriers, after the merge
         // has emptied every outbox; a staged message here would be
         // delivered into a window that already closed.
-        if !snap.outbox.is_empty() {
+        if !state.outbox.is_empty() {
             return Err(format!(
                 "node {}: non-empty outbox: {} staged message(s) in a barrier checkpoint",
                 r.node,
-                snap.outbox.len()
+                state.outbox.len()
             ));
         }
-        if let Some(&(dst, _)) = snap.last_delivery.iter().find(|&&(n, _)| n >= r.nnodes) {
+        let floors = &state.last_delivery;
+        if let Some(&(dst, _)) = floors.iter().find(|&&(n, _)| n >= r.nnodes) {
             return Err(format!(
                 "node {}: FIFO floor for nonexistent node {dst}",
                 r.node
             ));
         }
-        if let Some(w) = snap.last_delivery.windows(2).find(|w| w[0].0 >= w[1].0) {
+        if let Some(w) = floors.windows(2).find(|w| w[0].0 >= w[1].0) {
             return Err(if w[0].0 == w[1].0 {
                 format!("node {}: duplicate FIFO floor for node {}", r.node, w[0].0)
             } else {
@@ -256,25 +216,9 @@ impl Shard {
             });
         }
         self.node
-            .restore(NodeSnap {
-                queue_now: snap.queue_now,
-                queue_next_id: snap.queue_next_id,
-                queue_stats: snap.queue_stats,
-                queue_entries: snap.queue_entries,
-                kernel: snap.kernel,
-                events_processed: snap.events_processed,
-            })
+            .restore(snap.node_loop)
             .map_err(|e| format!("node {}: {e}", r.node))?;
-        r.messages_routed = snap.messages_routed;
-        r.bytes_routed = snap.bytes_routed;
-        r.fifo_clamps = snap.fifo_clamps;
-        r.msg_seq = snap.msg_seq;
-        r.last_delivery = snap.last_delivery;
-        r.egress_free_at = snap.egress_free_at;
-        r.ingress_free_at = snap.ingress_free_at;
-        r.link_waits = snap.link_waits;
-        r.link_wait_ns = snap.link_wait_ns;
-        r.link_wait_hist.copy_from_slice(&snap.link_wait_hist);
+        r.state = snap.router;
         Ok(())
     }
 
@@ -285,7 +229,7 @@ impl Shard {
     /// register advances monotonically in that order, so every thread
     /// count observes identical queueing.
     fn accept_staged(&mut self, m: StagedMsg, fabric: &FabricModel) -> SimTime {
-        let r = &mut self.router;
+        let r = &mut self.router.state;
         let mut deliver_at = m.deliver_at;
         if let Some(occ) = fabric.link_occupancy(m.msg.bytes) {
             if r.ingress_free_at > deliver_at {
@@ -299,14 +243,16 @@ impl Shard {
     }
 }
 
-impl Router {
+impl RouterState {
     /// Count one message delayed `wait` behind a busy link.
     fn record_wait(&mut self, wait: SimDur) {
         self.link_waits += 1;
         self.link_wait_ns += wait.nanos();
         self.link_wait_hist[link_wait_bucket(wait)] += 1;
     }
+}
 
+impl Router {
     /// The node loop's route: price one outbound message on the fabric,
     /// then return it for delivery on this node or stage it in the outbox
     /// for the barrier merge.
@@ -316,56 +262,57 @@ impl Router {
         msg: Message,
         fabric: &FabricModel,
     ) -> Option<(SimTime, Message)> {
+        let (node, state) = (self.node, &mut self.state);
         let dst = msg.dst.node;
         assert!(dst < self.nnodes, "message to nonexistent node {dst}");
-        self.messages_routed += 1;
-        self.bytes_routed += u64::from(msg.bytes);
+        state.messages_routed += 1;
+        state.bytes_routed += u64::from(msg.bytes);
         let mut deliver_at = now + fabric.delay(&msg);
         // Egress link: concurrent cross-node sends share the node's
         // finite uplink, so a send issued while the link is still
         // draining an earlier payload queues behind it. The wait is
         // non-negative, so `deliver_at >= now + net_latency` still
         // holds and the engine's lookahead is never shortened.
-        if dst != self.node {
+        if dst != node {
             if let Some(occ) = fabric.link_occupancy(msg.bytes) {
-                let start = if self.egress_free_at > now {
-                    let wait = self.egress_free_at - now;
-                    self.record_wait(wait);
+                let start = if state.egress_free_at > now {
+                    let wait = state.egress_free_at - now;
+                    state.record_wait(wait);
                     deliver_at += wait;
-                    self.egress_free_at
+                    state.egress_free_at
                 } else {
                     now
                 };
-                self.egress_free_at = start + occ;
+                state.egress_free_at = start + occ;
             }
         }
         // FIFO clamp: fabric channels deliver in send order. A later
         // (smaller) message may not overtake an earlier (larger) one
         // still serializing on the same channel.
-        let i = match self.last_delivery.binary_search_by_key(&dst, |&(n, _)| n) {
+        let i = match state.last_delivery.binary_search_by_key(&dst, |&(n, _)| n) {
             Ok(i) => i,
             Err(i) => {
-                self.last_delivery.insert(i, (dst, SimTime::ZERO));
+                state.last_delivery.insert(i, (dst, SimTime::ZERO));
                 i
             }
         };
-        let floor = &mut self.last_delivery[i].1;
+        let floor = &mut state.last_delivery[i].1;
         if deliver_at < *floor {
             deliver_at = *floor;
-            self.fifo_clamps += 1;
+            state.fifo_clamps += 1;
         }
         *floor = deliver_at;
-        if dst == self.node {
+        if dst == node {
             return Some((deliver_at, msg));
         }
-        self.outbox.push(StagedMsg {
+        state.outbox.push(StagedMsg {
             deliver_at,
-            src_node: self.node,
-            seq: self.msg_seq,
+            src_node: node,
+            seq: state.msg_seq,
             dst_node: dst,
             msg,
         });
-        self.msg_seq += 1;
+        state.msg_seq += 1;
         None
     }
 }
@@ -492,16 +439,16 @@ pub struct ClusterSim {
     barrier_imbalance_ns: u64,
 }
 
-/// Serialize a checkpoint to `path` atomically (write + rename), hashing
-/// the payload so corruption and truncation are caught on restore.
-/// Returns the file size in bytes.
+/// Serialize a checkpoint of the encoded engine `state` to `path`
+/// atomically (write + rename), hashing the payload so corruption and
+/// truncation are caught on restore. Returns the file size in bytes.
 fn write_checkpoint_file(
     path: &Path,
-    snap: &ClusterSnap,
+    state: Value,
     extras: Vec<(String, Value)>,
 ) -> Result<u64, String> {
     let payload = Value::Map(vec![
-        ("state".to_string(), snap.to_value()),
+        ("state".to_string(), state),
         ("extras".to_string(), Value::Map(extras)),
     ]);
     let payload_json =
@@ -727,6 +674,11 @@ impl ClusterSim {
         &self.shards[node as usize].node.kernel
     }
 
+    /// Dispatcher counters summed over every node's kernel.
+    pub fn kernel_stats(&self) -> KernelStats {
+        self.shards.iter().map(|s| *s.node.kernel.stats()).sum()
+    }
+
     /// Current global time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -775,29 +727,38 @@ impl ClusterSim {
 
     /// Messages routed over the fabric.
     pub fn messages_routed(&self) -> u64 {
-        self.shards.iter().map(|s| s.router.messages_routed).sum()
+        self.shards
+            .iter()
+            .map(|s| s.router.state.messages_routed)
+            .sum()
     }
 
     /// Payload bytes routed over the fabric.
     pub fn bytes_routed(&self) -> u64 {
-        self.shards.iter().map(|s| s.router.bytes_routed).sum()
+        self.shards
+            .iter()
+            .map(|s| s.router.state.bytes_routed)
+            .sum()
     }
 
     /// Deliveries delayed by the per-channel FIFO clamp (a later message
     /// would otherwise have overtaken an earlier one on the same channel).
     pub fn fifo_clamps(&self) -> u64 {
-        self.shards.iter().map(|s| s.router.fifo_clamps).sum()
+        self.shards.iter().map(|s| s.router.state.fifo_clamps).sum()
     }
 
     /// Messages delayed behind a busy ingress or egress link. Always zero
     /// in the unlimited (default) link mode.
     pub fn link_waits(&self) -> u64 {
-        self.shards.iter().map(|s| s.router.link_waits).sum()
+        self.shards.iter().map(|s| s.router.state.link_waits).sum()
     }
 
     /// Total link queueing delay across all messages, nanoseconds.
     pub fn link_wait_ns(&self) -> u64 {
-        self.shards.iter().map(|s| s.router.link_wait_ns).sum()
+        self.shards
+            .iter()
+            .map(|s| s.router.state.link_wait_ns)
+            .sum()
     }
 
     /// One node's link contention: `(delayed messages, total queueing
@@ -805,7 +766,7 @@ impl ClusterSim {
     /// the ingress waits of messages arriving there. The per-node blame
     /// ranking reads this.
     pub fn link_wait_of(&self, node: u32) -> (u64, u64) {
-        let r = &self.shards[node as usize].router;
+        let r = &self.shards[node as usize].router.state;
         (r.link_waits, r.link_wait_ns)
     }
 
@@ -814,7 +775,7 @@ impl ClusterSim {
     pub fn link_wait_hist(&self) -> [u64; LINK_WAIT_BUCKETS] {
         let mut total = [0u64; LINK_WAIT_BUCKETS];
         for sh in &self.shards {
-            for (t, &c) in total.iter_mut().zip(sh.router.link_wait_hist.iter()) {
+            for (t, &c) in total.iter_mut().zip(sh.router.state.link_wait_hist.iter()) {
                 *t += c;
             }
         }
@@ -959,7 +920,7 @@ impl ClusterSim {
             .as_ref()
             .map(|f| f())
             .unwrap_or_default();
-        let bytes = write_checkpoint_file(path, &snap, extras)?;
+        let bytes = write_checkpoint_file(path, snap.to_value(), extras)?;
         self.last_checkpoint_bytes = bytes;
         Ok(bytes)
     }
@@ -1019,7 +980,7 @@ impl ClusterSim {
         let mut staged = Vec::new();
         for sh in &mut self.shards {
             sh.node.boot(|now, msg| sh.router.send(now, msg, &fabric));
-            staged.append(&mut sh.router.outbox);
+            staged.append(&mut sh.router.state.outbox);
         }
         Self::merge_outboxes(&mut staged, |m| {
             self.shards[m.dst_node as usize].accept_staged(m, &fabric);
@@ -1487,7 +1448,7 @@ impl WindowPool {
             }
             self.next_ns[i].store(sh.next_event_ns(), Ordering::Relaxed);
             self.apps[i].store(sh.node.kernel.app_alive(), Ordering::Relaxed);
-            report.staged.append(&mut sh.router.outbox);
+            report.staged.append(&mut sh.router.state.outbox);
             report.busy_ns += busy;
             sh.busy_ns = sh.busy_ns.saturating_add(busy);
             sh.busy_est = sh.busy_est - sh.busy_est / 4 + busy / 4;
@@ -1513,8 +1474,8 @@ impl Drop for ReleaseWorkers<'_> {
 mod tests {
     use super::*;
     use pa_kernel::{
-        Action, CpuId, Endpoint, Message, PeriodicLoop, Prio, Script, SoloRunner, SrcSel, TagSel,
-        ThreadSpec, ThreadState, Tid, WaitMode,
+        Action, CpuId, Endpoint, KernelEvent, Message, PeriodicLoop, Prio, Script, SoloRunner,
+        SrcSel, TagSel, ThreadSpec, ThreadState, Tid, WaitMode,
     };
     use pa_trace::{HookMask, ThreadClass};
 
@@ -2205,7 +2166,7 @@ mod tests {
         // does must be refused by name, not restored and left to trip an
         // engine assert in the next run call.
         let err = restore_edited("outbox", |snap| {
-            snap.shards[0].outbox.push(StagedMsg {
+            snap.shards[0].router.outbox.push(StagedMsg {
                 deliver_at: SimTime::from_micros(150),
                 src_node: 0,
                 seq: 0,
@@ -2230,17 +2191,28 @@ mod tests {
     }
 
     /// Checkpoint [`one_segment_cluster`] mid-segment, so node 0's
-    /// calendar holds cpu 0's `SegEnd`; rewrite the checkpoint as `edit`
-    /// leaves it, re-hashed so it passes the integrity check; and restore
-    /// it into a fresh copy of the cluster.
-    fn restore_edited(name: &str, edit: impl FnOnce(&mut ClusterSnap)) -> Result<(), String> {
+    /// calendar holds cpu 0's `SegEnd`; rewrite the checkpoint's encoded
+    /// state as `edit` leaves it, re-hashed so it passes the integrity
+    /// check; and restore it into a fresh copy of the cluster. Editing the
+    /// encoding reaches what no typed snapshot can hold, such as an array
+    /// of the wrong length.
+    fn restore_edited_value(name: &str, edit: impl FnOnce(&mut Value)) -> Result<(), String> {
         let path = tmp_path(name);
         let mut sim = one_segment_cluster();
         sim.run_until(SimTime::from_micros(100));
         sim.checkpoint(&path).expect("checkpoint");
-        let (mut snap, extras, _) = read_checkpoint_file(&path).expect("read");
-        edit(&mut snap);
-        write_checkpoint_file(&path, &snap, extras).expect("rewrite");
+        let text = std::fs::read_to_string(&path).expect("read");
+        let mut file = serde_json::parse(&text).expect("file");
+        let payload = entry(&mut file, "payload")
+            .as_str()
+            .expect("payload string");
+        let mut payload = serde_json::parse(payload).expect("payload");
+        let mut state = entry(&mut payload, "state").clone();
+        let Value::Map(extras) = entry(&mut payload, "extras").clone() else {
+            panic!("extras is not a map");
+        };
+        edit(&mut state);
+        write_checkpoint_file(&path, state, extras).expect("rewrite");
         let mut fresh = one_segment_cluster();
         let r = fresh.restore(&path).map(|_| ());
         if r.is_err() {
@@ -2250,6 +2222,78 @@ mod tests {
         r
     }
 
+    /// [`restore_edited_value`] through the typed snapshot.
+    fn restore_edited(name: &str, edit: impl FnOnce(&mut ClusterSnap)) -> Result<(), String> {
+        restore_edited_value(name, |state| {
+            let mut snap = ClusterSnap::from_value(state).expect("decode");
+            edit(&mut snap);
+            *state = snap.to_value();
+        })
+    }
+
+    /// The value under `key` in the encoded map `v`.
+    fn entry<'v>(v: &'v mut Value, key: &str) -> &'v mut Value {
+        let Value::Map(pairs) = v else {
+            panic!("`{key}`'s parent is not a map");
+        };
+        let pair = pairs.iter_mut().find(|(k, _)| k == key);
+        &mut pair.unwrap_or_else(|| panic!("no `{key}`")).1
+    }
+
+    /// Node 0's kernel in an encoded cluster state.
+    fn kernel0(state: &mut Value) -> &mut Value {
+        let Value::Seq(shards) = entry(state, "shards") else {
+            panic!("shards is not a sequence");
+        };
+        entry(&mut shards[0], "kernel")
+    }
+
+    #[test]
+    fn restore_rejects_wrong_length_band_counters() {
+        for (band, len) in [("runq_wait_ns", 3), ("runq_waits", 5)] {
+            let err = restore_edited_value(band, |state| {
+                let stats = entry(kernel0(state), "stats");
+                *entry(stats, band) = Value::Seq(vec![Value::UInt(0); len]);
+            })
+            .unwrap_err();
+            let want = format!("stats: {band}: array has {len} elements, expected 4");
+            assert!(err.contains(&want), "unexpected error: {err}");
+        }
+    }
+
+    #[test]
+    fn restore_rejects_wrong_length_link_wait_hist() {
+        let len = LINK_WAIT_BUCKETS + 1;
+        let err = restore_edited_value("hist", |state| {
+            let Value::Seq(shards) = entry(state, "shards") else {
+                panic!("shards is not a sequence");
+            };
+            *entry(&mut shards[1], "link_wait_hist") = Value::Seq(vec![Value::UInt(0); len]);
+        })
+        .unwrap_err();
+        let want =
+            format!("link_wait_hist: array has {len} elements, expected {LINK_WAIT_BUCKETS}");
+        assert!(err.contains(&want), "unexpected error: {err}");
+    }
+
+    #[test]
+    fn restore_rejects_ready_queue_seq_at_allocator() {
+        let mut next_seq = None;
+        let err = restore_edited_value("runq-seq", |state| {
+            let q = entry(kernel0(state), "global_q");
+            let n = entry(q, "next_seq").as_u64().expect("next_seq");
+            // (dispatch key, arrival seq, tid): thread 0 queued at the
+            // allocator's own next value.
+            let e = Value::Seq(vec![Value::UInt(60), Value::UInt(n), Value::UInt(0)]);
+            *entry(q, "entries") = Value::Seq(vec![e]);
+            next_seq = Some(n);
+        })
+        .unwrap_err();
+        let n = next_seq.expect("edit ran");
+        let want = format!("global_q: ready-queue seq {n} not below the allocator {n}");
+        assert!(err.contains(&want), "unexpected error: {err}");
+    }
+
     #[test]
     fn restore_rejects_bad_segment_timers() {
         // Each CPU has at most one live `SegEnd`, armed in its timer
@@ -2257,7 +2301,7 @@ mod tests {
         // node does not have, must be refused by name: a release build
         // would otherwise keep an entry nothing can cancel, or panic.
         let seg_end = |snap: &ClusterSnap| {
-            let entries = &snap.shards[0].queue_entries;
+            let entries = &snap.shards[0].node_loop.queue_entries;
             let seg = entries
                 .iter()
                 .find(|(_, _, ev)| matches!(ev, KernelEvent::SegEnd { .. }));
@@ -2267,9 +2311,11 @@ mod tests {
 
         let err = restore_edited("seg-twice", |snap| {
             let (t, _, ev) = seg_end(snap);
-            let shard = &mut snap.shards[0];
-            shard.queue_entries.push((t, shard.queue_next_id, ev));
-            shard.queue_next_id += 1;
+            let node_loop = &mut snap.shards[0].node_loop;
+            node_loop
+                .queue_entries
+                .push((t, node_loop.queue_next_id, ev));
+            node_loop.queue_next_id += 1;
         })
         .unwrap_err();
         assert!(
@@ -2279,13 +2325,13 @@ mod tests {
 
         let err = restore_edited("seg-cpu", |snap| {
             let (t, id, _) = seg_end(snap);
-            let shard = &mut snap.shards[0];
-            shard.queue_entries.retain(|&(_, i, _)| i != id);
+            let entries = &mut snap.shards[0].node_loop.queue_entries;
+            entries.retain(|&(_, i, _)| i != id);
             let ev = KernelEvent::SegEnd {
                 cpu: CpuId(7),
                 token: 0,
             };
-            shard.queue_entries.push((t, id, ev));
+            entries.push((t, id, ev));
         })
         .unwrap_err();
         assert!(
@@ -2307,15 +2353,41 @@ mod tests {
             (vec![(1, t), (1, t)], "duplicate FIFO floor for node 1"),
             (vec![(0, t), (2, t)], "FIFO floor for nonexistent node 2"),
         ] {
-            let err =
-                restore_edited("floors", |snap| snap.shards[0].last_delivery = floors).unwrap_err();
+            let err = restore_edited("floors", |snap| {
+                snap.shards[0].router.last_delivery = floors
+            })
+            .unwrap_err();
             assert!(err.contains(want), "unexpected error: {err}");
         }
         let ok = vec![(0, t), (1, t)];
         assert_eq!(
-            restore_edited("floors-ok", |snap| snap.shards[0].last_delivery = ok),
+            restore_edited("floors-ok", |snap| snap.shards[0].router.last_delivery = ok),
             Ok(())
         );
+    }
+
+    /// SHA-256 of the file `ring_sim` checkpoints 1 ms into its run: by
+    /// then every node has sent, so the file holds link waits, FIFO
+    /// floors, ready queues and live calendars. The digest was recorded
+    /// when each engine struct still had a mirror checkpoint struct; it
+    /// pins the checkpoint's bytes, which a round trip does not (two
+    /// fields swapped in both encoder and decoder still round-trip).
+    #[test]
+    fn checkpoint_bytes_known_answer() {
+        for threads in [1usize, 3] {
+            let path = tmp_path(&format!("known-answer-{threads}"));
+            let mut sim = ring_sim(threads);
+            sim.boot();
+            sim.run_until(SimTime::from_millis(1));
+            assert!(sim.link_waits() > 0 && sim.apps_alive() > 0);
+            sim.checkpoint(&path).expect("checkpoint");
+            let digest = sha256_hex(&std::fs::read(&path).expect("read back"));
+            let _ = std::fs::remove_file(&path);
+            assert_eq!(
+                digest, "562af29986c28ebcd6621d98d1e3ae15a82065e4c24daae170a23bc6d5ca9ed3",
+                "threads={threads}"
+            );
+        }
     }
 
     #[test]

@@ -15,6 +15,7 @@ use pa_blame::{BlameInput, Categories, LinkUsage, NoiseSource, OpSpan, RankAccou
 use pa_obs::{MetricsRegistry, SpanTimeline};
 use pa_simkit::SimTime;
 use pa_trace::{HookId, TraceBuffer};
+use std::collections::BTreeMap;
 
 /// Bucket edges (µs) for collective-duration histograms: wide enough for
 /// the study's sub-millisecond Allreduces and the multi-second stragglers
@@ -102,25 +103,32 @@ pub fn metrics_of(out: &RunOutput) -> MetricsRegistry {
     reg.inc("local.checkpoint.restores", out.sim.checkpoint_restores());
     reg.set_gauge("checkpoint.bytes", out.sim.last_checkpoint_bytes() as i64);
 
+    // Sum over nodes first, so each counter name is built once.
+    let s = out.sim.kernel_stats();
+    reg.inc("kernel.dispatches", s.dispatches);
+    reg.inc("kernel.ctx_switches", s.ctx_switches);
+    reg.inc("kernel.preemptions", s.preemptions);
+    reg.inc("kernel.ipis_sent", s.ipis_sent);
+    reg.inc("kernel.ipis_taken", s.ipis_taken);
+    reg.inc("kernel.ticks", s.ticks);
+    reg.inc("kernel.callouts_fired", s.callouts_fired);
+    reg.inc("kernel.poll_spin_ns", s.poll_spin_ns);
+    for (b, band) in pa_kernel::RUNQ_BANDS.iter().enumerate() {
+        reg.inc(&format!("kernel.runq_wait_ns.{band}"), s.runq_wait_ns[b]);
+        reg.inc(&format!("kernel.runq_waits.{band}"), s.runq_waits[b]);
+    }
+    let mut dropped = 0;
+    let mut programs: BTreeMap<(&str, &str), u64> = BTreeMap::new();
     for node in 0..out.sim.nodes() {
         let kernel = out.sim.kernel(node);
-        let s = kernel.stats();
-        reg.inc("kernel.dispatches", s.dispatches);
-        reg.inc("kernel.ctx_switches", s.ctx_switches);
-        reg.inc("kernel.preemptions", s.preemptions);
-        reg.inc("kernel.ipis_sent", s.ipis_sent);
-        reg.inc("kernel.ipis_taken", s.ipis_taken);
-        reg.inc("kernel.ticks", s.ticks);
-        reg.inc("kernel.callouts_fired", s.callouts_fired);
-        reg.inc("kernel.poll_spin_ns", s.poll_spin_ns);
-        for (b, band) in pa_kernel::RUNQ_BANDS.iter().enumerate() {
-            reg.inc(&format!("kernel.runq_wait_ns.{band}"), s.runq_wait_ns[b]);
-            reg.inc(&format!("kernel.runq_waits.{band}"), s.runq_waits[b]);
-        }
-        reg.inc("trace.dropped_events", kernel.trace().dropped());
+        dropped += kernel.trace().dropped();
         for (kind, name, value) in kernel.program_metrics() {
-            reg.inc(&format!("prog.{kind}.{name}"), value);
+            *programs.entry((kind, name)).or_insert(0) += value;
         }
+    }
+    reg.inc("trace.dropped_events", dropped);
+    for ((kind, name), value) in programs {
+        reg.inc(&format!("prog.{kind}.{name}"), value);
     }
 
     // Collective-phase histograms from the recorder's per-op aggregates

@@ -196,9 +196,10 @@ enum Cont {
 /// Latching matters: [`Kernel::on_deliver`] rewrites `cont` to
 /// `FinishRecv` *before* waking the sleeper, so the reason can no longer
 /// be inferred from the continuation at wake time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 enum BlockReason {
     /// Not blocked (or reason already consumed by a wake).
+    #[default]
     None,
     /// Blocked in `Recv { wait: Block }` — collective/message wait.
     Msg,
@@ -222,6 +223,13 @@ struct ThreadSlot {
     remaining: SimDur,
     /// Message to hand to the program at the next step.
     in_msg: Option<Message>,
+    ledger: Ledger,
+}
+
+/// One thread's time accounting: the cold half of its slot, checkpointed
+/// as is (its fields sit in the thread's checkpoint map, in this order).
+#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+struct Ledger {
     /// Accumulated on-CPU time.
     cpu_time: SimDur,
     last_dispatch: SimTime,
@@ -251,7 +259,8 @@ struct ThreadSlot {
     exited_at: Option<SimTime>,
 }
 
-/// One CPU's dispatcher state.
+/// One CPU's dispatcher state, checkpointed as is.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 struct Cpu {
     running: Option<Tid>,
     /// Bumped on every occupancy change; stale tokens void in-flight events.
@@ -333,8 +342,9 @@ pub fn prio_band(prio: Prio) -> usize {
 /// Dispatcher counters for one node, bumped inline on the hot path
 /// (plain `u64` adds; the sim is single-threaded so there are no locks).
 /// Everything here is simulation-determined — fold into a `pa-obs`
-/// registry post-run without breaking snapshot identity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// registry post-run without breaking snapshot identity. Checkpointed as
+/// is; `+=` and `sum` add counters field by field, for cluster totals.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct KernelStats {
     /// Threads placed on a CPU.
     pub dispatches: u64,
@@ -361,35 +371,30 @@ pub struct KernelStats {
     pub runq_waits: [u64; 4],
 }
 
-/// One ready queue's checkpointed contents: `(key, arrival seq, tid)`
-/// entries in dispatch order plus the arrival-sequence allocator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct RunqSnap {
-    entries: Vec<(DispatchKey, u64, Tid)>,
-    next_seq: u64,
-}
-
-impl RunqSnap {
-    fn capture(q: &ReadyQueue) -> RunqSnap {
-        let (entries, next_seq) = q.snapshot();
-        RunqSnap { entries, next_seq }
-    }
-
-    fn rebuild(&self) -> Result<ReadyQueue, String> {
-        ReadyQueue::from_parts(self.entries.clone(), self.next_seq)
+impl std::ops::AddAssign for KernelStats {
+    fn add_assign(&mut self, o: KernelStats) {
+        self.dispatches += o.dispatches;
+        self.ctx_switches += o.ctx_switches;
+        self.preemptions += o.preemptions;
+        self.ipis_sent += o.ipis_sent;
+        self.ipis_taken += o.ipis_taken;
+        self.ticks += o.ticks;
+        self.callouts_fired += o.callouts_fired;
+        self.poll_spin_ns += o.poll_spin_ns;
+        for b in 0..RUNQ_BANDS.len() {
+            self.runq_wait_ns[b] += o.runq_wait_ns[b];
+            self.runq_waits[b] += o.runq_waits[b];
+        }
     }
 }
 
-/// One CPU's checkpointed dispatcher state.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct CpuSnap {
-    running: Option<Tid>,
-    token: u64,
-    seg_end: Option<SimTime>,
-    debt: SimDur,
-    slice_start: SimTime,
-    local_q: RunqSnap,
-    ipi_pending: bool,
+impl std::iter::Sum for KernelStats {
+    fn sum<I: Iterator<Item = KernelStats>>(iter: I) -> KernelStats {
+        iter.fold(KernelStats::default(), |mut total, s| {
+            total += s;
+            total
+        })
+    }
 }
 
 /// One thread's checkpointed kernel-side state. The program itself is
@@ -403,38 +408,10 @@ struct ThreadSnap {
     cont: Cont,
     remaining: SimDur,
     in_msg: Option<Message>,
-    cpu_time: SimDur,
-    last_dispatch: SimTime,
-    enqueued_at: SimTime,
-    poll_since: SimTime,
-    spawned_at: SimTime,
-    runq_wait: SimDur,
-    poll_spin: SimDur,
-    noise_debt: SimDur,
-    blk_msg: SimDur,
-    blk_io: SimDur,
-    blk_sleep: SimDur,
-    blocked_since: SimTime,
-    block_reason: BlockReason,
-    exited_at: Option<SimTime>,
+    #[serde(flatten)]
+    ledger: Ledger,
     mailbox: Vec<Message>,
     program: Value,
-}
-
-/// [`KernelStats`] in serializable form (the per-band arrays become
-/// vectors because the wire format has no fixed-size arrays).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct KernelStatsSnap {
-    dispatches: u64,
-    ctx_switches: u64,
-    preemptions: u64,
-    ipis_sent: u64,
-    ipis_taken: u64,
-    ticks: u64,
-    callouts_fired: u64,
-    poll_spin_ns: u64,
-    runq_wait_ns: Vec<u64>,
-    runq_waits: Vec<u64>,
 }
 
 /// The trace ring's checkpointed contents (capacity, mask, and thread
@@ -461,9 +438,9 @@ pub struct KernelSnapshot {
     node: u32,
     clock: ClockModel,
     opts: SchedOptions,
-    cpus: Vec<CpuSnap>,
+    cpus: Vec<Cpu>,
     threads: Vec<ThreadSnap>,
-    global_q: RunqSnap,
+    global_q: ReadyQueue,
     callouts: Vec<(SimTime, u64, Tid)>,
     callout_seq: u64,
     io_pending: Vec<IoRequest>,
@@ -474,13 +451,8 @@ pub struct KernelSnapshot {
     next_daemon_home: u8,
     /// Opaque policy state of the active dispatcher (`Null` for AIX).
     disp: Value,
-    stats: KernelStatsSnap,
+    stats: KernelStats,
     trace: TraceSnap,
-}
-
-fn band_array(v: &[u64], what: &str) -> Result<[u64; 4], String> {
-    v.try_into()
-        .map_err(|_| format!("{what} has {} priority bands, expected 4", v.len()))
 }
 
 /// Hard cap on consecutive zero-cost program actions, to catch programs
@@ -676,20 +648,11 @@ impl Kernel {
             cont: Cont::Step,
             remaining: SimDur::ZERO,
             in_msg: None,
-            cpu_time: SimDur::ZERO,
-            last_dispatch: SimTime::ZERO,
-            enqueued_at: enq_at,
-            poll_since: SimTime::ZERO,
-            spawned_at: enq_at,
-            runq_wait: SimDur::ZERO,
-            poll_spin: SimDur::ZERO,
-            noise_debt: SimDur::ZERO,
-            blk_msg: SimDur::ZERO,
-            blk_io: SimDur::ZERO,
-            blk_sleep: SimDur::ZERO,
-            blocked_since: SimTime::ZERO,
-            block_reason: BlockReason::None,
-            exited_at: None,
+            ledger: Ledger {
+                enqueued_at: enq_at,
+                spawned_at: enq_at,
+                ..Ledger::default()
+            },
         });
         // Policy state must exist before the first enqueue keys it.
         self.disp.on_spawn(tid);
@@ -714,20 +677,10 @@ impl Kernel {
             cont: Cont::Step,
             remaining: SimDur::ZERO,
             in_msg: None,
-            cpu_time: SimDur::ZERO,
-            last_dispatch: SimTime::ZERO,
-            enqueued_at: SimTime::ZERO,
-            poll_since: SimTime::ZERO,
-            spawned_at: SimTime::ZERO,
-            runq_wait: SimDur::ZERO,
-            poll_spin: SimDur::ZERO,
-            noise_debt: SimDur::ZERO,
-            blk_msg: SimDur::ZERO,
-            blk_io: SimDur::ZERO,
-            blk_sleep: SimDur::ZERO,
-            blocked_since: SimTime::ZERO,
-            block_reason: BlockReason::None,
-            exited_at: Some(SimTime::ZERO),
+            ledger: Ledger {
+                exited_at: Some(SimTime::ZERO),
+                ..Ledger::default()
+            },
         });
         // Pseudo-slots keep policy state tid-dense too (never dispatched).
         self.disp.on_spawn(itid);
@@ -786,7 +739,7 @@ impl Kernel {
 
     /// Accumulated on-CPU time of a thread (updated when it leaves a CPU).
     pub fn thread_cpu_time(&self, tid: Tid) -> SimDur {
-        self.threads[tid.0 as usize].cpu_time
+        self.threads[tid.0 as usize].ledger.cpu_time
     }
 
     /// Exhaustive wall-time decomposition of a thread at query time
@@ -798,28 +751,28 @@ impl Kernel {
     pub fn thread_account(&self, tid: Tid, end: SimTime) -> ThreadAccount {
         let t = &self.threads[tid.0 as usize];
         let mut acc = ThreadAccount {
-            spawned_at: t.spawned_at,
+            spawned_at: t.ledger.spawned_at,
             end,
             wall: SimDur::ZERO,
-            cpu: t.cpu_time,
-            runq_wait: t.runq_wait,
-            blocked_msg: t.blk_msg,
-            blocked_io: t.blk_io,
-            blocked_sleep: t.blk_sleep,
-            poll_spin: t.poll_spin,
-            noise_debt: t.noise_debt,
+            cpu: t.ledger.cpu_time,
+            runq_wait: t.ledger.runq_wait,
+            blocked_msg: t.ledger.blk_msg,
+            blocked_io: t.ledger.blk_io,
+            blocked_sleep: t.ledger.blk_sleep,
+            poll_spin: t.ledger.poll_spin,
+            noise_debt: t.ledger.noise_debt,
         };
         match t.state {
             ThreadState::Running => {
-                acc.cpu += end.since(t.last_dispatch);
+                acc.cpu += end.since(t.ledger.last_dispatch);
                 if matches!(t.cont, Cont::PollWait { .. }) {
-                    acc.poll_spin += end.since(t.poll_since);
+                    acc.poll_spin += end.since(t.ledger.poll_since);
                 }
             }
-            ThreadState::Ready => acc.runq_wait += end.since(t.enqueued_at),
+            ThreadState::Ready => acc.runq_wait += end.since(t.ledger.enqueued_at),
             ThreadState::Blocked => {
-                let open = end.since(t.blocked_since);
-                match t.block_reason {
+                let open = end.since(t.ledger.blocked_since);
+                match t.ledger.block_reason {
                     BlockReason::Msg => acc.blocked_msg += open,
                     BlockReason::Io => acc.blocked_io += open,
                     BlockReason::Sleep => acc.blocked_sleep += open,
@@ -828,7 +781,7 @@ impl Kernel {
                     }
                 }
             }
-            ThreadState::Exited => acc.end = t.exited_at.unwrap_or(t.spawned_at),
+            ThreadState::Exited => acc.end = t.ledger.exited_at.unwrap_or(t.ledger.spawned_at),
         }
         acc.wall = acc.end.since(acc.spawned_at);
         acc
@@ -848,11 +801,11 @@ impl Kernel {
     pub fn usage_report(&self) -> Vec<UsageRow> {
         (0u32..)
             .zip(&self.threads)
-            .filter(|(_, t)| t.program.is_some() || t.cpu_time > SimDur::ZERO)
+            .filter(|(_, t)| t.program.is_some() || t.ledger.cpu_time > SimDur::ZERO)
             .map(|(tid, t)| UsageRow {
                 name: self.trace.thread_name(tid),
                 class: t.class,
-                cpu_time: t.cpu_time,
+                cpu_time: t.ledger.cpu_time,
             })
             .collect()
     }
@@ -870,15 +823,16 @@ impl Kernel {
     /// Deterministic per-program counters: one `(kind, metric, value)` row
     /// per metric of every thread whose program reports any (exited
     /// threads included — programs are retained after `Action::Exit`).
-    pub fn program_metrics(&self) -> Vec<(&'static str, &'static str, u64)> {
-        let mut rows = Vec::new();
-        for t in &self.threads {
-            if let Some(p) = &t.program {
+    pub fn program_metrics(&self) -> impl Iterator<Item = (&'static str, &'static str, u64)> + '_ {
+        self.threads
+            .iter()
+            .filter_map(|t| t.program.as_ref())
+            .flat_map(|p| {
                 let kind = p.kind();
-                rows.extend(p.metrics().into_iter().map(|(name, v)| (kind, name, v)));
-            }
-        }
-        rows
+                p.metrics()
+                    .into_iter()
+                    .map(move |(name, v)| (kind, name, v))
+            })
     }
 
     // ------------------------------------------------------------------
@@ -995,11 +949,11 @@ impl Kernel {
             return;
         };
         if let Some(m) = slot.mailbox.take_match(tag, src) {
-            let spin = now.since(slot.poll_since);
+            let spin = now.since(slot.ledger.poll_since);
             slot.in_msg = Some(m);
             slot.cont = Cont::FinishRecv;
             slot.remaining = recv_cost;
-            slot.poll_spin += spin;
+            slot.ledger.poll_spin += spin;
             self.stats.poll_spin_ns += spin.nanos();
             self.start_segment(cpu, tid, now, fx);
         }
@@ -1074,11 +1028,11 @@ impl Kernel {
                 // Noise attribution: device interrupts are the
                 // profile-injected interference; tick/IPI steal is kernel
                 // overhead and stays in the unattributed cpu residual.
-                self.threads[tid.0 as usize].noise_debt += dur;
+                self.threads[tid.0 as usize].ledger.noise_debt += dur;
             }
         }
         self.trace.emit(now, cpu.0, HookId::Dispatch, itid.0, 0);
-        self.threads[itid.0 as usize].cpu_time += dur;
+        self.threads[itid.0 as usize].ledger.cpu_time += dur;
         fx.queue
             .schedule(now + dur, KernelEvent::InterruptEnd { cpu, itid });
         // Next arrival of this source.
@@ -1107,7 +1061,7 @@ impl Kernel {
     fn enqueue(&mut self, tid: Tid, now: SimTime) -> DispatchKey {
         let prio = self.threads[tid.0 as usize].prio;
         let key = self.disp.enqueue_key(tid, prio);
-        self.threads[tid.0 as usize].enqueued_at = now;
+        self.threads[tid.0 as usize].ledger.enqueued_at = now;
         match self.threads[tid.0 as usize].discipline {
             QueueDiscipline::Pinned(c) => self.cpus[c.0 as usize].local_q.push(tid, key),
             QueueDiscipline::Global => self.global_q.push(tid, key),
@@ -1187,8 +1141,8 @@ impl Kernel {
         self.trace.emit(now, cpu.0, HookId::Dispatch, tid.0, 0);
         let (band, waited) = {
             let slot = &mut self.threads[tid.0 as usize];
-            let waited = now.since(slot.enqueued_at);
-            slot.runq_wait += waited;
+            let waited = now.since(slot.ledger.enqueued_at);
+            slot.ledger.runq_wait += waited;
             (prio_band(slot.prio), waited)
         };
         self.stats.dispatches += 1;
@@ -1212,7 +1166,7 @@ impl Kernel {
                 self.trace.thread_name(tid.0)
             );
             slot.state = ThreadState::Running;
-            slot.last_dispatch = now;
+            slot.ledger.last_dispatch = now;
             match slot.cont {
                 Cont::PollWait { tag, src } => {
                     if let Some(m) = slot.mailbox.take_match(tag, src) {
@@ -1222,7 +1176,7 @@ impl Kernel {
                         resumed = true;
                         Next::Segment
                     } else {
-                        slot.poll_since = now;
+                        slot.ledger.poll_since = now;
                         Next::Spin
                     }
                 }
@@ -1347,7 +1301,7 @@ impl Kernel {
                     match wait {
                         WaitMode::Poll => {
                             slot.cont = Cont::PollWait { tag, src };
-                            slot.poll_since = now;
+                            slot.ledger.poll_since = now;
                             // Spinning: CPU busy, no scheduled end.
                             return;
                         }
@@ -1432,14 +1386,14 @@ impl Kernel {
                 Action::Exit => {
                     let ci = cpu.0 as usize;
                     let class = self.threads[tid.0 as usize].class;
-                    let last = self.threads[tid.0 as usize].last_dispatch;
+                    let last = self.threads[tid.0 as usize].ledger.last_dispatch;
                     {
                         // The program is kept (not dropped) so its final
                         // counters stay readable via `program_metrics`.
                         let slot = &mut self.threads[tid.0 as usize];
                         slot.state = ThreadState::Exited;
-                        slot.cpu_time += now.since(last);
-                        slot.exited_at = Some(now);
+                        slot.ledger.cpu_time += now.since(last);
+                        slot.ledger.exited_at = Some(now);
                         self.disp.charge(tid, slot.prio, now.since(last));
                     }
                     if class == ThreadClass::App {
@@ -1473,13 +1427,13 @@ impl Kernel {
         } else {
             // Poll-waiter: its on-CPU time so far was pure spinning.
             if matches!(slot.cont, Cont::PollWait { .. }) {
-                spin = now.since(slot.poll_since);
-                slot.poll_spin += spin;
+                spin = now.since(slot.ledger.poll_since);
+                slot.ledger.poll_spin += spin;
             }
             slot.remaining = SimDur::ZERO;
         }
-        let ran = now.since(slot.last_dispatch);
-        slot.cpu_time += ran;
+        let ran = now.since(slot.ledger.last_dispatch);
+        slot.ledger.cpu_time += ran;
         slot.state = ThreadState::Ready;
         self.disp.charge(tid, slot.prio, ran);
         self.stats.preemptions += 1;
@@ -1504,20 +1458,20 @@ impl Kernel {
         self.cpus[ci].token += 1;
         let slot = &mut self.threads[tid.0 as usize];
         slot.state = ThreadState::Blocked;
-        let ran = now.since(slot.last_dispatch);
-        slot.cpu_time += ran;
+        let ran = now.since(slot.ledger.last_dispatch);
+        slot.ledger.cpu_time += ran;
         self.disp.charge(tid, slot.prio, ran);
-        slot.blocked_since = now;
+        slot.ledger.blocked_since = now;
         // Latch the reason now: `on_deliver` rewrites `cont` before the
         // wake, so it cannot be recovered later.
-        slot.block_reason = match slot.cont {
+        slot.ledger.block_reason = match slot.cont {
             Cont::BlockedRecv { .. } => BlockReason::Msg,
             Cont::Sleeping => BlockReason::Sleep,
             Cont::IoWait | Cont::IoIdle => BlockReason::Io,
             _ => BlockReason::None,
         };
         debug_assert!(
-            slot.block_reason != BlockReason::None,
+            slot.ledger.block_reason != BlockReason::None,
             "block_current with a runnable continuation"
         );
         self.trace.emit(now, cpu.0, HookId::Undispatch, tid.0, 0);
@@ -1534,14 +1488,14 @@ impl Kernel {
             if matches!(slot.cont, Cont::Sleeping) {
                 slot.cont = Cont::Step;
             }
-            let blocked = now.since(slot.blocked_since);
-            match slot.block_reason {
-                BlockReason::Msg => slot.blk_msg += blocked,
-                BlockReason::Io => slot.blk_io += blocked,
-                BlockReason::Sleep => slot.blk_sleep += blocked,
+            let blocked = now.since(slot.ledger.blocked_since);
+            match slot.ledger.block_reason {
+                BlockReason::Msg => slot.ledger.blk_msg += blocked,
+                BlockReason::Io => slot.ledger.blk_io += blocked,
+                BlockReason::Sleep => slot.ledger.blk_sleep += blocked,
                 BlockReason::None => {}
             }
-            slot.block_reason = BlockReason::None;
+            slot.ledger.block_reason = BlockReason::None;
             slot.state = ThreadState::Ready;
         }
         let key = self.enqueue(tid, now);
@@ -1583,9 +1537,9 @@ impl Kernel {
                 for (i, c) in self.cpus.iter().enumerate() {
                     let Some(r) = c.running else { continue };
                     let slot = &self.threads[r.0 as usize];
-                    let rk = self
-                        .disp
-                        .running_key(r, slot.prio, now.since(slot.last_dispatch));
+                    let rk =
+                        self.disp
+                            .running_key(r, slot.prio, now.since(slot.ledger.last_dispatch));
                     if worst.is_none_or(|(wk, _)| rk > wk) {
                         worst = Some((rk, CpuId(i as u8)));
                     }
@@ -1600,7 +1554,7 @@ impl Kernel {
                 .expect("victim is busy");
             let slot = &self.threads[r.0 as usize];
             self.disp
-                .running_key(r, slot.prio, now.since(slot.last_dispatch))
+                .running_key(r, slot.prio, now.since(slot.ledger.last_dispatch))
         };
         if self.disp.should_preempt(key, run_key, false) {
             self.request_preempt(victim, now, fx);
@@ -1655,7 +1609,7 @@ impl Kernel {
         let run_key = {
             let slot = &self.threads[tid.0 as usize];
             self.disp
-                .running_key(tid, slot.prio, now.since(slot.last_dispatch))
+                .running_key(tid, slot.prio, now.since(slot.ledger.last_dispatch))
         };
         let contenders = self.cpus[ci].local_q.len() + self.global_q.len();
         let slice = self.disp.slice_len(self.opts.timeslice, contenders);
@@ -1690,7 +1644,7 @@ impl Kernel {
                 // lose the interval spent under the old key.
                 {
                     let slot = &mut self.threads[target.0 as usize];
-                    slot.runq_wait += now.since(slot.enqueued_at);
+                    slot.ledger.runq_wait += now.since(slot.ledger.enqueued_at);
                 }
                 self.dequeue(target);
                 let key = self.enqueue(target, now);
@@ -1710,7 +1664,7 @@ impl Kernel {
                     let run_key = {
                         let slot = &self.threads[target.0 as usize];
                         self.disp
-                            .running_key(target, prio, now.since(slot.last_dispatch))
+                            .running_key(target, prio, now.since(slot.ledger.last_dispatch))
                     };
                     if self.disp.should_preempt(cand, run_key, false)
                         && self.opts.preempt == PreemptMode::RtIpiImproved
@@ -1741,19 +1695,7 @@ impl Kernel {
             node: self.node,
             clock: self.clock,
             opts: self.opts,
-            cpus: self
-                .cpus
-                .iter()
-                .map(|c| CpuSnap {
-                    running: c.running,
-                    token: c.token,
-                    seg_end: c.seg_end,
-                    debt: c.debt,
-                    slice_start: c.slice_start,
-                    local_q: RunqSnap::capture(&c.local_q),
-                    ipi_pending: c.ipi_pending,
-                })
-                .collect(),
+            cpus: self.cpus.clone(),
             threads: (0u32..)
                 .zip(&self.threads)
                 .map(|(tid, t)| ThreadSnap {
@@ -1763,20 +1705,7 @@ impl Kernel {
                     cont: t.cont.clone(),
                     remaining: t.remaining,
                     in_msg: t.in_msg.clone(),
-                    cpu_time: t.cpu_time,
-                    last_dispatch: t.last_dispatch,
-                    enqueued_at: t.enqueued_at,
-                    poll_since: t.poll_since,
-                    spawned_at: t.spawned_at,
-                    runq_wait: t.runq_wait,
-                    poll_spin: t.poll_spin,
-                    noise_debt: t.noise_debt,
-                    blk_msg: t.blk_msg,
-                    blk_io: t.blk_io,
-                    blk_sleep: t.blk_sleep,
-                    blocked_since: t.blocked_since,
-                    block_reason: t.block_reason,
-                    exited_at: t.exited_at,
+                    ledger: t.ledger,
                     mailbox: t.mailbox.snapshot(),
                     program: t
                         .program
@@ -1784,7 +1713,7 @@ impl Kernel {
                         .map_or(Value::Null, |p| p.snapshot_state()),
                 })
                 .collect(),
-            global_q: RunqSnap::capture(&self.global_q),
+            global_q: self.global_q.clone(),
             callouts: self
                 .callouts
                 .iter()
@@ -1798,18 +1727,7 @@ impl Kernel {
             app_alive: self.app_alive as u64,
             next_daemon_home: self.next_daemon_home,
             disp: self.disp.snapshot_state(),
-            stats: KernelStatsSnap {
-                dispatches: self.stats.dispatches,
-                ctx_switches: self.stats.ctx_switches,
-                preemptions: self.stats.preemptions,
-                ipis_sent: self.stats.ipis_sent,
-                ipis_taken: self.stats.ipis_taken,
-                ticks: self.stats.ticks,
-                callouts_fired: self.stats.callouts_fired,
-                poll_spin_ns: self.stats.poll_spin_ns,
-                runq_wait_ns: self.stats.runq_wait_ns.to_vec(),
-                runq_waits: self.stats.runq_waits.to_vec(),
-            },
+            stats: self.stats,
             trace: TraceSnap {
                 events,
                 dropped,
@@ -1822,7 +1740,7 @@ impl Kernel {
     /// booted and assembled identically to the one that produced the
     /// snapshot (same spawns in the same order); programs stay in place
     /// and receive their state via [`Program::restore_state`].
-    pub fn restore(&mut self, snap: &KernelSnapshot) -> Result<(), String> {
+    pub fn restore(&mut self, snap: KernelSnapshot) -> Result<(), String> {
         if !self.booted {
             return Err("restore before boot: rebuild and boot the node first".into());
         }
@@ -1865,49 +1783,28 @@ impl Kernel {
         }
 
         self.clock = snap.clock;
-        for (cpu, cs) in self.cpus.iter_mut().zip(&snap.cpus) {
-            cpu.running = cs.running;
-            cpu.token = cs.token;
-            cpu.seg_end = cs.seg_end;
-            cpu.debt = cs.debt;
-            cpu.slice_start = cs.slice_start;
-            cpu.local_q = cs.local_q.rebuild()?;
-            cpu.ipi_pending = cs.ipi_pending;
-        }
-        for (slot, ts) in self.threads.iter_mut().zip(&snap.threads) {
+        self.cpus = snap.cpus;
+        for (slot, ts) in self.threads.iter_mut().zip(snap.threads) {
             slot.state = ts.state;
             slot.prio = ts.prio;
-            slot.cont = ts.cont.clone();
+            slot.cont = ts.cont;
             slot.remaining = ts.remaining;
-            slot.in_msg = ts.in_msg.clone();
-            slot.cpu_time = ts.cpu_time;
-            slot.last_dispatch = ts.last_dispatch;
-            slot.enqueued_at = ts.enqueued_at;
-            slot.poll_since = ts.poll_since;
-            slot.spawned_at = ts.spawned_at;
-            slot.runq_wait = ts.runq_wait;
-            slot.poll_spin = ts.poll_spin;
-            slot.noise_debt = ts.noise_debt;
-            slot.blk_msg = ts.blk_msg;
-            slot.blk_io = ts.blk_io;
-            slot.blk_sleep = ts.blk_sleep;
-            slot.blocked_since = ts.blocked_since;
-            slot.block_reason = ts.block_reason;
-            slot.exited_at = ts.exited_at;
-            slot.mailbox.restore(ts.mailbox.clone());
+            slot.in_msg = ts.in_msg;
+            slot.ledger = ts.ledger;
+            slot.mailbox.restore(ts.mailbox);
             if let Some(p) = slot.program.as_mut() {
                 p.restore_state(&ts.program)
                     .map_err(|e| format!("program state for thread '{}': {e}", ts.name))?;
             }
         }
-        self.global_q = snap.global_q.rebuild()?;
+        self.global_q = snap.global_q;
         self.callouts = snap
             .callouts
-            .iter()
-            .map(|&(t, s, tid)| ((t, s), tid))
+            .into_iter()
+            .map(|(t, s, tid)| ((t, s), tid))
             .collect();
         self.callout_seq = snap.callout_seq;
-        self.io_pending = snap.io_pending.iter().copied().collect();
+        self.io_pending = snap.io_pending.into();
         self.io_next_token = snap.io_next_token;
         self.rng.load_state(&snap.rng)?;
         self.ipi_in_flight = snap.ipi_in_flight;
@@ -1916,20 +1813,9 @@ impl Kernel {
         self.disp
             .restore_state(&snap.disp)
             .map_err(|e| format!("dispatcher state on node {}: {e}", self.node))?;
-        self.stats = KernelStats {
-            dispatches: snap.stats.dispatches,
-            ctx_switches: snap.stats.ctx_switches,
-            preemptions: snap.stats.preemptions,
-            ipis_sent: snap.stats.ipis_sent,
-            ipis_taken: snap.stats.ipis_taken,
-            ticks: snap.stats.ticks,
-            callouts_fired: snap.stats.callouts_fired,
-            poll_spin_ns: snap.stats.poll_spin_ns,
-            runq_wait_ns: band_array(&snap.stats.runq_wait_ns, "runq_wait_ns")?,
-            runq_waits: band_array(&snap.stats.runq_waits, "runq_waits")?,
-        };
+        self.stats = snap.stats;
         self.trace.restore_ring(
-            snap.trace.events.clone(),
+            snap.trace.events,
             snap.trace.dropped,
             snap.trace.evicted_until,
         )?;

@@ -705,7 +705,7 @@ mod tests {
             Box::new(Script::new(vec![Action::Compute(SimDur::from_millis(5))])),
         );
         b.boot();
-        assert!(b.kernel.restore(&snap).is_err());
+        assert!(b.kernel.restore(snap.clone()).is_err());
 
         // Different CPU count.
         let mut c = SoloRunner::new(mk_kernel(2, SchedOptions::vanilla()));
@@ -714,7 +714,7 @@ mod tests {
             Box::new(Script::new(vec![Action::Compute(SimDur::from_millis(5))])),
         );
         c.boot();
-        assert!(c.kernel.restore(&snap).is_err());
+        assert!(c.kernel.restore(snap.clone()).is_err());
 
         // Unbooted kernel.
         let mut d = mk_kernel(1, SchedOptions::vanilla());
@@ -722,7 +722,7 @@ mod tests {
             app_spec("app", 0),
             Box::new(Script::new(vec![Action::Compute(SimDur::from_millis(5))])),
         );
-        assert!(d.restore(&snap).is_err());
+        assert!(d.restore(snap).is_err());
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! builds.
 
 use crate::types::{Prio, Tid};
+use serde::value::{get, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -150,21 +151,10 @@ impl ReadyQueue {
         self.set.iter().map(|&(k, _, t)| (k, t))
     }
 
-    /// Full queue contents for a checkpoint: `(key, arrival seq, tid)` in
-    /// dispatch order, plus the arrival-sequence allocator. The raw seqs
-    /// are what make FIFO-within-key survive a restore exactly.
-    pub fn snapshot(&self) -> (Vec<(DispatchKey, u64, Tid)>, u64) {
-        (self.set.iter().copied().collect(), self.next_seq)
-    }
-
-    /// Rebuild a queue from checkpointed parts (the inverse of
-    /// [`ReadyQueue::snapshot`]). The side index is rederived entry by
-    /// entry; a tid appearing twice (which would desync set and index) or
-    /// a seq at/above the allocator is rejected.
-    pub fn from_parts(
-        entries: Vec<(DispatchKey, u64, Tid)>,
-        next_seq: u64,
-    ) -> Result<Self, String> {
+    /// Rebuild a queue from checkpointed parts. The side index is
+    /// rederived entry by entry; a tid appearing twice (which would desync
+    /// set and index) or a seq at/above the allocator is rejected.
+    fn from_parts(entries: Vec<(DispatchKey, u64, Tid)>, next_seq: u64) -> Result<Self, String> {
         let mut q = ReadyQueue {
             set: BTreeSet::new(),
             index: BTreeMap::new(),
@@ -187,6 +177,32 @@ impl ReadyQueue {
         }
         q.debug_check();
         Ok(q)
+    }
+}
+
+/// A queue checkpoints as `{entries, next_seq}`: its `(key, arrival seq,
+/// tid)` entries in dispatch order and the arrival-sequence allocator.
+/// The raw seqs are what make FIFO-within-key survive a restore exactly;
+/// the side index is rebuilt, not stored.
+impl Serialize for ReadyQueue {
+    fn to_value(&self) -> Value {
+        let entries = self.set.iter().map(Serialize::to_value).collect();
+        Value::Map(vec![
+            ("entries".to_string(), Value::Seq(entries)),
+            ("next_seq".to_string(), self.next_seq.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for ReadyQueue {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let m = v
+            .as_map()
+            .ok_or_else(|| serde::Error::expected("map", "ReadyQueue"))?;
+        let field = |name| get(m, name).ok_or_else(|| serde::Error::missing(name, "ReadyQueue"));
+        let entries = Vec::from_value(field("entries")?).map_err(|e| e.in_field("entries"))?;
+        let next_seq = u64::from_value(field("next_seq")?).map_err(|e| e.in_field("next_seq"))?;
+        ReadyQueue::from_parts(entries, next_seq).map_err(serde::Error)
     }
 }
 
@@ -281,9 +297,8 @@ mod tests {
         q.remove(Tid(1));
         q.push(Tid(3), key(60));
         q.requeue(Tid(2), key(95));
-        let (entries, next_seq) = q.snapshot();
-        let back = ReadyQueue::from_parts(entries.clone(), next_seq).unwrap();
-        assert_eq!(back.snapshot(), (entries, next_seq));
+        let back = ReadyQueue::from_value(&q.to_value()).unwrap();
+        assert_eq!(back.to_value(), q.to_value());
         // Pop order survives the round trip.
         let mut a = q.clone();
         let mut b = back;

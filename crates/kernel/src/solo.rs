@@ -14,6 +14,7 @@ use crate::msg::Message;
 use crate::program::Program;
 use crate::types::Tid;
 use pa_simkit::{EventQueue, QueueStats, SimDur, SimTime};
+use serde::{Deserialize, Serialize};
 use std::ops::{Deref, DerefMut};
 
 /// Loopback latency of [`SoloRunner`]. Not the cluster fabric's node-local
@@ -23,8 +24,9 @@ const SHM_LATENCY: SimDur = SimDur::from_nanos(2_000);
 
 /// Everything a [`NodeLoop`] mutates after boot, for checkpoints: the
 /// kernel state plus the calendar's clock, id counter, statistics and
-/// live entries.
-#[derive(Debug)]
+/// live entries. Its fields sit in the shard's checkpoint map, in this
+/// order.
+#[derive(Debug, Serialize, Deserialize)]
 pub struct NodeSnap {
     /// Calendar clock.
     pub queue_now: SimTime,
@@ -164,7 +166,7 @@ impl NodeLoop {
     /// a CPU the node does not have, or a second one for the same CPU,
     /// is an error.
     pub fn restore(&mut self, snap: NodeSnap) -> Result<(), String> {
-        self.kernel.restore(&snap.kernel)?;
+        self.kernel.restore(snap.kernel)?;
         self.fx.queue = EventQueue::from_parts(
             snap.queue_now,
             snap.queue_next_id,

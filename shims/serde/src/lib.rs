@@ -4,12 +4,13 @@
 //! workspace replaces its external dependencies with local stand-ins (see
 //! `shims/README.md`). This one keeps serde's *surface* — the
 //! `Serialize`/`Deserialize` traits, the derive macros, and the
-//! `#[serde(default)]` field attribute — while swapping the internals for
-//! a much smaller design: serialization goes through a self-describing
-//! [`value::Value`] tree instead of the visitor machinery. Everything the
-//! workspace needs (derived impls on plain structs and enums, JSON
-//! round-trips via the `serde_json` stand-in) behaves like the real
-//! thing; exotic serde features are intentionally absent.
+//! `#[serde(default)]` and `#[serde(flatten)]` field attributes — while
+//! swapping the internals for a much smaller design: serialization goes
+//! through a self-describing [`value::Value`] tree instead of the visitor
+//! machinery. Everything the workspace needs (derived impls on plain
+//! structs and enums, JSON round-trips via the `serde_json` stand-in)
+//! behaves like the real thing; exotic serde features are intentionally
+//! absent.
 
 pub use serde_derive::{Deserialize, Serialize};
 
@@ -30,6 +31,13 @@ impl Error {
     /// A missing-field error.
     pub fn missing(field: &str, context: &str) -> Error {
         Error(format!("missing field `{field}` in {context}"))
+    }
+
+    /// This error, raised while decoding field `field` (derive-generated
+    /// decoders prefix each field's errors, so a nested error names its
+    /// path).
+    pub fn in_field(self, field: &str) -> Error {
+        Error(format!("{field}: {}", self.0))
     }
 }
 
@@ -175,6 +183,29 @@ impl<T: Deserialize> Deserialize for Vec<T> {
     }
 }
 
+impl<T: Serialize, const N: usize> Serialize for [T; N] {
+    fn to_value(&self) -> Value {
+        Value::Seq(self.iter().map(Serialize::to_value).collect())
+    }
+}
+impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        let xs = v
+            .as_seq()
+            .ok_or_else(|| Error::expected("sequence", "array"))?;
+        if xs.len() != N {
+            return Err(Error(format!(
+                "array has {} elements, expected {N}",
+                xs.len()
+            )));
+        }
+        let items: Vec<T> = xs.iter().map(T::from_value).collect::<Result<_, _>>()?;
+        Ok(items
+            .try_into()
+            .unwrap_or_else(|_| unreachable!("length checked above")))
+    }
+}
+
 impl<V: Serialize> Serialize for std::collections::BTreeMap<String, V> {
     fn to_value(&self) -> Value {
         Value::Map(
@@ -272,6 +303,17 @@ mod tests {
         assert_eq!(Option::<u32>::from_value(&v.to_value()).unwrap(), Some(9));
         let xs = vec![(1u32, 2.5f64), (3, 4.5)];
         assert_eq!(Vec::<(u32, f64)>::from_value(&xs.to_value()).unwrap(), xs);
+    }
+
+    #[test]
+    fn arrays_round_trip_and_check_length() {
+        let a = [3u64, 1, 4, 1];
+        assert_eq!(a.to_value(), vec![3u64, 1, 4, 1].to_value());
+        assert_eq!(<[u64; 4]>::from_value(&a.to_value()).unwrap(), a);
+        let short = vec![1u64, 2, 3].to_value();
+        let e = <[u64; 4]>::from_value(&short).unwrap_err();
+        assert_eq!(e.0, "array has 3 elements, expected 4");
+        assert!(<[u64; 2]>::from_value(&Value::UInt(1)).is_err());
     }
 
     #[test]

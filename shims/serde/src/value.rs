@@ -101,6 +101,19 @@ pub fn get<'v>(map: &'v [(String, Value)], key: &str) -> Option<&'v Value> {
     map.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
+/// Splice a `#[serde(flatten)]` field's pairs into its parent's map, in
+/// place (derive-generated encoders use this).
+///
+/// # Panics
+/// Panics if the field does not serialize as a map: only a struct with
+/// named fields can be flattened.
+pub fn flatten_into(map: &mut Vec<(String, Value)>, field: Value) {
+    match field {
+        Value::Map(pairs) => map.extend(pairs),
+        _ => panic!("a #[serde(flatten)] field must serialize as a map"),
+    }
+}
+
 fn write_json(v: &Value, indent: Option<usize>, depth: usize, out: &mut String) {
     match v {
         Value::Null => out.push_str("null"),

@@ -6,13 +6,18 @@
 //! `syn`/`quote`, since this environment cannot fetch crates. Supported
 //! shapes (everything this workspace derives on):
 //!
-//! * structs with named fields, honoring `#[serde(default)]`;
+//! * structs with named fields, honoring `#[serde(default)]` and
+//!   `#[serde(flatten)]` (the field's own map pairs are spliced in place
+//!   on write, and the field is decoded from the same map on read);
 //! * newtype structs (serialized transparently, like real serde);
 //! * enums with unit, newtype and struct variants (externally tagged).
 //!
+//! A derived decoder prefixes each named field's errors with the field
+//! name, so an error deep in a nested value names its path.
+//!
 //! Other shapes (generics, unit structs, tuple structs or variants with
-//! more than one field) are rejected with a compile error rather than
-//! silently miscompiled.
+//! more than one field, `flatten` in an enum variant) are rejected with a
+//! compile error rather than silently miscompiled.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -53,8 +58,16 @@ fn expand(input: TokenStream, dir: Dir) -> TokenStream {
 
 struct Field {
     name: String,
-    /// `#[serde(default)]` present.
+    attrs: FieldAttrs,
+}
+
+/// The `#[serde(...)]` field attributes the stand-in honours.
+#[derive(Default)]
+struct FieldAttrs {
+    /// `#[serde(default)]`: a missing key decodes as `Default::default()`.
     default: bool,
+    /// `#[serde(flatten)]`: the field's map pairs sit in the parent map.
+    flatten: bool,
 }
 
 /// The shape of an enum variant.
@@ -112,9 +125,9 @@ impl Parser {
         self.pos >= self.toks.len()
     }
 
-    /// Consume leading attributes; return true if any is `#[serde(default)]`.
-    fn skip_attrs(&mut self) -> bool {
-        let mut has_default = false;
+    /// Consume leading attributes, collecting the `#[serde(...)]` ones.
+    fn skip_attrs(&mut self) -> FieldAttrs {
+        let mut attrs = FieldAttrs::default();
         while let Some(TokenTree::Punct(p)) = self.peek() {
             if p.as_char() != '#' {
                 break;
@@ -126,11 +139,12 @@ impl Parser {
             let body = g.stream().to_string();
             // Normalized token text: `serde(default)` or `serde (default)`.
             let compact: String = body.chars().filter(|c| !c.is_whitespace()).collect();
-            if compact.starts_with("serde(") && compact.contains("default") {
-                has_default = true;
+            if compact.starts_with("serde(") {
+                attrs.default |= compact.contains("default");
+                attrs.flatten |= compact.contains("flatten");
             }
         }
-        has_default
+        attrs
     }
 
     /// Consume `pub`, `pub(...)` if present.
@@ -214,7 +228,7 @@ fn parse_named_fields(body: TokenStream) -> Result<Vec<Field>, String> {
     let mut p = Parser::new(body);
     let mut fields = Vec::new();
     while !p.at_end() {
-        let default = p.skip_attrs();
+        let attrs = p.skip_attrs();
         if p.at_end() {
             break;
         }
@@ -228,7 +242,7 @@ fn parse_named_fields(body: TokenStream) -> Result<Vec<Field>, String> {
                 ))
             }
         }
-        fields.push(Field { name, default });
+        fields.push(Field { name, attrs });
         if !p.skip_past_comma() {
             break;
         }
@@ -279,6 +293,11 @@ fn parse_variants(body: TokenStream) -> Result<Vec<Variant>, String> {
         let shape = match p.peek() {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
                 let fields = parse_named_fields(g.stream())?;
+                if fields.iter().any(|f| f.attrs.flatten) {
+                    return Err(format!(
+                        "serde stand-in derive supports `flatten` on struct fields only (variant `{name}`)"
+                    ));
+                }
                 p.bump();
                 Shape::Named(fields)
             }
@@ -307,16 +326,25 @@ const VAL: &str = "::serde::value::Value";
 fn gen_serialize(item: &Item) -> String {
     match item {
         Item::Struct { name, fields } => {
-            let pairs: Vec<String> = fields
+            let pushes: Vec<String> = fields
                 .iter()
                 .map(|f| {
-                    format!(
-                        "(::std::string::String::from({n:?}), ::serde::Serialize::to_value(&self.{n}))",
-                        n = f.name
-                    )
+                    let value = format!("::serde::Serialize::to_value(&self.{})", f.name);
+                    if f.attrs.flatten {
+                        format!("::serde::value::flatten_into(&mut m, {value});")
+                    } else {
+                        format!(
+                            "m.push((::std::string::String::from({:?}), {value}));",
+                            f.name
+                        )
+                    }
                 })
                 .collect();
-            let body = format!("{VAL}::Map(::std::vec![{}])", pairs.join(", "));
+            let body = format!(
+                "let mut m = ::std::vec::Vec::with_capacity({});\n{}\n{VAL}::Map(m)",
+                fields.iter().filter(|f| !f.attrs.flatten).count(),
+                pushes.join("\n")
+            );
             format!(
                 "impl ::serde::Serialize for {name} {{\n\
                      fn to_value(&self) -> {VAL} {{ {body} }}\n\
@@ -373,9 +401,13 @@ fn gen_serialize(item: &Item) -> String {
     }
 }
 
-/// Decoder expression for one named field out of map binding `m`.
+/// Decoder expression for one named field out of map binding `m` (or, for
+/// a flattened field, out of the whole map value `v`).
 fn named_field_decoder(owner: &str, f: &Field) -> String {
-    let missing = if f.default {
+    if f.attrs.flatten {
+        return format!("{}: ::serde::Deserialize::from_value(v)?", f.name);
+    }
+    let missing = if f.attrs.default {
         "::std::default::Default::default()".to_string()
     } else {
         format!(
@@ -385,7 +417,7 @@ fn named_field_decoder(owner: &str, f: &Field) -> String {
     };
     format!(
         "{n}: match ::serde::value::get(m, {n:?}) {{\n\
-             ::std::option::Option::Some(x) => ::serde::Deserialize::from_value(x)?,\n\
+             ::std::option::Option::Some(x) => ::serde::Deserialize::from_value(x).map_err(|e| e.in_field({n:?}))?,\n\
              ::std::option::Option::None => {missing},\n\
          }}",
         n = f.name

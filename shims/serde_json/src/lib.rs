@@ -417,6 +417,42 @@ mod tests {
         assert_err(r#""\ud800""#, &["unsupported \\u escape", "byte 1"]);
     }
 
+    #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+    struct Inner {
+        b: u32,
+        c: [u8; 2],
+    }
+
+    #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+    struct Outer {
+        a: u32,
+        #[serde(flatten)]
+        inner: Inner,
+        d: u32,
+    }
+
+    #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+    struct Wrapper {
+        outer: Outer,
+    }
+
+    #[test]
+    fn flatten_splices_in_place_and_errors_name_their_field() {
+        let outer = Outer {
+            a: 1,
+            inner: Inner { b: 2, c: [3, 4] },
+            d: 5,
+        };
+        let text = r#"{"a":1,"b":2,"c":[3,4],"d":5}"#;
+        assert_eq!(to_string(&outer).unwrap(), text);
+        assert_eq!(from_str::<Outer>(text).unwrap(), outer);
+        // A flattened field adds no path segment; a nested one does.
+        let err = from_str::<Wrapper>(r#"{"outer":{"a":1,"b":2,"c":[3],"d":5}}"#).unwrap_err();
+        assert_eq!(err.0, "outer: c: array has 1 elements, expected 2");
+        let err = from_str::<Outer>(r#"{"a":1,"c":[3,4],"d":5}"#).unwrap_err();
+        assert_eq!(err.0, "missing field `b` in Inner");
+    }
+
     #[test]
     fn nesting_is_capped() {
         let nest = |n: usize| "[".repeat(n) + &"]".repeat(n);

@@ -1,20 +1,84 @@
 //! Decoder fuzzing: a damaged checkpoint or campaign cache entry decodes
 //! to a named error or a counted cache miss, never a panic. Every case
-//! starts from a real artifact and either truncates it or flips one byte.
+//! starts from a real artifact and either truncates it or flips one byte;
+//! a damaged checkpoint payload is re-hashed, so it gets past the
+//! integrity check to the state decoder and restore.
 //!
 //! The case count follows `PROPTEST_CASES`; CI reruns this file in
 //! release mode at 2000 cases per property.
 
-use pa_campaign::{Cache, CheckpointCtx, Lookup, PointCtx, PointResult};
-use pa_simkit::SimDur;
-use pa_workloads::{run_point_with, ScalingConfig};
+use pa_campaign::{Cache, CheckpointCtx, Lookup, PointCtx, PointResult, PointSpec};
+use pa_core::RunOutput;
+use pa_mpi::RankWorkload;
+use pa_simkit::{sha256_hex, SeedSpace, SimDur};
+use pa_workloads::{run_point_with, AggregateSpec, AggregateTrace, ScalingConfig};
 use proptest::prelude::*;
-use std::path::PathBuf;
+use serde::value::Value;
+use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
+
+/// SHA-256 of the original checkpoint file, recorded when each engine
+/// struct still had a mirror checkpoint struct. The file holds daemons,
+/// ready queues, a rank mid-collective and the recorder's extras.
+const ORIGINAL_CHECKPOINT_SHA256: &str =
+    "f767533793c8760c87e25826fc75fcc0cc3c7c660d45725fe717b2c53bb84c59";
+
+/// The point every artifact comes from: 2 nodes of the quick Figure 3
+/// sweep, 48 Allreduces.
+fn original_spec() -> PointSpec<AggregateSpec> {
+    let mut cfg = ScalingConfig::fig3(true);
+    cfg.allreduces = 48;
+    cfg.target_sim_time = None;
+    cfg.point(2, 42)
+}
+
+/// Run the original point on `threads` engine threads with a periodic
+/// checkpoint every 200 µs at `path`, which must not exist yet (the run
+/// would resume from it). The last checkpoint is left there.
+fn checkpointed_run(threads: usize, path: &Path) -> RunOutput {
+    let ctx = PointCtx {
+        sim_threads: threads,
+        checkpoint: Some(CheckpointCtx {
+            path: path.to_path_buf(),
+            every: SimDur::from_micros(200),
+        }),
+    };
+    let out = run_point_with(&original_spec(), &ctx);
+    assert!(out.completed && out.sim.checkpoints_written() > 0);
+    out
+}
+
+/// The original point assembled exactly as [`run_point_with`] builds it
+/// and booted, but not run: a zero horizon stops it at boot. A checkpoint
+/// of the original point restores into it.
+fn booted_original() -> RunOutput {
+    let spec = original_spec();
+    let seeds = SeedSpace::new(spec.seed);
+    let mut make = |rank: u32| -> Box<dyn RankWorkload> {
+        let stream = seeds.stream_at("wl/agg", u64::from(rank), 0);
+        Box::new(AggregateTrace::new(spec.workload, stream))
+    };
+    spec.experiment().with_horizon(SimDur::ZERO).run(&mut make)
+}
+
+/// Restore the checkpoint at `path` into a freshly booted original,
+/// recorder extras included.
+fn restore_into_booted(path: &Path) -> Result<(), String> {
+    let mut booted = booted_original();
+    for (key, value) in booted.sim.restore(path)? {
+        if key == "recorder" {
+            let mut recorder = booted.job.recorder.lock().unwrap();
+            recorder.restore_value(&value).map_err(|e| e.0)?;
+        }
+    }
+    Ok(())
+}
 
 /// The undamaged artifacts, produced once per test binary.
 struct Originals {
     checkpoint: Vec<u8>,
+    /// The checkpoint's hashed payload: the encoded engine state.
+    payload: String,
     key: String,
     entry: Vec<u8>,
     result: PointResult,
@@ -26,31 +90,24 @@ fn originals() -> &'static Originals {
         let dir = std::env::temp_dir().join(format!("pa-decode-fuzz-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let mut cfg = ScalingConfig::fig3(true);
-        cfg.allreduces = 48;
-        cfg.target_sim_time = None;
-        let spec = cfg.point(2, 42);
+        let spec = original_spec();
         let path = dir.join("original.ckpt.json");
-        let out = run_point_with(
-            &spec,
-            &PointCtx {
-                sim_threads: 1,
-                checkpoint: Some(CheckpointCtx {
-                    path: path.clone(),
-                    every: SimDur::from_micros(200),
-                }),
-            },
-        );
-        assert!(out.completed && out.sim.checkpoints_written() > 0);
+        let out = checkpointed_run(1, &path);
         pa_cluster::verify_checkpoint_file(&path).unwrap();
+        restore_into_booted(&path).expect("the undamaged checkpoint restores");
 
         let cache = Cache::at(dir.join("cache")).unwrap();
         let key = spec.content_key();
         let result = PointResult::from_run(&out);
         cache.store(&key, &spec, &result).unwrap();
         assert_eq!(cache.lookup(&key), Lookup::Hit(result.clone()));
+        let checkpoint = std::fs::read(&path).unwrap();
+        let file = serde_json::parse(std::str::from_utf8(&checkpoint).unwrap()).unwrap();
+        let payload = serde::value::get(file.as_map().unwrap(), "payload");
+        let payload = payload.and_then(Value::as_str).unwrap().to_string();
         let originals = Originals {
-            checkpoint: std::fs::read(&path).unwrap(),
+            checkpoint,
+            payload,
             entry: std::fs::read(cache.path_for(&key)).unwrap(),
             key,
             result,
@@ -58,6 +115,38 @@ fn originals() -> &'static Originals {
         let _ = std::fs::remove_dir_all(&dir);
         originals
     })
+}
+
+/// The original checkpoint file with its payload replaced by `payload`
+/// and re-hashed, so it passes the integrity check and reaches the state
+/// decoder.
+fn rehashed(payload: &str) -> String {
+    let o = originals();
+    let file = serde_json::parse(std::str::from_utf8(&o.checkpoint).unwrap()).unwrap();
+    let Value::Map(mut pairs) = file else {
+        panic!("checkpoint file is not an object");
+    };
+    for (k, v) in &mut pairs {
+        match k.as_str() {
+            "sha256" => *v = Value::Str(sha256_hex(payload.as_bytes())),
+            "payload" => *v = Value::Str(payload.to_string()),
+            _ => {}
+        }
+    }
+    Value::Map(pairs).to_json_string()
+}
+
+#[test]
+fn original_checkpoint_bytes_known_answer() {
+    let o = originals();
+    assert_eq!(sha256_hex(&o.checkpoint), ORIGINAL_CHECKPOINT_SHA256);
+    assert_eq!(rehashed(&o.payload).as_bytes(), &o.checkpoint[..]);
+    let path = scratch("known-answer.ckpt.json");
+    let _ = std::fs::remove_file(&path);
+    checkpointed_run(3, &path);
+    let digest = sha256_hex(&std::fs::read(&path).unwrap());
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!(digest, ORIGINAL_CHECKPOINT_SHA256, "3 sim-threads");
 }
 
 /// A per-property scratch path, removed by each case once it is done.
@@ -120,6 +209,27 @@ proptest! {
             e.contains(&path.display().to_string()),
             "{damage:?}: error does not name the file: {e}"
         );
+    }
+
+    #[test]
+    fn damaged_checkpoint_payloads_restore_or_fail_with_a_named_error(
+        truncate in any::<bool>(),
+        frac in 0.0f64..1.0,
+        mask in 1u32..256,
+    ) {
+        let o = originals();
+        let damage = Damage::new(truncate, frac, mask, o.payload.len());
+        let payload = damage.apply(o.payload.as_bytes());
+        let path = scratch("payload.ckpt.json");
+        std::fs::write(&path, rehashed(&String::from_utf8_lossy(&payload))).unwrap();
+        let restored = restore_into_booted(&path);
+        std::fs::remove_file(&path).unwrap();
+        // A damage can leave a valid state (a digit changed in a
+        // counter), so `Ok` is allowed; what is not is a panic or an
+        // error that says nothing.
+        if let Err(e) = restored {
+            prop_assert!(!e.trim().is_empty(), "{:?}: empty error", damage);
+        }
     }
 
     #[test]
