@@ -22,7 +22,8 @@
 //! * `runq_wait` — ready-queue time before dispatch (where daemon
 //!   preemption and gang-stagger idle manifest),
 //! * `noise` — device-interrupt debt served inside the rank's segments,
-//! * `io_wait` — blocked on I/O completions or callout sleeps,
+//! * `io_wait` — blocked in callout sleeps (a GPFS reply wait is a
+//!   blocked receive, so it counts as `coll_wait`),
 //! * `overhead` — the signed residual: send/recv/context-switch costs,
 //!   collective-internal reduce work, tick/IPI steal. Signed because a
 //!   horizon cut can leave charged-but-unserved interference debt.

@@ -2262,6 +2262,29 @@ mod tests {
     }
 
     #[test]
+    fn restore_rejects_retired_io_fields_that_hold_state() {
+        let kernel_fields = [
+            ("io_pending", Value::Seq(vec![Value::UInt(1)]), "[]", "[1]"),
+            ("io_next_token", Value::UInt(3), "0", "3"),
+        ];
+        for (field, value, want, found) in kernel_fields {
+            let err = restore_edited_value(field, |state| *entry(kernel0(state), field) = value)
+                .unwrap_err();
+            let msg = format!("{field}: retired field must be {want}, found {found}");
+            assert!(err.contains(&msg), "unexpected error: {err}");
+        }
+        let err = restore_edited_value("blk_io", |state| {
+            let Value::Seq(threads) = entry(kernel0(state), "threads") else {
+                panic!("threads is not a sequence");
+            };
+            *entry(&mut threads[0], "blk_io") = Value::UInt(5);
+        })
+        .unwrap_err();
+        let msg = "blk_io: retired field must be 0, found 5";
+        assert!(err.contains(msg), "unexpected error: {err}");
+    }
+
+    #[test]
     fn restore_rejects_wrong_length_link_wait_hist() {
         let len = LINK_WAIT_BUCKETS + 1;
         let err = restore_edited_value("hist", |state| {
@@ -2485,7 +2508,7 @@ mod tests {
         armed: bool,
     }
     impl pa_kernel::Program for PanicBomb {
-        fn step(&mut self, _ctx: &mut pa_kernel::StepCtx<'_>) -> Action {
+        fn step(&mut self, _ctx: &mut pa_kernel::StepCtx) -> Action {
             if !self.armed {
                 self.armed = true;
                 return Action::Compute(SimDur::from_micros(50));

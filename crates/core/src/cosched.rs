@@ -271,7 +271,7 @@ impl CoschedDaemon {
 }
 
 impl Program for CoschedDaemon {
-    fn step(&mut self, ctx: &mut StepCtx<'_>) -> Action {
+    fn step(&mut self, ctx: &mut StepCtx) -> Action {
         // A completed receive must be consumed before anything else, or
         // the message would be dropped when queued actions are pending.
         let got = ctx.try_received();

@@ -257,7 +257,22 @@ impl Experiment {
     }
 
     /// Assemble and run. `make_workload` is invoked once per rank.
+    ///
+    /// # Panics
+    /// Panics where [`Experiment::try_run`] returns an error.
     pub fn run(self, make_workload: &mut dyn FnMut(u32) -> Box<dyn RankWorkload>) -> RunOutput {
+        self.try_run(make_workload)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Assemble and run, like [`Experiment::run`], but return an error
+    /// naming the checkpoint when the cluster or the run recorder rejects
+    /// the one set by [`Experiment::with_restore_from`]. The rejected
+    /// attempt's cluster is dropped; rerun from a fresh experiment.
+    pub fn try_run(
+        self,
+        make_workload: &mut dyn FnMut(u32) -> Box<dyn RankWorkload>,
+    ) -> Result<RunOutput, String> {
         assert!(
             self.tasks_per_node <= u32::from(self.cpus_per_node),
             "tasks per node exceeds CPUs"
@@ -343,14 +358,16 @@ impl Experiment {
         if let Some(from) = &self.restore_from {
             let extras = sim
                 .restore(from)
-                .unwrap_or_else(|e| panic!("restore from {}: {e}", from.display()));
+                .map_err(|e| format!("restore from {}: {e}", from.display()))?;
             for (key, value) in extras {
                 if key == "recorder" {
                     job.recorder
                         .lock()
                         .unwrap()
                         .restore_value(&value)
-                        .unwrap_or_else(|e| panic!("restore recorder state: {}", e.0));
+                        .map_err(|e| {
+                            format!("restore recorder state from {}: {}", from.display(), e.0)
+                        })?;
                 }
             }
         }
@@ -359,14 +376,14 @@ impl Experiment {
         let end = sim.run_until_apps_done(horizon);
         let completed = sim.apps_alive() == 0;
         let events = sim.events_processed();
-        RunOutput {
+        Ok(RunOutput {
             sim,
             job,
             cosched_eps,
             wall: end.since(SimTime::ZERO),
             completed,
             events,
-        }
+        })
     }
 }
 

@@ -163,12 +163,13 @@ pub fn metrics_of(out: &RunOutput) -> MetricsRegistry {
 /// * `runq_wait` — ready-queue delay (daemon preemption and gang-stagger
 ///   idle land here);
 /// * `noise` — device-interrupt debt served inside the rank's segments;
-/// * `io_wait` — blocked on I/O completions or callout sleeps;
+/// * `io_wait` — callout sleeps (a GPFS reply wait is a blocked receive,
+///   so it lands in `coll_wait`);
 /// * `overhead` — the signed on-CPU residual (send/recv costs,
 ///   collective-internal reduce work, tick/IPI steal).
 ///
 /// The sum is exact by construction: the kernel guarantees
-/// `wall == cpu + runq_wait + blocked_msg + blocked_io + blocked_sleep`
+/// `wall == cpu + runq_wait + blocked_msg + blocked_sleep`
 /// and the split here only repartitions `cpu` into
 /// `compute + poll_spin + noise_debt + residual`.
 fn rank_account(out: &RunOutput, rank: u32, end: SimTime) -> RankAccount {
@@ -200,7 +201,7 @@ pub fn categories_of(a: &pa_kernel::ThreadAccount, compute_ns: u64) -> Categorie
         coll_wait_ns: a.poll_spin.nanos() + a.blocked_msg.nanos(),
         runq_wait_ns: a.runq_wait.nanos(),
         noise_ns: a.noise_debt.nanos(),
-        io_wait_ns: a.blocked_io.nanos() + a.blocked_sleep.nanos(),
+        io_wait_ns: a.blocked_sleep.nanos(),
         overhead_ns: a.cpu.nanos() as i64
             - compute_ns as i64
             - a.poll_spin.nanos() as i64

@@ -2,8 +2,8 @@
 //!
 //! One [`Kernel`] models one node of the cluster (e.g. a 16-way Power3 SP
 //! node). It owns the node's threads, per-CPU and global run queues, the
-//! tick machinery, the timer-callout queue, the I/O request path, and a
-//! trace buffer. It is driven externally, by the node event loop
+//! tick machinery, the timer-callout queue, and a trace buffer. It is
+//! driven externally, by the node event loop
 //! ([`NodeLoop`](crate::solo::NodeLoop)): the loop pops events from the
 //! node's calendar and hands each to the kernel, whose handlers schedule,
 //! arm and disarm on that calendar directly and queue outbound messages
@@ -30,7 +30,6 @@
 use crate::clock::ClockModel;
 use crate::dispatch::{make_dispatcher, Dispatcher};
 use crate::interrupts::{InterruptSource, InterruptSourceSpec};
-use crate::io::{IoRequest, IoServiceModel};
 use crate::msg::{Mailbox, Message, SrcSel, TagSel};
 use crate::options::SchedOptions;
 use crate::program::{Action, Program, StepCtx, WaitMode};
@@ -42,7 +41,8 @@ use pa_simkit::{EventQueue, RngState, SimDur, SimRng, SimTime};
 use pa_trace::{HookId, ThreadClass, TraceBuffer, TraceEvent};
 use serde::value::Value;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
+use std::marker::PhantomData;
 
 /// Events addressed to one node's kernel.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -185,10 +185,6 @@ enum Cont {
     BlockedRecv { tag: TagSel, src: SrcSel },
     /// Blocked in the callout queue.
     Sleeping,
-    /// Blocked on an I/O completion.
-    IoWait,
-    /// I/O daemon blocked waiting for work.
-    IoIdle,
 }
 
 /// Why a thread entered [`ThreadState::Blocked`], latched at block time.
@@ -203,8 +199,6 @@ enum BlockReason {
     None,
     /// Blocked in `Recv { wait: Block }` — collective/message wait.
     Msg,
-    /// Blocked on an I/O completion (or the I/O daemon idling).
-    Io,
     /// Blocked in the callout queue (`SleepUntil`).
     Sleep,
 }
@@ -249,7 +243,8 @@ struct Ledger {
     noise_debt: SimDur,
     /// Total closed blocked time, split by the latched [`BlockReason`].
     blk_msg: SimDur,
-    blk_io: SimDur,
+    /// Schema-only (see [`Retired`]): always 0.
+    blk_io: Retired<SimDur>,
     blk_sleep: SimDur,
     /// When the thread last entered [`ThreadState::Blocked`].
     blocked_since: SimTime,
@@ -291,10 +286,10 @@ pub struct UsageRow {
 ///
 /// Invariant (exact, in integer nanoseconds): for any query time `end`
 /// at or after every event this kernel has handled,
-/// `wall == cpu + runq_wait + blocked_msg + blocked_io + blocked_sleep`.
+/// `wall == cpu + runq_wait + blocked_msg + blocked_sleep`.
 /// Every instant of the thread's life is in exactly one bucket: it is
 /// Running (cpu), Ready in a queue (runq_wait), or Blocked (one of the
-/// three latched reasons). `poll_spin` and `noise_debt` are *subsets* of
+/// two latched reasons). `poll_spin` and `noise_debt` are *subsets* of
 /// `cpu`, not additional buckets: spinning happens on-CPU, and served
 /// interference debt extends on-CPU segments.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -312,8 +307,6 @@ pub struct ThreadAccount {
     pub runq_wait: SimDur,
     /// Blocked waiting for a message (`Recv { wait: Block }`).
     pub blocked_msg: SimDur,
-    /// Blocked on I/O completion (or the I/O daemon idling).
-    pub blocked_io: SimDur,
     /// Blocked in the callout queue (`SleepUntil`).
     pub blocked_sleep: SimDur,
     /// Busy-poll spin; subset of `cpu`.
@@ -351,7 +344,7 @@ pub struct KernelStats {
     /// Dispatches that resumed a preempted segment (context-switch cost
     /// charged into the resumed demand).
     pub ctx_switches: u64,
-    /// Running threads taken off a CPU and requeued (preemption, yield,
+    /// Running threads taken off a CPU and requeued (preemption,
     /// round-robin).
     pub preemptions: u64,
     /// Preemption IPIs scheduled (zero under `PreemptMode::Lazy`).
@@ -430,7 +423,7 @@ struct TraceSnap {
 /// requires a kernel rebuilt through the identical assembly sequence
 /// (same spawns in the same order, same options, same interrupt sources)
 /// and then booted, so that construction-time state — programs, trace
-/// registrations, queue disciplines, the I/O model — already exists.
+/// registrations, queue disciplines — already exists.
 /// `restore` validates node id, CPU/thread counts, thread names, and
 /// scheduler options, and fails loudly on any mismatch.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -443,8 +436,10 @@ pub struct KernelSnapshot {
     global_q: ReadyQueue,
     callouts: Vec<(SimTime, u64, Tid)>,
     callout_seq: u64,
-    io_pending: Vec<IoRequest>,
-    io_next_token: u64,
+    /// Schema-only (see [`Retired`]): always `[]`.
+    io_pending: Retired<Vec<u64>>,
+    /// Schema-only (see [`Retired`]): always 0.
+    io_next_token: Retired<u64>,
     rng: RngState,
     ipi_in_flight: bool,
     app_alive: u64,
@@ -453,6 +448,35 @@ pub struct KernelSnapshot {
     disp: Value,
     stats: KernelStats,
     trace: TraceSnap,
+}
+
+/// A field the checkpoint encoding keeps after the state behind it was
+/// deleted, so that v4 files keep their bytes: `io_pending`,
+/// `io_next_token` and `blk_io` held the node-local I/O queue that
+/// `GpfsServer` replaced. It is always written as `T::default()`, and
+/// decoding any other value fails; derived decoders prefix that error
+/// with the field's name. It goes away at the v5 bump.
+#[derive(Debug, Clone, Copy, Default)]
+struct Retired<T>(PhantomData<T>);
+
+impl<T: Default + Serialize> Serialize for Retired<T> {
+    fn to_value(&self) -> Value {
+        T::default().to_value()
+    }
+}
+
+impl<T: Default + Serialize> Deserialize for Retired<T> {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let want = T::default().to_value();
+        if *v != want {
+            return Err(serde::Error(format!(
+                "retired field must be {}, found {}",
+                want.to_json_string(),
+                v.to_json_string()
+            )));
+        }
+        Ok(Retired(PhantomData))
+    }
 }
 
 /// Hard cap on consecutive zero-cost program actions, to catch programs
@@ -473,10 +497,6 @@ pub struct Kernel {
     /// (local wake time, seq) -> tid. Serviced during tick processing.
     callouts: BTreeMap<(SimTime, u64), Tid>,
     callout_seq: u64,
-    io_pending: VecDeque<IoRequest>,
-    io_daemon: Option<Tid>,
-    io_model: IoServiceModel,
-    io_next_token: u64,
     trace: TraceBuffer,
     rng: SimRng,
     /// RtIpi mode: at most one preemption IPI in flight node-wide.
@@ -525,10 +545,6 @@ impl Kernel {
             disp: make_dispatcher(opts.dispatcher),
             callouts: BTreeMap::new(),
             callout_seq: 0,
-            io_pending: VecDeque::new(),
-            io_daemon: None,
-            io_model: IoServiceModel::default(),
-            io_next_token: 0,
             trace: TraceBuffer::new(trace_capacity),
             rng,
             ipi_in_flight: false,
@@ -577,11 +593,6 @@ impl Kernel {
     /// Mutable trace buffer (for enabling hooks).
     pub fn trace_mut(&mut self) -> &mut TraceBuffer {
         &mut self.trace
-    }
-
-    /// The I/O service model.
-    pub fn io_model(&self) -> &IoServiceModel {
-        &self.io_model
     }
 
     /// Spawn a thread. Threads spawned before boot start Ready; for
@@ -688,11 +699,6 @@ impl Kernel {
         itid
     }
 
-    /// Designate the I/O daemon thread servicing [`Action::IoSubmit`].
-    pub fn set_io_daemon(&mut self, tid: Tid) {
-        self.io_daemon = Some(tid);
-    }
-
     /// Boot the node at `now`: schedules first ticks and interrupt
     /// arrivals, then fills every CPU from the ready queues.
     pub(crate) fn boot(&mut self, now: SimTime, fx: &mut Effects) {
@@ -757,7 +763,6 @@ impl Kernel {
             cpu: t.ledger.cpu_time,
             runq_wait: t.ledger.runq_wait,
             blocked_msg: t.ledger.blk_msg,
-            blocked_io: t.ledger.blk_io,
             blocked_sleep: t.ledger.blk_sleep,
             poll_spin: t.ledger.poll_spin,
             noise_debt: t.ledger.noise_debt,
@@ -774,7 +779,6 @@ impl Kernel {
                 let open = end.since(t.ledger.blocked_since);
                 match t.ledger.block_reason {
                     BlockReason::Msg => acc.blocked_msg += open,
-                    BlockReason::Io => acc.blocked_io += open,
                     BlockReason::Sleep => acc.blocked_sleep += open,
                     BlockReason::None => {
                         debug_assert!(false, "blocked thread without a latched reason")
@@ -1259,7 +1263,6 @@ impl Kernel {
                     tid,
                     prio: slot_prio,
                     received,
-                    io_pending: &mut self.io_pending,
                 };
                 program.step(&mut ctx)
             };
@@ -1330,58 +1333,9 @@ impl Kernel {
                     self.set_priority(target, prio, now, fx);
                     continue;
                 }
-                Action::IoSubmit { bytes } => {
-                    let token = self.io_next_token;
-                    self.io_next_token += 1;
-                    self.io_pending.push_back(IoRequest {
-                        token,
-                        requester: tid,
-                        bytes,
-                    });
-                    self.trace.emit(now, cpu.0, HookId::IoStart, tid.0, token);
-                    self.threads[tid.0 as usize].cont = Cont::IoWait;
-                    // Wake the I/O daemon if it is idle.
-                    let d = self.io_daemon.unwrap_or_else(|| {
-                        panic!(
-                            "IoSubmit on node {} with no I/O daemon configured",
-                            self.node
-                        )
-                    });
-                    if matches!(self.threads[d.0 as usize].cont, Cont::IoIdle) {
-                        self.threads[d.0 as usize].cont = Cont::Step;
-                        self.wake(d, now, fx);
-                    }
-                    self.block_current(cpu, tid, now, fx);
-                    return;
-                }
-                Action::IoComplete(req) => {
-                    self.trace
-                        .emit(now, cpu.0, HookId::IoDone, req.requester.0, req.token);
-                    debug_assert!(
-                        matches!(self.threads[req.requester.0 as usize].cont, Cont::IoWait),
-                        "IoComplete for a thread not waiting on I/O"
-                    );
-                    self.threads[req.requester.0 as usize].cont = Cont::Step;
-                    self.wake(req.requester, now, fx);
-                    continue;
-                }
-                Action::IoIdle => {
-                    if !self.io_pending.is_empty() {
-                        continue; // work arrived meanwhile; step again
-                    }
-                    self.threads[tid.0 as usize].cont = Cont::IoIdle;
-                    self.block_current(cpu, tid, now, fx);
-                    return;
-                }
                 Action::Trace { hook, aux } => {
                     self.trace.emit(now, cpu.0, hook, tid.0, aux);
                     continue;
-                }
-                Action::Yield => {
-                    self.threads[tid.0 as usize].cont = Cont::Step;
-                    self.preempt_current(cpu, now, fx);
-                    self.dispatch_next(cpu, now, fx);
-                    return;
                 }
                 Action::Exit => {
                     let ci = cpu.0 as usize;
@@ -1409,7 +1363,7 @@ impl Kernel {
     }
 
     /// Take the running thread off `cpu` and requeue it (preemption,
-    /// yield, round-robin). Leaves the CPU empty.
+    /// round-robin). Leaves the CPU empty.
     fn preempt_current(&mut self, cpu: CpuId, now: SimTime, fx: &mut Effects) {
         let ci = cpu.0 as usize;
         let tid = self.cpus[ci].running.take().expect("preempt on idle CPU");
@@ -1467,7 +1421,6 @@ impl Kernel {
         slot.ledger.block_reason = match slot.cont {
             Cont::BlockedRecv { .. } => BlockReason::Msg,
             Cont::Sleeping => BlockReason::Sleep,
-            Cont::IoWait | Cont::IoIdle => BlockReason::Io,
             _ => BlockReason::None,
         };
         debug_assert!(
@@ -1491,7 +1444,6 @@ impl Kernel {
             let blocked = now.since(slot.ledger.blocked_since);
             match slot.ledger.block_reason {
                 BlockReason::Msg => slot.ledger.blk_msg += blocked,
-                BlockReason::Io => slot.ledger.blk_io += blocked,
                 BlockReason::Sleep => slot.ledger.blk_sleep += blocked,
                 BlockReason::None => {}
             }
@@ -1720,8 +1672,8 @@ impl Kernel {
                 .map(|(&(t, s), &tid)| (t, s, tid))
                 .collect(),
             callout_seq: self.callout_seq,
-            io_pending: self.io_pending.iter().copied().collect(),
-            io_next_token: self.io_next_token,
+            io_pending: Retired::default(),
+            io_next_token: Retired::default(),
             rng: self.rng.save_state(),
             ipi_in_flight: self.ipi_in_flight,
             app_alive: self.app_alive as u64,
@@ -1804,8 +1756,6 @@ impl Kernel {
             .map(|(t, s, tid)| ((t, s), tid))
             .collect();
         self.callout_seq = snap.callout_seq;
-        self.io_pending = snap.io_pending.into();
-        self.io_next_token = snap.io_next_token;
         self.rng.load_state(&snap.rng)?;
         self.ipi_in_flight = snap.ipi_in_flight;
         self.app_alive = snap.app_alive as usize;

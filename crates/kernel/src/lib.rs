@@ -14,7 +14,8 @@
 //! * tick-batched timer callouts (daemon wakeups);
 //! * busy-poll and blocking receives with MPI-envelope matching
 //!   ([`Mailbox`]);
-//! * an I/O request path serviced by a daemon thread ([`IoServiceModel`]);
+//! * the GPFS request protocol's message tags ([`msg::ioproto`]); the
+//!   mmfsd server that answers them lives in `pa-noise`;
 //! * device-interrupt noise sources ([`InterruptSourceSpec`]);
 //! * per-node clocks with switch-clock synchronization ([`ClockModel`]).
 //!
@@ -27,7 +28,6 @@
 pub mod clock;
 pub mod dispatch;
 pub mod interrupts;
-pub mod io;
 pub mod kernel;
 pub mod msg;
 pub mod options;
@@ -39,7 +39,6 @@ pub mod types;
 pub use clock::ClockModel;
 pub use dispatch::{make_dispatcher, prio_to_weight, Dispatcher};
 pub use interrupts::InterruptSourceSpec;
-pub use io::{IoRequest, IoServiceModel};
 pub use kernel::{
     prio_band, Kernel, KernelEvent, KernelSnapshot, KernelStats, ThreadAccount, ThreadSpec,
     UsageRow, RUNQ_BANDS,
@@ -471,47 +470,6 @@ mod tests {
         r.run_until_apps_done(SimTime::from_secs(1));
         assert_eq!(r.kernel.thread_state(receiver), ThreadState::Exited);
         assert_eq!(r.kernel.thread_state(sender), ThreadState::Exited);
-    }
-
-    #[test]
-    fn io_daemon_services_requests() {
-        // An app submits I/O; the designated daemon must run to complete
-        // it; then the app resumes and exits.
-        struct IoDaemon;
-        impl Program for IoDaemon {
-            fn step(&mut self, ctx: &mut StepCtx<'_>) -> Action {
-                match ctx.take_io_request() {
-                    Some(req) => Action::IoComplete(req),
-                    None => Action::IoIdle,
-                }
-            }
-        }
-        let mut k = mk_kernel(2, SchedOptions::vanilla());
-        let app = k.spawn(
-            app_spec("app", 0),
-            Box::new(Script::new(vec![
-                Action::IoSubmit { bytes: 1 << 20 },
-                Action::Compute(SimDur::from_micros(50)),
-            ])),
-        );
-        let d = k.spawn(
-            ThreadSpec::new("mmfsd", ThreadClass::Daemon, Prio::MMFSD).on_cpu(CpuId(1)),
-            Box::new(IoDaemon),
-        );
-        k.set_io_daemon(d);
-        let mut r = SoloRunner::new(k);
-        r.boot();
-        r.run_until_apps_done(SimTime::from_secs(1));
-        assert_eq!(r.kernel.thread_state(app), ThreadState::Exited);
-        // Both IoStart and IoDone must be in the trace.
-        let hooks: Vec<HookId> = r
-            .kernel
-            .trace()
-            .events()
-            .map(|e| e.hook)
-            .filter(|h| matches!(h, HookId::IoStart | HookId::IoDone))
-            .collect();
-        assert_eq!(hooks, vec![HookId::IoStart, HookId::IoDone]);
     }
 
     #[test]

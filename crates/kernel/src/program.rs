@@ -1,7 +1,7 @@
 //! Thread programs: the behaviour of every schedulable entity.
 //!
 //! Every thread in the simulation — MPI ranks, MPI progress threads,
-//! system daemons, the cron job, the co-scheduler, the I/O daemon — is a
+//! system daemons, the cron job, the co-scheduler, the GPFS server — is a
 //! state machine implementing [`Program`]. When the thread holds a CPU and
 //! has finished its previous action, the kernel calls
 //! [`Program::step`]; the returned [`Action`] tells the kernel what the
@@ -9,7 +9,6 @@
 //! IPIs, device interrupts, preemption) stretches them in wall-clock time,
 //! which is exactly the phenomenon the paper studies.
 
-use crate::io::IoRequest;
 use crate::msg::{Message, SrcSel, TagSel};
 use crate::types::{Prio, Tid};
 use pa_simkit::{SimDur, SimTime};
@@ -45,15 +44,6 @@ pub enum Action {
         /// New priority.
         prio: Prio,
     },
-    /// Submit an I/O request and block until the I/O daemon completes it.
-    IoSubmit {
-        /// Transfer size.
-        bytes: u64,
-    },
-    /// (I/O daemon only) mark a request complete, waking the requester.
-    IoComplete(IoRequest),
-    /// (I/O daemon only) block until a request arrives.
-    IoIdle,
     /// Write a trace record visible to the analysis tooling. The kernel
     /// stamps it with this thread's id.
     Trace {
@@ -62,8 +52,6 @@ pub enum Action {
         /// Hook-specific value.
         aux: u64,
     },
-    /// Give up the CPU voluntarily (requeued at current priority).
-    Yield,
     /// Terminate the thread.
     Exit,
 }
@@ -85,7 +73,7 @@ pub enum WaitMode {
 
 /// What the kernel exposes to a stepping program.
 #[derive(Debug)]
-pub struct StepCtx<'a> {
+pub struct StepCtx {
     /// Current global (switch) time.
     pub now: SimTime,
     /// Current node-local time.
@@ -98,11 +86,9 @@ pub struct StepCtx<'a> {
     pub prio: Prio,
     /// The message that satisfied the immediately preceding `Recv`, if any.
     pub received: Option<Message>,
-    /// Pending I/O requests (only the designated I/O daemon should take).
-    pub(crate) io_pending: &'a mut std::collections::VecDeque<IoRequest>,
 }
 
-impl StepCtx<'_> {
+impl StepCtx {
     /// Take the message that completed the last `Recv`. Panics if the
     /// program did not just complete a receive — that is a program bug.
     pub fn take_received(&mut self) -> Message {
@@ -116,11 +102,6 @@ impl StepCtx<'_> {
     pub fn try_received(&mut self) -> Option<Message> {
         self.received.take()
     }
-
-    /// (I/O daemon) pop the oldest pending I/O request.
-    pub fn take_io_request(&mut self) -> Option<IoRequest> {
-        self.io_pending.pop_front()
-    }
 }
 
 /// A thread body. Implementations are Mealy machines: `step` is called
@@ -132,7 +113,7 @@ impl StepCtx<'_> {
 /// the shard for the current window.
 pub trait Program: Send {
     /// Produce the next action.
-    fn step(&mut self, ctx: &mut StepCtx<'_>) -> Action;
+    fn step(&mut self, ctx: &mut StepCtx) -> Action;
 
     /// Human-readable program kind (diagnostics only).
     fn kind(&self) -> &'static str {
@@ -184,7 +165,7 @@ impl Script {
 }
 
 impl Program for Script {
-    fn step(&mut self, _ctx: &mut StepCtx<'_>) -> Action {
+    fn step(&mut self, _ctx: &mut StepCtx) -> Action {
         self.actions.next().unwrap_or(Action::Exit)
     }
 
@@ -232,7 +213,7 @@ impl PeriodicLoop {
 }
 
 impl Program for PeriodicLoop {
-    fn step(&mut self, ctx: &mut StepCtx<'_>) -> Action {
+    fn step(&mut self, ctx: &mut StepCtx) -> Action {
         if self.fired {
             self.fired = false;
             Action::SleepUntil(ctx.local_now.next_boundary(self.period, self.phase))
@@ -259,9 +240,8 @@ impl Program for PeriodicLoop {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::VecDeque;
 
-    fn ctx(io: &mut VecDeque<IoRequest>) -> StepCtx<'_> {
+    fn ctx() -> StepCtx {
         StepCtx {
             now: SimTime::from_millis(15),
             local_now: SimTime::from_millis(15),
@@ -269,30 +249,28 @@ mod tests {
             tid: Tid(1),
             prio: Prio(60),
             received: None,
-            io_pending: io,
         }
     }
 
     #[test]
     fn script_plays_actions_then_exits() {
-        let mut io = VecDeque::new();
-        let mut s = Script::new(vec![Action::Compute(SimDur::from_micros(5)), Action::Yield]);
-        let mut c = ctx(&mut io);
+        let wake = Action::SleepUntil(SimTime::from_millis(20));
+        let mut s = Script::new(vec![Action::Compute(SimDur::from_micros(5)), wake.clone()]);
+        let mut c = ctx();
         assert_eq!(s.step(&mut c), Action::Compute(SimDur::from_micros(5)));
-        assert_eq!(s.step(&mut c), Action::Yield);
+        assert_eq!(s.step(&mut c), wake);
         assert_eq!(s.step(&mut c), Action::Exit);
         assert_eq!(s.step(&mut c), Action::Exit);
     }
 
     #[test]
     fn periodic_alternates_sleep_and_burst() {
-        let mut io = VecDeque::new();
         let mut p = PeriodicLoop::new(
             SimDur::from_millis(10),
             SimDur::from_micros(300),
             SimDur::ZERO,
         );
-        let mut c = ctx(&mut io);
+        let mut c = ctx();
         // Sleep-first: local_now = 15ms -> next boundary = 20ms.
         assert_eq!(p.step(&mut c), Action::SleepUntil(SimTime::from_millis(20)));
         assert_eq!(p.step(&mut c), Action::Compute(SimDur::from_micros(300)));
@@ -301,8 +279,7 @@ mod tests {
 
     #[test]
     fn take_received_consumes() {
-        let mut io = VecDeque::new();
-        let mut c = ctx(&mut io);
+        let mut c = ctx();
         c.received = Some(Message {
             src: crate::msg::Endpoint {
                 node: 0,
@@ -324,22 +301,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "without a completed Recv")]
     fn take_received_twice_panics() {
-        let mut io = VecDeque::new();
-        let mut c = ctx(&mut io);
+        let mut c = ctx();
         c.take_received();
-    }
-
-    #[test]
-    fn io_queue_access() {
-        let mut io = VecDeque::new();
-        io.push_back(IoRequest {
-            token: 1,
-            requester: Tid(3),
-            bytes: 4096,
-        });
-        let mut c = ctx(&mut io);
-        let req = c.take_io_request().unwrap();
-        assert_eq!(req.requester, Tid(3));
-        assert!(c.take_io_request().is_none());
     }
 }

@@ -66,7 +66,7 @@ pub enum ThreadState {
     Ready,
     /// Occupying a CPU (including busy-poll waits).
     Running,
-    /// Not runnable (sleeping, blocked on recv or I/O).
+    /// Not runnable (sleeping or blocked on a receive).
     Blocked,
     /// Finished; slot retained for accounting.
     Exited,

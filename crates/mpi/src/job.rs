@@ -356,6 +356,22 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "rank 0 issued I/O but no GPFS server is installed \
+                               (set NoiseProfile::gpfs_prio)")]
+    fn io_without_a_gpfs_server_panics() {
+        let mut sim = tiny_cluster(1, 1);
+        let spec = JobSpec {
+            tasks_per_node: 1,
+            progress: None,
+            ..JobSpec::default()
+        };
+        boot_job(&mut sim, &spec, &mut |_r| {
+            Box::new(OpList::new(vec![MpiOp::IoRead { bytes: 4096 }]))
+        });
+        sim.run_until_apps_done(SimTime::from_secs(1));
+    }
+
+    #[test]
     #[should_panic(expected = "job layout frozen twice")]
     fn second_layout_freeze_panics() {
         let mut sim = tiny_cluster(1, 2);

@@ -89,7 +89,7 @@ impl ProgressThread {
 }
 
 impl Program for ProgressThread {
-    fn step(&mut self, ctx: &mut StepCtx<'_>) -> Action {
+    fn step(&mut self, ctx: &mut StepCtx) -> Action {
         if self.fired {
             self.fired = false;
             Action::SleepUntil(ctx.local_now.next_boundary(self.spec.interval, self.phase))

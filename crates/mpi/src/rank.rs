@@ -4,7 +4,7 @@
 //! [`RankWorkload`]'s high-level operations (compute, Allreduce, halo
 //! exchange, I/O, co-scheduler attach/detach) into kernel actions: sends,
 //! busy-poll receives following the collective schedules of
-//! [`coll`], trace markers, and I/O submissions.
+//! [`coll`], trace markers, and GPFS requests.
 //!
 //! Per the study's IBM MPI configuration, waits busy-poll by default
 //! (user-space polling), and each rank registers its process id with the
@@ -67,12 +67,12 @@ pub enum MpiOp {
         /// Message size per neighbour.
         bytes: u32,
     },
-    /// Read through the I/O daemon (blocks the rank).
+    /// Read through a GPFS server (blocks the rank).
     IoRead {
         /// Transfer size.
         bytes: u64,
     },
-    /// Write through the I/O daemon (blocks the rank).
+    /// Write through a GPFS server (blocks the rank).
     IoWrite {
         /// Transfer size.
         bytes: u64,
@@ -318,7 +318,7 @@ impl RankProgram {
         }
     }
 
-    fn me(&self, ctx: &StepCtx<'_>) -> Endpoint {
+    fn me(&self, ctx: &StepCtx) -> Endpoint {
         Endpoint {
             node: ctx.node,
             tid: ctx.tid,
@@ -346,7 +346,7 @@ impl RankProgram {
         });
     }
 
-    fn begin_collective(&mut self, kind: OpKind, bytes: u32, ctx: &StepCtx<'_>) {
+    fn begin_collective(&mut self, kind: OpKind, bytes: u32, ctx: &StepCtx) {
         self.ensure_schedule(kind);
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -375,7 +375,7 @@ impl RankProgram {
         action
     }
 
-    fn begin_exchange(&mut self, peers: &[u32], bytes: u32, ctx: &StepCtx<'_>) {
+    fn begin_exchange(&mut self, peers: &[u32], bytes: u32, ctx: &StepCtx) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.cur = Some(CurOp {
@@ -408,7 +408,7 @@ impl RankProgram {
         }
     }
 
-    fn ctrl_message(&self, op: CtrlOp, ctx: &StepCtx<'_>) -> Option<Action> {
+    fn ctrl_message(&self, op: CtrlOp, ctx: &StepCtx) -> Option<Action> {
         let cosched = frozen(&self.layout, self.rank).cosched(ctx.node)?;
         Some(Action::Send(Message {
             src: self.me(ctx),
@@ -430,7 +430,7 @@ fn frozen(layout: &LayoutHandle, rank: u32) -> &JobLayout {
 }
 
 impl Program for RankProgram {
-    fn step(&mut self, ctx: &mut StepCtx<'_>) -> Action {
+    fn step(&mut self, ctx: &mut StepCtx) -> Action {
         // Being stepped again means the previously issued workload
         // Compute (if any) was served to completion.
         let done = core::mem::take(&mut self.pending_compute);
@@ -471,33 +471,34 @@ impl Program for RankProgram {
                 MpiOp::Bcast { bytes } => self.begin_collective(OpKind::Bcast, bytes, ctx),
                 MpiOp::Exchange { peers, bytes } => self.begin_exchange(&peers, bytes, ctx),
                 MpiOp::IoRead { bytes } | MpiOp::IoWrite { bytes } => {
-                    // Preferred path: GPFS request to a (possibly remote)
-                    // server node; the rank blocks on the reply, freeing
-                    // its CPU, while the *server's* mmfsd must win a CPU
-                    // there. Falls back to the node-local kernel I/O queue
-                    // when no GPFS servers are registered.
+                    // A GPFS request to a (possibly remote) server node; the
+                    // rank blocks on the reply, freeing its CPU, while the
+                    // *server's* mmfsd must win a CPU there.
+                    use pa_kernel::msg::ioproto;
                     let token = self.next_io;
                     self.next_io += 1;
-                    let server = frozen(&self.layout, self.rank).gpfs_server_for(self.rank, token);
-                    match server {
-                        Some(server) => {
-                            use pa_kernel::msg::ioproto;
-                            self.queue.push_back(Action::Send(Message {
-                                src: self.me(ctx),
-                                dst: server,
-                                tag: ioproto::req_tag(token),
-                                bytes: 64,
-                                sent_at: SimTime::ZERO,
-                                payload: bytes,
-                            }));
-                            self.queue.push_back(Action::Recv {
-                                tag: TagSel::Exact(ioproto::resp_tag(token)),
-                                src: SrcSel::Exact(server),
-                                wait: WaitMode::Block,
-                            });
-                        }
-                        None => return Action::IoSubmit { bytes },
-                    }
+                    let server = frozen(&self.layout, self.rank)
+                        .gpfs_server_for(self.rank, token)
+                        .unwrap_or_else(|| {
+                            panic!(
+                                "rank {} issued I/O but no GPFS server is installed \
+                                 (set NoiseProfile::gpfs_prio)",
+                                self.rank
+                            )
+                        });
+                    self.queue.push_back(Action::Send(Message {
+                        src: self.me(ctx),
+                        dst: server,
+                        tag: ioproto::req_tag(token),
+                        bytes: 64,
+                        sent_at: SimTime::ZERO,
+                        payload: bytes,
+                    }));
+                    self.queue.push_back(Action::Recv {
+                        tag: TagSel::Exact(ioproto::resp_tag(token)),
+                        src: SrcSel::Exact(server),
+                        wait: WaitMode::Block,
+                    });
                 }
                 MpiOp::DetachCosched => {
                     if let Some(a) = self.ctrl_message(CtrlOp::Detach, ctx) {

@@ -101,7 +101,7 @@ impl CronJob {
 }
 
 impl Program for CronJob {
-    fn step(&mut self, ctx: &mut StepCtx<'_>) -> Action {
+    fn step(&mut self, ctx: &mut StepCtx) -> Action {
         if self.remaining_components == 0 {
             self.remaining_components = self.spec.components;
             // Cron fires on local-clock boundaries (the same schedule on

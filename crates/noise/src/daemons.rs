@@ -121,7 +121,7 @@ impl DaemonProgram {
 }
 
 impl Program for DaemonProgram {
-    fn step(&mut self, ctx: &mut StepCtx<'_>) -> Action {
+    fn step(&mut self, ctx: &mut StepCtx) -> Action {
         if let Some(a) = self.queued.pop() {
             return a;
         }

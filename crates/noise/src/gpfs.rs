@@ -1,4 +1,4 @@
-//! The GPFS client daemon (mmfsd) service loop.
+//! The GPFS client daemon (mmfsd) as an I/O server.
 //!
 //! mmfsd plays two roles in the study:
 //!
@@ -9,79 +9,43 @@
 //!    Allreduce traces like any other daemon (modeled separately with a
 //!    [`DaemonSpec`](crate::daemons::DaemonSpec)).
 //!
-//! This module implements role 1: a service loop that pulls pending
-//! requests, burns the service time from the kernel's
-//! `IoServiceModel`, and completes them.
+//! This module implements role 1: [`GpfsServer`] answers
+//! [`ioproto`](pa_kernel::msg::ioproto) requests, burning the
+//! [`IoServiceModel`] service time for each before it replies.
 
-use pa_kernel::{Action, IoRequest, IoServiceModel, Program, StepCtx};
+use pa_kernel::{Action, Program, StepCtx};
 use pa_simkit::SimDur;
 use serde::value::Value;
 use serde::{Deserialize, Serialize};
 
-/// mmfsd's request-service state machine.
-#[derive(Debug)]
-pub struct GpfsDaemon {
-    model: IoServiceModel,
-    /// Request currently being serviced (service burst issued, completion
-    /// pending).
-    in_service: Option<IoRequest>,
-    /// Extra fixed latency charged per request beyond CPU demand — models
-    /// disk/NSD-server round trips the daemon waits on while holding the
-    /// request. Charged as CPU here because what matters to the study is
-    /// *when the requester wakes*, not mmfsd's own utilization split.
-    pub extra_latency: SimDur,
-    serviced: u64,
+/// Service-time model for mmfsd.
+///
+/// `service_time = per_request + bytes * per_byte`. The defaults model a
+/// GPFS-like parallel filesystem client: ~200 µs of per-request daemon work
+/// plus ~1 µs per 4 KiB block (disk/server latency is folded into the
+/// per-request term; what matters to the study is *daemon CPU demand*).
+#[derive(Debug, Clone, Copy)]
+pub struct IoServiceModel {
+    /// Fixed daemon CPU demand per request, nanoseconds.
+    pub per_request_ns: u64,
+    /// Additional demand per byte, nanoseconds (fractional via f64).
+    pub per_byte_ns: f64,
 }
 
-impl GpfsDaemon {
-    /// New service loop with the given service-time model.
-    pub fn new(model: IoServiceModel) -> GpfsDaemon {
-        GpfsDaemon {
-            model,
-            in_service: None,
-            extra_latency: SimDur::from_micros(300),
-            serviced: 0,
+impl Default for IoServiceModel {
+    fn default() -> Self {
+        IoServiceModel {
+            per_request_ns: 200_000,    // 200 µs
+            per_byte_ns: 0.25e-3 * 1e3, // 0.25 ns/byte ≈ 1 µs per 4 KiB
         }
-    }
-
-    /// Number of requests completed (test introspection; note the program
-    /// is owned by the kernel once spawned).
-    pub fn serviced(&self) -> u64 {
-        self.serviced
     }
 }
 
-impl Program for GpfsDaemon {
-    fn step(&mut self, ctx: &mut StepCtx<'_>) -> Action {
-        if let Some(req) = self.in_service.take() {
-            self.serviced += 1;
-            return Action::IoComplete(req);
-        }
-        match ctx.take_io_request() {
-            Some(req) => {
-                let demand = self.model.service_time(req.bytes) + self.extra_latency;
-                self.in_service = Some(req);
-                Action::Compute(demand)
-            }
-            None => Action::IoIdle,
-        }
-    }
-
-    fn kind(&self) -> &'static str {
-        "mmfsd"
-    }
-
-    fn snapshot_state(&self) -> Value {
-        (self.in_service, self.extra_latency, self.serviced).to_value()
-    }
-
-    fn restore_state(&mut self, state: &Value) -> Result<(), serde::Error> {
-        let (in_service, extra, serviced): (Option<IoRequest>, SimDur, u64) =
-            Deserialize::from_value(state)?;
-        self.in_service = in_service;
-        self.extra_latency = extra;
-        self.serviced = serviced;
-        Ok(())
+impl IoServiceModel {
+    /// Daemon CPU demand to service one request.
+    pub fn service_time(&self, bytes: u64) -> SimDur {
+        let extra = (bytes as f64 * self.per_byte_ns) as u64;
+        SimDur::from_nanos(self.per_request_ns + extra)
     }
 }
 
@@ -121,7 +85,7 @@ impl GpfsServer {
 }
 
 impl Program for GpfsServer {
-    fn step(&mut self, ctx: &mut StepCtx<'_>) -> Action {
+    fn step(&mut self, ctx: &mut StepCtx) -> Action {
         use pa_kernel::msg::ioproto;
         use pa_kernel::{SrcSel, TagSel, WaitMode};
         if let Some(reply) = self.reply.take() {
@@ -172,84 +136,18 @@ impl Program for GpfsServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pa_kernel::msg::ioproto;
     use pa_kernel::{
-        Action as A, ClockModel, CpuId, Kernel, Prio, SchedOptions, Script, SoloRunner, ThreadSpec,
-        ThreadState,
+        Action as A, ClockModel, CpuId, Endpoint, Kernel, Message, Prio, SchedOptions, Script,
+        SoloRunner, SrcSel, TagSel, ThreadSpec, ThreadState, Tid, WaitMode,
     };
     use pa_simkit::{SimRng, SimTime};
     use pa_trace::{HookMask, ThreadClass};
 
-    fn build(io_prio: Prio, app_burst_after: SimDur) -> (SoloRunner, pa_kernel::Tid) {
-        let mut k = Kernel::new(
-            0,
-            2,
-            SchedOptions::vanilla(),
-            ClockModel::synced(),
-            SimRng::from_seed(3),
-            1 << 14,
-        );
-        k.trace_mut().set_mask(HookMask::ALL);
-        let app = k.spawn(
-            ThreadSpec::new("app", ThreadClass::App, Prio::USER).on_cpu(CpuId(0)),
-            Box::new(Script::new(vec![
-                A::IoSubmit { bytes: 4 << 20 },
-                A::Compute(app_burst_after),
-            ])),
-        );
-        let d = k.spawn(
-            ThreadSpec::new("mmfsd", ThreadClass::Daemon, io_prio).on_cpu(CpuId(1)),
-            Box::new(GpfsDaemon::new(IoServiceModel::default())),
-        );
-        k.set_io_daemon(d);
-        let mut r = SoloRunner::new(k);
-        r.boot();
-        (r, app)
-    }
-
-    #[test]
-    fn request_completes_and_app_resumes() {
-        let (mut r, app) = build(Prio::MMFSD, SimDur::from_micros(100));
-        r.run_until_apps_done(SimTime::from_secs(2));
-        assert_eq!(r.kernel.thread_state(app), ThreadState::Exited);
-    }
-
-    #[test]
-    fn service_time_scales_with_size() {
-        // Time-to-completion for 64 MiB should exceed that for 4 KiB.
-        let time_for = |bytes: u64| {
-            let mut k = Kernel::new(
-                0,
-                2,
-                SchedOptions::vanilla(),
-                ClockModel::synced(),
-                SimRng::from_seed(3),
-                1 << 14,
-            );
-            k.trace_mut().set_mask(HookMask::ALL);
-            k.spawn(
-                ThreadSpec::new("app", ThreadClass::App, Prio::USER).on_cpu(CpuId(0)),
-                Box::new(Script::new(vec![A::IoSubmit { bytes }])),
-            );
-            let d = k.spawn(
-                ThreadSpec::new("mmfsd", ThreadClass::Daemon, Prio::MMFSD).on_cpu(CpuId(1)),
-                Box::new(GpfsDaemon::new(IoServiceModel::default())),
-            );
-            k.set_io_daemon(d);
-            let mut r = SoloRunner::new(k);
-            r.boot();
-            r.run_until_apps_done(SimTime::from_secs(10)).nanos()
-        };
-        assert!(time_for(64 << 20) > time_for(4 << 10));
-    }
-
-    #[test]
-    fn starved_daemon_stalls_io() {
-        // A favored compute hog on the daemon's only eligible CPU delays
-        // I/O completion — the ALE3D §5.3 mechanism in miniature. Here we
-        // pin a FAVORED (30) spinner to CPU1 (mmfsd at 40 can't preempt
-        // it) and give the daemon nothing else to run on... on a 2-CPU
-        // node the daemon is stolen by CPU0 once the app blocks, so use a
-        // single-CPU node where the hog simply outranks everyone.
+    /// When an app on a one-CPU node gets the reply to a `bytes` request
+    /// from the node's mmfsd. With `hog`, a favored thread sleeps until
+    /// the first tick (10 ms) and then computes for 50 ms on that CPU.
+    fn reply_at(bytes: u64, hog: bool) -> SimTime {
         let mut k = Kernel::new(
             0,
             1,
@@ -258,30 +156,91 @@ mod tests {
             SimRng::from_seed(3),
             1 << 14,
         );
-        k.trace_mut().set_mask(HookMask::ALL);
+        k.trace_mut().set_mask(HookMask::NONE);
         let app = k.spawn(
             ThreadSpec::new("app", ThreadClass::App, Prio::USER).on_cpu(CpuId(0)),
-            Box::new(Script::new(vec![A::IoSubmit { bytes: 1 << 20 }])),
+            Box::new(Script::new(vec![
+                A::Send(Message {
+                    src: Endpoint {
+                        node: 0,
+                        tid: Tid(0),
+                    },
+                    dst: Endpoint {
+                        node: 0,
+                        tid: Tid(1),
+                    },
+                    tag: ioproto::req_tag(0),
+                    bytes: 64,
+                    sent_at: SimTime::ZERO,
+                    payload: bytes,
+                }),
+                A::Recv {
+                    tag: TagSel::Exact(ioproto::resp_tag(0)),
+                    src: SrcSel::Any,
+                    wait: WaitMode::Block,
+                },
+            ])),
         );
-        let d = k.spawn(
-            ThreadSpec::new("mmfsd", ThreadClass::Daemon, Prio::MMFSD).on_cpu(CpuId(0)),
-            Box::new(GpfsDaemon::new(IoServiceModel::default())),
-        );
-        k.set_io_daemon(d);
-        // The hog: favored above mmfsd, runs 50ms then exits.
         k.spawn(
-            ThreadSpec::new("hog", ThreadClass::App, Prio::FAVORED).on_cpu(CpuId(0)),
-            Box::new(Script::new(vec![A::Compute(SimDur::from_millis(50))])),
+            ThreadSpec::new("mmfsd", ThreadClass::Daemon, Prio::MMFSD).on_cpu(CpuId(0)),
+            Box::new(GpfsServer::new(IoServiceModel::default())),
         );
+        if hog {
+            k.spawn(
+                ThreadSpec::new("hog", ThreadClass::Daemon, Prio::FAVORED).on_cpu(CpuId(0)),
+                Box::new(Script::new(vec![
+                    A::SleepUntil(SimTime::from_millis(1)),
+                    A::Compute(SimDur::from_millis(50)),
+                ])),
+            );
+        }
         let mut r = SoloRunner::new(k);
         r.boot();
         let end = r.run_until_apps_done(SimTime::from_secs(2));
-        // The app's I/O cannot complete until the hog exits at ~50ms.
-        assert!(
-            end >= SimTime::from_millis(50),
-            "I/O completed during starvation: {end}"
-        );
         assert_eq!(r.kernel.thread_state(app), ThreadState::Exited);
+        end
+    }
+
+    #[test]
+    fn service_time_scales_with_bytes() {
+        let m = IoServiceModel::default();
+        let small = m.service_time(0);
+        let big = m.service_time(1 << 20);
+        assert_eq!(small, SimDur::from_micros(200));
+        assert!(big > small);
+        // 1 MiB at 0.25 ns/byte = 262144 ns extra.
+        assert_eq!(big, SimDur::from_nanos(200_000 + 262_144));
+    }
+
+    #[test]
+    fn custom_model() {
+        let m = IoServiceModel {
+            per_request_ns: 1_000,
+            per_byte_ns: 1.0,
+        };
+        assert_eq!(m.service_time(500), SimDur::from_nanos(1_500));
+    }
+
+    #[test]
+    fn service_time_scales_with_size() {
+        assert!(reply_at(64 << 20, false) > reply_at(4 << 10, false));
+    }
+
+    #[test]
+    fn starved_daemon_stalls_io() {
+        // The ALE3D §5.3 mechanism in miniature: a 64 MiB request is in
+        // service (~17 ms of mmfsd CPU) when a thread favored above mmfsd
+        // wakes on the server's only CPU. The reply waits for the hog.
+        let quiet = reply_at(64 << 20, false);
+        assert!(
+            quiet < SimTime::from_millis(20),
+            "unstarved reply at {quiet}"
+        );
+        let starved = reply_at(64 << 20, true);
+        assert!(
+            starved >= quiet + SimDur::from_millis(50),
+            "reply at {starved} did not wait for the hog (unstarved {quiet})"
+        );
     }
 }
 #[cfg(test)]

@@ -9,8 +9,10 @@
 //!   inflation;
 //! * [`CronSpec`] / [`CronJob`] — the 15-minute health-check job whose
 //!   600 ms of priority-56 components caused the worst Figure-4 outlier;
-//! * [`GpfsDaemon`] — the mmfsd service loop that application I/O depends
-//!   on (the §5.3 ALE3D starvation mechanism);
+//! * [`GpfsServer`] — mmfsd as the message-served I/O server that every
+//!   rank's reads and writes wait on, with its
+//!   [`IoServiceModel`](gpfs::IoServiceModel) (the §5.3 ALE3D starvation
+//!   mechanism);
 //! * [`NoiseProfile`] — calibrated bundles (`production`, `dedicated`,
 //!   `silent`) installable on a node in one call.
 
@@ -24,5 +26,5 @@ pub mod profile;
 
 pub use cron::{CronJob, CronSpec};
 pub use daemons::{DaemonProgram, DaemonSpec};
-pub use gpfs::GpfsDaemon;
+pub use gpfs::GpfsServer;
 pub use profile::{InstalledNoise, InterruptDesc, NoiseProfile};

@@ -11,6 +11,7 @@
 
 use crate::cron::{CronJob, CronSpec};
 use crate::daemons::{DaemonProgram, DaemonSpec};
+use crate::gpfs::{GpfsServer, IoServiceModel};
 
 use pa_kernel::{InterruptSourceSpec, Kernel, Prio, ThreadSpec, Tid};
 use pa_simkit::{SeedSpace, SimDur};
@@ -66,8 +67,7 @@ pub struct InstalledNoise {
     pub daemons: Vec<Tid>,
     /// Cron thread, if configured.
     pub cron: Option<Tid>,
-    /// The GPFS service daemon, if configured (also registered as the
-    /// kernel's I/O daemon).
+    /// The GPFS service daemon, if configured.
     pub gpfs: Option<Tid>,
 }
 
@@ -272,10 +272,9 @@ impl NoiseProfile {
             // from every node (GPFS metanode/NSD semantics). The caller
             // registers the endpoint with the job layout so ranks route
             // their I/O here.
-            let model = *kernel.io_model();
             let tid = kernel.spawn(
                 ThreadSpec::new("mmfsd", ThreadClass::Daemon, prio),
-                Box::new(crate::gpfs::GpfsServer::new(model)),
+                Box::new(GpfsServer::new(IoServiceModel::default())),
             );
             installed.gpfs = Some(tid);
         }

@@ -230,7 +230,13 @@ impl MetricsRegistry {
 
     /// Add `delta` to counter `name` (created at zero on first use).
     pub fn inc(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += delta;
+        // Look up before `entry`, which would allocate the key every call.
+        match self.counters.get_mut(name) {
+            Some(v) => *v += delta,
+            None => {
+                self.counters.insert(name.to_string(), delta);
+            }
+        }
     }
 
     /// Current value of counter `name` (zero when absent).
@@ -240,7 +246,12 @@ impl MetricsRegistry {
 
     /// Set gauge `name` to `value` (last write wins).
     pub fn set_gauge(&mut self, name: &str, value: i64) {
-        self.gauges.insert(name.to_string(), value);
+        match self.gauges.get_mut(name) {
+            Some(v) => *v = value,
+            None => {
+                self.gauges.insert(name.to_string(), value);
+            }
+        }
     }
 
     /// Current value of gauge `name`, if set.
@@ -299,10 +310,10 @@ impl MetricsRegistry {
     /// and gauges folded before the mismatch remain applied.
     pub fn merge(&mut self, other: &MetricsRegistry) -> Result<(), MergeError> {
         for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
+            self.inc(k, *v);
         }
         for (k, v) in &other.gauges {
-            self.gauges.insert(k.clone(), *v);
+            self.set_gauge(k, *v);
         }
         for (k, h) in &other.histograms {
             match self.histograms.get_mut(k) {

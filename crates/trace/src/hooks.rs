@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 pub enum HookId {
     /// A thread was placed on a CPU.
     Dispatch,
-    /// A thread left a CPU (blocked, preempted, exited, or yielded).
+    /// A thread left a CPU (blocked, preempted, or exited).
     Undispatch,
     /// Periodic timer ("decrementer") interrupt processed on a CPU.
     Tick,
@@ -22,10 +22,6 @@ pub enum HookId {
     MsgSend,
     /// A message was consumed by its destination thread.
     MsgRecv,
-    /// An I/O request was submitted to the I/O daemon.
-    IoStart,
-    /// An I/O request completed.
-    IoDone,
     /// A thread's priority was changed (aux = new priority).
     PrioChange,
     /// A page fault inflated a burst (aux = extra nanoseconds).
@@ -41,15 +37,13 @@ pub enum HookId {
 
 impl HookId {
     /// All hook ids, for building enable masks.
-    pub const ALL: [HookId; 13] = [
+    pub const ALL: [HookId; 11] = [
         HookId::Dispatch,
         HookId::Undispatch,
         HookId::Tick,
         HookId::Ipi,
         HookId::MsgSend,
         HookId::MsgRecv,
-        HookId::IoStart,
-        HookId::IoDone,
         HookId::PrioChange,
         HookId::PageFault,
         HookId::AppMarker,
@@ -66,13 +60,11 @@ impl HookId {
             HookId::Ipi => 3,
             HookId::MsgSend => 4,
             HookId::MsgRecv => 5,
-            HookId::IoStart => 6,
-            HookId::IoDone => 7,
-            HookId::PrioChange => 8,
-            HookId::PageFault => 9,
-            HookId::AppMarker => 10,
-            HookId::CollBegin => 11,
-            HookId::CollEnd => 12,
+            HookId::PrioChange => 6,
+            HookId::PageFault => 7,
+            HookId::AppMarker => 8,
+            HookId::CollBegin => 9,
+            HookId::CollEnd => 10,
         }
     }
 }
@@ -115,7 +107,7 @@ impl HookMask {
     /// No hooks enabled.
     pub const NONE: HookMask = HookMask(0);
     /// Every hook enabled.
-    pub const ALL: HookMask = HookMask((1 << 13) - 1);
+    pub const ALL: HookMask = HookMask((1 << 11) - 1);
 
     /// Mask with exactly the given hooks.
     pub fn of(hooks: &[HookId]) -> HookMask {
@@ -164,7 +156,7 @@ mod tests {
 
     #[test]
     fn indices_are_unique_and_dense() {
-        let mut seen = [false; 13];
+        let mut seen = [false; 11];
         for h in HookId::ALL {
             assert!(!seen[h.index()], "duplicate index for {h:?}");
             seen[h.index()] = true;

@@ -233,7 +233,9 @@ pub fn aggregate_runner(spec: &PointSpec<AggregateSpec>, ctx: &PointCtx) -> Poin
 /// threads. When `ctx` carries a checkpoint, the run writes periodic
 /// mid-run checkpoints there — and restores from it first if a previous
 /// invocation died mid-point. The restored tail replays bit-identically,
-/// so the result matches an uninterrupted run's.
+/// so the result matches an uninterrupted run's. A checkpoint that fails
+/// to restore is treated like a missing one (the same policy as corrupt
+/// cache entries): it is removed and the point reruns from scratch.
 pub fn run_point_with(spec: &PointSpec<AggregateSpec>, ctx: &PointCtx) -> RunOutput {
     let seeds = SeedSpace::new(spec.seed);
     let agg = spec.workload;
@@ -243,25 +245,23 @@ pub fn run_point_with(spec: &PointSpec<AggregateSpec>, ctx: &PointCtx) -> RunOut
             seeds.stream_at("wl/agg", u64::from(rank), 0),
         ))
     };
-    let mut e = spec.experiment().with_sim_threads(ctx.sim_threads);
-    if let Some(cx) = &ctx.checkpoint {
-        e = e.with_checkpoint_every(cx.every, &cx.path);
-        if cx.path.exists() {
-            // A damaged checkpoint is treated like a missing one (the
-            // same policy as corrupt cache entries): rerun from scratch.
-            match pa_cluster::verify_checkpoint_file(&cx.path) {
-                Ok(()) => e = e.with_restore_from(&cx.path),
-                Err(err) => {
-                    eprintln!(
-                        "warning: ignoring damaged checkpoint {}: {err}",
-                        cx.path.display()
-                    );
-                    let _ = std::fs::remove_file(&cx.path);
-                }
+    let cold = || {
+        let e = spec.experiment().with_sim_threads(ctx.sim_threads);
+        match &ctx.checkpoint {
+            Some(cx) => e.with_checkpoint_every(cx.every, &cx.path),
+            None => e,
+        }
+    };
+    if let Some(cx) = ctx.checkpoint.as_ref().filter(|cx| cx.path.exists()) {
+        match cold().with_restore_from(&cx.path).try_run(&mut make) {
+            Ok(out) => return out,
+            Err(err) => {
+                eprintln!("warning: ignoring unusable checkpoint: {err}");
+                let _ = std::fs::remove_file(&cx.path);
             }
         }
     }
-    e.run(&mut make)
+    cold().run(&mut make)
 }
 
 /// Run one configuration at one size and seed, on the configuration's

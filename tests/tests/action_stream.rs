@@ -90,10 +90,13 @@ fn action_stream_known_answers() {
         .map(|&(nodes, alg, polling, reduce_ns)| answer(nodes, alg, polling, reduce_ns))
         .collect();
     // Recorded from the expanded-queue implementation this walk
-    // replaced; the means are `f64` bits.
+    // replaced; the means are `f64` bits. The digests hash hook indices:
+    // they were re-recorded when deleting the two I/O hooks moved every
+    // later index down by two, and under the old indices the same traces
+    // still hash to the old digests.
     let want: Vec<Answer> = vec![
         (
-            "62220c2fa00a4989".into(),
+            "30a409baf1096474".into(),
             494,
             [
                 0x4045_1609_8ead_65b7,
@@ -105,7 +108,7 @@ fn action_stream_known_answers() {
             ],
         ),
         (
-            "3c26727d66b88ee4".into(),
+            "38853b7434589abf".into(),
             368,
             [
                 0x4042_fa69_2173_5ee4,
@@ -117,7 +120,7 @@ fn action_stream_known_answers() {
             ],
         ),
         (
-            "9597f2e3ed3dd0c5".into(),
+            "06d7be369fcc9aa8".into(),
             933,
             [
                 0x4050_df4f_6ab9_3af0,
@@ -129,7 +132,7 @@ fn action_stream_known_answers() {
             ],
         ),
         (
-            "1ec00f72eddde794".into(),
+            "320f20d65bfc9513".into(),
             970,
             [
                 0x4046_8683_86f0_c0f8,
@@ -141,7 +144,7 @@ fn action_stream_known_answers() {
             ],
         ),
         (
-            "661aee2f5573f3e6".into(),
+            "6ab80375dbde2e6f".into(),
             919,
             [
                 0x404b_5838_6f0c_0f79,
@@ -153,7 +156,7 @@ fn action_stream_known_answers() {
             ],
         ),
         (
-            "f8aac7ef703c9c28".into(),
+            "af2c12cd5f0ab2e5".into(),
             541,
             [
                 0x403e_7a9f_be76_c8b4,

@@ -1,8 +1,10 @@
 //! Decoder fuzzing: a damaged checkpoint or campaign cache entry decodes
 //! to a named error or a counted cache miss, never a panic. Every case
-//! starts from a real artifact and either truncates it or flips one byte;
-//! a damaged checkpoint payload is re-hashed, so it gets past the
-//! integrity check to the state decoder and restore.
+//! starts from a real artifact. A checkpoint file or cache entry is
+//! truncated or has one byte flipped. A checkpoint payload instead has one
+//! leaf of its parsed JSON tree changed and is re-hashed, so every case
+//! gets past the integrity check and the JSON parser to the state decoder
+//! and restore.
 //!
 //! The case count follows `PROPTEST_CASES`; CI reruns this file in
 //! release mode at 2000 cases per property.
@@ -187,6 +189,81 @@ impl Damage {
     }
 }
 
+/// How a case damages one leaf of the parsed checkpoint payload: a
+/// scalar, or an empty sequence or map.
+#[derive(Debug, Clone, Copy)]
+struct LeafDamage {
+    /// The leaf's index in document order.
+    leaf: usize,
+    /// Replace the leaf with a value of another kind, instead of changing
+    /// its value.
+    retype: bool,
+    mask: u32,
+}
+
+impl LeafDamage {
+    /// Place a drawn damage on one of `leaves` leaves.
+    fn new(retype: bool, frac: f64, mask: u32, leaves: usize) -> LeafDamage {
+        let leaf = ((leaves as f64 * frac) as usize).min(leaves - 1);
+        LeafDamage { leaf, retype, mask }
+    }
+
+    fn apply(self, tree: &Value) -> Value {
+        let mut out = tree.clone();
+        let v = nth_leaf(&mut out, &mut { self.leaf }).expect("leaf index in range");
+        let m = u64::from(self.mask);
+        *v = match (self.retype, &*v) {
+            (true, Value::Str(_)) => Value::UInt(m),
+            (true, Value::Null) => Value::Bool(true),
+            (true, Value::Seq(_) | Value::Map(_)) => Value::Null,
+            (true, _) => Value::Str(m.to_string()),
+            (false, Value::Null) => Value::UInt(m),
+            (false, Value::Bool(b)) => Value::Bool(!b),
+            (false, Value::UInt(n)) => Value::UInt(n ^ m),
+            (false, Value::Int(n)) => Value::Int(n ^ m as i64),
+            (false, Value::Float(x)) => Value::Float(x + m as f64),
+            (false, Value::Str(s)) => Value::Str(format!("{s}{}", m % 10)),
+            (false, Value::Seq(_)) => Value::Seq(vec![Value::UInt(m)]),
+            (false, Value::Map(_)) => Value::Map(vec![("x".into(), Value::UInt(m))]),
+        };
+        out
+    }
+}
+
+fn is_leaf(v: &Value) -> bool {
+    match v {
+        Value::Seq(xs) => xs.is_empty(),
+        Value::Map(pairs) => pairs.is_empty(),
+        _ => true,
+    }
+}
+
+/// Number of leaves in `v`.
+fn leaves(v: &Value) -> usize {
+    match v {
+        _ if is_leaf(v) => 1,
+        Value::Seq(xs) => xs.iter().map(leaves).sum(),
+        Value::Map(pairs) => pairs.iter().map(|(_, x)| leaves(x)).sum(),
+        _ => unreachable!("scalars are leaves"),
+    }
+}
+
+/// The leaf `*n` leaves into `v`, in document order.
+fn nth_leaf<'v>(v: &'v mut Value, n: &mut usize) -> Option<&'v mut Value> {
+    if is_leaf(v) {
+        if *n == 0 {
+            return Some(v);
+        }
+        *n -= 1;
+        return None;
+    }
+    match v {
+        Value::Seq(xs) => xs.iter_mut().find_map(|x| nth_leaf(x, n)),
+        Value::Map(pairs) => pairs.iter_mut().find_map(|(_, x)| nth_leaf(x, n)),
+        _ => unreachable!("scalars are leaves"),
+    }
+}
+
 proptest! {
     #[test]
     fn damaged_checkpoints_fail_verification_with_a_named_error(
@@ -213,15 +290,16 @@ proptest! {
 
     #[test]
     fn damaged_checkpoint_payloads_restore_or_fail_with_a_named_error(
-        truncate in any::<bool>(),
+        retype in any::<bool>(),
         frac in 0.0f64..1.0,
         mask in 1u32..256,
     ) {
         let o = originals();
-        let damage = Damage::new(truncate, frac, mask, o.payload.len());
-        let payload = damage.apply(o.payload.as_bytes());
+        let tree = serde_json::parse(&o.payload).unwrap();
+        let damage = LeafDamage::new(retype, frac, mask, leaves(&tree));
+        let payload = damage.apply(&tree).to_json_string();
         let path = scratch("payload.ckpt.json");
-        std::fs::write(&path, rehashed(&String::from_utf8_lossy(&payload))).unwrap();
+        std::fs::write(&path, rehashed(&payload)).unwrap();
         let restored = restore_into_booted(&path);
         std::fs::remove_file(&path).unwrap();
         // A damage can leave a valid state (a digit changed in a

@@ -1,11 +1,12 @@
 //! Robustness: edge configurations and failure-injection-style stress.
 
-use pa_campaign::{run_campaign, Cache, CheckpointCtx, ExecutorConfig, PointCtx};
+use pa_campaign::{run_campaign, Cache, CampaignOutcome, CheckpointCtx, ExecutorConfig, PointCtx};
 use pa_core::{metrics_of, CoschedSetup, Experiment, SchedOptions};
 use pa_mpi::{Algorithm, MpiConfig, MpiOp, OpList, RankWorkload};
 use pa_noise::NoiseProfile;
-use pa_simkit::SimDur;
-use pa_workloads::{aggregate_runner, run_point_with, ScalingConfig};
+use pa_simkit::{sha256_hex, SimDur};
+use pa_workloads::{aggregate_runner, collect_scale_points, run_point_with, ScalingConfig};
+use serde::value::Value;
 
 fn allreduces(n: usize) -> impl FnMut(u32) -> Box<dyn RankWorkload> {
     move |_r| Box::new(OpList::new(vec![MpiOp::Allreduce { bytes: 8 }; n]))
@@ -284,6 +285,88 @@ fn damaged_checkpoint_falls_back_to_a_fresh_run() {
         reference.mean_allreduce_us().to_bits()
     );
     let _ = std::fs::remove_file(&path);
+}
+
+/// Rename node 0's first thread inside the checkpoint at `path` and
+/// re-hash the payload: the file still verifies and decodes, but no
+/// rebuilt cluster accepts it.
+fn rename_first_thread(path: &std::path::Path) {
+    fn entry<'v>(v: &'v mut Value, key: &str) -> &'v mut Value {
+        let Value::Map(pairs) = v else {
+            panic!("`{key}`'s parent is not a map");
+        };
+        let pair = pairs.iter_mut().find(|(k, _)| k == key);
+        &mut pair.unwrap_or_else(|| panic!("no `{key}`")).1
+    }
+    let mut file = serde_json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+    let mut payload = serde_json::parse(entry(&mut file, "payload").as_str().unwrap()).unwrap();
+    let Value::Seq(shards) = entry(entry(&mut payload, "state"), "shards") else {
+        panic!("shards is not a sequence");
+    };
+    let Value::Seq(threads) = entry(entry(&mut shards[0], "kernel"), "threads") else {
+        panic!("threads is not a sequence");
+    };
+    *entry(&mut threads[0], "name") = Value::Str("renamed".into());
+    let payload = payload.to_json_string();
+    *entry(&mut file, "sha256") = Value::Str(sha256_hex(payload.as_bytes()));
+    *entry(&mut file, "payload") = Value::Str(payload);
+    std::fs::write(path, file.to_json_string()).unwrap();
+    pa_cluster::verify_checkpoint_file(path).expect("the edited checkpoint still verifies");
+}
+
+#[test]
+fn checkpoint_the_cluster_rejects_falls_back_to_a_fresh_run() {
+    // A checkpoint that verifies but does not fit the rebuilt cluster (a
+    // thread renamed, re-hashed) is ignored like a damaged one: the sweep
+    // finishes with the uninterrupted sweep's results.
+    let mut cfg = ScalingConfig::fig3(true);
+    cfg.node_counts = vec![2];
+    cfg.allreduces = 48;
+    cfg.seeds = vec![42];
+    cfg.target_sim_time = None;
+    let points = cfg.points();
+    let every = SimDur::from_micros(200);
+    let tag =
+        |t: &str| std::env::temp_dir().join(format!("pa-robustness-{t}-{}", std::process::id()));
+    let (dir_ref, dir_int) = (tag("renamed-ref"), tag("renamed-int"));
+    let _ = std::fs::remove_dir_all(&dir_ref);
+    let _ = std::fs::remove_dir_all(&dir_int);
+    let exec = |dir: &std::path::Path, label: &str| {
+        ExecutorConfig::serial(label)
+            .with_cache(Cache::at(dir).unwrap())
+            .with_checkpoint_every(every)
+    };
+    let reference = run_campaign(&points, &exec(&dir_ref, "ref"), aggregate_runner);
+
+    let ckpt_path = Cache::at(&dir_int)
+        .unwrap()
+        .dir()
+        .join("checkpoints")
+        .join(format!("{}.json", points[0].content_key()));
+    run_point_with(
+        &points[0],
+        &PointCtx {
+            sim_threads: 1,
+            checkpoint: Some(CheckpointCtx {
+                path: ckpt_path.clone(),
+                every,
+            }),
+        },
+    );
+    rename_first_thread(&ckpt_path);
+
+    let resumed = run_campaign(&points, &exec(&dir_int, "int"), aggregate_runner);
+    assert_eq!(resumed.results, reference.results);
+    let figure = |o: &CampaignOutcome| {
+        serde_json::to_string(&collect_scale_points(&cfg, &o.results)).unwrap()
+    };
+    assert_eq!(figure(&resumed), figure(&reference));
+    assert!(
+        !ckpt_path.exists(),
+        "the rejected checkpoint was left behind"
+    );
+    let _ = std::fs::remove_dir_all(&dir_ref);
+    let _ = std::fs::remove_dir_all(&dir_int);
 }
 
 #[test]
