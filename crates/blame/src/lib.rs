@@ -17,13 +17,14 @@
 //! categories, in integer nanoseconds:
 //!
 //! * `compute` — workload compute completed by the rank program,
-//! * `coll_wait` — collective/message wait: busy-poll spin plus
-//!   blocked-receive time,
+//! * `coll_wait` — collective/message wait: busy-poll spin (every MPI
+//!   collective and exchange wait polls),
 //! * `runq_wait` — ready-queue time before dispatch (where daemon
 //!   preemption and gang-stagger idle manifest),
 //! * `noise` — device-interrupt debt served inside the rank's segments,
-//! * `io_wait` — blocked in callout sleeps (a GPFS reply wait is a
-//!   blocked receive, so it counts as `coll_wait`),
+//! * `io_wait` — blocked time: blocked receives plus callout sleeps.
+//!   MPI waits poll, so a rank blocks only on a GPFS reply, and its
+//!   blocked time is its I/O,
 //! * `overhead` — the signed residual: send/recv/context-switch costs,
 //!   collective-internal reduce work, tick/IPI steal. Signed because a
 //!   horizon cut can leave charged-but-unserved interference debt.
@@ -49,13 +50,14 @@ pub use path::{CriticalPath, OpSpan, PathNode};
 pub struct Categories {
     /// Useful workload compute.
     pub compute_ns: u64,
-    /// Barrier/collective wait: poll spin + blocked receives.
+    /// Barrier/collective wait: poll spin (MPI waits poll).
     pub coll_wait_ns: u64,
     /// Ready-queue (dispatch) delay.
     pub runq_wait_ns: u64,
     /// Noise-daemon preemption served as interrupt debt.
     pub noise_ns: u64,
-    /// I/O and sleep wait.
+    /// Blocked time: blocked receives (a rank's only one is a GPFS
+    /// reply, since MPI waits poll) plus sleeps.
     pub io_wait_ns: u64,
     /// Signed residual: protocol and kernel overheads.
     pub overhead_ns: i64,

@@ -195,7 +195,6 @@ impl Cache {
 mod tests {
     use super::*;
     use pa_kernel::SchedOptions;
-    use pa_mpi::MpiConfig;
     use pa_noise::NoiseProfile;
 
     fn spec() -> PointSpec<u32> {
@@ -207,7 +206,6 @@ mod tests {
             kernel: SchedOptions::vanilla(),
             cosched: None,
             noise: NoiseProfile::dedicated(),
-            mpi: MpiConfig::default(),
             progress: None,
             workload: 1,
             seed: 5,

@@ -411,7 +411,6 @@ where
 mod tests {
     use super::*;
     use pa_kernel::SchedOptions;
-    use pa_mpi::MpiConfig;
     use pa_noise::NoiseProfile;
     use std::collections::BTreeMap;
 
@@ -424,7 +423,6 @@ mod tests {
             kernel: SchedOptions::vanilla(),
             cosched: None,
             noise: NoiseProfile::dedicated(),
-            mpi: MpiConfig::default(),
             progress: None,
             workload: seed * 10,
             seed,

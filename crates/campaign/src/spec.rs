@@ -5,7 +5,7 @@
 use crate::cache::CACHE_SCHEMA_VERSION;
 use pa_core::{CoschedSetup, Experiment};
 use pa_kernel::SchedOptions;
-use pa_mpi::{MpiConfig, ProgressSpec};
+use pa_mpi::ProgressSpec;
 use pa_noise::NoiseProfile;
 use pa_simkit::sha256_hex;
 use pa_simkit::SimDur;
@@ -33,8 +33,6 @@ pub struct PointSpec<W> {
     pub cosched: Option<CoschedSetup>,
     /// Interference profile.
     pub noise: NoiseProfile,
-    /// MPI library configuration.
-    pub mpi: MpiConfig,
     /// MPI timer threads.
     pub progress: Option<ProgressSpec>,
     /// Workload shape.
@@ -66,7 +64,6 @@ impl<W: Serialize> Serialize for PointSpec<W> {
             ("kernel".into(), self.kernel.to_value()),
             ("cosched".into(), self.cosched.to_value()),
             ("noise".into(), self.noise.to_value()),
-            ("mpi".into(), self.mpi.to_value()),
             ("progress".into(), self.progress.to_value()),
             ("workload".into(), self.workload.to_value()),
             ("seed".into(), self.seed.to_value()),
@@ -95,7 +92,6 @@ impl<W: Deserialize> Deserialize for PointSpec<W> {
             kernel: field(map, "kernel")?,
             cosched: field(map, "cosched")?,
             noise: field(map, "noise")?,
-            mpi: field(map, "mpi")?,
             progress: field(map, "progress")?,
             workload: field(map, "workload")?,
             seed: field(map, "seed")?,
@@ -119,7 +115,6 @@ impl<W> PointSpec<W> {
             .with_cpus_per_node(self.cpus_per_node)
             .with_kernel(self.kernel)
             .with_noise(self.noise.clone())
-            .with_mpi(self.mpi)
             .with_progress(self.progress)
             .with_seed(self.seed)
             .with_link_bandwidth(self.link_bandwidth);
@@ -157,7 +152,6 @@ mod tests {
             kernel: SchedOptions::vanilla(),
             cosched: Some(CoschedSetup::default()),
             noise: NoiseProfile::production(),
-            mpi: MpiConfig::default(),
             progress: Some(ProgressSpec::default()),
             workload: 7,
             seed: 42,

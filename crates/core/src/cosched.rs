@@ -327,13 +327,11 @@ impl Program for CoschedDaemon {
         "cosched"
     }
 
-    fn metrics(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("window_applies", self.adjustments),
-            ("attaches", self.attaches),
-            ("detaches", self.detaches),
-            ("setprio_sent", self.setprio_sent),
-        ]
+    fn metrics(&self, emit: &mut dyn FnMut(&'static str, u64)) {
+        emit("window_applies", self.adjustments);
+        emit("attaches", self.attaches);
+        emit("detaches", self.detaches);
+        emit("setprio_sent", self.setprio_sent);
     }
 
     fn snapshot_state(&self) -> Value {

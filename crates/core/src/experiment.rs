@@ -23,7 +23,7 @@
 use crate::cosched::{CoschedDaemon, CoschedParams};
 use pa_cluster::{ClusterSim, ClusterSpec, FabricModel};
 use pa_kernel::{Endpoint, Prio, SchedOptions, ThreadSpec};
-use pa_mpi::{install_job, Job, JobSpec, MpiConfig, OpKind, ProgressSpec, RankWorkload};
+use pa_mpi::{install_job, Job, JobSpec, OpKind, ProgressSpec, RankWorkload};
 use pa_simkit::{SeedSpace, SimDur, SimTime};
 use pa_trace::{AttributionReport, CpuTimeline, HookMask, ThreadClass};
 use serde::{Deserialize, Serialize};
@@ -75,8 +75,6 @@ pub struct Experiment {
     pub noise: pa_noise::NoiseProfile,
     /// Co-scheduler, if deployed.
     pub cosched: Option<CoschedSetup>,
-    /// MPI library configuration.
-    pub mpi: MpiConfig,
     /// MPI timer threads.
     pub progress: Option<ProgressSpec>,
     /// Master seed.
@@ -122,7 +120,6 @@ impl Experiment {
             kernel: SchedOptions::vanilla(),
             noise: pa_noise::NoiseProfile::production(),
             cosched: None,
-            mpi: MpiConfig::default(),
             progress: Some(ProgressSpec::default()),
             seed: 42,
             skew_max: SimDur::from_millis(10),
@@ -167,12 +164,6 @@ impl Experiment {
     /// Deploy the co-scheduler.
     pub fn with_cosched(mut self, setup: CoschedSetup) -> Self {
         self.cosched = Some(setup);
-        self
-    }
-
-    /// Set the MPI configuration.
-    pub fn with_mpi(mut self, mpi: MpiConfig) -> Self {
-        self.mpi = mpi;
         self
     }
 
@@ -310,9 +301,7 @@ impl Experiment {
         // The job.
         let job_spec = JobSpec {
             tasks_per_node: self.tasks_per_node,
-            mpi: self.mpi,
             progress: self.progress,
-            rank_prio: Prio::USER,
         };
         let nodes: Vec<u32> = (0..self.nodes).collect();
         let job = install_job(&mut sim, &job_spec, &seeds, &nodes, "mpi_", make_workload);

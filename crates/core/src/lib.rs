@@ -31,7 +31,7 @@ pub use admin::{AdminTable, PriorityGrant, PriorityRecord};
 pub use cosched::{CoschedDaemon, CoschedParams};
 pub use experiment::{CoschedSetup, Experiment, RunOutput};
 pub use observe::{
-    blame_input_of, blame_of, blame_totals, categories_of, metrics_of, timeline_from_trace,
+    blame_input_of, blame_of, blame_totals, metrics_of, rank_categories, timeline_from_trace,
     timeline_of,
 };
 pub use schedtune::{render as schedtune_render, schedtune};

@@ -12,6 +12,7 @@
 
 use crate::experiment::RunOutput;
 use pa_blame::{BlameInput, Categories, LinkUsage, NoiseSource, OpSpan, RankAccount, RunBlame};
+use pa_kernel::{Kernel, Tid};
 use pa_obs::{MetricsRegistry, SpanTimeline};
 use pa_simkit::SimTime;
 use pa_trace::{HookId, TraceBuffer};
@@ -122,9 +123,9 @@ pub fn metrics_of(out: &RunOutput) -> MetricsRegistry {
     for node in 0..out.sim.nodes() {
         let kernel = out.sim.kernel(node);
         dropped += kernel.trace().dropped();
-        for (kind, name, value) in kernel.program_metrics() {
+        kernel.program_metrics(&mut |kind, name, value| {
             *programs.entry((kind, name)).or_insert(0) += value;
-        }
+        });
     }
     reg.inc("trace.dropped_events", dropped);
     for ((kind, name), value) in programs {
@@ -155,58 +156,60 @@ pub fn metrics_of(out: &RunOutput) -> MetricsRegistry {
     reg
 }
 
-/// One rank's six-way wall-time decomposition, built from the kernel's
-/// per-thread wait-state account:
+/// One rank's blame account, read from its node's kernel at `end`.
+fn rank_account(out: &RunOutput, rank: u32, end: SimTime) -> RankAccount {
+    let ep = out.job.rank_tids[rank as usize];
+    let (cats, wall_ns) = rank_categories(out.sim.kernel(ep.node), ep.tid, end);
+    RankAccount {
+        rank,
+        node: ep.node,
+        wall_ns,
+        cats,
+    }
+}
+
+/// A rank thread's six-way wall-time decomposition at `end`, and its
+/// wall time in ns, built from the kernel's per-thread wait-state
+/// account and the rank program's `compute_ns` counter:
 ///
 /// * `compute` — the rank program's completed compute segments;
-/// * `coll_wait` — busy-poll spin plus blocked-receive time;
+/// * `coll_wait` — busy-poll spin: every MPI collective and exchange
+///   wait polls;
 /// * `runq_wait` — ready-queue delay (daemon preemption and gang-stagger
 ///   idle land here);
 /// * `noise` — device-interrupt debt served inside the rank's segments;
-/// * `io_wait` — callout sleeps (a GPFS reply wait is a blocked receive,
-///   so it lands in `coll_wait`);
+/// * `io_wait` — blocked time: blocked receives plus callout sleeps. MPI
+///   waits poll, so a rank blocks only on a GPFS reply, and its blocked
+///   time is its I/O;
 /// * `overhead` — the signed on-CPU residual (send/recv costs,
 ///   collective-internal reduce work, tick/IPI steal).
 ///
 /// The sum is exact by construction: the kernel guarantees
 /// `wall == cpu + runq_wait + blocked_msg + blocked_sleep`
 /// and the split here only repartitions `cpu` into
-/// `compute + poll_spin + noise_debt + residual`.
-fn rank_account(out: &RunOutput, rank: u32, end: SimTime) -> RankAccount {
-    let ep = out.job.rank_tids[rank as usize];
-    let kernel = out.sim.kernel(ep.node);
-    let a = kernel.thread_account(ep.tid, end);
-    let compute_ns = kernel
-        .thread_program_metrics(ep.tid)
-        .iter()
-        .find(|(name, _)| *name == "compute_ns")
-        .map_or(0, |&(_, v)| v);
-    RankAccount {
-        rank,
-        node: ep.node,
-        wall_ns: a.wall.nanos(),
-        cats: categories_of(&a, compute_ns),
-    }
-}
-
-/// Map one kernel [`pa_kernel::ThreadAccount`] plus the program's
-/// completed compute onto the six blame categories. The mapping
-/// preserves the kernel's exact wall identity: it only repartitions
-/// `cpu` into `compute + poll_spin + noise_debt + residual`, so the six
-/// categories sum to `wall` to the nanosecond. Shared with the batch
-/// engine's per-job aggregation.
-pub fn categories_of(a: &pa_kernel::ThreadAccount, compute_ns: u64) -> Categories {
-    Categories {
+/// `compute + poll_spin + noise_debt + residual`, so the six categories
+/// sum to `wall` to the nanosecond. Shared with the batch engine's
+/// per-job aggregation.
+pub fn rank_categories(kernel: &Kernel, tid: Tid, end: SimTime) -> (Categories, u64) {
+    let a = kernel.thread_account(tid, end);
+    let mut compute_ns = 0;
+    kernel.thread_program_metrics(tid, &mut |name, v| {
+        if name == "compute_ns" {
+            compute_ns = v;
+        }
+    });
+    let cats = Categories {
         compute_ns,
-        coll_wait_ns: a.poll_spin.nanos() + a.blocked_msg.nanos(),
+        coll_wait_ns: a.poll_spin.nanos(),
         runq_wait_ns: a.runq_wait.nanos(),
         noise_ns: a.noise_debt.nanos(),
-        io_wait_ns: a.blocked_sleep.nanos(),
+        io_wait_ns: a.blocked_msg.nanos() + a.blocked_sleep.nanos(),
         overhead_ns: a.cpu.nanos() as i64
             - compute_ns as i64
             - a.poll_spin.nanos() as i64
             - a.noise_debt.nanos() as i64,
-    }
+    };
+    (cats, a.wall.nanos())
 }
 
 /// Assemble the blame input for a finished run: per-rank accounts,
@@ -551,6 +554,36 @@ mod tests {
         assert!(blame.noise.is_empty(), "no interference sources");
         assert!(blame.links.is_empty(), "unlimited links never queue");
         assert!(blame.path.is_none(), "no record-all capture, no path");
+    }
+
+    #[test]
+    fn gpfs_reply_wait_is_blamed_as_io() {
+        // Each rank reads 64 MiB through a GPFS server, then meets a
+        // Barrier. MPI waits poll, so the ranks' blocked time is exactly
+        // their wait for the server's reply, and it is I/O, not
+        // collective skew.
+        let mut wl = |_rank: u32| -> Box<dyn RankWorkload> {
+            Box::new(OpList::new(vec![
+                MpiOp::IoRead { bytes: 64 << 20 },
+                MpiOp::Barrier,
+            ]))
+        };
+        let out = Experiment::new(2, 2)
+            .with_noise(pa_noise::NoiseProfile::production())
+            .with_seed(42)
+            .run(&mut wl);
+        assert!(out.completed);
+        let end = SimTime::ZERO + out.wall;
+        let (mut blocked, mut spin) = (0, 0);
+        for ep in &out.job.rank_tids {
+            let a = out.sim.kernel(ep.node).thread_account(ep.tid, end);
+            blocked += a.blocked_msg.nanos() + a.blocked_sleep.nanos();
+            spin += a.poll_spin.nanos();
+        }
+        let totals = blame_totals(&out);
+        assert!(blocked > 0, "the reads blocked no rank");
+        assert_eq!(totals.io_wait_ns, blocked);
+        assert_eq!(totals.coll_wait_ns, spin);
     }
 
     #[test]

@@ -30,7 +30,7 @@ use pa_blame::{Categories, JobBlame};
 use pa_cluster::{ClusterSim, ClusterSpec, FabricModel};
 use pa_core::{CoschedDaemon, CoschedParams, SchedOptions};
 use pa_kernel::{Endpoint, Message, Prio, ThreadSpec, ThreadState};
-use pa_mpi::{install_job, CtrlOp, Job, JobSpec, MpiConfig};
+use pa_mpi::{install_job, CtrlOp, Job, JobSpec};
 use pa_noise::NoiseProfile;
 use pa_obs::{MetricsRegistry, SpanTimeline};
 use pa_simkit::{SeedSpace, SimDur, SimTime};
@@ -592,12 +592,10 @@ impl JobsEngine {
         }
         let job_spec = JobSpec {
             tasks_per_node: req.tasks_per_node,
-            mpi: MpiConfig::default(),
             // No MPI progress timers: their threads never exit, which
             // would defeat exit-based completion detection. A documented
             // idealization of the batch layer.
             progress: None,
-            rank_prio: Prio::USER,
         };
         let nranks = launch.width * req.tasks_per_node;
         let chunk_key = (u64::from(id) << 20) | u64::from(chunk);
@@ -647,15 +645,9 @@ fn fold_chunk_blame(
     acc: &mut (Categories, u64, u32),
 ) {
     for ep in &handles.rank_tids {
-        let kernel = sim.kernel(ep.node);
-        let a = kernel.thread_account(ep.tid, end);
-        let compute_ns = kernel
-            .thread_program_metrics(ep.tid)
-            .iter()
-            .find(|(name, _)| *name == "compute_ns")
-            .map_or(0, |&(_, v)| v);
-        acc.0.add(&pa_core::categories_of(&a, compute_ns));
-        acc.1 += a.wall.nanos();
+        let (cats, wall_ns) = pa_core::rank_categories(sim.kernel(ep.node), ep.tid, end);
+        acc.0.add(&cats);
+        acc.1 += wall_ns;
         acc.2 += 1;
     }
 }

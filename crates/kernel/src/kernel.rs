@@ -791,14 +791,13 @@ impl Kernel {
         acc
     }
 
-    /// Deterministic counters of one thread's program (empty for
+    /// Visit the deterministic counters of one thread's program (none for
     /// programless pseudo-threads). Exited threads keep their programs,
     /// so final counters stay readable.
-    pub fn thread_program_metrics(&self, tid: Tid) -> Vec<(&'static str, u64)> {
-        self.threads[tid.0 as usize]
-            .program
-            .as_ref()
-            .map_or_else(Vec::new, |p| p.metrics())
+    pub fn thread_program_metrics(&self, tid: Tid, emit: &mut dyn FnMut(&'static str, u64)) {
+        if let Some(p) = &self.threads[tid.0 as usize].program {
+            p.metrics(emit);
+        }
     }
 
     /// Per-thread usage rows (for the overhead audit experiment).
@@ -824,19 +823,15 @@ impl Kernel {
         &self.stats
     }
 
-    /// Deterministic per-program counters: one `(kind, metric, value)` row
-    /// per metric of every thread whose program reports any (exited
-    /// threads included — programs are retained after `Action::Exit`).
-    pub fn program_metrics(&self) -> impl Iterator<Item = (&'static str, &'static str, u64)> + '_ {
-        self.threads
-            .iter()
-            .filter_map(|t| t.program.as_ref())
-            .flat_map(|p| {
-                let kind = p.kind();
-                p.metrics()
-                    .into_iter()
-                    .map(move |(name, v)| (kind, name, v))
-            })
+    /// Visit the deterministic per-program counters: one `(kind, metric,
+    /// value)` call per metric of every thread whose program reports any
+    /// (exited threads included — programs are retained after
+    /// `Action::Exit`).
+    pub fn program_metrics(&self, emit: &mut dyn FnMut(&'static str, &'static str, u64)) {
+        for p in self.threads.iter().filter_map(|t| t.program.as_ref()) {
+            let kind = p.kind();
+            p.metrics(&mut |name, v| emit(kind, name, v));
+        }
     }
 
     // ------------------------------------------------------------------

@@ -120,13 +120,14 @@ pub trait Program: Send {
         "program"
     }
 
-    /// Deterministic program-level counters, as (metric name, value)
-    /// pairs. The observability layer aggregates these per [`Program::kind`]
-    /// after a run; values must depend only on simulation state so that
-    /// snapshots stay byte-identical across reruns. The default is empty —
-    /// only programs with interesting counters override it.
-    fn metrics(&self) -> Vec<(&'static str, u64)> {
-        Vec::new()
+    /// Deterministic program-level counters: call `emit` once per
+    /// (metric name, value) pair. The observability layer aggregates these
+    /// per [`Program::kind`] after a run; values must depend only on
+    /// simulation state so that snapshots stay byte-identical across
+    /// reruns. The default emits nothing — only programs with interesting
+    /// counters override it.
+    fn metrics(&self, emit: &mut dyn FnMut(&'static str, u64)) {
+        let _ = emit;
     }
 
     /// Serialize this program's mutable state for a checkpoint. Restore

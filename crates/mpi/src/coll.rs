@@ -3,10 +3,10 @@
 //! §5.1 of the paper: *"The standard tree algorithm for MPI_Allreduce does
 //! no more than 2·log₂(N) separate point-to-point communications to
 //! complete the reduction"* — that is a binomial reduce-to-root followed
-//! by a binomial broadcast, which we implement as the default
-//! ([`binomial_allreduce`]). A recursive-doubling variant and the
-//! dissemination barrier and ring/recursive-doubling allgathers used by
-//! the workloads are provided as well.
+//! by a binomial broadcast, [`binomial_allreduce`], the only Allreduce.
+//! The dissemination barrier, the binomial reduce and broadcast and the
+//! ring/recursive-doubling allgathers used by the workloads are provided
+//! as well.
 //!
 //! A schedule is the *per-rank* ordered list of [`CollStep`]s; the data
 //! dependencies between ranks' steps are what turn one delayed rank into
@@ -158,81 +158,6 @@ pub fn binomial_bcast(rank: u32, n: u32, root: u32) -> Vec<CollStep> {
     steps
 }
 
-/// Recursive-doubling Allreduce. For non-powers of two the standard
-/// fold-in/fold-out adaptation is used: the first `2·rem` ranks pair up,
-/// odd members fold into even ones, the resulting power-of-two set does
-/// recursive doubling, and folded ranks get the result back at the end.
-pub fn recursive_doubling_allreduce(rank: u32, n: u32) -> Vec<CollStep> {
-    assert!(rank < n, "rank {rank} out of range for {n} ranks");
-    let mut steps = Vec::new();
-    if n == 1 {
-        return steps;
-    }
-    let pow2 = 1u32 << (31 - n.leading_zeros()); // largest power of two ≤ n
-    let rem = n - pow2;
-    let rounds = pow2.trailing_zeros() as u16;
-    // Pre-fold: ranks < 2*rem pair (even, odd); odd sends to even.
-    let (active, active_rank) = if rank < 2 * rem {
-        if rank % 2 == 1 {
-            steps.push(CollStep::Send {
-                peer: rank - 1,
-                phase: 0,
-            });
-            (false, 0)
-        } else {
-            steps.push(CollStep::Recv {
-                peer: rank + 1,
-                phase: 0,
-                reduce: true,
-            });
-            (true, rank / 2)
-        }
-    } else {
-        (true, rank - rem)
-    };
-    if active {
-        // Recursive doubling among `pow2` active ranks; each round is a
-        // pairwise exchange. Send before recv: sends are buffered/eager so
-        // this cannot deadlock and halves the critical path.
-        for k in 0..rounds {
-            let partner_active = active_rank ^ (1 << k);
-            // Map active rank back to the real rank space.
-            let partner = if partner_active < rem {
-                partner_active * 2
-            } else {
-                partner_active + rem
-            };
-            let phase = 1 + k;
-            steps.push(CollStep::Send {
-                peer: partner,
-                phase,
-            });
-            steps.push(CollStep::Recv {
-                peer: partner,
-                phase,
-                reduce: true,
-            });
-        }
-    }
-    // Post-fold: even partners send the final result to their odd mates.
-    let post_phase = 1 + rounds;
-    if rank < 2 * rem {
-        if rank % 2 == 0 {
-            steps.push(CollStep::Send {
-                peer: rank + 1,
-                phase: post_phase,
-            });
-        } else {
-            steps.push(CollStep::Recv {
-                peer: rank - 1,
-                phase: post_phase,
-                reduce: false,
-            });
-        }
-    }
-    steps
-}
-
 /// Dissemination barrier: ⌈log₂ n⌉ rounds; in round k, rank r signals
 /// `(r + 2^k) mod n` and waits for `(r - 2^k) mod n`.
 pub fn dissemination_barrier(rank: u32, n: u32) -> Vec<CollStep> {
@@ -302,15 +227,6 @@ pub fn recursive_doubling_allgather(rank: u32, n: u32) -> Option<Vec<CollStep>> 
         });
     }
     Some(steps)
-}
-
-/// Which collective algorithm an operation uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Algorithm {
-    /// Binomial reduce + broadcast (the paper's "standard tree").
-    BinomialTree,
-    /// Recursive doubling (with non-power-of-two folding).
-    RecursiveDoubling,
 }
 
 #[cfg(test)]
@@ -402,16 +318,6 @@ mod tests {
     }
 
     #[test]
-    fn recursive_doubling_allreduce_all_sizes() {
-        for n in 1..=66 {
-            check_allreduce(n, recursive_doubling_allreduce);
-        }
-        for n in [128, 255, 256, 944, 1024] {
-            check_allreduce(n, recursive_doubling_allreduce);
-        }
-    }
-
-    #[test]
     fn binomial_reduce_gathers_all_at_root() {
         for n in [1u32, 2, 3, 7, 16, 33, 100] {
             for root in [0, n / 2, n - 1] {
@@ -499,7 +405,6 @@ mod tests {
     #[test]
     fn single_rank_schedules_are_empty() {
         assert!(binomial_allreduce(0, 1).is_empty());
-        assert!(recursive_doubling_allreduce(0, 1).is_empty());
         assert!(dissemination_barrier(0, 1).is_empty());
         assert!(ring_allgather(0, 1).is_empty());
     }

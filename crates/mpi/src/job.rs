@@ -6,40 +6,30 @@
 //! [`install_job`] spawns the threads and returns their kernel thread
 //! ids; the caller adds the co-scheduler and GPFS endpoints and freezes
 //! the [`JobLayout`] with [`Job::freeze_layout`] before the ranks run.
+//!
+//! A [`JobSpec`] chooses only the job's shape and its timer threads. The
+//! MPI itself is fixed: every rank is the study's IBM MPI
+//! ([`RankProgram`]), started at AIX user priority [`Prio::USER`].
 
 use crate::layout::{JobLayout, LayoutHandle};
 use crate::progress::{ProgressSpec, ProgressThread};
-use crate::rank::{MpiConfig, RankProgram, RankWorkload};
+use crate::rank::{RankProgram, RankWorkload};
 use crate::recorder::{RecorderHandle, RunRecorder};
 use pa_cluster::ClusterSim;
 use pa_kernel::{CpuId, Endpoint, Prio, ThreadSpec, Tid};
 use pa_simkit::SeedSpace;
 use pa_trace::ThreadClass;
 
-/// Shape and configuration of a parallel job.
+/// Shape of a parallel job. Every rank starts at [`Prio::USER`] and its
+/// timer thread five levels better.
 #[derive(Debug, Clone)]
 pub struct JobSpec {
     /// Tasks per node (16 to fill the node, 15 to leave the reserve CPU —
     /// the §2 workaround the paper aims to retire).
     pub tasks_per_node: u32,
-    /// MPI library configuration.
-    pub mpi: MpiConfig,
     /// Spawn per-rank MPI timer threads with this spec (None = no
     /// progress engine, an idealization).
     pub progress: Option<ProgressSpec>,
-    /// Task priority at job start (AIX user processes: 90–120).
-    pub rank_prio: Prio,
-}
-
-impl Default for JobSpec {
-    fn default() -> Self {
-        JobSpec {
-            tasks_per_node: 16,
-            mpi: MpiConfig::default(),
-            progress: Some(ProgressSpec::default()),
-            rank_prio: Prio::USER,
-        }
-    }
 }
 
 /// Handles to an installed job.
@@ -121,7 +111,7 @@ pub fn install_job(
     let recorder = RunRecorder::shared();
     let mut rank_tids = Vec::with_capacity(nranks as usize);
     let mut timer_tids = Vec::new();
-    let aux_prio = Prio(spec.rank_prio.0.saturating_sub(5));
+    let aux_prio = Prio(Prio::USER.0 - 5);
     // One firing phase for the whole job: timer threads are armed at
     // MPI_Init, so they tick (nearly) together across every rank.
     let timer_phase = spec.progress.map(|ps| {
@@ -142,14 +132,13 @@ pub fn install_job(
                 layout.clone(),
                 make_workload(rank),
                 recorder.clone(),
-                spec.mpi,
             );
             let tid = sim.spawn_thread(
                 node,
                 ThreadSpec::new(
                     format!("{name_prefix}rank_{rank}"),
                     ThreadClass::App,
-                    spec.rank_prio,
+                    Prio::USER,
                 )
                 .on_cpu(CpuId(local as u8)),
                 Box::new(program),
@@ -228,7 +217,6 @@ mod tests {
         let spec = JobSpec {
             tasks_per_node: 4,
             progress: None,
-            ..JobSpec::default()
         };
         let job = boot_job(&mut sim, &spec, &mut |_r| {
             Box::new(OpList::new(vec![MpiOp::Barrier]))
@@ -250,7 +238,6 @@ mod tests {
         let spec = JobSpec {
             tasks_per_node: 4,
             progress: None,
-            ..JobSpec::default()
         };
         let job = boot_job(&mut sim, &spec, &mut |_r| {
             Box::new(OpList::new(vec![
@@ -274,7 +261,6 @@ mod tests {
         let spec = JobSpec {
             tasks_per_node: 2,
             progress: None,
-            ..JobSpec::default()
         };
         let job = boot_job(&mut sim, &spec, &mut |_r| {
             Box::new(RingExchange { left: 2 })
@@ -311,7 +297,6 @@ mod tests {
         let spec = JobSpec {
             tasks_per_node: 2,
             progress: Some(ProgressSpec::default()),
-            ..JobSpec::default()
         };
         let job = boot_job(&mut sim, &spec, &mut |_r| {
             Box::new(OpList::new(vec![MpiOp::Compute(SimDur::from_millis(1))]))
@@ -328,7 +313,6 @@ mod tests {
         let spec = JobSpec {
             tasks_per_node: 15,
             progress: None,
-            ..JobSpec::default()
         };
         let job = boot_job(&mut sim, &spec, &mut |_r| {
             Box::new(OpList::new(vec![MpiOp::Barrier]))
@@ -346,7 +330,6 @@ mod tests {
         let spec = JobSpec {
             tasks_per_node: 2,
             progress: None,
-            ..JobSpec::default()
         };
         install_unfrozen(&mut sim, &spec, &mut |_r| {
             Box::new(OpList::new(vec![MpiOp::Barrier]))
@@ -363,7 +346,6 @@ mod tests {
         let spec = JobSpec {
             tasks_per_node: 1,
             progress: None,
-            ..JobSpec::default()
         };
         boot_job(&mut sim, &spec, &mut |_r| {
             Box::new(OpList::new(vec![MpiOp::IoRead { bytes: 4096 }]))
@@ -378,7 +360,6 @@ mod tests {
         let spec = JobSpec {
             tasks_per_node: 2,
             progress: None,
-            ..JobSpec::default()
         };
         let job = boot_job(&mut sim, &spec, &mut |_r| {
             Box::new(OpList::new(vec![MpiOp::Barrier]))

@@ -3,8 +3,8 @@
 //! Implements the message-passing layer the study's benchmarks exercise:
 //!
 //! * [`coll`] — real collective communication schedules (the paper's
-//!   binomial "standard tree" Allreduce, recursive doubling, dissemination
-//!   barrier, ring/recursive-doubling allgather);
+//!   binomial "standard tree" Allreduce, dissemination barrier,
+//!   ring/recursive-doubling allgather);
 //! * [`RankProgram`] / [`RankWorkload`] — MPI ranks as kernel threads that
 //!   busy-poll their receives (IBM MPI user-space polling) and register
 //!   with the node co-scheduler through the control pipe (§4);
@@ -29,10 +29,10 @@ pub mod rank;
 pub mod recorder;
 pub mod tags;
 
-pub use coll::{Algorithm, CollStep};
+pub use coll::CollStep;
 pub use job::{install_job, Job, JobSpec};
 pub use layout::{JobLayout, LayoutHandle};
 pub use progress::{ProgressSpec, ProgressThread};
-pub use rank::{MpiConfig, MpiOp, OpList, RankProgram, RankWorkload};
+pub use rank::{MpiOp, OpList, RankProgram, RankWorkload};
 pub use recorder::{OpAgg, OpKind, OpSample, RecorderHandle, RunRecorder};
 pub use tags::CtrlOp;

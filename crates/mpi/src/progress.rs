@@ -104,8 +104,8 @@ impl Program for ProgressThread {
         "mpi_timer"
     }
 
-    fn metrics(&self) -> Vec<(&'static str, u64)> {
-        vec![("firings", self.firings)]
+    fn metrics(&self, emit: &mut dyn FnMut(&'static str, u64)) {
+        emit("firings", self.firings);
     }
 
     fn snapshot_state(&self) -> Value {

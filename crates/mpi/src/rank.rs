@@ -6,22 +6,25 @@
 //! busy-poll receives following the collective schedules of
 //! [`coll`], trace markers, and GPFS requests.
 //!
-//! Per the study's IBM MPI configuration, waits busy-poll by default
-//! (user-space polling), and each rank registers its process id with the
-//! node's co-scheduler at MPI-init time through the control pipe (§4).
+//! The rank models the one MPI the study ran, IBM MPI: every collective
+//! and exchange wait busy-polls (user-space polling), the Allreduce is
+//! the binomial "standard tree" (§5.1), each combining receive pays a
+//! 300 ns reduce, and at MPI init the rank registers its process id with
+//! its node's co-scheduler, when one runs, through the control pipe
+//! (§4). A rank blocks only on a GPFS reply.
 //!
 //! A collective is walked in place. Each rank builds its schedule for a
 //! kind once, keeps it in a per-kind slot and never copies it. A call
 //! then holds only a cursor into that schedule (a `Walk`), and each step
 //! yields the next action from it: `CollBegin`, then per schedule step a
 //! `Send`, or a `Recv` followed by the reduce `Compute` when the step
-//! combines and the cost is non-zero, then `CollEnd`. Exchanges, GPFS
-//! requests and restored actions are queued instead. A checkpoint writes
-//! a walk's remaining actions after the queue: the same list, in the same
-//! order, that an expanded action queue would hold, so checkpoint files
-//! are unchanged and a restored rank simply drains them from its queue.
+//! combines, then `CollEnd`. Exchanges, GPFS requests and restored
+//! actions are queued instead. A checkpoint writes a walk's remaining
+//! actions after the queue: the same list, in the same order, that an
+//! expanded action queue would hold, so checkpoint files are unchanged
+//! and a restored rank simply drains them from its queue.
 
-use crate::coll::{self, Algorithm, CollStep};
+use crate::coll::{self, CollStep};
 use crate::layout::{JobLayout, LayoutHandle};
 use crate::recorder::{OpKind, RecorderHandle};
 use crate::tags::{coll_tag, p2p_tag, CtrlOp};
@@ -111,39 +114,8 @@ pub trait RankWorkload: Send {
     }
 }
 
-/// MPI library configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct MpiConfig {
-    /// Collective algorithm.
-    pub algorithm: Algorithm,
-    /// Busy-poll (IBM MPI default) or block while waiting.
-    pub polling: bool,
-    /// Reduction compute cost per combining receive.
-    pub reduce_cost: SimDur,
-    /// Register ranks with the node co-scheduler at init.
-    pub register_with_cosched: bool,
-}
-
-impl Default for MpiConfig {
-    fn default() -> Self {
-        MpiConfig {
-            algorithm: Algorithm::BinomialTree,
-            polling: true,
-            reduce_cost: SimDur::from_nanos(300),
-            register_with_cosched: true,
-        }
-    }
-}
-
-impl MpiConfig {
-    fn wait_mode(&self) -> WaitMode {
-        if self.polling {
-            WaitMode::Poll
-        } else {
-            WaitMode::Block
-        }
-    }
-}
+/// The reduction compute a rank pays after each combining receive.
+const REDUCE_COST: SimDur = SimDur::from_nanos(300);
 
 /// An in-flight collective on this rank.
 #[derive(Debug)]
@@ -171,16 +143,10 @@ struct Walk {
 impl Walk {
     /// The next action of collective `seq` over `sched`, advancing the
     /// cursor; None once `CollEnd` has been yielded.
-    fn next(
-        &mut self,
-        seq: u64,
-        sched: &[CollStep],
-        layout: &JobLayout,
-        cfg: &MpiConfig,
-    ) -> Option<Action> {
+    fn next(&mut self, seq: u64, sched: &[CollStep], layout: &JobLayout) -> Option<Action> {
         if self.reduce_due {
             self.reduce_due = false;
-            return Some(Action::Compute(cfg.reduce_cost));
+            return Some(Action::Compute(REDUCE_COST));
         }
         let pos = self.pos as usize;
         if pos > sched.len() + 1 {
@@ -209,11 +175,11 @@ impl Walk {
                 phase,
                 reduce,
             } => {
-                self.reduce_due = reduce && !cfg.reduce_cost.is_zero();
+                self.reduce_due = reduce;
                 Action::Recv {
                     tag: TagSel::Exact(coll_tag(seq, phase)),
                     src: SrcSel::Exact(layout.endpoint(peer)),
-                    wait: cfg.wait_mode(),
+                    wait: WaitMode::Poll,
                 }
             }
         })
@@ -240,10 +206,10 @@ fn built(cache: &[Option<Box<[CollStep]>>; 5], kind: OpKind) -> &[CollStep] {
 }
 
 /// Checkpointed mutable state of a [`RankProgram`]. The schedule slots
-/// are deliberately absent: they are a pure function of (rank, nranks,
-/// algorithm) and are lazily rebuilt after restore. A walk in progress
-/// is written out as the actions it has left, after the queue, so the
-/// format is the one an expanded action queue had; restore queues them.
+/// are deliberately absent: they are a pure function of (rank, nranks)
+/// and are lazily rebuilt after restore. A walk in progress is written
+/// out as the actions it has left, after the queue, so the format is the
+/// one an expanded action queue had; restore queues them.
 #[derive(Debug, Serialize, Deserialize)]
 struct RankSnap {
     registered: bool,
@@ -263,7 +229,6 @@ pub struct RankProgram {
     layout: LayoutHandle,
     workload: Box<dyn RankWorkload>,
     recorder: RecorderHandle,
-    cfg: MpiConfig,
     registered: bool,
     /// Collective/exchange sequence counter. Every rank of a correct BSP
     /// workload issues the same communication ops in the same order, so
@@ -298,7 +263,6 @@ impl RankProgram {
         layout: LayoutHandle,
         workload: Box<dyn RankWorkload>,
         recorder: RecorderHandle,
-        cfg: MpiConfig,
     ) -> RankProgram {
         RankProgram {
             rank,
@@ -306,7 +270,6 @@ impl RankProgram {
             layout,
             workload,
             recorder,
-            cfg,
             registered: false,
             next_seq: 0,
             next_io: 0,
@@ -328,13 +291,9 @@ impl RankProgram {
     /// Build the schedule slot of `kind` if this rank has not yet.
     fn ensure_schedule(&mut self, kind: OpKind) {
         let (rank, n) = (self.rank, self.nranks);
-        let alg = self.cfg.algorithm;
         self.sched_cache[slot(kind)].get_or_insert_with(|| {
             match kind {
-                OpKind::Allreduce => match alg {
-                    Algorithm::BinomialTree => coll::binomial_allreduce(rank, n),
-                    Algorithm::RecursiveDoubling => coll::recursive_doubling_allreduce(rank, n),
-                },
+                OpKind::Allreduce => coll::binomial_allreduce(rank, n),
                 OpKind::Barrier => coll::dissemination_barrier(rank, n),
                 OpKind::Allgather => coll::recursive_doubling_allgather(rank, n)
                     .unwrap_or_else(|| coll::ring_allgather(rank, n)),
@@ -368,7 +327,7 @@ impl RankProgram {
         let cur = self.cur.as_mut()?;
         let walk = cur.walk.as_mut()?;
         let sched = built(&self.sched_cache, cur.kind);
-        let action = walk.next(cur.seq, sched, frozen(&self.layout, self.rank), &self.cfg);
+        let action = walk.next(cur.seq, sched, frozen(&self.layout, self.rank));
         if action.is_none() {
             cur.walk = None;
         }
@@ -385,7 +344,6 @@ impl RankProgram {
             walk: None,
         });
         let me = self.me(ctx);
-        let wait = self.cfg.wait_mode();
         let layout = frozen(&self.layout, self.rank);
         // Eager sends first (buffered by the fabric), then the receives:
         // the standard deadlock-free exchange.
@@ -403,7 +361,7 @@ impl RankProgram {
             self.queue.push_back(Action::Recv {
                 tag: TagSel::Exact(p2p_tag(seq, 0)),
                 src: SrcSel::Exact(layout.endpoint(p)),
-                wait,
+                wait: WaitMode::Poll,
             });
         }
     }
@@ -438,10 +396,8 @@ impl Program for RankProgram {
         // MPI init: report our pid to the co-scheduler's control pipe.
         if !self.registered {
             self.registered = true;
-            if self.cfg.register_with_cosched {
-                if let Some(a) = self.ctrl_message(CtrlOp::Register, ctx) {
-                    return a;
-                }
+            if let Some(a) = self.ctrl_message(CtrlOp::Register, ctx) {
+                return a;
             }
         }
         loop {
@@ -525,12 +481,10 @@ impl Program for RankProgram {
         "mpi_rank"
     }
 
-    fn metrics(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("collectives", self.next_seq),
-            ("io_ops", self.next_io),
-            ("compute_ns", self.compute_ns),
-        ]
+    fn metrics(&self, emit: &mut dyn FnMut(&'static str, u64)) {
+        emit("collectives", self.next_seq);
+        emit("io_ops", self.next_io);
+        emit("compute_ns", self.compute_ns);
     }
 
     fn snapshot_state(&self) -> Value {
@@ -539,7 +493,7 @@ impl Program for RankProgram {
             if let Some(mut walk) = cur.walk {
                 let sched = built(&self.sched_cache, cur.kind);
                 let layout = frozen(&self.layout, self.rank);
-                while let Some(a) = walk.next(cur.seq, sched, layout, &self.cfg) {
+                while let Some(a) = walk.next(cur.seq, sched, layout) {
                     queue.push(a);
                 }
             }
@@ -619,15 +573,36 @@ mod tests {
 
     #[test]
     fn config_defaults_match_study() {
-        let c = MpiConfig::default();
-        assert!(c.polling, "IBM MPI busy-polls by default");
-        assert_eq!(c.algorithm, Algorithm::BinomialTree);
-        assert!(c.register_with_cosched);
-        assert_eq!(c.wait_mode(), WaitMode::Poll);
-        let blocking = MpiConfig {
-            polling: false,
-            ..c
+        // IBM MPI as the study ran it: the binomial-tree Allreduce, every
+        // wait busy-polls, and each combining receive pays the reduce.
+        let n = 4;
+        let eps = (0..n).map(|r| Endpoint {
+            node: 0,
+            tid: pa_kernel::Tid(r),
+        });
+        let layout = JobLayout::new(eps.collect(), n, [], []);
+        let sched = coll::binomial_allreduce(0, n);
+        let mut walk = Walk {
+            pos: 0,
+            reduce_due: false,
+            bytes: 8,
+            me: layout.endpoint(0),
         };
-        assert_eq!(blocking.wait_mode(), WaitMode::Block);
+        let actions: Vec<Action> = std::iter::from_fn(|| walk.next(3, &sched, &layout)).collect();
+        // The tree's root combines every receive: `CollBegin`, per
+        // receive a polling `Recv` and the 300 ns reduce, its sends, then
+        // `CollEnd`.
+        let combining = sched
+            .iter()
+            .filter(|s| matches!(s, CollStep::Recv { reduce: true, .. }))
+            .count();
+        assert!(combining > 0);
+        assert_eq!(actions.len(), sched.len() + combining + 2);
+        for (i, a) in actions.iter().enumerate() {
+            if let Action::Recv { wait, .. } = a {
+                assert_eq!(*wait, WaitMode::Poll, "IBM MPI busy-polls");
+                assert_eq!(actions[i + 1], Action::Compute(SimDur::from_nanos(300)));
+            }
+        }
     }
 }

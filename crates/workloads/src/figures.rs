@@ -142,7 +142,6 @@ impl ScalingConfig {
             kernel: self.kernel,
             cosched: self.cosched,
             noise: self.noise.clone(),
-            mpi: pa_mpi::MpiConfig::default(),
             progress: self.progress,
             workload: self.agg.with_calls(calls),
             seed,

@@ -95,7 +95,6 @@ pub fn batch_point(
         },
         cosched: None,
         noise: noise.clone(),
-        mpi: pa_mpi::MpiConfig::default(),
         progress: None,
         workload: scenario.clone(),
         seed,

@@ -2,7 +2,7 @@
 
 use pa_campaign::{run_campaign, Cache, CampaignOutcome, CheckpointCtx, ExecutorConfig, PointCtx};
 use pa_core::{metrics_of, CoschedSetup, Experiment, SchedOptions};
-use pa_mpi::{Algorithm, MpiConfig, MpiOp, OpList, RankWorkload};
+use pa_mpi::{MpiOp, OpList, RankWorkload};
 use pa_noise::NoiseProfile;
 use pa_simkit::{sha256_hex, SimDur};
 use pa_workloads::{aggregate_runner, collect_scale_points, run_point_with, ScalingConfig};
@@ -65,44 +65,6 @@ fn heavy_noise_storm_still_completes() {
         out.mean_allreduce_us(),
         calm.mean_allreduce_us()
     );
-}
-
-#[test]
-fn blocking_mpi_mode_works() {
-    // Interrupt-driven (blocking) waits instead of busy polling.
-    let cfg = MpiConfig {
-        polling: false,
-        ..MpiConfig::default()
-    };
-    let out = Experiment::new(2, 8)
-        .with_cpus_per_node(8)
-        .with_mpi(cfg)
-        .with_noise(NoiseProfile::dedicated())
-        .with_seed(5)
-        .run(&mut allreduces(100));
-    assert!(out.completed, "blocking-mode collectives deadlocked");
-}
-
-#[test]
-fn recursive_doubling_algorithm_end_to_end() {
-    let cfg = MpiConfig {
-        algorithm: Algorithm::RecursiveDoubling,
-        ..MpiConfig::default()
-    };
-    // Non-power-of-two rank count exercises the fold-in/fold-out path.
-    let out = Experiment::new(3, 5)
-        .with_cpus_per_node(8)
-        .with_mpi(cfg)
-        .with_noise(NoiseProfile::dedicated())
-        .with_seed(6)
-        .run(&mut allreduces(80));
-    assert!(out.completed);
-    out.job
-        .recorder
-        .lock()
-        .unwrap()
-        .verify_complete(15)
-        .expect("all 15 ranks completed every op");
 }
 
 #[test]
