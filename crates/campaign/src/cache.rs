@@ -40,7 +40,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// cadence) for checkpoint-armed runs; v8 entries would disagree with a
 /// fresh run of the same spec.
 /// Still v9: the `dispatcher` key later left `PointSpec`, which repeated
-/// `kernel.dispatcher`. Dropping a canonical field changes every content
+/// `kernel.dispatcher`, and so did `policy`, which moved into the
+/// multi-job workload. Dropping a canonical field changes every content
 /// key, so old entries already read as misses.
 pub const CACHE_SCHEMA_VERSION: u32 = 9;
 
@@ -211,7 +212,6 @@ mod tests {
             seed: 5,
             horizon: None,
             link_bandwidth: None,
-            policy: None,
         }
     }
 

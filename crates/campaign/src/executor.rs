@@ -428,7 +428,6 @@ mod tests {
             seed,
             horizon: None,
             link_bandwidth: None,
-            policy: None,
         }
     }
 

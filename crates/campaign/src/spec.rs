@@ -45,9 +45,6 @@ pub struct PointSpec<W> {
     /// Per-node link capacity, bytes/sec; `None` is the unlimited legacy
     /// fabric with no contention.
     pub link_bandwidth: Option<f64>,
-    /// Batch placement policy name for multi-job points (`pa-jobs`
-    /// families); `None` for single-job points.
-    pub policy: Option<String>,
 }
 
 // Manual impls: the derive macro in the serde shim does not handle
@@ -69,7 +66,6 @@ impl<W: Serialize> Serialize for PointSpec<W> {
             ("seed".into(), self.seed.to_value()),
             ("horizon".into(), self.horizon.to_value()),
             ("link_bandwidth".into(), self.link_bandwidth.to_value()),
-            ("policy".into(), self.policy.to_value()),
         ])
     }
 }
@@ -97,7 +93,6 @@ impl<W: Deserialize> Deserialize for PointSpec<W> {
             seed: field(map, "seed")?,
             horizon: field(map, "horizon")?,
             link_bandwidth: field(map, "link_bandwidth")?,
-            policy: field(map, "policy")?,
         })
     }
 }
@@ -157,7 +152,6 @@ mod tests {
             seed: 42,
             horizon: None,
             link_bandwidth: None,
-            policy: None,
         }
     }
 
@@ -188,8 +182,10 @@ mod tests {
         let mut e = spec();
         e.link_bandwidth = Some(350e6);
         assert_ne!(a.content_key(), e.content_key());
+        // A family's own parameters, such as a batch point's placement
+        // policy, live in the workload.
         let mut f = spec();
-        f.policy = Some("backfill".into());
+        f.workload = 8;
         assert_ne!(a.content_key(), f.content_key());
         let mut g = spec();
         g.kernel.dispatcher = pa_kernel::DispatcherKind::Cfs;

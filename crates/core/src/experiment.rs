@@ -154,13 +154,6 @@ impl Experiment {
         self
     }
 
-    /// Select the dispatcher policy (a shorthand for mutating
-    /// [`SchedOptions::dispatcher`] on the current kernel block).
-    pub fn with_dispatcher(mut self, kind: pa_kernel::DispatcherKind) -> Self {
-        self.kernel.dispatcher = kind;
-        self
-    }
-
     /// Deploy the co-scheduler.
     pub fn with_cosched(mut self, setup: CoschedSetup) -> Self {
         self.cosched = Some(setup);
@@ -553,7 +546,10 @@ mod tests {
                 let mut wl = allreduce_workload(32);
                 let out = Experiment::new(2, 4)
                     .with_cpus_per_node(4)
-                    .with_dispatcher(kind)
+                    .with_kernel(SchedOptions {
+                        dispatcher: kind,
+                        ..SchedOptions::vanilla()
+                    })
                     .with_sim_threads(threads)
                     .with_seed(31)
                     .run(&mut wl);

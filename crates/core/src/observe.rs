@@ -135,14 +135,7 @@ pub fn metrics_of(out: &RunOutput) -> MetricsRegistry {
     // Collective-phase histograms from the recorder's per-op aggregates
     // (global duration: first entry to last completion across ranks).
     let recorder = out.job.recorder.lock().unwrap();
-    for kind in [
-        pa_mpi::OpKind::Allreduce,
-        pa_mpi::OpKind::Barrier,
-        pa_mpi::OpKind::Allgather,
-        pa_mpi::OpKind::Reduce,
-        pa_mpi::OpKind::Bcast,
-        pa_mpi::OpKind::Exchange,
-    ] {
+    for kind in [pa_mpi::OpKind::Allreduce, pa_mpi::OpKind::Exchange] {
         let aggs = recorder.aggs(kind);
         if aggs.is_empty() {
             continue;
@@ -558,14 +551,14 @@ mod tests {
 
     #[test]
     fn gpfs_reply_wait_is_blamed_as_io() {
-        // Each rank reads 64 MiB through a GPFS server, then meets a
-        // Barrier. MPI waits poll, so the ranks' blocked time is exactly
+        // Each rank reads 64 MiB through a GPFS server, then joins an
+        // Allreduce. MPI waits poll, so the ranks' blocked time is exactly
         // their wait for the server's reply, and it is I/O, not
         // collective skew.
         let mut wl = |_rank: u32| -> Box<dyn RankWorkload> {
             Box::new(OpList::new(vec![
                 MpiOp::IoRead { bytes: 64 << 20 },
-                MpiOp::Barrier,
+                MpiOp::Allreduce { bytes: 8 },
             ]))
         };
         let out = Experiment::new(2, 2)

@@ -3,10 +3,9 @@
 //! §5.1 of the paper: *"The standard tree algorithm for MPI_Allreduce does
 //! no more than 2·log₂(N) separate point-to-point communications to
 //! complete the reduction"* — that is a binomial reduce-to-root followed
-//! by a binomial broadcast, [`binomial_allreduce`], the only Allreduce.
-//! The dissemination barrier, the binomial reduce and broadcast and the
-//! ring/recursive-doubling allgathers used by the workloads are provided
-//! as well.
+//! by a binomial broadcast, [`binomial_allreduce`]. It is the only
+//! collective the study's workloads issue; their halo exchanges are
+//! plain point-to-point and need no schedule.
 //!
 //! A schedule is the *per-rank* ordered list of [`CollStep`]s; the data
 //! dependencies between ranks' steps are what turn one delayed rank into
@@ -102,133 +101,6 @@ pub fn binomial_allreduce(rank: u32, n: u32) -> Vec<CollStep> {
     steps
 }
 
-/// Binomial reduce-to-root (the first half of the paper's "standard
-/// tree"). Any `n`, any `root` (ranks are rotated so the virtual root is
-/// 0).
-pub fn binomial_reduce(rank: u32, n: u32, root: u32) -> Vec<CollStep> {
-    assert!(rank < n && root < n, "rank/root out of range");
-    let vrank = (rank + n - root) % n;
-    let unmap = |v: u32| (v + root) % n;
-    let mut steps = Vec::new();
-    let rounds = tree_rounds(n);
-    for k in 0..rounds {
-        let bit = 1u32 << k;
-        let span = bit << 1;
-        if vrank % span == bit {
-            steps.push(CollStep::Send {
-                peer: unmap(vrank - bit),
-                phase: k,
-            });
-            break;
-        } else if vrank % span == 0 && vrank + bit < n {
-            steps.push(CollStep::Recv {
-                peer: unmap(vrank + bit),
-                phase: k,
-                reduce: true,
-            });
-        }
-    }
-    steps
-}
-
-/// Binomial broadcast from `root` (the second half of the standard tree).
-pub fn binomial_bcast(rank: u32, n: u32, root: u32) -> Vec<CollStep> {
-    assert!(rank < n && root < n, "rank/root out of range");
-    let vrank = (rank + n - root) % n;
-    let unmap = |v: u32| (v + root) % n;
-    let mut steps = Vec::new();
-    let rounds = tree_rounds(n);
-    for k in (0..rounds).rev() {
-        let bit = 1u32 << k;
-        let span = bit << 1;
-        let phase = rounds - 1 - k;
-        if vrank % span == bit {
-            steps.push(CollStep::Recv {
-                peer: unmap(vrank - bit),
-                phase,
-                reduce: false,
-            });
-        } else if vrank % span == 0 && vrank + bit < n {
-            steps.push(CollStep::Send {
-                peer: unmap(vrank + bit),
-                phase,
-            });
-        }
-    }
-    steps
-}
-
-/// Dissemination barrier: ⌈log₂ n⌉ rounds; in round k, rank r signals
-/// `(r + 2^k) mod n` and waits for `(r - 2^k) mod n`.
-pub fn dissemination_barrier(rank: u32, n: u32) -> Vec<CollStep> {
-    assert!(rank < n);
-    let mut steps = Vec::new();
-    if n == 1 {
-        return steps;
-    }
-    let rounds = tree_rounds(n);
-    for k in 0..rounds {
-        let dist = 1u32 << k;
-        let to = (rank + dist) % n;
-        let from = (rank + n - (dist % n)) % n;
-        steps.push(CollStep::Send { peer: to, phase: k });
-        steps.push(CollStep::Recv {
-            peer: from,
-            phase: k,
-            reduce: true, // barrier "combines" knowledge, no data cost
-        });
-    }
-    steps
-}
-
-/// Ring allgather: n−1 rounds; each round passes one block to the right
-/// neighbour and receives one from the left.
-pub fn ring_allgather(rank: u32, n: u32) -> Vec<CollStep> {
-    assert!(rank < n);
-    let mut steps = Vec::new();
-    if n == 1 {
-        return steps;
-    }
-    let right = (rank + 1) % n;
-    let left = (rank + n - 1) % n;
-    for k in 0..(n - 1) as u16 {
-        steps.push(CollStep::Send {
-            peer: right,
-            phase: k,
-        });
-        steps.push(CollStep::Recv {
-            peer: left,
-            phase: k,
-            reduce: true, // accumulates blocks
-        });
-    }
-    steps
-}
-
-/// Recursive-doubling allgather (powers of two only; callers fall back to
-/// [`ring_allgather`] otherwise): log₂ n rounds of pairwise exchange with
-/// doubling payloads.
-pub fn recursive_doubling_allgather(rank: u32, n: u32) -> Option<Vec<CollStep>> {
-    if !n.is_power_of_two() {
-        return None;
-    }
-    let mut steps = Vec::new();
-    let rounds = n.trailing_zeros() as u16;
-    for k in 0..rounds {
-        let partner = rank ^ (1 << k);
-        steps.push(CollStep::Send {
-            peer: partner,
-            phase: k,
-        });
-        steps.push(CollStep::Recv {
-            peer: partner,
-            phase: k,
-            reduce: true,
-        });
-    }
-    Some(steps)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -318,78 +190,6 @@ mod tests {
     }
 
     #[test]
-    fn binomial_reduce_gathers_all_at_root() {
-        for n in [1u32, 2, 3, 7, 16, 33, 100] {
-            for root in [0, n / 2, n - 1] {
-                let schedules: Vec<_> = (0..n).map(|r| binomial_reduce(r, n, root)).collect();
-                let result = simulate(&schedules)
-                    .unwrap_or_else(|| panic!("reduce deadlock n={n} root={root}"));
-                let full: HashSet<u32> = (0..n).collect();
-                assert_eq!(result[root as usize], full, "root missing contributions");
-            }
-        }
-    }
-
-    #[test]
-    fn binomial_bcast_reaches_everyone() {
-        // Broadcast moves the root's value set to all ranks: run reduce
-        // first conceptually — here we just check the replace-semantics
-        // propagation gives every rank a set containing the root.
-        for n in [1u32, 2, 5, 16, 33] {
-            for root in [0, n - 1] {
-                let schedules: Vec<_> = (0..n).map(|r| binomial_bcast(r, n, root)).collect();
-                let result = simulate(&schedules)
-                    .unwrap_or_else(|| panic!("bcast deadlock n={n} root={root}"));
-                for (r, v) in result.iter().enumerate() {
-                    assert!(
-                        v.contains(&root),
-                        "rank {r} of {n} did not receive the root's data"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn barrier_disseminates_everyone() {
-        for n in [1u32, 2, 3, 5, 8, 13, 16, 100] {
-            let schedules: Vec<_> = (0..n).map(|r| dissemination_barrier(r, n)).collect();
-            let result = simulate(&schedules).expect("barrier deadlock");
-            let full: HashSet<u32> = (0..n).collect();
-            for v in result {
-                assert_eq!(v, full, "dissemination incomplete at n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn ring_allgather_collects_all_blocks() {
-        for n in [1u32, 2, 3, 7, 16, 33] {
-            let schedules: Vec<_> = (0..n).map(|r| ring_allgather(r, n)).collect();
-            let result = simulate(&schedules).expect("ring deadlock");
-            let full: HashSet<u32> = (0..n).collect();
-            for v in result {
-                assert_eq!(v, full);
-            }
-        }
-    }
-
-    #[test]
-    fn rd_allgather_powers_of_two_only() {
-        assert!(recursive_doubling_allgather(0, 12).is_none());
-        for n in [2u32, 4, 16, 64] {
-            let schedules: Vec<_> = (0..n)
-                .map(|r| recursive_doubling_allgather(r, n).unwrap())
-                .collect();
-            let result = simulate(&schedules).expect("rd allgather deadlock");
-            let full: HashSet<u32> = (0..n).collect();
-            for v in result {
-                assert_eq!(v, full);
-            }
-        }
-    }
-
-    #[test]
     fn binomial_message_count_matches_paper() {
         // "no more than 2·log2(N) separate point to point communications"
         // — per *rank on the critical path*; totals are 2(N-1) messages.
@@ -405,8 +205,6 @@ mod tests {
     #[test]
     fn single_rank_schedules_are_empty() {
         assert!(binomial_allreduce(0, 1).is_empty());
-        assert!(dissemination_barrier(0, 1).is_empty());
-        assert!(ring_allgather(0, 1).is_empty());
     }
 
     #[test]

@@ -213,20 +213,22 @@ mod tests {
 
     #[test]
     fn whole_job_barrier_completes() {
+        // No rank leaves an Allreduce before every rank has entered it:
+        // the job-wide barrier.
         let mut sim = tiny_cluster(2, 4);
         let spec = JobSpec {
             tasks_per_node: 4,
             progress: None,
         };
         let job = boot_job(&mut sim, &spec, &mut |_r| {
-            Box::new(OpList::new(vec![MpiOp::Barrier]))
+            Box::new(OpList::new(vec![MpiOp::Allreduce { bytes: 8 }]))
         });
         let end = sim.run_until_apps_done(SimTime::from_secs(1));
-        assert_eq!(sim.apps_alive(), 0, "deadlock: barrier never completed");
+        assert_eq!(sim.apps_alive(), 0, "deadlock: allreduce never completed");
         let rec = job.recorder.lock().unwrap();
-        assert_eq!(rec.count(OpKind::Barrier), 1);
+        assert_eq!(rec.count(OpKind::Allreduce), 1);
         rec.verify_complete(8).expect("all ranks completed");
-        assert!(end < SimTime::from_millis(5), "barrier took {end}");
+        assert!(end < SimTime::from_millis(5), "allreduce took {end}");
     }
 
     #[test]
@@ -315,7 +317,7 @@ mod tests {
             progress: None,
         };
         let job = boot_job(&mut sim, &spec, &mut |_r| {
-            Box::new(OpList::new(vec![MpiOp::Barrier]))
+            Box::new(OpList::new(vec![MpiOp::Allreduce { bytes: 8 }]))
         });
         assert_eq!(job.nranks, 15);
         assert_eq!(job.layout().ranks_on(0).len(), 15);
@@ -332,7 +334,7 @@ mod tests {
             progress: None,
         };
         install_unfrozen(&mut sim, &spec, &mut |_r| {
-            Box::new(OpList::new(vec![MpiOp::Barrier]))
+            Box::new(OpList::new(vec![MpiOp::Allreduce { bytes: 8 }]))
         });
         sim.boot();
         sim.run_until_apps_done(SimTime::from_secs(1));
@@ -362,7 +364,7 @@ mod tests {
             progress: None,
         };
         let job = boot_job(&mut sim, &spec, &mut |_r| {
-            Box::new(OpList::new(vec![MpiOp::Barrier]))
+            Box::new(OpList::new(vec![MpiOp::Allreduce { bytes: 8 }]))
         });
         job.freeze_layout([], []);
     }

@@ -2,9 +2,8 @@
 //!
 //! Implements the message-passing layer the study's benchmarks exercise:
 //!
-//! * [`coll`] — real collective communication schedules (the paper's
-//!   binomial "standard tree" Allreduce, dissemination barrier,
-//!   ring/recursive-doubling allgather);
+//! * [`coll`] — the Allreduce's real communication schedule (the
+//!   paper's binomial "standard tree");
 //! * [`RankProgram`] / [`RankWorkload`] — MPI ranks as kernel threads that
 //!   busy-poll their receives (IBM MPI user-space polling) and register
 //!   with the node co-scheduler through the control pipe (§4);

@@ -3,8 +3,8 @@
 //! Each rank is a kernel thread whose [`Program`] translates a
 //! [`RankWorkload`]'s high-level operations (compute, Allreduce, halo
 //! exchange, I/O, co-scheduler attach/detach) into kernel actions: sends,
-//! busy-poll receives following the collective schedules of
-//! [`coll`], trace markers, and GPFS requests.
+//! busy-poll receives following the Allreduce schedule of [`coll`],
+//! trace markers, and GPFS requests.
 //!
 //! The rank models the one MPI the study ran, IBM MPI: every collective
 //! and exchange wait busy-polls (user-space polling), the Allreduce is
@@ -13,16 +13,16 @@
 //! its node's co-scheduler, when one runs, through the control pipe
 //! (§4). A rank blocks only on a GPFS reply.
 //!
-//! A collective is walked in place. Each rank builds its schedule for a
-//! kind once, keeps it in a per-kind slot and never copies it. A call
-//! then holds only a cursor into that schedule (a `Walk`), and each step
-//! yields the next action from it: `CollBegin`, then per schedule step a
-//! `Send`, or a `Recv` followed by the reduce `Compute` when the step
-//! combines, then `CollEnd`. Exchanges, GPFS requests and restored
-//! actions are queued instead. A checkpoint writes a walk's remaining
-//! actions after the queue: the same list, in the same order, that an
-//! expanded action queue would hold, so checkpoint files are unchanged
-//! and a restored rank simply drains them from its queue.
+//! An Allreduce is walked in place. Each rank builds its schedule once,
+//! at its first Allreduce, and never copies it. A call then holds only a
+//! cursor into that schedule (a `Walk`), and each step yields the next
+//! action from it: `CollBegin`, then per schedule step a `Send`, or a
+//! `Recv` followed by the reduce `Compute` when the step combines, then
+//! `CollEnd`. Exchanges, GPFS requests and restored actions are queued
+//! instead. A checkpoint writes a walk's remaining actions after the
+//! queue: the same list, in the same order, that an expanded action
+//! queue would hold, so checkpoint files are unchanged and a restored
+//! rank simply drains them from its queue.
 
 use crate::coll::{self, CollStep};
 use crate::layout::{JobLayout, LayoutHandle};
@@ -43,23 +43,6 @@ pub enum MpiOp {
     Compute(SimDur),
     /// Global Allreduce of a payload of `bytes`.
     Allreduce {
-        /// Payload size per message.
-        bytes: u32,
-    },
-    /// Global barrier.
-    Barrier,
-    /// Allgather with per-rank blocks of `bytes`.
-    Allgather {
-        /// Block size.
-        bytes: u32,
-    },
-    /// Reduce to rank 0 (binomial tree).
-    Reduce {
-        /// Payload size per message.
-        bytes: u32,
-    },
-    /// Broadcast from rank 0 (binomial tree).
-    Bcast {
         /// Payload size per message.
         bytes: u32,
     },
@@ -123,12 +106,12 @@ struct CurOp {
     kind: OpKind,
     seq: u64,
     start: SimTime,
-    /// The cursor of a scheduled collective; None for an exchange, a
-    /// restored call (its actions are queued) or a finished walk.
+    /// The cursor of an Allreduce; None for an exchange, a restored call
+    /// (its actions are queued) or a finished walk.
     walk: Option<Walk>,
 }
 
-/// Where a collective's walk over its cached schedule stands.
+/// Where an Allreduce's walk over the rank's schedule stands.
 #[derive(Debug, Clone, Copy)]
 struct Walk {
     /// Next position: 0 yields `CollBegin`, `1..=len` the schedule's
@@ -186,30 +169,18 @@ impl Walk {
     }
 }
 
-/// The schedule slot of a collective kind.
-fn slot(kind: OpKind) -> usize {
-    match kind {
-        OpKind::Allreduce => 0,
-        OpKind::Barrier => 1,
-        OpKind::Allgather => 2,
-        OpKind::Reduce => 3,
-        OpKind::Bcast => 4,
-        OpKind::Exchange => unreachable!("exchanges are built ad hoc"),
-    }
-}
-
-/// The schedule of `kind`, built when its first walk began.
-fn built(cache: &[Option<Box<[CollStep]>>; 5], kind: OpKind) -> &[CollStep] {
-    cache[slot(kind)]
+/// The Allreduce schedule, built when the first walk began.
+fn built(allreduce: &Option<Box<[CollStep]>>) -> &[CollStep] {
+    allreduce
         .as_deref()
-        .expect("a walk's schedule is built when the walk begins")
+        .expect("the Allreduce schedule is built when the first walk begins")
 }
 
-/// Checkpointed mutable state of a [`RankProgram`]. The schedule slots
-/// are deliberately absent: they are a pure function of (rank, nranks)
-/// and are lazily rebuilt after restore. A walk in progress is written
-/// out as the actions it has left, after the queue, so the format is the
-/// one an expanded action queue had; restore queues them.
+/// Checkpointed mutable state of a [`RankProgram`]. The Allreduce
+/// schedule is deliberately absent: it is a pure function of (rank,
+/// nranks) and is lazily rebuilt after restore. A walk in progress is
+/// written out as the actions it has left, after the queue, so the format
+/// is the one an expanded action queue had; restore queues them.
 #[derive(Debug, Serialize, Deserialize)]
 struct RankSnap {
     registered: bool,
@@ -250,8 +221,9 @@ pub struct RankProgram {
     cur: Option<CurOp>,
     /// Exchange, GPFS and restored actions, yielded before the walk.
     queue: VecDeque<Action>,
-    /// One schedule per collective kind (see [`slot`]), built on first use.
-    sched_cache: [Option<Box<[CollStep]>>; 5],
+    /// This rank's binomial Allreduce schedule, built at its first
+    /// Allreduce.
+    allreduce: Option<Box<[CollStep]>>,
 }
 
 impl RankProgram {
@@ -277,7 +249,7 @@ impl RankProgram {
             pending_compute: SimDur::ZERO,
             cur: None,
             queue: VecDeque::new(),
-            sched_cache: Default::default(),
+            allreduce: None,
         }
     }
 
@@ -288,29 +260,14 @@ impl RankProgram {
         }
     }
 
-    /// Build the schedule slot of `kind` if this rank has not yet.
-    fn ensure_schedule(&mut self, kind: OpKind) {
+    fn begin_allreduce(&mut self, bytes: u32, ctx: &StepCtx) {
         let (rank, n) = (self.rank, self.nranks);
-        self.sched_cache[slot(kind)].get_or_insert_with(|| {
-            match kind {
-                OpKind::Allreduce => coll::binomial_allreduce(rank, n),
-                OpKind::Barrier => coll::dissemination_barrier(rank, n),
-                OpKind::Allgather => coll::recursive_doubling_allgather(rank, n)
-                    .unwrap_or_else(|| coll::ring_allgather(rank, n)),
-                OpKind::Reduce => coll::binomial_reduce(rank, n, 0),
-                OpKind::Bcast => coll::binomial_bcast(rank, n, 0),
-                OpKind::Exchange => unreachable!("exchanges are built ad hoc"),
-            }
-            .into_boxed_slice()
-        });
-    }
-
-    fn begin_collective(&mut self, kind: OpKind, bytes: u32, ctx: &StepCtx) {
-        self.ensure_schedule(kind);
+        self.allreduce
+            .get_or_insert_with(|| coll::binomial_allreduce(rank, n).into_boxed_slice());
         let seq = self.next_seq;
         self.next_seq += 1;
         self.cur = Some(CurOp {
-            kind,
+            kind: OpKind::Allreduce,
             seq,
             start: ctx.now,
             walk: Some(Walk {
@@ -326,7 +283,7 @@ impl RankProgram {
     fn advance_walk(&mut self) -> Option<Action> {
         let cur = self.cur.as_mut()?;
         let walk = cur.walk.as_mut()?;
-        let sched = built(&self.sched_cache, cur.kind);
+        let sched = built(&self.allreduce);
         let action = walk.next(cur.seq, sched, frozen(&self.layout, self.rank));
         if action.is_none() {
             cur.walk = None;
@@ -420,11 +377,7 @@ impl Program for RankProgram {
                     self.pending_compute = d;
                     return Action::Compute(d);
                 }
-                MpiOp::Allreduce { bytes } => self.begin_collective(OpKind::Allreduce, bytes, ctx),
-                MpiOp::Barrier => self.begin_collective(OpKind::Barrier, 8, ctx),
-                MpiOp::Allgather { bytes } => self.begin_collective(OpKind::Allgather, bytes, ctx),
-                MpiOp::Reduce { bytes } => self.begin_collective(OpKind::Reduce, bytes, ctx),
-                MpiOp::Bcast { bytes } => self.begin_collective(OpKind::Bcast, bytes, ctx),
+                MpiOp::Allreduce { bytes } => self.begin_allreduce(bytes, ctx),
                 MpiOp::Exchange { peers, bytes } => self.begin_exchange(&peers, bytes, ctx),
                 MpiOp::IoRead { bytes } | MpiOp::IoWrite { bytes } => {
                     // A GPFS request to a (possibly remote) server node; the
@@ -491,7 +444,7 @@ impl Program for RankProgram {
         let mut queue: Vec<Action> = self.queue.iter().cloned().collect();
         if let Some(cur) = &self.cur {
             if let Some(mut walk) = cur.walk {
-                let sched = built(&self.sched_cache, cur.kind);
+                let sched = built(&self.allreduce);
                 let layout = frozen(&self.layout, self.rank);
                 while let Some(a) = walk.next(cur.seq, sched, layout) {
                     queue.push(a);
@@ -565,8 +518,8 @@ mod tests {
 
     #[test]
     fn oplist_terminates_with_done() {
-        let mut w = OpList::new(vec![MpiOp::Barrier]);
-        assert_eq!(w.next_op(0, 4), MpiOp::Barrier);
+        let mut w = OpList::new(vec![MpiOp::Allreduce { bytes: 8 }]);
+        assert_eq!(w.next_op(0, 4), MpiOp::Allreduce { bytes: 8 });
         assert_eq!(w.next_op(0, 4), MpiOp::Done);
         assert_eq!(w.next_op(0, 4), MpiOp::Done);
     }

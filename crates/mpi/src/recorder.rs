@@ -18,14 +18,6 @@ use std::sync::{Arc, Mutex};
 pub enum OpKind {
     /// MPI_Allreduce.
     Allreduce,
-    /// MPI_Barrier.
-    Barrier,
-    /// MPI_Allgather.
-    Allgather,
-    /// MPI_Reduce (to a root).
-    Reduce,
-    /// MPI_Bcast (from a root).
-    Bcast,
     /// Halo exchange (grouped point-to-point).
     Exchange,
 }
@@ -283,16 +275,16 @@ mod tests {
         r.record(0, 2, OpKind::Allreduce, t(400), t(900));
         assert!((r.mean_rank_dur_us(OpKind::Allreduce) - 400.0).abs() < 1e-9);
         assert_eq!(r.count(OpKind::Allreduce), 2);
-        assert_eq!(r.count(OpKind::Barrier), 0);
+        assert_eq!(r.count(OpKind::Exchange), 0);
     }
 
     #[test]
     fn kinds_are_separated() {
         let mut r = RunRecorder::new();
         r.record(0, 1, OpKind::Allreduce, t(0), t(10));
-        r.record(0, 2, OpKind::Barrier, t(20), t(30));
+        r.record(0, 2, OpKind::Exchange, t(20), t(30));
         assert_eq!(r.aggs(OpKind::Allreduce).len(), 1);
-        assert_eq!(r.aggs(OpKind::Barrier).len(), 1);
+        assert_eq!(r.aggs(OpKind::Exchange).len(), 1);
     }
 
     #[test]

@@ -147,7 +147,6 @@ impl ScalingConfig {
             seed,
             horizon: self.target_sim_time,
             link_bandwidth: self.link_bandwidth,
-            policy: None,
         }
     }
 

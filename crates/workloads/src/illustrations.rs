@@ -145,7 +145,6 @@ pub fn fig2(seed: u64, sim_threads: usize) -> Vec<BspRankRow> {
                 match s.kind {
                     OpKind::Exchange => exchange_ms += s.dur().as_millis_f64(),
                     OpKind::Allreduce => reduce_ms += s.dur().as_millis_f64(),
-                    _ => {}
                 }
             }
             BspRankRow {

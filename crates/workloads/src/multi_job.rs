@@ -74,14 +74,15 @@ pub fn batch_scenario(scale: BatchScale) -> MultiJobSpec {
     }
 }
 
-/// The campaign point for one (scenario, policy) pair.
+/// The campaign point for one (scenario, policy) pair; the pair is the
+/// point's workload.
 pub fn batch_point(
     scenario: &MultiJobSpec,
     policy: PolicyKind,
     seed: u64,
     link_bandwidth: Option<f64>,
     noise: &NoiseProfile,
-) -> PointSpec<MultiJobSpec> {
+) -> PointSpec<(MultiJobSpec, PolicyKind)> {
     PointSpec {
         family: "multi_job".into(),
         nodes: scenario.nodes,
@@ -96,30 +97,31 @@ pub fn batch_point(
         cosched: None,
         noise: noise.clone(),
         progress: None,
-        workload: scenario.clone(),
+        workload: (scenario.clone(), policy),
         seed,
         horizon: None,
         link_bandwidth,
-        policy: Some(policy.name().to_string()),
     }
 }
 
 /// Run one multi-job point: the campaign runner for the `multi_job`
 /// family. Pure in the spec, bit-identical at any `--sim-threads`.
-pub fn multi_job_runner(spec: &PointSpec<MultiJobSpec>, ctx: &PointCtx) -> PointResult {
+pub fn multi_job_runner(
+    spec: &PointSpec<(MultiJobSpec, PolicyKind)>,
+    ctx: &PointCtx,
+) -> PointResult {
     let outcome = run_batch_point(spec, ctx.sim_threads);
     point_result(&outcome)
 }
 
 /// Run the engine for one point and keep the full outcome (metrics and
 /// spans included) — what the binary uses for `--metrics-out`.
-pub fn run_batch_point(spec: &PointSpec<MultiJobSpec>, sim_threads: usize) -> JobsOutcome {
-    let policy = spec
-        .policy
-        .as_deref()
-        .and_then(|p| PolicyKind::parse(p).ok())
-        .expect("multi_job points carry a valid policy name");
-    JobsEngine::new(spec.workload.clone(), policy)
+pub fn run_batch_point(
+    spec: &PointSpec<(MultiJobSpec, PolicyKind)>,
+    sim_threads: usize,
+) -> JobsOutcome {
+    let (scenario, policy) = &spec.workload;
+    JobsEngine::new(scenario.clone(), *policy)
         .with_seed(spec.seed)
         .with_sim_threads(sim_threads)
         .with_link_bandwidth(spec.link_bandwidth)
@@ -193,7 +195,7 @@ pub fn policy_comparison(
     noise: &NoiseProfile,
     exec: &ExecutorConfig,
 ) -> Vec<PolicyRow> {
-    let specs: Vec<PointSpec<MultiJobSpec>> = policies
+    let specs: Vec<_> = policies
         .iter()
         .map(|&p| batch_point(scenario, p, seed, link_bandwidth, noise))
         .collect();
@@ -231,6 +233,15 @@ mod tests {
         let widths: Vec<u32> = s.jobs.iter().map(|j| j.nodes).collect();
         assert!(widths.iter().any(|&w| w > s.nodes / 2));
         assert!(widths.contains(&1));
+    }
+
+    #[test]
+    fn batch_points_key_on_their_policy() {
+        let scenario = batch_scenario(BatchScale::Quick);
+        let noise = NoiseProfile::silent();
+        let key = |p| batch_point(&scenario, p, 42, None, &noise).content_key();
+        assert_eq!(key(PolicyKind::Backfill), key(PolicyKind::Backfill));
+        assert_ne!(key(PolicyKind::Backfill), key(PolicyKind::FcfsFirstFit));
     }
 
     #[test]

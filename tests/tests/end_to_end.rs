@@ -124,16 +124,16 @@ fn every_collective_completes_on_every_rank() {
 
 #[test]
 fn mixed_collectives_work_under_cosched() {
-    let mut make = |_r: u32| -> Box<dyn RankWorkload> {
+    let mut make = |r: u32| -> Box<dyn RankWorkload> {
         let mut ops = Vec::new();
         for i in 0..40u32 {
             ops.push(MpiOp::Compute(SimDur::from_micros(50)));
-            ops.push(match i % 5 {
+            ops.push(match i % 2 {
                 0 => MpiOp::Allreduce { bytes: 8 },
-                1 => MpiOp::Barrier,
-                2 => MpiOp::Allgather { bytes: 64 },
-                3 => MpiOp::Reduce { bytes: 8 },
-                _ => MpiOp::Bcast { bytes: 8 },
+                _ => MpiOp::Exchange {
+                    peers: vec![(r + 1) % 32, (r + 31) % 32],
+                    bytes: 64,
+                },
             });
         }
         Box::new(OpList::new(ops))
@@ -146,11 +146,8 @@ fn mixed_collectives_work_under_cosched() {
         .run(&mut make);
     assert!(out.completed, "mixed collectives deadlocked");
     let rec = out.job.recorder.lock().unwrap();
-    assert!(rec.count(OpKind::Allreduce) > 0);
-    assert!(rec.count(OpKind::Barrier) > 0);
-    assert!(rec.count(OpKind::Allgather) > 0);
-    assert!(rec.count(OpKind::Reduce) > 0);
-    assert!(rec.count(OpKind::Bcast) > 0);
+    assert_eq!(rec.count(OpKind::Allreduce), 20);
+    assert_eq!(rec.count(OpKind::Exchange), 20);
     rec.verify_complete(32).expect("complete");
 }
 

@@ -4,8 +4,10 @@ use pa_campaign::{run_campaign, Cache, CampaignOutcome, CheckpointCtx, ExecutorC
 use pa_core::{metrics_of, CoschedSetup, Experiment, SchedOptions};
 use pa_mpi::{MpiOp, OpList, RankWorkload};
 use pa_noise::NoiseProfile;
-use pa_simkit::{sha256_hex, SimDur};
-use pa_workloads::{aggregate_runner, collect_scale_points, run_point_with, ScalingConfig};
+use pa_simkit::{sha256_hex, SeedSpace, SimDur};
+use pa_workloads::{
+    aggregate_runner, collect_scale_points, run_point_with, AggregateTrace, ScalingConfig,
+};
 use serde::value::Value;
 
 fn allreduces(n: usize) -> impl FnMut(u32) -> Box<dyn RankWorkload> {
@@ -249,31 +251,47 @@ fn damaged_checkpoint_falls_back_to_a_fresh_run() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// Rename node 0's first thread inside the checkpoint at `path` and
-/// re-hash the payload: the file still verifies and decodes, but no
-/// rebuilt cluster accepts it.
-fn rename_first_thread(path: &std::path::Path) {
-    fn entry<'v>(v: &'v mut Value, key: &str) -> &'v mut Value {
-        let Value::Map(pairs) = v else {
-            panic!("`{key}`'s parent is not a map");
-        };
-        let pair = pairs.iter_mut().find(|(k, _)| k == key);
-        &mut pair.unwrap_or_else(|| panic!("no `{key}`")).1
-    }
+fn entry<'v>(v: &'v mut Value, key: &str) -> &'v mut Value {
+    let Value::Map(pairs) = v else {
+        panic!("`{key}`'s parent is not a map");
+    };
+    let pair = pairs.iter_mut().find(|(k, _)| k == key);
+    &mut pair.unwrap_or_else(|| panic!("no `{key}`")).1
+}
+
+/// Apply `edit` to the engine state inside the checkpoint at `path` and
+/// re-hash the payload: the file still verifies and decodes.
+fn edit_checkpoint(path: &std::path::Path, edit: impl FnOnce(&mut Value)) {
     let mut file = serde_json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
     let mut payload = serde_json::parse(entry(&mut file, "payload").as_str().unwrap()).unwrap();
-    let Value::Seq(shards) = entry(entry(&mut payload, "state"), "shards") else {
-        panic!("shards is not a sequence");
-    };
-    let Value::Seq(threads) = entry(entry(&mut shards[0], "kernel"), "threads") else {
-        panic!("threads is not a sequence");
-    };
-    *entry(&mut threads[0], "name") = Value::Str("renamed".into());
+    edit(entry(&mut payload, "state"));
     let payload = payload.to_json_string();
     *entry(&mut file, "sha256") = Value::Str(sha256_hex(payload.as_bytes()));
     *entry(&mut file, "payload") = Value::Str(payload);
     std::fs::write(path, file.to_json_string()).unwrap();
     pa_cluster::verify_checkpoint_file(path).expect("the edited checkpoint still verifies");
+}
+
+/// Every kernel thread recorded in a checkpoint's engine state.
+fn checkpoint_threads(state: &mut Value) -> impl Iterator<Item = &mut Value> {
+    let Value::Seq(shards) = entry(state, "shards") else {
+        panic!("shards is not a sequence");
+    };
+    shards.iter_mut().flat_map(|shard| {
+        let Value::Seq(threads) = entry(entry(shard, "kernel"), "threads") else {
+            panic!("threads is not a sequence");
+        };
+        threads.iter_mut()
+    })
+}
+
+/// Rename node 0's first thread inside the checkpoint at `path`: the
+/// file still verifies and decodes, but no rebuilt cluster accepts it.
+fn rename_first_thread(path: &std::path::Path) {
+    edit_checkpoint(path, |state| {
+        let first = checkpoint_threads(state).next().expect("a thread");
+        *entry(first, "name") = Value::Str("renamed".into());
+    });
 }
 
 #[test]
@@ -329,6 +347,81 @@ fn checkpoint_the_cluster_rejects_falls_back_to_a_fresh_run() {
     );
     let _ = std::fs::remove_dir_all(&dir_ref);
     let _ = std::fs::remove_dir_all(&dir_int);
+}
+
+#[test]
+fn checkpoint_naming_an_unknown_collective_falls_back_to_a_fresh_run() {
+    // A real mid-Allreduce checkpoint whose in-flight collectives are
+    // renamed `Barrier`, a kind this MPI does not have, and re-hashed:
+    // restoring it is an error naming the kind, and the point runner
+    // warns and reruns the point from scratch to the uninterrupted
+    // result.
+    let mut cfg = ScalingConfig::fig3(true);
+    cfg.node_counts = vec![2];
+    cfg.allreduces = 48;
+    cfg.seeds = vec![42];
+    cfg.target_sim_time = None;
+    let spec = &cfg.points()[0];
+    let path = std::env::temp_dir().join(format!(
+        "pa-robustness-unknown-kind-ckpt-{}.json",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    let ctx = PointCtx {
+        sim_threads: 1,
+        checkpoint: Some(CheckpointCtx {
+            path: path.clone(),
+            every: SimDur::from_micros(200),
+        }),
+    };
+    let reference = run_point_with(spec, &PointCtx::serial());
+    run_point_with(spec, &ctx);
+    assert!(path.exists(), "no checkpoint written — shrink `every`");
+
+    let mut renamed = 0;
+    edit_checkpoint(&path, |state| {
+        for thread in checkpoint_threads(state) {
+            let Value::Map(program) = entry(thread, "program") else {
+                continue;
+            };
+            if let Some((_, Value::Seq(cur))) = program.iter_mut().find(|(k, _)| k == "cur") {
+                cur[0] = Value::Str("Barrier".into());
+                renamed += 1;
+            }
+        }
+    });
+    assert!(renamed > 0, "no rank was mid-collective at the checkpoint");
+
+    let seeds = SeedSpace::new(spec.seed);
+    let err = spec
+        .experiment()
+        .with_restore_from(&path)
+        .try_run(&mut |rank| -> Box<dyn RankWorkload> {
+            Box::new(AggregateTrace::new(
+                spec.workload,
+                seeds.stream_at("wl/agg", u64::from(rank), 0),
+            ))
+        })
+        .err()
+        .expect("a checkpoint naming an unknown collective must not restore");
+    assert!(
+        err.contains("unknown OpKind variant `Barrier`"),
+        "error does not name the kind: {err}"
+    );
+
+    let rerun = run_point_with(spec, &ctx);
+    assert_eq!(
+        rerun.sim.checkpoint_restores(),
+        0,
+        "the rerun must start cold"
+    );
+    assert_eq!(rerun.wall, reference.wall);
+    assert_eq!(rerun.events, reference.events);
+    assert_eq!(
+        rerun.mean_allreduce_us().to_bits(),
+        reference.mean_allreduce_us().to_bits()
+    );
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
