@@ -274,13 +274,10 @@ where
             match msg {
                 WorkerMsg::Started { index } => {
                     if cfg.progress {
-                        eprintln!(
-                            "  [{}] point {}/{total}: {} procs seed {} — running...",
-                            cfg.label,
-                            index + 1,
-                            specs[index].procs(),
-                            specs[index].seed,
-                        );
+                        let spec = &specs[index];
+                        let line =
+                            progress_line(&cfg.label, index, total, spec, "running...", None);
+                        eprintln!("{line}");
                     }
                 }
                 WorkerMsg::Done {
@@ -302,15 +299,10 @@ where
                         );
                     }
                     if cfg.progress {
-                        eprintln!(
-                            "  [{}] point {}/{total}: {} procs seed {} — {} ({:.1} µs)",
-                            cfg.label,
-                            index + 1,
-                            specs[index].procs(),
-                            specs[index].seed,
-                            if cached { "cache hit" } else { "ran" },
-                            result.mean_allreduce_us,
-                        );
+                        let status = if cached { "cache hit" } else { "ran" };
+                        let (spec, mean) = (&specs[index], Some(result.mean_allreduce_us));
+                        let line = progress_line(&cfg.label, index, total, spec, status, mean);
+                        eprintln!("{line}");
                     }
                     slots[index] = Some((result, cached));
                 }
@@ -407,6 +399,34 @@ where
     }
 }
 
+/// The progress line of point `index` (of `total`): its size and seed,
+/// then `status` and the point's mean Allreduce time, if it has one. A
+/// batch point has no ranks of its own (its jobs carry their widths) and
+/// no Allreduce mean, so it is sized by its node count and prints no µs
+/// figure.
+fn progress_line<W>(
+    label: &str,
+    index: usize,
+    total: usize,
+    spec: &PointSpec<W>,
+    status: &str,
+    mean_us: Option<f64>,
+) -> String {
+    let size = match spec.procs() {
+        0 => format!("{} nodes", spec.nodes),
+        procs => format!("{procs} procs"),
+    };
+    let mean = match mean_us {
+        Some(us) if us > 0.0 => format!(" ({us:.1} µs)"),
+        _ => String::new(),
+    };
+    let point = index + 1;
+    format!(
+        "  [{label}] point {point}/{total}: {size} seed {} — {status}{mean}",
+        spec.seed
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -440,6 +460,27 @@ mod tests {
             events: s.seed,
             extra: BTreeMap::new(),
         }
+    }
+
+    #[test]
+    fn progress_line_sizes_mpi_and_batch_points() {
+        let mpi = spec(3);
+        assert_eq!(
+            progress_line("fig3", 0, 4, &mpi, "ran", Some(412.34)),
+            "  [fig3] point 1/4: 4 procs seed 3 — ran (412.3 µs)"
+        );
+        assert_eq!(
+            progress_line("fig3", 0, 4, &mpi, "running...", None),
+            "  [fig3] point 1/4: 4 procs seed 3 — running..."
+        );
+        let batch = PointSpec {
+            tasks_per_node: 0,
+            ..spec(5)
+        };
+        assert_eq!(
+            progress_line("multi_job", 2, 6, &batch, "cache hit", Some(0.0)),
+            "  [multi_job] point 3/6: 2 nodes seed 5 — cache hit"
+        );
     }
 
     #[test]

@@ -87,11 +87,10 @@ struct StagedMsg {
 struct Shard {
     node: NodeLoop,
     router: Router,
-    /// Cumulative measured `process_window` wall time, ns.
-    busy_ns: u64,
     /// Exponentially-weighted busy-time estimate (ns) driving the
-    /// heavy-first claim order. Like `busy_ns` it is wall-clock state:
-    /// never checkpointed, and losing it only costs a few warm-up windows.
+    /// heavy-first claim order, fed only when several workers run (the
+    /// order's only reader). Wall-clock state: never checkpointed, and
+    /// losing it only costs a few warm-up windows.
     busy_est: u64,
 }
 
@@ -359,7 +358,8 @@ pub enum ShardSchedule {
 #[derive(Default)]
 struct WindowReport {
     staged: Vec<StagedMsg>,
-    /// Wall time this worker spent inside `process_window` this window.
+    /// Wall time this worker spent inside `process_window` this window;
+    /// 0 with one worker, whose window the coordinator times whole.
     busy_ns: u64,
     /// Claims outside this worker's static stripe.
     steals: u64,
@@ -434,6 +434,9 @@ pub struct ClusterSim {
     /// Shards claimed off their static-stripe owner's list (wall-clock
     /// diagnostic; zero with one worker and under `Stripe`).
     steals: u64,
+    /// Wall time spent processing shards, ns (wall-clock diagnostic):
+    /// per claim with several workers, per window with one.
+    busy_ns: u64,
     /// Sum over windows of (busiest worker − idlest worker) wall time at
     /// the barrier — the time the barrier spent waiting on load imbalance.
     barrier_imbalance_ns: u64,
@@ -586,7 +589,6 @@ impl ClusterSim {
                         nnodes: spec.nodes,
                         ..Router::default()
                     },
-                    busy_ns: 0,
                     busy_est: 0,
                 }
             })
@@ -610,6 +612,7 @@ impl ClusterSim {
             shard_claims: 0,
             schedule: ShardSchedule::Steal,
             steals: 0,
+            busy_ns: 0,
             barrier_imbalance_ns: 0,
         }
     }
@@ -651,10 +654,12 @@ impl ClusterSim {
         self.steals
     }
 
-    /// Total measured `process_window` wall time across shards, ns
-    /// (wall-clock diagnostic, `local.*`).
+    /// Total measured shard-processing wall time, ns (wall-clock
+    /// diagnostic, `local.*`). Several workers time each
+    /// `process_window` call; one worker's windows are timed whole, claim
+    /// bookkeeping included, which saves two clock reads per claim.
     pub fn shard_busy_ns(&self) -> u64 {
-        self.shards.iter().map(|s| s.busy_ns).sum()
+        self.busy_ns
     }
 
     /// Sum over windows of the busiest-minus-idlest worker wall time at
@@ -1166,14 +1171,17 @@ impl ClusterSim {
             let mut by_load: Vec<(std::cmp::Reverse<u64>, u32)> = Vec::new();
             loop {
                 // Workers are parked at the top-of-loop barrier, so the
-                // coordinator reads settled per-shard entries here.
-                let next_ns = pool
-                    .next_ns
-                    .iter()
-                    .map(|t| t.load(Ordering::Relaxed))
-                    .min()
-                    .unwrap_or(u64::MAX);
-                let apps: usize = pool.apps.iter().map(|a| a.load(Ordering::Relaxed)).sum();
+                // coordinator reads settled per-shard entries here, both
+                // in one pass.
+                let (next_ns, apps) = pool.next_ns.iter().zip(&pool.apps).fold(
+                    (u64::MAX, 0usize),
+                    |(next, apps), (t, a)| {
+                        (
+                            next.min(t.load(Ordering::Relaxed)),
+                            apps + a.load(Ordering::Relaxed),
+                        )
+                    },
+                );
                 if until_apps_done && apps == 0 {
                     break;
                 }
@@ -1187,7 +1195,9 @@ impl ClusterSim {
                 pool.claim.store(0, Ordering::Relaxed);
                 pool.window_last_ns.store(last.nanos(), Ordering::Release);
                 if nthreads == 1 {
+                    let t0 = Instant::now();
                     pool.work(0);
+                    self.busy_ns += t0.elapsed().as_nanos() as u64;
                 } else {
                     pool.barrier.wait(); // open the window
                     pool.barrier.wait(); // all due shards processed it
@@ -1204,6 +1214,7 @@ impl ClusterSim {
                     let mut s = lock(slot);
                     staged.append(&mut s.staged);
                     self.steals += s.steals;
+                    self.busy_ns += s.busy_ns;
                     min_busy = min_busy.min(s.busy_ns);
                     max_busy = max_busy.max(s.busy_ns);
                 }
@@ -1396,8 +1407,12 @@ impl WindowPool {
     /// Worker `t`'s share of the open window: claim positions in
     /// `order[..ndue]` and process those shards until none is left (or
     /// another worker panicked), then file the report in slot `t`. Each
-    /// processed shard gets its next-event and app entries refreshed and
-    /// is charged its wall time. `Stripe` walks the worker's own
+    /// processed shard gets its next-event and app entries refreshed.
+    /// With several workers each claim is also timed, feeding the report's
+    /// busy time and the shard's `busy_est`, which orders the next
+    /// window's claims; a lone worker reads no clock here, since the
+    /// coordinator times its whole window and its claim order ignores
+    /// `busy_est`. `Stripe` walks the worker's own
     /// positions (the static assignment); the stealing modes fetch-add
     /// the shared index. A claim off the worker's home stripe
     /// (`k % nthreads != t`) counts as a steal.
@@ -1413,7 +1428,8 @@ impl WindowPool {
         };
         // A lone worker's stripe is every position, in claim order, so it
         // skips the shared index.
-        let walk_stripe = self.nthreads == 1 || self.schedule == ShardSchedule::Stripe;
+        let timed = self.nthreads > 1;
+        let walk_stripe = !timed || self.schedule == ShardSchedule::Stripe;
         let mut stripe_k = t;
         while !self.abort.load(Ordering::Acquire) {
             let k = if walk_stripe {
@@ -1433,11 +1449,11 @@ impl WindowPool {
             let i = self.order[k].load(Ordering::Relaxed) as usize;
             let mut sh = lock(&self.shards[i]);
             let node = sh.router.node;
-            let t0 = Instant::now();
+            let t0 = timed.then(Instant::now);
             let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
                 sh.process_window(last, &self.fabric);
             }));
-            let busy = t0.elapsed().as_nanos() as u64;
+            let busy = t0.map(|t0| t0.elapsed().as_nanos() as u64);
             if let Err(payload) = outcome {
                 // First panic wins; tell everyone to stop at the next
                 // claim. This worker still files its report and reaches
@@ -1449,9 +1465,10 @@ impl WindowPool {
             self.next_ns[i].store(sh.next_event_ns(), Ordering::Relaxed);
             self.apps[i].store(sh.node.kernel.app_alive(), Ordering::Relaxed);
             report.staged.append(&mut sh.router.state.outbox);
-            report.busy_ns += busy;
-            sh.busy_ns = sh.busy_ns.saturating_add(busy);
-            sh.busy_est = sh.busy_est - sh.busy_est / 4 + busy / 4;
+            if let Some(busy) = busy {
+                report.busy_ns += busy;
+                sh.busy_est = sh.busy_est - sh.busy_est / 4 + busy / 4;
+            }
         }
         *lock(&self.slots[t]) = report;
     }

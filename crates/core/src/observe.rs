@@ -59,6 +59,8 @@ pub fn metrics_of(out: &RunOutput) -> MetricsRegistry {
     // (which shards each window visited), not the simulated machine, so
     // they stay out of the canonical snapshot too.
     reg.inc("local.engine.shard_claims", out.sim.shard_claims());
+    // Wall time spent processing shards: each claim timed with several
+    // workers, each window's whole claim loop with one.
     reg.inc("local.engine.shard_busy_ns", out.sim.shard_busy_ns());
     reg.inc(
         "local.engine.barrier_imbalance_ns",

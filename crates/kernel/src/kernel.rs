@@ -53,6 +53,9 @@ pub enum KernelEvent {
         cpu: CpuId,
     },
     /// The running thread's busy segment completes (if `token` is current).
+    /// It fires from its CPU's timer slot, whose data word is the token
+    /// ([`NodeLoop::run`](crate::solo::NodeLoop::run)); this variant is an
+    /// armed slot's checkpoint form.
     SegEnd {
         /// CPU whose segment ends.
         cpu: CpuId,
@@ -101,8 +104,9 @@ pub enum KernelEvent {
 }
 
 /// What a kernel handler acts on: the node's event calendar, with one
-/// timer slot per CPU for its outstanding [`KernelEvent::SegEnd`], and
-/// the outbox of messages the node loop routes once the handler returns.
+/// timer slot per CPU for its outstanding segment end (the data word is
+/// the CPU's occupancy token), and the outbox of messages the node loop
+/// routes once the handler returns.
 /// Handlers schedule, arm and disarm in program order, so event ids (and
 /// therefore FIFO tie-breaks) follow the order the handler acted in.
 #[derive(Debug)]
@@ -123,10 +127,9 @@ impl Effects {
         }
     }
 
-    /// Arm `cpu`'s segment timer to fire at `end`.
+    /// Arm `cpu`'s segment timer to fire at `end` with `token`.
     fn arm_seg(&mut self, cpu: CpuId, end: SimTime, token: u64) {
-        let ev = KernelEvent::SegEnd { cpu, token };
-        self.queue.arm(usize::from(cpu.0), end, ev);
+        self.queue.arm(usize::from(cpu.0), end, token);
     }
 
     /// Void `cpu`'s in-flight segment timer. The token bump already makes
@@ -897,7 +900,8 @@ impl Kernel {
             .schedule(self.clock.to_global(local_next), KernelEvent::Tick { cpu });
     }
 
-    fn on_seg_end(&mut self, cpu: CpuId, token: u64, now: SimTime, fx: &mut Effects) {
+    /// `cpu`'s segment timer fired with `token` at `now`.
+    pub(crate) fn on_seg_end(&mut self, cpu: CpuId, token: u64, now: SimTime, fx: &mut Effects) {
         let ci = cpu.0 as usize;
         if self.cpus[ci].token != token {
             return; // stale: occupancy changed since scheduling
@@ -1780,12 +1784,13 @@ fn best_of(a: Option<DispatchKey>, b: Option<DispatchKey>) -> Option<DispatchKey
 mod tests {
     use super::*;
     use crate::program::Script;
+    use pa_simkit::Entry;
 
-    /// Tokens of the `SegEnd` events pending for `cpu`.
+    /// Tokens of the segment timers pending for `cpu`.
     fn seg_tokens(fx: &Effects, cpu: CpuId) -> Vec<u64> {
         let live = fx.queue.live_entries().into_iter();
-        live.filter_map(|(_, _, ev)| match *ev {
-            KernelEvent::SegEnd { cpu: c, token } if c == cpu => Some(token),
+        live.filter_map(|(_, _, e)| match e {
+            Entry::Timer { key, data } if key == usize::from(cpu.0) => Some(data),
             _ => None,
         })
         .collect()
@@ -1794,12 +1799,14 @@ mod tests {
     /// Handle every event due by `last`, asserting that each segment
     /// timer that fires carries its CPU's current token.
     fn run_to(k: &mut Kernel, fx: &mut Effects, last: SimTime) {
-        while let Some((now, ev)) = fx.queue.pop_until(last) {
-            if let KernelEvent::SegEnd { cpu, token } = ev {
-                let current = k.cpus[cpu.0 as usize].token;
-                assert_eq!(token, current, "stale SegEnd popped at {now}");
+        while let Some((now, e)) = fx.queue.pop_until(last) {
+            match e {
+                Entry::Timer { key, data } => {
+                    assert_eq!(data, k.cpus[key].token, "stale SegEnd popped at {now}");
+                    k.on_seg_end(CpuId(key as u8), data, now, fx);
+                }
+                Entry::Event(ev) => k.handle(now, ev, fx),
             }
-            k.handle(now, ev, fx);
         }
     }
 

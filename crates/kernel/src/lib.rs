@@ -56,7 +56,7 @@ pub use types::{
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pa_simkit::{SimDur, SimRng, SimTime};
+    use pa_simkit::{Entry, SimDur, SimRng, SimTime};
     use pa_trace::{HookId, HookMask, ThreadClass};
 
     fn mk_kernel(ncpus: u8, opts: SchedOptions) -> Kernel {
@@ -426,7 +426,7 @@ mod tests {
         // PollNotice scheduled shortly after delivery.
         assert!(r.queue().live_entries().iter().any(|(t, _, e)| matches!(
             e,
-            KernelEvent::PollNotice { .. }
+            Entry::Event(KernelEvent::PollNotice { .. })
         ) && *t
             <= SimTime::from_millis(1) + SimDur::from_micros(2)));
     }

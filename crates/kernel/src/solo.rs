@@ -12,8 +12,8 @@
 use crate::kernel::{Effects, Kernel, KernelEvent, KernelSnapshot, ThreadSpec};
 use crate::msg::Message;
 use crate::program::Program;
-use crate::types::Tid;
-use pa_simkit::{EventQueue, QueueStats, SimDur, SimTime};
+use crate::types::{CpuId, Tid};
+use pa_simkit::{Entry, EventQueue, QueueStats, SimDur, SimTime};
 use serde::{Deserialize, Serialize};
 use std::ops::{Deref, DerefMut};
 
@@ -34,7 +34,8 @@ pub struct NodeSnap {
     pub queue_next_id: u64,
     /// Calendar statistics.
     pub queue_stats: QueueStats,
-    /// Live calendar entries as `(time, id, event)`.
+    /// Live calendar entries as `(time, id, event)`; an armed segment
+    /// timer is its CPU's [`KernelEvent::SegEnd`].
     pub queue_entries: Vec<(SimTime, u64, KernelEvent)>,
     /// Kernel state.
     pub kernel: KernelSnapshot,
@@ -59,12 +60,27 @@ pub struct NodeLoop {
     events_processed: u64,
 }
 
-/// The timer slot of a restored calendar entry: a `SegEnd` is armed in
-/// its CPU's slot, and every other event goes to the heap.
-fn seg_slot(ev: &KernelEvent) -> Option<usize> {
+/// A calendar entry in checkpoint form: an armed segment timer becomes
+/// its CPU's `SegEnd`, carrying the timer's token.
+fn checkpoint_event(entry: Entry<KernelEvent>) -> KernelEvent {
+    match entry {
+        Entry::Event(ev) => ev,
+        Entry::Timer { key, data } => KernelEvent::SegEnd {
+            cpu: CpuId(key as u8),
+            token: data,
+        },
+    }
+}
+
+/// The inverse of [`checkpoint_event`]: a `SegEnd` is armed in its CPU's
+/// timer slot, and every other event goes to the heap.
+fn calendar_entry(ev: KernelEvent) -> Entry<KernelEvent> {
     match ev {
-        KernelEvent::SegEnd { cpu, .. } => Some(cpu.0 as usize),
-        _ => None,
+        KernelEvent::SegEnd { cpu, token } => Entry::Timer {
+            key: usize::from(cpu.0),
+            data: token,
+        },
+        ev => Entry::Event(ev),
     }
 }
 
@@ -123,11 +139,17 @@ impl NodeLoop {
     /// thread is alive.
     pub fn run(&mut self, last: SimTime, until_apps_done: bool, mut route: impl Route) {
         while !(until_apps_done && self.kernel.app_alive() == 0) {
-            let Some((now, ev)) = self.fx.queue.pop_until(last) else {
+            let Some((now, entry)) = self.fx.queue.pop_until(last) else {
                 break;
             };
             self.events_processed += 1;
-            self.kernel.handle(now, ev, &mut self.fx);
+            match entry {
+                Entry::Timer { key, data } => {
+                    let cpu = CpuId(key as u8);
+                    self.kernel.on_seg_end(cpu, data, now, &mut self.fx);
+                }
+                Entry::Event(ev) => self.kernel.handle(now, ev, &mut self.fx),
+            }
             self.route_outbound(now, &mut route);
         }
     }
@@ -154,7 +176,7 @@ impl NodeLoop {
                 .queue
                 .live_entries()
                 .into_iter()
-                .map(|(t, id, ev)| (t, id, ev.clone()))
+                .map(|(t, id, e)| (t, id, checkpoint_event(e.cloned())))
                 .collect(),
             kernel: self.kernel.snapshot(),
             events_processed: self.events_processed,
@@ -171,9 +193,11 @@ impl NodeLoop {
             snap.queue_now,
             snap.queue_next_id,
             snap.queue_stats,
-            snap.queue_entries,
+            snap.queue_entries
+                .into_iter()
+                .map(|(t, id, ev)| (t, id, calendar_entry(ev)))
+                .collect(),
             self.kernel.ncpus() as usize,
-            seg_slot,
         )
         .map_err(|e| format!("calendar (SegEnd timers keyed by cpu): {e}"))?;
         self.events_processed = snap.events_processed;

@@ -17,19 +17,21 @@
 //!   64 bytes, one cache line's worth. Heap events are never cancelled,
 //!   so the heap needs no position map and only ever pushes and pops.
 //! * **Timer slots.** A queue built with [`EventQueue::with_timers`]
-//!   holds one slot per key, each with at most one pending event — a
-//!   component's single wake-up time, such as a CPU's segment end.
-//!   [`EventQueue::arm`] fills a slot and [`EventQueue::disarm`] empties
-//!   it; disarming is the queue's only cancellation. The earliest armed
-//!   slot is cached and rescanned only when that slot fires or is
+//!   holds one slot per key, each with at most one pending timer — a
+//!   component's single wake-up time, such as a CPU's segment end. A
+//!   timer carries no payload, only a `u64` data word (a CPU's occupancy
+//!   token, say), so arming and firing one moves 8 bytes however large
+//!   `E` is. [`EventQueue::arm`] fills a slot and [`EventQueue::disarm`]
+//!   empties it; disarming is the queue's only cancellation. The earliest
+//!   armed slot is cached and rescanned only when that slot fires or is
 //!   disarmed.
 //!
 //! [`EventQueue::pop_until`] (and [`EventQueue::pop`], its unbounded
 //! form) and [`EventQueue::peek_time`] take the smaller of the heap root
 //! and the earliest armed slot, so the pop order is the one a single heap
 //! over both tiers would give. `pop_until` makes that choice once per
-//! event: a loop bounded by a window end pops with it instead of
-//! peeking first.
+//! event, a loop bounded by a window end pops with it instead of peeking
+//! first, and the [`Entry`] it returns says which tier fired.
 //!
 //! # Queue health
 //!
@@ -130,19 +132,45 @@ impl QueueStats {
     }
 }
 
+/// A pending or popped entry of an [`EventQueue`], naming its tier.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Entry<E> {
+    /// A heap event and its payload ([`EventQueue::schedule`]).
+    Event(E),
+    /// An armed timer ([`EventQueue::arm`]): its slot and data word.
+    Timer {
+        /// The timer slot.
+        key: usize,
+        /// The word the timer was armed with.
+        data: u64,
+    },
+}
+
+impl<E: Clone> Entry<&E> {
+    /// The entry with its payload cloned, like [`Option::cloned`].
+    pub fn cloned(self) -> Entry<E> {
+        match self {
+            Entry::Event(e) => Entry::Event(e.clone()),
+            Entry::Timer { key, data } => Entry::Timer { key, data },
+        }
+    }
+}
+
 /// A deterministic event queue: a heap of fire-and-forget events beside
 /// one cancellable timer slot per key.
 ///
 /// ```
-/// use pa_simkit::{EventQueue, SimTime};
+/// use pa_simkit::{Entry, EventQueue, SimTime};
 ///
-/// let mut q: EventQueue<&str> = EventQueue::with_timers(1);
+/// let mut q: EventQueue<&str> = EventQueue::with_timers(2);
 /// q.schedule(SimTime::from_micros(10), "b");
-/// q.arm(0, SimTime::from_micros(5), "a");
+/// q.arm(0, SimTime::from_micros(5), 7);
+/// q.arm(1, SimTime::from_micros(20), 9);
 /// q.disarm(0);
-/// assert_eq!(q.pop(), Some((SimTime::from_micros(10), "b")));
+/// assert_eq!(q.pop(), Some((SimTime::from_micros(10), Entry::Event("b"))));
+/// assert_eq!(q.pop(), Some((SimTime::from_micros(20), Entry::Timer { key: 1, data: 9 })));
 /// assert_eq!(q.pop(), None);
-/// assert_eq!(q.stats().popped, 1);
+/// assert_eq!(q.stats().popped, 2);
 /// assert_eq!(q.stats().cancelled, 1);
 /// ```
 #[derive(Debug)]
@@ -153,11 +181,11 @@ pub struct EventQueue<E> {
     events: Vec<Option<E>>,
     /// Free slots of `events`.
     free: Vec<u32>,
-    /// Key per timer slot, [`IDLE`] when empty. Kept apart from the
-    /// payloads so the rescan reads 16 bytes per slot.
+    /// Key per timer slot, [`IDLE`] exactly when the slot is empty. Kept
+    /// apart from the data words so the rescan reads 16 bytes per slot.
     timer_keys: Vec<Key>,
-    /// Payload per timer slot; `Some` exactly when the slot is armed.
-    timer_events: Vec<Option<E>>,
+    /// Data word per timer slot, meaningful while the slot is armed.
+    timer_data: Vec<u64>,
     /// The smallest of `timer_keys`: [`IDLE`] when no timer is armed.
     next_timer: Key,
     armed: usize,
@@ -193,7 +221,7 @@ impl<E> EventQueue<E> {
             events: Vec::new(),
             free: Vec::new(),
             timer_keys: vec![IDLE; timers],
-            timer_events: std::iter::repeat_with(|| None).take(timers).collect(),
+            timer_data: vec![0; timers],
             next_timer: IDLE,
             armed: 0,
             next_id: 0,
@@ -312,21 +340,21 @@ impl<E> EventQueue<E> {
         self.sift_up(self.heap.len() - 1);
     }
 
-    /// Arm timer slot `key` to fire `payload` at `time`.
+    /// Arm timer slot `key` to fire at `time` with data word `data`.
     ///
     /// # Panics
     /// Panics if the slot is already armed, if `key` is not below the
     /// queue's timer count, or if `time` is earlier than the current
     /// clock.
-    pub fn arm(&mut self, key: usize, time: SimTime, payload: E) {
+    pub fn arm(&mut self, key: usize, time: SimTime, data: u64) {
         assert!(
-            self.timer_events[key].is_none(),
+            self.timer_keys[key] == IDLE,
             "timer {key} armed while its previous event is still pending"
         );
         let id = self.take_id(time);
         let k = Key::new(time, id, key);
         self.timer_keys[key] = k;
-        self.timer_events[key] = Some(payload);
+        self.timer_data[key] = data;
         self.armed += 1;
         self.next_timer = self.next_timer.min(k);
     }
@@ -334,7 +362,7 @@ impl<E> EventQueue<E> {
     /// Empty timer slot `key`. Returns `true` if it was armed (the event
     /// will now never fire), `false` if it was already empty.
     pub fn disarm(&mut self, key: usize) -> bool {
-        if self.timer_events[key].take().is_none() {
+        if self.timer_keys[key] == IDLE {
             return false;
         }
         let was_next = self.timer_keys[key] == self.next_timer;
@@ -352,43 +380,44 @@ impl<E> EventQueue<E> {
         self.next_timer = self.timer_keys.iter().copied().min().unwrap_or(IDLE);
     }
 
-    /// Pop the earliest pending event, advancing the clock to its
+    /// Pop the earliest pending entry, advancing the clock to its
     /// timestamp.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+    pub fn pop(&mut self) -> Option<(SimTime, Entry<E>)> {
         self.pop_until(SimTime::FAR_FUTURE)
     }
 
-    /// Pop the earliest pending event if it is due at or before `last`,
+    /// Pop the earliest pending entry if it is due at or before `last`,
     /// advancing the clock to its timestamp. `None` (nothing pending, or
     /// nothing due by `last`) leaves the queue untouched.
-    pub fn pop_until(&mut self, last: SimTime) -> Option<(SimTime, E)> {
+    pub fn pop_until(&mut self, last: SimTime) -> Option<(SimTime, Entry<E>)> {
         let root = self.heap.first().copied().unwrap_or(IDLE);
         let key = root.min(self.next_timer);
         if key == IDLE || key.time() > last {
             return None;
         }
-        let payload = if root < self.next_timer {
+        let slot = key.slot();
+        let entry = if root < self.next_timer {
             let tail = self.heap.pop().expect("heap has a root");
             if !self.heap.is_empty() {
                 self.heap[0] = tail;
                 self.sift_down(0);
             }
-            self.free.push(key.slot() as u32);
-            self.events[key.slot()]
-                .take()
-                .expect("heap key names a payload")
+            self.free.push(slot as u32);
+            Entry::Event(self.events[slot].take().expect("heap key names a payload"))
         } else {
-            let payload = self.timer_events[key.slot()].take();
-            self.timer_keys[key.slot()] = IDLE;
+            self.timer_keys[slot] = IDLE;
             self.armed -= 1;
             self.rescan_timers();
-            payload.expect("earliest timer is armed")
+            Entry::Timer {
+                key: slot,
+                data: self.timer_data[slot],
+            }
         };
         let time = key.time();
         debug_assert!(time >= self.now, "event queue went backwards");
         self.now = time;
         self.stats.popped += 1;
-        Some((time, payload))
+        Some((time, entry))
     }
 
     /// Advance the clock to `time` without popping anything, so that
@@ -407,20 +436,22 @@ impl<E> EventQueue<E> {
         self.now = time;
     }
 
-    /// Pending entries of both tiers as `(time, raw event id, payload)`,
+    /// Pending entries of both tiers as `(time, raw event id, entry)`,
     /// sorted in pop order `(time, id)`. Ids are exposed raw so a restored
     /// queue can reproduce the exact FIFO tie-breaking of the original.
-    pub fn live_entries(&self) -> Vec<(SimTime, u64, &E)> {
+    pub fn live_entries(&self) -> Vec<(SimTime, u64, Entry<&E>)> {
         let heap = self.heap.iter().map(|&k| {
             let payload = self.events[k.slot()].as_ref();
-            (k, payload.expect("heap key names a payload"))
+            (k, Entry::Event(payload.expect("heap key names a payload")))
         });
         let timers = self
             .timer_keys
             .iter()
-            .zip(&self.timer_events)
-            .filter_map(|(&k, e)| e.as_ref().map(|e| (k, e)));
-        let mut out: Vec<(Key, &E)> = heap.chain(timers).collect();
+            .zip(&self.timer_data)
+            .enumerate()
+            .filter(|&(_, (&k, _))| k != IDLE)
+            .map(|(key, (&k, &data))| (k, Entry::Timer { key, data }));
+        let mut out: Vec<(Key, Entry<&E>)> = heap.chain(timers).collect();
         out.sort_unstable_by_key(|&(k, _)| k);
         out.into_iter()
             .map(|(k, e)| (k.time(), k.id(), e))
@@ -435,11 +466,10 @@ impl<E> EventQueue<E> {
     /// Rebuild a queue from checkpointed parts: clock position, id
     /// allocator, lifetime stats, and the pending entries with their
     /// original ids. The inverse of [`EventQueue::live_entries`] plus the
-    /// scalar accessors. The queue gets `timers` timer slots, and
-    /// `timer_of` names the slot each entry is armed in (`None` for a heap
-    /// event). The rebuilt queue holds no dead entries, so its
-    /// `tombstones` gauge is zero regardless of what the snapshot's stats
-    /// carried.
+    /// scalar accessors. The queue gets `timers` timer slots, and each
+    /// [`Entry::Timer`] is armed in its slot. The rebuilt queue holds no
+    /// dead entries, so its `tombstones` gauge is zero regardless of what
+    /// the snapshot's stats carried.
     ///
     /// Errors (rather than corrupting causality) if an entry lies in the
     /// past of `now`, reuses an id, holds an id at or above `next_id` or
@@ -449,9 +479,8 @@ impl<E> EventQueue<E> {
         now: SimTime,
         next_id: u64,
         stats: QueueStats,
-        entries: Vec<(SimTime, u64, E)>,
+        entries: Vec<(SimTime, u64, Entry<E>)>,
         timers: usize,
-        timer_of: impl Fn(&E) -> Option<usize>,
     ) -> Result<Self, String> {
         let mut ids: Vec<u64> = entries.iter().map(|&(_, id, _)| id).collect();
         ids.sort_unstable();
@@ -461,7 +490,7 @@ impl<E> EventQueue<E> {
         let mut q = EventQueue::with_timers(timers);
         q.heap.reserve(entries.len());
         q.events.reserve(entries.len());
-        for (time, id, payload) in entries {
+        for (time, id, entry) in entries {
             if time < now {
                 return Err(format!(
                     "checkpointed event at {time} lies before the queue clock {now}"
@@ -473,21 +502,21 @@ impl<E> EventQueue<E> {
                      and the id limit {ID_LIMIT}"
                 ));
             }
-            match timer_of(&payload) {
-                Some(key) if key >= timers => {
+            match entry {
+                Entry::Timer { key, .. } if key >= timers => {
                     return Err(format!(
                         "checkpointed timer {key} out of range: the queue has {timers} timer slots"
                     ));
                 }
-                Some(key) if q.timer_events[key].is_some() => {
+                Entry::Timer { key, .. } if q.timer_keys[key] != IDLE => {
                     return Err(format!("checkpointed timer {key} holds two pending events"));
                 }
-                Some(key) => {
+                Entry::Timer { key, data } => {
                     q.timer_keys[key] = Key::new(time, id, key);
-                    q.timer_events[key] = Some(payload);
+                    q.timer_data[key] = data;
                     q.armed += 1;
                 }
-                None => q.push_heap(time, id, payload),
+                Entry::Event(payload) => q.push_heap(time, id, payload),
             }
         }
         if q.heap.len() > 1 {
@@ -521,15 +550,23 @@ mod tests {
     use super::*;
     use crate::time::SimDur;
 
+    /// A popped entry's value: a heap payload, or a timer's data word.
+    fn value<E: Into<u64>>(entry: Entry<E>) -> u64 {
+        match entry {
+            Entry::Event(e) => e.into(),
+            Entry::Timer { data, .. } => data,
+        }
+    }
+
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_micros(30), 3);
         q.schedule(SimTime::from_micros(10), 1);
         q.schedule(SimTime::from_micros(20), 2);
-        assert_eq!(q.pop().unwrap().1, 1);
-        assert_eq!(q.pop().unwrap().1, 2);
-        assert_eq!(q.pop().unwrap().1, 3);
+        assert_eq!(q.pop().unwrap().1, Entry::Event(1));
+        assert_eq!(q.pop().unwrap().1, Entry::Event(2));
+        assert_eq!(q.pop().unwrap().1, Entry::Event(3));
         assert!(q.pop().is_none());
     }
 
@@ -537,16 +574,16 @@ mod tests {
     fn ties_break_by_insertion_order() {
         let mut q = EventQueue::with_timers(10);
         let t = SimTime::from_micros(5);
-        for i in 0..10 {
+        for i in 0..10u64 {
             // Alternate the tiers: FIFO order holds across both.
             if i % 2 == 0 {
                 q.schedule(t, i);
             } else {
-                q.arm(i, t, i);
+                q.arm(i as usize, t, i);
             }
         }
         for i in 0..10 {
-            assert_eq!(q.pop().unwrap().1, i);
+            assert_eq!(value(q.pop().unwrap().1), i);
         }
     }
 
@@ -574,25 +611,25 @@ mod tests {
         let mut q = EventQueue::with_timers(1);
         q.schedule(SimTime::from_micros(10), ());
         q.pop();
-        q.arm(0, SimTime::from_micros(5), ());
+        q.arm(0, SimTime::from_micros(5), 0);
     }
 
     #[test]
     #[should_panic(expected = "timer 2 armed while its previous event is still pending")]
     fn arming_a_live_timer_panics() {
-        let mut q = EventQueue::with_timers(3);
-        q.arm(2, SimTime::from_micros(5), ());
-        q.arm(2, SimTime::from_micros(6), ());
+        let mut q: EventQueue<()> = EventQueue::with_timers(3);
+        q.arm(2, SimTime::from_micros(5), 0);
+        q.arm(2, SimTime::from_micros(6), 1);
     }
 
     #[test]
     fn cancel_removes_event() {
         let mut q = EventQueue::with_timers(1);
-        q.arm(0, SimTime::from_micros(1), "dead");
+        q.arm(0, SimTime::from_micros(1), 0);
         q.schedule(SimTime::from_micros(2), "live");
         assert!(q.disarm(0));
         assert!(!q.disarm(0), "double disarm reports false");
-        assert_eq!(q.pop().unwrap().1, "live");
+        assert_eq!(q.pop().unwrap().1, Entry::Event("live"));
     }
 
     #[test]
@@ -606,12 +643,13 @@ mod tests {
     fn is_pending_lifecycle() {
         // An armed timer is pending until it fires or is disarmed, and
         // its slot is free again afterwards.
-        let mut q = EventQueue::with_timers(1);
-        q.arm(0, SimTime::from_micros(1), "fires");
+        let mut q: EventQueue<()> = EventQueue::with_timers(1);
+        q.arm(0, SimTime::from_micros(1), 5);
         assert_eq!(q.len(), 1);
-        assert_eq!(q.pop(), Some((SimTime::from_micros(1), "fires")));
+        let fired = Entry::Timer { key: 0, data: 5 };
+        assert_eq!(q.pop(), Some((SimTime::from_micros(1), fired)));
         assert!(q.is_empty());
-        q.arm(0, SimTime::from_micros(2), "disarmed");
+        q.arm(0, SimTime::from_micros(2), 6);
         assert!(q.disarm(0));
         assert!(q.is_empty());
         assert_eq!(q.pop(), None);
@@ -619,20 +657,21 @@ mod tests {
 
     #[test]
     fn cancel_after_fire_reports_false() {
-        let mut q = EventQueue::with_timers(1);
-        q.arm(0, SimTime::from_micros(1), ());
+        let mut q: EventQueue<()> = EventQueue::with_timers(1);
+        q.arm(0, SimTime::from_micros(1), 1);
         q.pop();
         assert!(!q.disarm(0));
         assert!(q.is_empty());
         // A fired slot can be armed again.
-        q.arm(0, SimTime::from_micros(2), ());
-        assert_eq!(q.pop(), Some((SimTime::from_micros(2), ())));
+        q.arm(0, SimTime::from_micros(2), 2);
+        let fired = Entry::Timer { key: 0, data: 2 };
+        assert_eq!(q.pop(), Some((SimTime::from_micros(2), fired)));
     }
 
     #[test]
     fn len_tracks_live_events() {
         let mut q = EventQueue::with_timers(1);
-        q.arm(0, SimTime::from_micros(1), ());
+        q.arm(0, SimTime::from_micros(1), 0);
         q.schedule(SimTime::from_micros(2), ());
         assert_eq!(q.len(), 2);
         q.disarm(0);
@@ -645,7 +684,7 @@ mod tests {
     #[test]
     fn stats_track_lifecycle() {
         let mut q = EventQueue::with_timers(1);
-        q.arm(0, SimTime::from_micros(1), ());
+        q.arm(0, SimTime::from_micros(1), 0);
         q.schedule(SimTime::from_micros(2), ());
         q.schedule(SimTime::from_micros(3), ());
         q.disarm(0);
@@ -717,8 +756,8 @@ mod tests {
     #[test]
     fn peek_time_skips_cancelled() {
         let mut q = EventQueue::with_timers(2);
-        q.arm(1, SimTime::from_micros(1), ());
-        q.arm(0, SimTime::from_micros(3), ());
+        q.arm(1, SimTime::from_micros(1), 1);
+        q.arm(0, SimTime::from_micros(3), 0);
         q.schedule(SimTime::from_micros(9), ());
         assert_eq!(q.peek_time(), Some(SimTime::from_micros(1)));
         q.disarm(1);
@@ -736,32 +775,26 @@ mod tests {
         assert_eq!(shared.peek_time(), shared.peek_time());
     }
 
-    /// Timer slot of a test payload: its first character, if a digit.
-    fn slot_of(p: &&str) -> Option<usize> {
-        p.chars().next()?.to_digit(10).map(|d| d as usize)
-    }
-
     #[test]
     fn live_entries_round_trip_preserves_order_and_ids() {
         let mut q = EventQueue::with_timers(3);
         q.schedule(SimTime::from_micros(10), "late");
-        q.arm(0, SimTime::from_micros(2), "0-dead");
+        q.arm(0, SimTime::from_micros(2), 100);
         let t = SimTime::from_micros(5);
         q.schedule(t, "tie-a");
-        q.arm(1, t, "1-tie-b");
+        q.arm(1, t, 101);
         q.schedule(t, "tie-c");
         q.disarm(0);
-        q.arm(2, SimTime::from_micros(3), "2-early");
-        q.pop(); // consumes "2-early", clock now at 3 us
+        q.arm(2, SimTime::from_micros(3), 102);
+        q.pop(); // fires timer 2, clock now at 3 us
 
-        let entries: Vec<(SimTime, u64, &str)> = q
+        let entries: Vec<_> = q
             .live_entries()
             .into_iter()
-            .map(|(t, id, p)| (t, id, *p))
+            .map(|(t, id, e)| (t, id, e.cloned()))
             .collect();
         let mut r =
-            EventQueue::from_parts(q.now(), q.next_id_raw(), q.stats(), entries, 3, slot_of)
-                .unwrap();
+            EventQueue::from_parts(q.now(), q.next_id_raw(), q.stats(), entries, 3).unwrap();
         assert_eq!(r.now(), q.now());
         assert_eq!(r.stats(), q.stats());
         assert_eq!(
@@ -772,10 +805,10 @@ mod tests {
         assert_eq!(r.armed, 1, "the armed timer is restored into its slot");
         // Same-timestamp events keep their original FIFO order across
         // both tiers.
-        assert_eq!(r.pop().unwrap().1, "tie-a");
-        assert_eq!(r.pop().unwrap().1, "1-tie-b");
-        assert_eq!(r.pop().unwrap().1, "tie-c");
-        assert_eq!(r.pop().unwrap().1, "late");
+        assert_eq!(r.pop().unwrap().1, Entry::Event("tie-a"));
+        assert_eq!(r.pop().unwrap().1, Entry::Timer { key: 1, data: 101 });
+        assert_eq!(r.pop().unwrap().1, Entry::Event("tie-c"));
+        assert_eq!(r.pop().unwrap().1, Entry::Event("late"));
         // The id allocator continues where the original left off.
         r.schedule(SimTime::from_micros(20), "new");
         assert_eq!(r.live_entries()[0].1, q.next_id_raw());
@@ -786,14 +819,17 @@ mod tests {
         let stats = QueueStats::default();
         let now = SimTime::from_micros(10);
         let at = |us| SimTime::from_micros(us);
-        let rebuild = |entries| EventQueue::from_parts(now, 5, stats, entries, 2, slot_of);
+        let rebuild = |entries| EventQueue::from_parts(now, 5, stats, entries, 2);
         let err = |entries| rebuild(entries).unwrap_err();
-        assert!(err(vec![(at(9), 0, "a")]).contains("before the queue clock"));
-        assert!(err(vec![(at(11), 5, "a")]).contains("not below the id allocator"));
-        assert!(err(vec![(at(11), 2, "a"), (at(12), 2, "b")]).contains("appears twice"));
-        assert!(err(vec![(at(11), 1, "2")]).contains("timer 2 out of range"));
-        assert!(err(vec![(at(11), 1, "1"), (at(12), 2, "1")]).contains("timer 1 holds two pending"));
-        assert!(rebuild(vec![(at(11), 1, "1"), (at(12), 2, "0")]).is_ok());
+        let ev = |p| Entry::Event(p);
+        let timer = |key| Entry::Timer { key, data: 9 };
+        assert!(err(vec![(at(9), 0, ev("a"))]).contains("before the queue clock"));
+        assert!(err(vec![(at(11), 5, ev("a"))]).contains("not below the id allocator"));
+        assert!(err(vec![(at(11), 2, ev("a")), (at(12), 2, ev("b"))]).contains("appears twice"));
+        assert!(err(vec![(at(11), 1, timer(2))]).contains("timer 2 out of range"));
+        assert!(err(vec![(at(11), 1, timer(1)), (at(12), 2, timer(1))])
+            .contains("timer 1 holds two pending"));
+        assert!(rebuild(vec![(at(11), 1, timer(1)), (at(12), 2, timer(0))]).is_ok());
     }
 
     #[test]
@@ -803,20 +839,20 @@ mod tests {
         let (t, _) = q.pop().unwrap();
         q.schedule(t + SimDur::from_micros(5), 1u32);
         q.schedule(t + SimDur::from_micros(3), 2u32);
-        assert_eq!(q.pop().unwrap().1, 2);
-        assert_eq!(q.pop().unwrap().1, 1);
+        assert_eq!(q.pop().unwrap().1, Entry::Event(2));
+        assert_eq!(q.pop().unwrap().1, Entry::Event(1));
     }
 
     /// Entries physically resident in either tier.
     fn resident<E>(q: &EventQueue<E>) -> usize {
-        q.heap.len() + q.timer_events.iter().filter(|e| e.is_some()).count()
+        q.heap.len() + q.timer_keys.iter().filter(|&&k| k != IDLE).count()
     }
 
     #[test]
     fn indexed_cancel_removes_resident_entry() {
         let mut q = EventQueue::with_timers(512);
         for key in 0..100 {
-            q.arm(key, SimTime::from_micros(key as u64 % 13), key as u32);
+            q.arm(key, SimTime::from_micros(key as u64 % 13), key as u64);
         }
         for key in (0..100).step_by(2) {
             assert!(q.disarm(key));
@@ -825,9 +861,10 @@ mod tests {
         assert_eq!(resident(&q), 50, "disarm must empty the slot");
         assert_eq!(q.stats().tombstones, 0);
         // Survivors still pop in (time, id) order.
-        let mut last = (SimTime::ZERO, 0u32);
+        let mut last = (SimTime::ZERO, 0u64);
         let mut popped = 0;
-        while let Some((t, v)) = q.pop() {
+        while let Some((t, e)) = q.pop() {
+            let v = value::<u64>(e);
             assert!((t, v) > last || popped == 0);
             assert_eq!(v % 2, 1, "disarmed timer {v} fired");
             last = (t, v);
@@ -840,15 +877,15 @@ mod tests {
         // may stay resident in any round.
         let far = SimTime::from_nanos(u64::MAX / 2);
         for key in 0..512 {
-            q.arm(key, far, key as u32);
+            q.arm(key, far, key as u64);
         }
         for round in 0..200 {
             for key in 0..512 {
                 assert!(q.disarm(key));
-                q.arm(key, far, key as u32);
+                q.arm(key, far, key as u64);
             }
-            q.schedule(q.now() + SimDur::from_nanos(1), u32::MAX);
-            assert_eq!(q.pop().map(|(_, v)| v), Some(u32::MAX));
+            q.schedule(q.now() + SimDur::from_nanos(1), u64::MAX);
+            assert_eq!(q.pop().map(|(_, e)| e), Some(Entry::Event(u64::MAX)));
             assert_eq!(q.stats().tombstones, 0, "round {round}");
             assert_eq!(
                 resident(&q),

@@ -25,7 +25,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use events::{EventQueue, QueueStats};
+pub use events::{Entry, EventQueue, QueueStats};
 pub use hash::{sha256_hex, Sha256};
 pub use report::Table;
 pub use rng::{RngState, SeedSpace, SimRng};

@@ -97,12 +97,13 @@ impl ScalingConfig {
     /// Figure 5: 16 tasks/node on the prototype kernel with the
     /// co-scheduler at the study's settings.
     ///
-    /// The priority window is compressed from 5 s to 250 ms (duty cycle
-    /// unchanged) so a tractable simulated loop spans several favored and
-    /// unfavored windows, like the paper's minutes-long loops did — the
-    /// same time compression applied to cron in Figure 4. The big-tick
-    /// period divides the window, and windows still end on clock-aligned
-    /// boundaries, so all of §4's alignment invariants hold.
+    /// The priority window is compressed from the study's 5 s at 90 %
+    /// duty to 1.25 s at 80 %, so a tractable simulated loop spans several
+    /// favored and unfavored windows, like the paper's minutes-long loops
+    /// did — the same time compression applied to cron in Figure 4. Both
+    /// window edges are multiples of the 250 ms big tick, and windows
+    /// still end on clock-aligned boundaries, so all of §4's alignment
+    /// invariants hold.
     pub fn fig5(quick: bool) -> ScalingConfig {
         let mut setup = CoschedSetup::default();
         // Compressed window: 1.25 s at 80% duty instead of 5 s at 90%.

@@ -2,7 +2,9 @@
 //!
 //! Small runs drive both communication kinds the study's workloads
 //! issue, the Allreduce and the halo exchange, at a power-of-two and a
-//! non-power-of-two job size and under two seeds. Node 0's trace records
+//! non-power-of-two job size and under two seeds. Each run outlasts a
+//! clock tick, so the seed's tick phases and daemon draws reach the
+//! history and every case pins a different one. Node 0's trace records
 //! every send, receive and collective bracket a rank issues, so
 //! dropping, adding or reordering one action of a collective changes
 //! its digest, the event count or a per-kind mean, and fails here.
@@ -14,10 +16,11 @@ use pa_simkit::{Sha256, SimDur};
 const KINDS: [OpKind; 2] = [OpKind::Allreduce, OpKind::Exchange];
 
 /// One rank's op list: every kind, with compute between, three times.
+/// The 2 ms compute phases stretch the run past the first 10 ms tick.
 fn ops(rank: u32, nranks: u32) -> Vec<MpiOp> {
     let peers = vec![(rank + 1) % nranks, (rank + nranks - 1) % nranks];
     let round = [
-        MpiOp::Compute(SimDur::from_micros(20)),
+        MpiOp::Compute(SimDur::from_millis(2)),
         MpiOp::Allreduce { bytes: 64 },
         MpiOp::Compute(SimDur::from_micros(5)),
         MpiOp::Exchange { peers, bytes: 256 },
@@ -61,26 +64,31 @@ fn action_stream_known_answers() {
         .iter()
         .map(|&(nodes, seed)| answer(nodes, seed))
         .collect();
-    // Recorded with this op list from the rank program that still
-    // carried Barrier, Allgather, Reduce and Bcast schedules, which must
-    // not change them; the means are `f64` bits. On this op list seeds 7
-    // and 11 produce the same history.
+    // Recorded with this op list from the engine whose per-CPU timer
+    // slots still held whole `SegEnd` events, which must not change
+    // them; the means are `f64` bits.
     let want: Vec<Answer> = vec![
         (
-            "b23963f6907eee7c".into(),
-            189,
-            [0x4045_14ac_0831_26e9, 0x403c_bcac_0831_26e9],
+            "ecb180c70c8cbe9c".into(),
+            201,
+            [0x4045_7f56_b2db_d194, 0x403c_bcac_0831_26e9],
         ),
         (
-            "3e4a95fef21f204a".into(),
-            296,
-            [0x404b_cf0f_b38a_94d2, 0x403b_006d_3a06_d3a1],
+            "6d9e506868db5187".into(),
+            311,
+            [0x404c_39ba_5e35_3f7d, 0x403b_006d_3a06_d3a1],
         ),
         (
-            "b23963f6907eee7c".into(),
-            189,
-            [0x4045_14ac_0831_26e9, 0x403c_bcac_0831_26e9],
+            "cd2d0ae992bb86bc".into(),
+            198,
+            [0x4045_3232_846f_f513, 0x403c_bcac_0831_26e9],
         ),
     ];
+    // A case that repeats another's history pins nothing of its own.
+    for (i, a) in got.iter().enumerate() {
+        for (b, case) in got[i + 1..].iter().zip(&cases[i + 1..]) {
+            assert_ne!(a.0, b.0, "case {case:?} repeats case {:?}", cases[i]);
+        }
+    }
     assert_eq!(got, want);
 }

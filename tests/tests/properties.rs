@@ -4,7 +4,7 @@ use pa_core::{metrics_of, AdminTable, CoschedParams, CoschedSetup, Experiment, P
 use pa_kernel::{ClockModel, DispatcherKind, Prio, SchedOptions};
 use pa_mpi::coll::{binomial_allreduce, CollStep};
 use pa_mpi::{MpiOp, OpList, RankWorkload};
-use pa_simkit::{EventQueue, QueueStats, SimDur, SimTime, Summary};
+use pa_simkit::{Entry, EventQueue, QueueStats, SimDur, SimTime, Summary};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -104,13 +104,14 @@ proptest! {
         disarm_mask in prop::collection::vec(any::<bool>(), 1..100),
     ) {
         // One timer per slot beside a heap of plain events; disarmed
-        // timers must never fire, and everything else must.
+        // timers must never fire, and everything else must, a timer with
+        // the data word it was armed with.
         let mut q = EventQueue::with_timers(timer_times.len());
         for (key, &t) in timer_times.iter().enumerate() {
-            q.arm(key, SimTime::from_nanos(t), key);
+            q.arm(key, SimTime::from_nanos(t), data_word(key));
         }
         for (i, &t) in heap_times.iter().enumerate() {
-            q.schedule(SimTime::from_nanos(t), timer_times.len() + i);
+            q.schedule(SimTime::from_nanos(t), i);
         }
         let mut cancelled = HashSet::new();
         for key in 0..timer_times.len() {
@@ -119,12 +120,22 @@ proptest! {
                 cancelled.insert(key);
             }
         }
-        let mut fired = HashSet::new();
-        while let Some((_, v)) = q.pop() {
-            fired.insert(v);
+        let mut fired_timers = HashSet::new();
+        let mut fired_events = HashSet::new();
+        while let Some((_, e)) = q.pop() {
+            match e {
+                Entry::Timer { key, data } => {
+                    prop_assert_eq!(data, data_word(key), "timer {} fired another's word", key);
+                    fired_timers.insert(key);
+                }
+                Entry::Event(i) => {
+                    fired_events.insert(i);
+                }
+            }
         }
-        prop_assert!(fired.is_disjoint(&cancelled));
-        prop_assert_eq!(fired.len() + cancelled.len(), timer_times.len() + heap_times.len());
+        prop_assert!(fired_timers.is_disjoint(&cancelled));
+        prop_assert_eq!(fired_timers.len() + cancelled.len(), timer_times.len());
+        prop_assert_eq!(fired_events.len(), heap_times.len());
     }
 }
 
@@ -139,9 +150,15 @@ proptest! {
 /// and re-arm it.
 const MODEL_TIMERS: usize = 4;
 
-/// Queue payload in the model test: the step that created the event, and
-/// the timer slot it is armed in (`None` for a heap event).
-type ModelPayload = (usize, Option<usize>);
+/// The data word armed with the timer set at step `n`: distinct per step,
+/// and never a small number that could pass for a slot or a step.
+fn data_word(n: usize) -> u64 {
+    !(n as u64)
+}
+
+/// An entry in the model test: a heap event carries the step that
+/// scheduled it, a timer its slot and the data word of its step.
+type ModelPayload = Entry<usize>;
 
 /// Reference model: ids are handed out in schedule/arm order, pops come
 /// in `(time, id)` order, and a disarmed timer simply never fires. Any
@@ -171,7 +188,8 @@ impl ModelQueue {
         self.stats.max_pending = self.stats.max_pending.max(self.live.len() as u64);
     }
     fn disarm(&mut self, key: usize) -> bool {
-        let Some(i) = self.live.iter().position(|&(_, _, (_, k))| k == Some(key)) else {
+        let armed = |e: &ModelPayload| matches!(*e, Entry::Timer { key: k, .. } if k == key);
+        let Some(i) = self.live.iter().position(|(_, _, e)| armed(e)) else {
             return false;
         };
         self.live.swap_remove(i);
@@ -187,6 +205,16 @@ impl ModelQueue {
     }
     fn peek_time(&self) -> Option<u64> {
         self.live.iter().map(|&(t, _, _)| t).min()
+    }
+    /// Pending entries in pop order, as the queue lists them.
+    fn entries(&self) -> Vec<(SimTime, u64, ModelPayload)> {
+        let mut live: Vec<_> = self
+            .live
+            .iter()
+            .map(|&(t, id, e)| (SimTime::from_nanos(t), id, e))
+            .collect();
+        live.sort_unstable_by_key(|&(t, id, _)| (t, id));
+        live
     }
 }
 
@@ -212,39 +240,32 @@ fn arb_queue_op() -> impl Strategy<Value = QueueOp> {
     })
 }
 
-/// The queue's pending entries in pop order, payloads copied.
-fn queue_entries(q: &EventQueue<ModelPayload>) -> Vec<(SimTime, u64, ModelPayload)> {
+/// The queue's pending entries in pop order, heap payloads copied.
+fn queue_entries(q: &EventQueue<usize>) -> Vec<(SimTime, u64, ModelPayload)> {
     q.live_entries()
         .into_iter()
-        .map(|(t, id, v)| (t, id, *v))
+        .map(|(t, id, e)| (t, id, e.cloned()))
         .collect()
 }
 
 /// A checkpoint round trip: rebuild `q` from its scalar parts and live
 /// entries, the way the engine snapshot does.
-fn round_trip(q: &EventQueue<ModelPayload>) -> EventQueue<ModelPayload> {
+fn round_trip(q: &EventQueue<usize>) -> EventQueue<usize> {
     let entries = queue_entries(q);
-    EventQueue::from_parts(
-        q.now(),
-        q.next_id_raw(),
-        q.stats(),
-        entries,
-        MODEL_TIMERS,
-        |&(_, key)| key,
-    )
-    .expect("live entries rebuild")
+    EventQueue::from_parts(q.now(), q.next_id_raw(), q.stats(), entries, MODEL_TIMERS)
+        .expect("live entries rebuild")
 }
 
 fn check_queue_against_model(ops: &[QueueOp]) -> Result<(), TestCaseError> {
-    let mut q = EventQueue::<ModelPayload>::with_timers(MODEL_TIMERS);
+    let mut q = EventQueue::<usize>::with_timers(MODEL_TIMERS);
     let mut model = ModelQueue::new();
     for (step, op) in ops.iter().enumerate() {
         let t = model.now + op.delta;
         match op.kind {
             // schedule onto the heap
             0..=3 => {
-                q.schedule(SimTime::from_nanos(t), (step, None));
-                model.add(t, (step, None));
+                q.schedule(SimTime::from_nanos(t), step);
+                model.add(t, Entry::Event(step));
             }
             // arm a timer; a live slot is disarmed first (the re-arm
             // pattern of a voided segment timer)
@@ -256,8 +277,9 @@ fn check_queue_against_model(ops: &[QueueOp]) -> Result<(), TestCaseError> {
                     "re-arm diverged at step {}",
                     step
                 );
-                q.arm(key, SimTime::from_nanos(t), (step, Some(key)));
-                model.add(t, (step, Some(key)));
+                let data = data_word(step);
+                q.arm(key, SimTime::from_nanos(t), data);
+                model.add(t, Entry::Timer { key, data });
             }
             // disarm a slot, live or not
             6 => {
@@ -278,10 +300,17 @@ fn check_queue_against_model(ops: &[QueueOp]) -> Result<(), TestCaseError> {
                 q.advance_to(SimTime::from_nanos(target));
                 model.now = target;
             }
-            // checkpoint round trip mid-sequence
+            // checkpoint round trip mid-sequence: every timer comes back
+            // in its slot with its data word
             8 => {
+                prop_assert_eq!(
+                    queue_entries(&q),
+                    model.entries(),
+                    "entries diverged at step {}",
+                    step
+                );
                 let restored = round_trip(&q);
-                prop_assert_eq!(queue_entries(&restored), queue_entries(&q));
+                prop_assert_eq!(queue_entries(&restored), model.entries());
                 prop_assert_eq!(restored.next_id_raw(), q.next_id_raw());
                 q = restored;
             }
@@ -352,14 +381,15 @@ proptest! {
         // A queue mid-flight: some timers disarmed, then checkpointed via
         // the same live_entries / from_parts path the engine snapshot
         // uses. The restored queue must hold exactly the live entries,
-        // replay the identical pop sequence, and report no tombstones.
+        // replay the identical pop sequence (each timer with its slot and
+        // data word), and report no tombstones.
         let timers = timer_times.len();
         let mut q = EventQueue::with_timers(timers);
         for (key, &t) in timer_times.iter().enumerate() {
-            q.arm(key, SimTime::from_nanos(t), (key, Some(key)));
+            q.arm(key, SimTime::from_nanos(t), data_word(key));
         }
         for (i, &t) in heap_times.iter().enumerate() {
-            q.schedule(SimTime::from_nanos(t), (timers + i, None));
+            q.schedule(SimTime::from_nanos(t), i);
         }
         for key in 0..timers {
             if *disarm_mask.get(key).unwrap_or(&false) {
@@ -368,9 +398,31 @@ proptest! {
         }
         let entries = queue_entries(&q);
         let live = entries.len();
-        let mut restored =
-            EventQueue::from_parts(q.now(), q.next_id_raw(), q.stats(), entries, timers, |&(_, k)| k)
-                .unwrap();
+        // A timer entry moved to a slot the queue lacks, or into the slot
+        // of another, is refused by name.
+        let rebuild = |entries| EventQueue::from_parts(q.now(), q.next_id_raw(), q.stats(), entries, timers);
+        let armed: Vec<usize> = entries
+            .iter()
+            .enumerate()
+            .filter_map(|(i, e)| matches!(e.2, Entry::Timer { .. }).then_some(i))
+            .collect();
+        let moved = |i: usize, key: usize| {
+            let mut bad = entries.clone();
+            if let Entry::Timer { key: k, .. } = &mut bad[i].2 {
+                *k = key;
+            }
+            bad
+        };
+        if let Some(&i) = armed.first() {
+            let err = rebuild(moved(i, timers)).unwrap_err();
+            prop_assert!(err.contains(&format!("timer {timers} out of range")), "{}", err);
+        }
+        if let [i, j, ..] = armed[..] {
+            let Entry::Timer { key, .. } = entries[i].2 else { unreachable!() };
+            let err = rebuild(moved(j, key)).unwrap_err();
+            prop_assert!(err.contains(&format!("timer {key} holds two pending events")), "{}", err);
+        }
+        let mut restored = rebuild(entries).unwrap();
         prop_assert_eq!(restored.len(), live);
         prop_assert_eq!(restored.stats(), q.stats());
         prop_assert_eq!(restored.stats().tombstones, 0);
