@@ -11,7 +11,7 @@ fn main() {
         "Figure 1 · interference overlap vs all-CPU availability",
         args.mode,
     );
-    let r = fig1(args.seed, args.mode == Mode::Quick, args.sim_threads);
+    let r = fig1(args.seed, args.mode == Mode::Quick);
     emit(args.json, &r, || {
         println!("                     green (all CPUs run app)   red (some CPU runs noise)");
         println!(

@@ -11,7 +11,7 @@ fn main() {
         "Figure 2 · BSP phase structure (ALE3D proxy, node 0)",
         args.mode,
     );
-    let rows = fig2(args.seed, args.sim_threads);
+    let rows = fig2(args.seed);
     emit(args.json, &rows, || {
         println!(
             "{:>5} {:>12} {:>12} {:>12}",

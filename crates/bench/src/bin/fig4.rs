@@ -14,7 +14,6 @@ fn main() {
     );
     let mut cfg = Fig4Config::paper(args.mode != Mode::Full);
     cfg.seed = args.seed;
-    cfg.sim_threads = args.sim_threads;
     if args.mode == Mode::Quick {
         cfg.nodes = 4;
         cfg.cron.phase = pa_simkit::SimDur::from_millis(80);

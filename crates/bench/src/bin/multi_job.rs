@@ -6,7 +6,7 @@
 //! default: 8 / 10, `--full`: 16 / 18) and honors `--link-bandwidth`
 //! for fabric contention. Noise is the production profile, so policies
 //! are compared under the interference the paper measures. Output is
-//! bit-identical at any `--sim-threads` and `--jobs`.
+//! bit-identical at any `--jobs`.
 
 use pa_bench::{banner, emit, write_blame, write_metrics, write_trace, Args};
 use pa_jobs::PolicyKind;
@@ -75,7 +75,7 @@ fn main() {
             args.link_bandwidth,
             &noise,
         );
-        let out = run_batch_point(&spec, args.sim_threads);
+        let out = run_batch_point(&spec);
         write_metrics(&args, &out.metrics);
         write_trace(&args, &out.spans);
         if args.blame_out.is_some() {

@@ -9,7 +9,7 @@ fn main() {
     let args = Args::parse("tab_ale3d");
     banner("T-ale3d · ALE3D proxy run time", args.mode);
     let (nodes, spec) = ale3d_scale(args.mode);
-    let rows = tab_ale3d(nodes, spec, args.seed, args.sim_threads);
+    let rows = tab_ale3d(nodes, spec, args.seed);
     // A proxy run cut off by the simulation horizon is not a
     // reproduction; report it and exit non-zero after showing the rows.
     let cut: Vec<&str> = rows

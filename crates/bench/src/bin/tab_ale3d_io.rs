@@ -25,7 +25,7 @@ fn main() {
         Mode::Standard => (8, Ale3dSpec::default()),
         Mode::Full => (59, Ale3dSpec::default()),
     };
-    let rows = tab_ale3d_io(nodes, spec, args.seed, args.sim_threads);
+    let rows = tab_ale3d_io(nodes, spec, args.seed);
     // A proxy run cut off by the simulation horizon is not a
     // reproduction; report it and exit non-zero after showing the rows.
     let cut: Vec<&str> = rows

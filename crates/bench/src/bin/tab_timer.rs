@@ -13,7 +13,7 @@ fn main() {
         Mode::Standard => 8,
         Mode::Full => 59,
     };
-    let r = tab_timer(nodes, args.mode != Mode::Full, args.seed, args.sim_threads);
+    let r = tab_timer(nodes, args.mode != Mode::Full, args.seed);
     emit(args.json, &r, || {
         let mut t = Table::new(
             format!("Per-call global Allreduce duration at {nodes} nodes, 15 t/n"),

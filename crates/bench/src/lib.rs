@@ -40,12 +40,8 @@ pub const FLAGS: &[(&str, &str, &str)] = &[
     (
         "--jobs",
         "N",
-        "campaign worker threads (>= 1); output is byte-identical at any count",
-    ),
-    (
-        "--sim-threads",
-        "N",
-        "engine threads per run (>= 1); output is byte-identical at any count",
+        "campaign worker threads (>= 1), the way to use more cores; \
+        output is byte-identical at any count",
     ),
     ("--no-cache", "", "skip the results/cache/ result cache"),
     (
@@ -93,13 +89,12 @@ pub const FLAGS: &[(&str, &str, &str)] = &[
 ];
 
 /// One direct run per configuration.
-const RUN: &str = "--quick|--full --json --seed --sim-threads";
+const RUN: &str = "--quick|--full --json --seed";
 /// Campaign sweeps over fixed seeds.
-const TABLE_SWEEP: &str =
-    "--quick|--full --json --jobs --sim-threads --no-cache --rerun --checkpoint-every";
+const TABLE_SWEEP: &str = "--quick|--full --json --jobs --no-cache --rerun --checkpoint-every";
 /// The Figure 3/5/6 scaling sweeps.
-const SCALING_SWEEP: &str = "--quick|--full --json --seed --jobs --sim-threads --no-cache \
-    --rerun --link-bandwidth --checkpoint-every --metrics-out --blame-out --dispatcher";
+const SCALING_SWEEP: &str = "--quick|--full --json --seed --jobs --no-cache --rerun \
+    --link-bandwidth --checkpoint-every --metrics-out --blame-out --dispatcher";
 
 /// The [`FLAGS`] rows each binary reads, beyond `--help`.
 pub const BINARIES: &[(&str, &str)] = &[
@@ -108,13 +103,13 @@ pub const BINARIES: &[(&str, &str)] = &[
     ("fig3", SCALING_SWEEP),
     (
         "fig4",
-        "--quick|--full --json --seed --sim-threads --metrics-out --trace-out",
+        "--quick|--full --json --seed --metrics-out --trace-out",
     ),
     ("fig5", SCALING_SWEEP),
     ("fig6", SCALING_SWEEP),
     (
         "multi_job",
-        "--quick|--full --json --seed --jobs --sim-threads --no-cache --rerun \
+        "--quick|--full --json --seed --jobs --no-cache --rerun \
         --link-bandwidth --metrics-out --trace-out --blame-out --policies",
     ),
     ("oversub", "--quick|--full --json --seed --dispatcher"),
@@ -139,10 +134,6 @@ pub struct Args {
     pub seed: u64,
     /// Campaign worker threads.
     pub jobs: usize,
-    /// Cluster-engine worker threads per run. Binaries hand it to every
-    /// run they make: campaign points through [`Args::campaign`], direct
-    /// runs through their workload's configuration.
-    pub sim_threads: usize,
     /// Disable the result cache.
     pub no_cache: bool,
     /// Ignore cached entries (but refresh them).
@@ -196,7 +187,6 @@ impl Args {
             json: false,
             seed: 42,
             jobs: 1,
-            sim_threads: 1,
             no_cache: false,
             rerun: false,
             link_bandwidth: None,
@@ -233,7 +223,6 @@ impl Args {
             "--json" => self.json = true,
             "--seed" => self.seed = value()?.parse().ok()?,
             "--jobs" => self.jobs = value()?.parse().ok().filter(|&n| n >= 1)?,
-            "--sim-threads" => self.sim_threads = value()?.parse().ok().filter(|&n| n >= 1)?,
             "--no-cache" => self.no_cache = true,
             "--rerun" => self.rerun = true,
             "--link-bandwidth" => {
@@ -261,15 +250,13 @@ impl Args {
     }
 
     /// Build the campaign executor these arguments describe: `--jobs`
-    /// workers running each point on `--sim-threads` engine threads, the
-    /// `results/cache/` content-addressed cache unless `--no-cache`,
+    /// workers, the `results/cache/` content-addressed cache unless
+    /// `--no-cache`,
     /// lookups bypassed under `--rerun`, checkpoints every
     /// `--checkpoint-every`. Progress goes to stderr so stdout stays
     /// byte-identical across cache states and job counts.
     pub fn campaign(&self, label: &str) -> ExecutorConfig {
-        let mut exec = ExecutorConfig::serial(label)
-            .with_jobs(self.jobs)
-            .with_sim_threads(self.sim_threads);
+        let mut exec = ExecutorConfig::serial(label).with_jobs(self.jobs);
         exec.progress = true;
         exec.rerun = self.rerun;
         exec.checkpoint_every = self.checkpoint_every;
@@ -367,7 +354,7 @@ pub fn write_trace(args: &Args, timeline: &pa_obs::SpanTimeline) {
 }
 
 /// Write the blame report if `--blame-out` was given: canonical JSON to
-/// the file (byte-identical at any `--sim-threads`/`--jobs`) and the
+/// the file (byte-identical at any `--jobs`) and the
 /// human-readable tables to stderr, so stdout stays byte-stable for the
 /// figure output itself.
 pub fn write_blame(args: &Args, report: &pa_blame::BlameReport) {
@@ -442,8 +429,8 @@ pub fn banner(title: &str, mode: Mode) {
 use pa_simkit::SimDur;
 use pa_workloads::ScalingConfig;
 
-/// Apply the common arguments (mode, seed, link bandwidth, dispatcher,
-/// engine threads) to a Figure-3/5 sweep configuration.
+/// Apply the common arguments (mode, seed, link bandwidth, dispatcher)
+/// to a Figure-3/5 sweep configuration.
 pub fn scale_sweep(mut cfg: ScalingConfig, args: &Args) -> ScalingConfig {
     let seed = args.seed;
     match args.mode {
@@ -464,7 +451,6 @@ pub fn scale_sweep(mut cfg: ScalingConfig, args: &Args) -> ScalingConfig {
     }
     cfg.link_bandwidth = args.link_bandwidth;
     cfg.kernel.dispatcher = args.dispatcher.unwrap_or(pa_kernel::DispatcherKind::Aix);
-    cfg.sim_threads = args.sim_threads;
     cfg
 }
 
@@ -517,7 +503,7 @@ mod tests {
             .map(|(_, d)| d.split_whitespace().count())
             .sum();
         assert_eq!(
-            pairs, 102,
+            pairs, 89,
             "(binary, flag) pairs, --quick|--full counted once"
         );
     }
@@ -542,24 +528,24 @@ mod tests {
                     }
                 }
             }
-            let e = Args::parse_from(bin, &argv("--bogus")).unwrap_err();
-            assert_eq!(
-                e,
-                format!("{bin} does not take '--bogus' (see {bin} --help)")
-            );
+            // A removed flag fails like any unknown one.
+            for flag in ["--bogus", "--sim-threads"] {
+                let e = Args::parse_from(bin, &argv(&format!("{flag} 2"))).unwrap_err();
+                assert_eq!(
+                    e,
+                    format!("{bin} does not take '{flag}' (see {bin} --help)")
+                );
+            }
         }
     }
 
     #[test]
     fn values_reach_their_fields() {
-        let line = "--full --json --seed 7 --jobs 2 --sim-threads 4 --rerun \
+        let line = "--full --json --seed 7 --jobs 2 --rerun \
             --link-bandwidth 1e6 --checkpoint-every 2s --metrics-out m.json \
             --blame-out b.json --dispatcher eevdf";
         let a = Args::parse_from("fig3", &argv(line)).unwrap();
-        assert_eq!(
-            (a.mode, a.json, a.seed, a.jobs, a.sim_threads),
-            (Mode::Full, true, 7, 2, 4)
-        );
+        assert_eq!((a.mode, a.json, a.seed, a.jobs), (Mode::Full, true, 7, 2));
         assert!(a.rerun && !a.no_cache);
         assert_eq!(a.link_bandwidth, Some(1e6));
         assert_eq!(a.checkpoint_every, Some(SimDur::from_secs(2)));
@@ -587,7 +573,6 @@ mod tests {
             ("--seed", "--seed"),
             ("--seed -1", "--seed"),
             ("--jobs 0", "--jobs"),
-            ("--sim-threads x", "--sim-threads"),
             ("--link-bandwidth inf", "--link-bandwidth"),
             ("--checkpoint-every 0ms", "--checkpoint-every"),
             ("--dispatcher fifo", "--dispatcher"),

@@ -8,8 +8,8 @@
 //! [`BlameReport`]: per-rank wall-time decomposition with an exact-sum
 //! invariant, a happens-before critical path with per-category time on
 //! it, per-node rankings, and top noise/link culprits. The report's
-//! canonical JSON is byte-identical at any `--sim-threads`/`--jobs`
-//! because every input already is.
+//! canonical JSON is byte-identical at any `--jobs` because every input
+//! already is.
 //!
 //! ## The wait-state model
 //!

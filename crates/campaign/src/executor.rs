@@ -33,10 +33,6 @@ pub struct ExecutorConfig {
     /// Requires a cache (checkpoints live under `<cache>/checkpoints/`,
     /// keyed by point content hash); `None` disables checkpointing.
     pub checkpoint_every: Option<SimDur>,
-    /// Engine worker threads each fresh point simulates on (at least 1).
-    /// Results are bit-identical at any value, so it is not part of any
-    /// point's content key.
-    pub sim_threads: usize,
 }
 
 impl ExecutorConfig {
@@ -50,7 +46,6 @@ impl ExecutorConfig {
             progress: false,
             label: label.into(),
             checkpoint_every: None,
-            sim_threads: 1,
         }
     }
 
@@ -71,12 +66,6 @@ impl ExecutorConfig {
         self.checkpoint_every = Some(every);
         self
     }
-
-    /// Simulate each fresh point on `threads` engine workers.
-    pub fn with_sim_threads(mut self, threads: usize) -> ExecutorConfig {
-        self.sim_threads = threads.max(1);
-        self
-    }
 }
 
 /// How the executor asks a runner to run one fresh point. Nothing here
@@ -84,19 +73,14 @@ impl ExecutorConfig {
 /// spec or its content key.
 #[derive(Debug, Clone)]
 pub struct PointCtx {
-    /// Engine worker threads for the point's simulation.
-    pub sim_threads: usize,
     /// Mid-run checkpointing, when the campaign arms it.
     pub checkpoint: Option<CheckpointCtx>,
 }
 
 impl PointCtx {
-    /// One engine thread, no checkpointing.
+    /// No checkpointing.
     pub fn serial() -> PointCtx {
-        PointCtx {
-            sim_threads: 1,
-            checkpoint: None,
-        }
+        PointCtx { checkpoint: None }
     }
 }
 
@@ -179,11 +163,10 @@ enum WorkerMsg {
 /// Run every spec through `runner`, in parallel, consulting the cache.
 ///
 /// `runner` must be a pure function of the spec (the DES guarantees
-/// this: one seed, a history identical at any engine thread count);
-/// under that contract the returned results are identical for any `jobs`
-/// value. Each fresh point comes with a [`PointCtx`]: the engine thread
-/// count, and — when the config arms `checkpoint_every` and has a cache —
-/// a [`CheckpointCtx`] telling the runner where to write periodic
+/// this: one seed, one history); under that contract the returned
+/// results are identical for any `jobs` value. Each fresh point comes
+/// with a [`PointCtx`]: when the config arms `checkpoint_every` and has a
+/// cache, a [`CheckpointCtx`] telling the runner where to write periodic
 /// checkpoints and where to restore from if an earlier invocation died
 /// mid-point. Restored tails replay bit-identically, so results still
 /// match an uninterrupted campaign's; a point's checkpoint is deleted
@@ -235,7 +218,6 @@ where
                     Lookup::Absent | Lookup::Corrupt => {
                         let _ = msg_tx.send(WorkerMsg::Started { index: i });
                         let ctx = PointCtx {
-                            sim_threads: cfg.sim_threads.max(1),
                             checkpoint: match (cache, cfg.checkpoint_every) {
                                 (Some(c), Some(every)) => Some(CheckpointCtx {
                                     path: c.dir().join("checkpoints").join(format!("{key}.json")),
@@ -510,7 +492,6 @@ mod tests {
             progress: false,
             label: "cached".into(),
             checkpoint_every: None,
-            sim_threads: 1,
         };
         let first = run_campaign(&specs, &cfg(false), fake_runner);
         assert_eq!(first.metrics.cache_hits, 0);
@@ -537,7 +518,6 @@ mod tests {
             progress: false,
             label: "corrupt".into(),
             checkpoint_every: None,
-            sim_threads: 1,
         };
         let first = run_campaign(&specs, &cfg(), fake_runner);
         assert_eq!(first.metrics.corrupt_entries, 0);

@@ -2,16 +2,17 @@
 //!
 //! [`ClusterSim`] owns one *shard* per node — the node's [`Kernel`] plus a
 //! private event calendar — and a switch [`FabricModel`] connecting them.
-//! The engine is **conservatively parallel**: it advances all shards in
-//! bounded time windows whose width is the cross-node wire latency
-//! (the *lookahead*). Because every cross-node message takes at least
-//! `net_latency` of fabric time, no event processed inside the current
-//! window can affect another shard within that same window, so shards may
-//! run the window concurrently without coordination. At each window
-//! barrier, cross-shard messages are exchanged and merged in a
-//! deterministic order — sorted by `(delivery time, source node, send
-//! sequence)` — so the simulation history is **bit-identical at any
-//! thread count**, one thread included.
+//! The engine is **conservative**: it advances all shards in bounded time
+//! windows whose width is the cross-node wire latency (the *lookahead*).
+//! Because every cross-node message takes at least `net_latency` of
+//! fabric time, no event processed inside the current window can affect
+//! another shard within that same window, so each shard runs the window
+//! on its own, and only the shards with an event due in it run at all.
+//! At each window barrier, cross-shard messages are exchanged and merged
+//! in a deterministic order — sorted by `(delivery time, source node,
+//! send sequence)` — so the history is a function of simulation state
+//! alone. One thread runs every window: the due shards in node order,
+//! then the merge.
 //!
 //! The per-shard calendars together *are* the switch's globally
 //! synchronized timebase; each node's kernel sees global time only through
@@ -29,11 +30,7 @@ use pa_kernel::{ClockModel, Kernel, KernelStats, Message, NodeLoop, NodeSnap, Sc
 use pa_simkit::{sha256_hex, QueueStats, SeedSpace, SimDur, SimTime};
 use serde::value::Value;
 use serde::{Deserialize, Serialize};
-use std::any::Any;
-use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Static description of a cluster to build.
@@ -81,17 +78,10 @@ struct StagedMsg {
 
 /// One node's slice of the cluster: its node loop (kernel, private event
 /// calendar, event counter) and the fabric routing for messages leaving
-/// the node. Shard structure is *per node*, never per thread, so the event
-/// history is independent of how shards are distributed over worker
-/// threads.
+/// the node.
 struct Shard {
     node: NodeLoop,
     router: Router,
-    /// Exponentially-weighted busy-time estimate (ns) driving the
-    /// heavy-first claim order, fed only when several workers run (the
-    /// order's only reader). Wall-clock state: never checkpointed, and
-    /// losing it only costs a few warm-up windows.
-    busy_est: u64,
 }
 
 /// A shard's fabric routing: everything a shard adds to its node loop.
@@ -225,8 +215,7 @@ impl Shard {
     /// schedule it into this (destination) shard's calendar; returns the
     /// final delivery time. Must be called in the canonical
     /// `(deliver_at, src_node, seq)` merge order: the ingress busy-until
-    /// register advances monotonically in that order, so every thread
-    /// count observes identical queueing.
+    /// register advances monotonically in that order.
     fn accept_staged(&mut self, m: StagedMsg, fabric: &FabricModel) -> SimTime {
         let r = &mut self.router.state;
         let mut deliver_at = m.deliver_at;
@@ -324,47 +313,6 @@ fn link_wait_bucket(wait: SimDur) -> usize {
         .unwrap_or(LINK_WAIT_EDGES_NS.len())
 }
 
-/// How the window loop assigns shards to worker threads inside a window
-/// when several workers run. Assignment changes only *which worker* runs
-/// `process_window` on a shard — never per-shard event order, the window
-/// sequence, or the canonical barrier merge — so the event history is
-/// bit-identical under every variant at any thread count. A test and
-/// benchmark hook: `Steal` is the engine's schedule, and the other two
-/// exist to prove assignment invariance and to measure stealing against
-/// static stripes.
-#[doc(hidden)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardSchedule {
-    /// Static stripes (the pre-stealing engine): worker `t` owns shards
-    /// `t, t+n, t+2n, …`. One slow shard stalls the whole barrier while
-    /// its stripe-mates' owners sit idle.
-    Stripe,
-    /// Work stealing (default): workers pull the next unclaimed shard
-    /// from a shared claim index over a heavy-first order (descending
-    /// per-shard busy-time EWMA, fed by the wall time each shard consumed
-    /// in recent windows), so the barrier waits on the slowest *window*,
-    /// not the slowest stripe.
-    Steal,
-    /// Work stealing over an adversarial order — reversed and rotated
-    /// every window — used by the permutation tests to prove assignment
-    /// order cannot leak into the history.
-    StealAdversarial,
-}
-
-/// What one worker thread produced during a window: the staged
-/// cross-shard messages of the shards it claimed. The wall-clock fields
-/// (`busy_ns`, `steals`) feed the `local.*` diagnostics only — nothing
-/// deterministic reads them.
-#[derive(Default)]
-struct WindowReport {
-    staged: Vec<StagedMsg>,
-    /// Wall time this worker spent inside `process_window` this window;
-    /// 0 with one worker, whose window the coordinator times whole.
-    busy_ns: u64,
-    /// Claims outside this worker's static stripe.
-    steals: u64,
-}
-
 /// Magic string identifying a cluster checkpoint file.
 pub const CHECKPOINT_FORMAT: &str = "pa-cluster-checkpoint";
 
@@ -409,7 +357,6 @@ pub struct ClusterSim {
     lookahead: SimDur,
     booted: bool,
     clock_resyncs: u64,
-    sim_threads: usize,
     now: SimTime,
     /// Periodic checkpointing: the interval and the file each write
     /// overwrites (None = disabled).
@@ -421,25 +368,17 @@ pub struct ClusterSim {
     /// Size of the most recent checkpoint file written or restored.
     last_checkpoint_bytes: u64,
     extras_provider: Option<ExtrasProvider>,
-    /// Windows opened by the engine (identical at any thread count).
+    /// Windows opened by the engine.
     windows_run: u64,
     /// Windows widened past the lookahead because the whole cluster was
     /// daemon-idle.
     widened_windows: u64,
     /// `process_window` calls: the shards due in each window, summed over
-    /// windows (identical at any thread count and schedule).
+    /// windows.
     shard_claims: u64,
-    /// Shard-to-worker assignment policy when several workers run.
-    schedule: ShardSchedule,
-    /// Shards claimed off their static-stripe owner's list (wall-clock
-    /// diagnostic; zero with one worker and under `Stripe`).
-    steals: u64,
-    /// Wall time spent processing shards, ns (wall-clock diagnostic):
-    /// per claim with several workers, per window with one.
+    /// Wall time spent processing shards, ns (wall-clock diagnostic),
+    /// timed once per window.
     busy_ns: u64,
-    /// Sum over windows of (busiest worker − idlest worker) wall time at
-    /// the barrier — the time the barrier spent waiting on load imbalance.
-    barrier_imbalance_ns: u64,
 }
 
 /// Serialize a checkpoint of the encoded engine `state` to `path`
@@ -589,7 +528,6 @@ impl ClusterSim {
                         nnodes: spec.nodes,
                         ..Router::default()
                     },
-                    busy_est: 0,
                 }
             })
             .collect();
@@ -599,7 +537,6 @@ impl ClusterSim {
             lookahead: spec.fabric.net_latency,
             booted: false,
             clock_resyncs: 0,
-            sim_threads: 1,
             now: SimTime::ZERO,
             periodic: None,
             next_checkpoint_at: None,
@@ -610,10 +547,7 @@ impl ClusterSim {
             windows_run: 0,
             widened_windows: 0,
             shard_claims: 0,
-            schedule: ShardSchedule::Steal,
-            steals: 0,
             busy_ns: 0,
-            barrier_imbalance_ns: 0,
         }
     }
 
@@ -622,51 +556,11 @@ impl ClusterSim {
         self.shards.len() as u32
     }
 
-    /// Worker threads used to advance shards (1 = the calling thread
-    /// alone). The event history is identical at any setting; this only
-    /// trades wall-clock time. Clamped to the node count at run time.
-    pub fn set_sim_threads(&mut self, threads: usize) {
-        self.sim_threads = threads.max(1);
-    }
-
-    /// Configured worker thread count.
-    pub fn sim_threads(&self) -> usize {
-        self.sim_threads
-    }
-
-    /// Select how several workers claim shards (a test and benchmark
-    /// hook, see [`ShardSchedule`]). The event history is identical under
-    /// every policy; this only trades wall-clock time at the barrier.
-    #[doc(hidden)]
-    pub fn set_shard_schedule(&mut self, schedule: ShardSchedule) {
-        self.schedule = schedule;
-    }
-
-    /// Configured shard-to-worker assignment policy.
-    #[doc(hidden)]
-    pub fn shard_schedule(&self) -> ShardSchedule {
-        self.schedule
-    }
-
-    /// Shards claimed by a worker outside its static stripe (wall-clock
-    /// diagnostic — nondeterministic, reported under `local.*`).
-    pub fn steals(&self) -> u64 {
-        self.steals
-    }
-
     /// Total measured shard-processing wall time, ns (wall-clock
-    /// diagnostic, `local.*`). Several workers time each
-    /// `process_window` call; one worker's windows are timed whole, claim
-    /// bookkeeping included, which saves two clock reads per claim.
+    /// diagnostic, `local.*`), timed once per window, claim bookkeeping
+    /// included.
     pub fn shard_busy_ns(&self) -> u64 {
         self.busy_ns
-    }
-
-    /// Sum over windows of the busiest-minus-idlest worker wall time at
-    /// the barrier (wall-clock diagnostic, `local.*`): how long barriers
-    /// spent waiting on load imbalance.
-    pub fn barrier_imbalance_ns(&self) -> u64 {
-        self.barrier_imbalance_ns
     }
 
     /// Access a node's kernel (setup: spawning threads, enabling traces).
@@ -693,9 +587,8 @@ impl ClusterSim {
     /// ([`Kernel::spawn`]). After boot it is a mid-run arrival (the batch
     /// layer's job launch) at the current barrier time: callable only
     /// between run calls, when every shard is quiescent at a window
-    /// barrier, so the spawn lands at the same instant regardless of
-    /// `--sim-threads`. The kernel schedules a dispatcher nudge so the
-    /// thread starts without waiting for the next tick.
+    /// barrier. The kernel schedules a dispatcher nudge so the thread
+    /// starts without waiting for the next tick.
     pub fn spawn_thread(
         &mut self,
         node: u32,
@@ -822,7 +715,7 @@ impl ClusterSim {
     /// each multiple of `every`, the engine overwrites `path` with a full
     /// snapshot. Checkpoints are taken only at barriers, so the restored
     /// run replays the identical window sequence — and therefore the
-    /// identical event history — at any `sim_threads` setting.
+    /// identical event history.
     ///
     /// If a schedule was already restored from a checkpoint, that
     /// schedule is kept (both call orders around [`ClusterSim::restore`]
@@ -867,8 +760,7 @@ impl ClusterSim {
         if !self.booted {
             return Err("checkpoint requires a booted cluster".to_string());
         }
-        let shards = self.shards.iter().map(Shard::snapshot).collect();
-        self.write_checkpoint(path.as_ref(), shards)
+        self.write_checkpoint(path.as_ref())
     }
 
     /// Overlay state from a checkpoint file onto this cluster. The cluster
@@ -904,11 +796,10 @@ impl ClusterSim {
         Ok(extras)
     }
 
-    /// Write a checkpoint of the engine state around `shards` — the
-    /// snapshots of every shard, in node order — to `path`. The one
+    /// Write a checkpoint of the whole engine state to `path`: the one
     /// capture path of the manual and the periodic checkpoint. Returns the
     /// file size in bytes.
-    fn write_checkpoint(&mut self, path: &Path, shards: Vec<ShardSnap>) -> Result<u64, String> {
+    fn write_checkpoint(&mut self, path: &Path) -> Result<u64, String> {
         // Increment before capture: the snapshot's counter then includes
         // this write, so a restored run's total matches an uninterrupted
         // run's.
@@ -918,7 +809,7 @@ impl ClusterSim {
             clock_resyncs: self.clock_resyncs,
             checkpoints_written: self.checkpoints_written,
             checkpoint_next_ns: self.next_checkpoint_at.map(|t| t.nanos()),
-            shards,
+            shards: self.shards.iter().map(Shard::snapshot).collect(),
         };
         let extras = self
             .extras_provider
@@ -960,11 +851,7 @@ impl ClusterSim {
     /// from a checkpoint but never armed with
     /// [`ClusterSim::set_checkpoint_every`] has nowhere to write, so it
     /// writes nothing.
-    fn periodic_checkpoint(
-        &mut self,
-        last: SimTime,
-        shards: &[Mutex<Shard>],
-    ) -> Result<(), String> {
+    fn periodic_checkpoint(&mut self, last: SimTime) -> Result<(), String> {
         if !self.checkpoint_due(last) {
             return Ok(());
         }
@@ -973,8 +860,9 @@ impl ClusterSim {
         };
         let (every, path) = (*every, path.clone());
         Self::advance_schedule(&mut self.next_checkpoint_at, every, last);
-        let snaps = shards.iter().map(|m| lock(m).snapshot()).collect();
-        self.write_checkpoint(&path, snaps).map(|_| ())
+        self.write_checkpoint(&path)
+            .map(|_| ())
+            .map_err(|e| format!("periodic checkpoint failed: {e}"))
     }
 
     /// Boot every node at the current time.
@@ -1000,10 +888,14 @@ impl ClusterSim {
     /// Run until every application thread has exited or `horizon` passes.
     /// Returns the stop time: the latest event processed. Termination is
     /// checked at window barriers, so trailing events inside the final
-    /// lookahead window are processed on every shard before stopping —
-    /// identically at any thread count.
-    pub fn run_until_apps_done(&mut self, horizon: SimTime) -> SimTime {
-        self.run_windows(horizon, true);
+    /// lookahead window are processed on every shard before stopping.
+    ///
+    /// # Errors
+    /// A periodic checkpoint ([`ClusterSim::set_checkpoint_every`]) that
+    /// cannot be written stops the run at that barrier with the write
+    /// error.
+    pub fn run_until_apps_done(&mut self, horizon: SimTime) -> Result<SimTime, String> {
+        self.run_windows(horizon, true)?;
         let end = self
             .shards
             .iter()
@@ -1012,20 +904,23 @@ impl ClusterSim {
             .unwrap_or(self.now)
             .max(self.now);
         self.now = end;
-        end
+        Ok(end)
     }
 
     /// Run until `horizon` regardless of application state. Afterwards the
     /// global clock reads exactly `horizon` (every event at or before it
     /// has been processed), and that time is returned.
-    pub fn run_until(&mut self, horizon: SimTime) -> SimTime {
-        self.run_windows(horizon, false);
+    ///
+    /// # Errors
+    /// As [`ClusterSim::run_until_apps_done`].
+    pub fn run_until(&mut self, horizon: SimTime) -> Result<SimTime, String> {
+        self.run_windows(horizon, false)?;
         for sh in &mut self.shards {
             let target = horizon.max(sh.node.now());
             sh.node.advance_to(target);
         }
         self.now = self.now.max(horizon);
-        self.now
+        Ok(self.now)
     }
 
     /// Deliver staged cross-shard messages in the canonical
@@ -1039,8 +934,7 @@ impl ClusterSim {
         staged.drain(..).for_each(accept);
     }
 
-    /// Windows opened so far (a function of simulation state alone, so
-    /// identical at any `sim_threads`).
+    /// Windows opened so far (a function of simulation state alone).
     pub fn windows_run(&self) -> u64 {
         self.windows_run
     }
@@ -1110,380 +1004,74 @@ impl ClusterSim {
     }
 
     /// The window engine: plan → process → merge → checkpoint, once per
-    /// window, at any worker count. Stop conditions, window bounds,
-    /// per-shard event order, merge order and checkpoint cadence are all
-    /// functions of simulation state alone, so the history is identical
-    /// however many workers advance the shards.
+    /// window. Stop conditions, window bounds, per-shard event order,
+    /// merge order and checkpoint cadence are all functions of simulation
+    /// state alone.
     ///
-    /// Only *due* shards are visited: those whose earliest pending event
-    /// falls inside the window. The pool keeps every shard's next-event
-    /// time and live-app count current (see [`WindowPool::next_ns`]), so
-    /// the coordinator plans the window from their minimum and hands out
-    /// only the due shards. Skipping a shard with nothing due cannot
-    /// change history: `process_window` on it would pop nothing, schedule
-    /// nothing and stage nothing, and cost only its lock, timestamps and
-    /// wall-clock bookkeeping.
-    ///
-    /// Within a window, due shards are handed out by [`WindowPool::work`]
-    /// through a shared claim index over a per-window `order`. With one
-    /// worker the coordinator runs it inline: no thread, no barrier, and
-    /// the due shards in node order, since with a single claimer the
-    /// order means nothing. With several, a scoped pool of persistent
-    /// workers runs it between two barrier waits per window, and each
-    /// worker pulls the next unclaimed shard the moment it finishes the
-    /// last one, so the barrier waits on the slowest *shard* rather than
-    /// the slowest stripe. The order is heaviest-first by an
-    /// exponentially-weighted per-shard busy-time estimate (fed from the
-    /// wall time each shard consumed the last time it ran), an LPT-style
-    /// greedy that starts the hot shard before the cheap ones.
-    /// Assignment decides only which worker calls `process_window` on
-    /// which shard; the merge is canonical, so the history is
-    /// bit-identical across `ShardSchedule` modes and thread counts.
-    /// Steal/busy/imbalance counters are wall-clock-derived and surface
-    /// only under `local.*`.
-    fn run_windows(&mut self, horizon: SimTime, until_apps_done: bool) {
+    /// Only *due* shards are processed: those whose earliest pending event
+    /// falls inside the window, in node order. Each shard's next-event
+    /// time and live-app count are scanned once per call — which covers
+    /// `spawn_thread`, `inject_message` and `restore` between run calls —
+    /// then refreshed after the shard is processed and lowered by the
+    /// merge to each delivery it schedules there, so the window is planned
+    /// from their minimum without rescanning every calendar. Skipping a
+    /// shard with nothing due cannot change history: `process_window` on
+    /// it would pop nothing, schedule nothing and stage nothing.
+    fn run_windows(&mut self, horizon: SimTime, until_apps_done: bool) -> Result<(), String> {
         assert!(self.booted, "boot the cluster first");
-        let nthreads = self.sim_threads.min(self.shards.len()).max(1);
-        let pool = WindowPool::new(std::mem::take(&mut self.shards), self, nthreads);
-        let mut ckpt_err: Option<String> = None;
-        std::thread::scope(|scope| {
-            if nthreads > 1 {
-                for t in 0..nthreads {
-                    let pool = &pool;
-                    scope.spawn(move || loop {
-                        pool.barrier.wait();
-                        if pool.done.load(Ordering::Acquire) {
-                            break;
-                        }
-                        pool.work(t);
-                        pool.barrier.wait();
-                    });
-                }
-            }
-            // Releases the workers however the coordinator leaves the
-            // loop, a panic included, so they never wait forever.
-            let _release = ReleaseWorkers(&pool);
-            // Pooled merge buffer: refilled from the report slots and
-            // drained into destination shards every barrier.
-            let mut staged: Vec<StagedMsg> = Vec::new();
-            // Scratch for the per-window claim order.
-            let mut due: Vec<u32> = Vec::new();
-            let mut by_load: Vec<(std::cmp::Reverse<u64>, u32)> = Vec::new();
-            loop {
-                // Workers are parked at the top-of-loop barrier, so the
-                // coordinator reads settled per-shard entries here, both
-                // in one pass.
-                let (next_ns, apps) = pool.next_ns.iter().zip(&pool.apps).fold(
-                    (u64::MAX, 0usize),
-                    |(next, apps), (t, a)| {
-                        (
-                            next.min(t.load(Ordering::Relaxed)),
-                            apps + a.load(Ordering::Relaxed),
-                        )
-                    },
-                );
-                if until_apps_done && apps == 0 {
-                    break;
-                }
-                if next_ns == u64::MAX || next_ns > horizon.nanos() {
-                    break;
-                }
-                let (last, idle) =
-                    self.plan_window(SimTime::from_nanos(next_ns), horizon, apps == 0);
-                let ndue = pool.plan_claims(last, self.windows_run, &mut due, &mut by_load);
-                self.shard_claims += ndue as u64;
-                pool.claim.store(0, Ordering::Relaxed);
-                pool.window_last_ns.store(last.nanos(), Ordering::Release);
-                if nthreads == 1 {
-                    let t0 = Instant::now();
-                    pool.work(0);
-                    self.busy_ns += t0.elapsed().as_nanos() as u64;
-                } else {
-                    pool.barrier.wait(); // open the window
-                    pool.barrier.wait(); // all due shards processed it
-                }
-                if pool.abort.load(Ordering::Acquire) {
-                    // A shard panicked mid-window: the window is
-                    // incomplete, so merging would corrupt state. Shut
-                    // down and re-raise below.
-                    break;
-                }
-                let mut min_busy = u64::MAX;
-                let mut max_busy = 0u64;
-                for slot in &pool.slots {
-                    let mut s = lock(slot);
-                    staged.append(&mut s.staged);
-                    self.steals += s.steals;
-                    self.busy_ns += s.busy_ns;
-                    min_busy = min_busy.min(s.busy_ns);
-                    max_busy = max_busy.max(s.busy_ns);
-                }
-                self.barrier_imbalance_ns = self
-                    .barrier_imbalance_ns
-                    .saturating_add(max_busy - min_busy);
-                assert!(
-                    !idle || staged.is_empty(),
-                    "daemon-idle window staged a cross-shard message"
-                );
-                // Ingress queueing may move a delivery later, so each
-                // destination's entry is lowered to the *final* time the
-                // delivery landed at: the next window then opens, and
-                // claims, exactly where a scan of every queue would.
-                Self::merge_outboxes(&mut staged, |m| {
-                    let dst = m.dst_node as usize;
-                    let at = lock(&pool.shards[dst]).accept_staged(m, &pool.fabric);
-                    pool.next_ns[dst].fetch_min(at.nanos(), Ordering::Relaxed);
-                });
-                // Workers are parked at the top-of-loop barrier here, so
-                // the coordinator has every shard to itself. A write
-                // failure is re-raised once the shards are back home.
-                if let Err(e) = self.periodic_checkpoint(last, &pool.shards) {
-                    ckpt_err = Some(e);
-                    break;
-                }
-            }
-        });
-        self.shards = pool
+        let fabric = self.fabric;
+        // Earliest pending event of each shard, ns (`u64::MAX` when its
+        // calendar is empty), and its live application threads.
+        let mut next_ns: Vec<u64> = self.shards.iter().map(Shard::next_event_ns).collect();
+        let mut apps: Vec<usize> = self
             .shards
-            .into_iter()
-            .map(|m| m.into_inner().unwrap_or_else(PoisonError::into_inner))
-            .collect();
-        if let Some((node, payload)) = pool
-            .panicked
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-        {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned());
-            match msg {
-                Some(m) => panic!("shard worker panicked while advancing node {node}: {m}"),
-                None => std::panic::resume_unwind(payload),
-            }
-        }
-        if let Some(e) = ckpt_err {
-            panic!("periodic checkpoint failed: {e}");
-        }
-    }
-}
-
-/// Lock a mutex, stripping poison. A panic inside `process_window`
-/// unwinds across a held shard guard and poisons that mutex, but its
-/// payload is re-raised once the engine has shut down, so the poison flag
-/// carries no information.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// What the coordinator and the workers share during one
-/// [`ClusterSim::run_windows`] call. Shards sit behind per-shard locks so
-/// any worker can claim any shard; the coordinator writes the claim state
-/// and window bounds only while every worker is parked at the barrier.
-struct WindowPool {
-    shards: Vec<Mutex<Shard>>,
-    fabric: FabricModel,
-    schedule: ShardSchedule,
-    nthreads: usize,
-    /// Earliest pending event of each shard, ns (`u64::MAX` when its
-    /// calendar is empty). Scanned once when the pool is built — which
-    /// covers `spawn_thread`, `inject_message` and `restore` between run
-    /// calls — then written by the worker that processed the shard and
-    /// lowered by the barrier merge to each delivery it schedules there.
-    /// Nothing else touches a shard's calendar during a run call.
-    /// `Relaxed` throughout: the window barriers (or, with one worker,
-    /// program order) put every write before the coordinator's reads.
-    next_ns: Vec<AtomicU64>,
-    /// Live application threads on each shard, kept like `next_ns` (only
-    /// processing a shard changes it within a run call).
-    apps: Vec<AtomicUsize>,
-    /// `order[..ndue]` are the shards due this window, in claim order.
-    order: Vec<AtomicU32>,
-    ndue: AtomicUsize,
-    /// Next unclaimed position in `order`.
-    claim: AtomicUsize,
-    /// The open window's last instant, ns.
-    window_last_ns: AtomicU64,
-    /// One report per worker, folded by the coordinator at the barrier.
-    slots: Vec<Mutex<WindowReport>>,
-    /// Worker pool only: the top-of-loop and end-of-window barrier, and
-    /// the flag that tells parked workers to exit.
-    barrier: Barrier,
-    done: AtomicBool,
-    /// Worker-panic hardening: the first panic is parked here (with the
-    /// node it struck) and re-raised once the engine has shut down
-    /// cleanly, instead of poisoning shard mutexes and surfacing as an
-    /// unrelated `PoisonError` on the next lock.
-    abort: AtomicBool,
-    panicked: Mutex<Option<(u32, Box<dyn Any + Send>)>>,
-}
-
-impl WindowPool {
-    fn new(shards: Vec<Shard>, sim: &ClusterSim, nthreads: usize) -> WindowPool {
-        let nshards = shards.len();
-        let next_ns = shards
             .iter()
-            .map(|sh| AtomicU64::new(sh.next_event_ns()))
+            .map(|sh| sh.node.kernel.app_alive())
             .collect();
-        let apps = shards
-            .iter()
-            .map(|sh| AtomicUsize::new(sh.node.kernel.app_alive()))
-            .collect();
-        WindowPool {
-            shards: shards.into_iter().map(Mutex::new).collect(),
-            fabric: sim.fabric,
-            schedule: sim.schedule,
-            nthreads,
-            next_ns,
-            apps,
-            order: (0..nshards as u32).map(AtomicU32::new).collect(),
-            ndue: AtomicUsize::new(0),
-            claim: AtomicUsize::new(0),
-            window_last_ns: AtomicU64::new(0),
-            slots: (0..nthreads)
-                .map(|_| Mutex::new(WindowReport::default()))
-                .collect(),
-            barrier: Barrier::new(nthreads + 1),
-            done: AtomicBool::new(false),
-            abort: AtomicBool::new(false),
-            panicked: Mutex::new(None),
-        }
-    }
-
-    /// Fill `order` with the shards due in the window whose last instant
-    /// is `last` and return how many there are.
-    /// `window` is the window's ordinal, which rotates the adversarial
-    /// order. `due` and `by_load` are the coordinator's scratch buffers.
-    ///
-    /// With one worker, and under `Stripe`, the due shards go in node
-    /// order. `Steal` sorts them heaviest-first by the busy-time EWMA,
-    /// node as the tie-break. `StealAdversarial` rotates their reversed
-    /// order every window, to prove the history does not depend on who
-    /// claims what.
-    fn plan_claims(
-        &self,
-        last: SimTime,
-        window: u64,
-        due: &mut Vec<u32>,
-        by_load: &mut Vec<(std::cmp::Reverse<u64>, u32)>,
-    ) -> usize {
-        due.clear();
-        due.extend(
-            (0..self.shards.len() as u32)
-                .filter(|&i| self.next_ns[i as usize].load(Ordering::Relaxed) <= last.nanos()),
-        );
-        let n = due.len();
-        match self.schedule {
-            ShardSchedule::Steal if self.nthreads > 1 => {
-                by_load.clear();
-                by_load.extend(due.iter().map(|&i| {
-                    (
-                        std::cmp::Reverse(lock(&self.shards[i as usize]).busy_est),
-                        i,
-                    )
-                }));
-                by_load.sort_unstable();
-                for (slot, &(_, i)) in self.order.iter().zip(by_load.iter()) {
-                    slot.store(i, Ordering::Relaxed);
-                }
-            }
-            ShardSchedule::StealAdversarial if self.nthreads > 1 => {
-                // `n >= 1`: the shard holding the window start is due.
-                let rot = (window % n as u64) as usize;
-                for (k, slot) in self.order.iter().take(n).enumerate() {
-                    slot.store(due[(n - 1 - k + rot) % n], Ordering::Relaxed);
-                }
-            }
-            _ => {
-                for (slot, &i) in self.order.iter().zip(due.iter()) {
-                    slot.store(i, Ordering::Relaxed);
-                }
-            }
-        }
-        self.ndue.store(n, Ordering::Relaxed);
-        n
-    }
-
-    /// Worker `t`'s share of the open window: claim positions in
-    /// `order[..ndue]` and process those shards until none is left (or
-    /// another worker panicked), then file the report in slot `t`. Each
-    /// processed shard gets its next-event and app entries refreshed.
-    /// With several workers each claim is also timed, feeding the report's
-    /// busy time and the shard's `busy_est`, which orders the next
-    /// window's claims; a lone worker reads no clock here, since the
-    /// coordinator times its whole window and its claim order ignores
-    /// `busy_est`. `Stripe` walks the worker's own
-    /// positions (the static assignment); the stealing modes fetch-add
-    /// the shared index. A claim off the worker's home stripe
-    /// (`k % nthreads != t`) counts as a steal.
-    fn work(&self, t: usize) {
-        let last = SimTime::from_nanos(self.window_last_ns.load(Ordering::Acquire));
-        // Reuse the slot's staged list (the coordinator drained it but
-        // left the capacity), so steady state reallocates nothing per
-        // window.
-        let ndue = self.ndue.load(Ordering::Relaxed);
-        let mut report = WindowReport {
-            staged: std::mem::take(&mut lock(&self.slots[t]).staged),
-            ..WindowReport::default()
-        };
-        // A lone worker's stripe is every position, in claim order, so it
-        // skips the shared index.
-        let timed = self.nthreads > 1;
-        let walk_stripe = !timed || self.schedule == ShardSchedule::Stripe;
-        let mut stripe_k = t;
-        while !self.abort.load(Ordering::Acquire) {
-            let k = if walk_stripe {
-                let k = stripe_k;
-                stripe_k += self.nthreads;
-                k
-            } else {
-                self.claim.fetch_add(1, Ordering::Relaxed)
-            };
-            if k >= ndue {
+        // Merge buffer, drained into destination shards every barrier.
+        let mut staged: Vec<StagedMsg> = Vec::new();
+        loop {
+            let (t_start, alive) = next_ns
+                .iter()
+                .zip(&apps)
+                .fold((u64::MAX, 0usize), |(next, alive), (&t, &a)| {
+                    (next.min(t), alive + a)
+                });
+            if until_apps_done && alive == 0 {
                 break;
             }
-            // A stripe walk stays home by construction.
-            if !walk_stripe && k % self.nthreads != t {
-                report.steals += 1;
-            }
-            let i = self.order[k].load(Ordering::Relaxed) as usize;
-            let mut sh = lock(&self.shards[i]);
-            let node = sh.router.node;
-            let t0 = timed.then(Instant::now);
-            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                sh.process_window(last, &self.fabric);
-            }));
-            let busy = t0.map(|t0| t0.elapsed().as_nanos() as u64);
-            if let Err(payload) = outcome {
-                // First panic wins; tell everyone to stop at the next
-                // claim. This worker still files its report and reaches
-                // the barrier so nobody deadlocks.
-                self.abort.store(true, Ordering::Release);
-                lock(&self.panicked).get_or_insert((node, payload));
+            if t_start == u64::MAX || t_start > horizon.nanos() {
                 break;
             }
-            self.next_ns[i].store(sh.next_event_ns(), Ordering::Relaxed);
-            self.apps[i].store(sh.node.kernel.app_alive(), Ordering::Relaxed);
-            report.staged.append(&mut sh.router.state.outbox);
-            if let Some(busy) = busy {
-                report.busy_ns += busy;
-                sh.busy_est = sh.busy_est - sh.busy_est / 4 + busy / 4;
+            let (last, idle) = self.plan_window(SimTime::from_nanos(t_start), horizon, alive == 0);
+            let t0 = Instant::now();
+            for (i, sh) in self.shards.iter_mut().enumerate() {
+                if next_ns[i] > last.nanos() {
+                    continue;
+                }
+                sh.process_window(last, &fabric);
+                next_ns[i] = sh.next_event_ns();
+                apps[i] = sh.node.kernel.app_alive();
+                staged.append(&mut sh.router.state.outbox);
+                self.shard_claims += 1;
             }
+            self.busy_ns += t0.elapsed().as_nanos() as u64;
+            assert!(
+                !idle || staged.is_empty(),
+                "daemon-idle window staged a cross-shard message"
+            );
+            // Ingress queueing may move a delivery later, so each
+            // destination's entry is lowered to the *final* time the
+            // delivery landed at: the next window then opens, and claims,
+            // exactly where a scan of every queue would.
+            Self::merge_outboxes(&mut staged, |m| {
+                let dst = m.dst_node as usize;
+                let at = self.shards[dst].accept_staged(m, &fabric);
+                next_ns[dst] = next_ns[dst].min(at.nanos());
+            });
+            self.periodic_checkpoint(last)?;
         }
-        *lock(&self.slots[t]) = report;
-    }
-}
-
-/// Tells parked workers to exit when dropped — on the coordinator's
-/// normal way out of the window loop and on a panic alike.
-struct ReleaseWorkers<'a>(&'a WindowPool);
-
-impl Drop for ReleaseWorkers<'_> {
-    fn drop(&mut self) {
-        if self.0.nthreads > 1 {
-            self.0.done.store(true, Ordering::Release);
-            self.0.barrier.wait();
-        }
+        Ok(())
     }
 }
 
@@ -1554,7 +1142,7 @@ mod tests {
             ])),
         );
         sim.boot();
-        let end = sim.run_until_apps_done(SimTime::from_secs(1));
+        let end = sim.run_until_apps_done(SimTime::from_secs(1)).unwrap();
         assert_eq!(sim.apps_alive(), 0);
         // Two network hops plus overheads: tens of microseconds.
         assert!(end >= SimTime::from_micros(26), "too fast: {end}");
@@ -1587,7 +1175,7 @@ mod tests {
             }])),
         );
         sim.boot();
-        let end = sim.run_until_apps_done(SimTime::from_secs(1));
+        let end = sim.run_until_apps_done(SimTime::from_secs(1)).unwrap();
         assert_eq!(sim.apps_alive(), 0);
         assert_eq!(sim.fifo_clamps(), 1, "small message should be clamped");
         // 1 MB at 350 MB/s is ~2.86 ms of serialization.
@@ -1641,7 +1229,7 @@ mod tests {
             ])),
         );
         sim.boot();
-        let end = sim.run_until_apps_done(SimTime::from_secs(1));
+        let end = sim.run_until_apps_done(SimTime::from_secs(1)).unwrap();
         assert_eq!(sim.apps_alive(), 0);
         assert!(sim.link_waits() >= 1, "second send should queue");
         assert!(sim.link_wait_ns() > 0);
@@ -1699,7 +1287,7 @@ mod tests {
             ])),
         );
         sim.boot();
-        sim.run_until_apps_done(SimTime::from_secs(1));
+        sim.run_until_apps_done(SimTime::from_secs(1)).unwrap();
         assert_eq!(sim.apps_alive(), 0);
         assert!(sim.link_waits() >= 1, "ingress should serialize arrivals");
     }
@@ -1715,7 +1303,7 @@ mod tests {
             ])),
         );
         sim.boot();
-        sim.run_until_apps_done(SimTime::from_millis(50));
+        sim.run_until_apps_done(SimTime::from_millis(50)).unwrap();
         assert_eq!(sim.link_waits(), 0);
         assert_eq!(sim.link_wait_ns(), 0);
         assert_eq!(sim.link_wait_hist(), [0; LINK_WAIT_BUCKETS]);
@@ -1725,8 +1313,8 @@ mod tests {
     fn identical_history_with_link_contention() {
         // The contention registers must not perturb determinism: an
         // all-to-all burst over a tight 10 MB/s link replays identically
-        // at 1/2/4 threads, waits included.
-        let fingerprint = |threads: usize| {
+        // from the same seed, waits included.
+        let fingerprint = || {
             let spec = ClusterSpec {
                 nodes: 4,
                 cpus_per_node: 2,
@@ -1739,7 +1327,6 @@ mod tests {
                 },
             };
             let mut sim = ClusterSim::build(&spec, &SeedSpace::new(7));
-            sim.set_sim_threads(threads);
             for n in 0..4u32 {
                 let mut acts = Vec::new();
                 for peer in 0..4u32 {
@@ -1767,7 +1354,7 @@ mod tests {
                 );
             }
             sim.boot();
-            let end = sim.run_until_apps_done(SimTime::from_secs(5));
+            let end = sim.run_until_apps_done(SimTime::from_secs(5)).unwrap();
             (
                 end,
                 sim.events_processed(),
@@ -1778,10 +1365,10 @@ mod tests {
                 sim.queue_stats(),
             )
         };
-        let serial = fingerprint(1);
-        assert!(serial.3 > 0, "burst over a 10 MB/s link must queue");
-        assert_eq!(serial, fingerprint(2));
-        assert_eq!(serial, fingerprint(4));
+        let first = fingerprint();
+        assert!(first.3 > 0, "burst over a 10 MB/s link must queue");
+        assert_eq!(first.5.iter().sum::<u64>(), first.3, "every wait is binned");
+        assert_eq!(first, fingerprint());
     }
 
     #[test]
@@ -1789,7 +1376,7 @@ mod tests {
         let mut sim = two_node_cluster();
         sim.boot();
         let horizon = SimTime::from_millis(50);
-        let end = sim.run_until(horizon);
+        let end = sim.run_until(horizon).unwrap();
         assert_eq!(end, horizon);
         assert_eq!(sim.now(), horizon, "clock must land on the horizon");
     }
@@ -1800,12 +1387,12 @@ mod tests {
         // daemon-only tail: periodic sleepers ticking every 500 µs with
         // nothing to say to other nodes. Once the apps exit, every
         // window may widen past the lookahead — and must do so without
-        // perturbing anything observable at any thread count. The merge
-        // path hard-asserts the soundness condition (a widened window
-        // staging a cross-shard message panics), so running this at all
-        // proves every widened window preceded the earliest cross-shard
-        // delivery: after the apps exit there is none.
-        let fingerprint = |threads: usize| {
+        // perturbing anything observable. The merge path hard-asserts the
+        // soundness condition (a widened window staging a cross-shard
+        // message panics), so running this at all proves every widened
+        // window preceded the earliest cross-shard delivery: after the
+        // apps exit there is none.
+        let run = || {
             let spec = ClusterSpec {
                 nodes: 4,
                 cpus_per_node: 2,
@@ -1815,7 +1402,6 @@ mod tests {
                 fabric: FabricModel::default(),
             };
             let mut sim = ClusterSim::build(&spec, &SeedSpace::new(11));
-            sim.set_sim_threads(threads);
             for n in 0..4u32 {
                 let next = (n + 1) % 4;
                 sim.kernel_mut(n).spawn(
@@ -1840,7 +1426,7 @@ mod tests {
                 );
             }
             sim.boot();
-            let end = sim.run_until(SimTime::from_millis(20));
+            let end = sim.run_until(SimTime::from_millis(20)).unwrap();
             assert_eq!(sim.apps_alive(), 0, "app phase must finish first");
             (
                 end,
@@ -1851,67 +1437,9 @@ mod tests {
                 sim.widened_windows(),
             )
         };
-        let serial = fingerprint(1);
-        assert!(
-            serial.5 > 0,
-            "daemon-only tail widened no windows: {serial:?}"
-        );
-        assert!(serial.2 > 0, "app phase routed no cross-node messages");
-        assert_eq!(serial, fingerprint(2));
-        assert_eq!(serial, fingerprint(4));
-    }
-
-    #[test]
-    fn identical_history_across_thread_counts() {
-        // A 4-node ring of send/recv pairs; fingerprints of the run must
-        // match exactly no matter how shards are spread over threads.
-        let fingerprint = |threads: usize| {
-            let spec = ClusterSpec {
-                nodes: 4,
-                cpus_per_node: 2,
-                options: SchedOptions::vanilla(),
-                skew_max: SimDur::from_millis(1),
-                trace_capacity: 1 << 14,
-                fabric: FabricModel::default(),
-            };
-            let mut sim = ClusterSim::build(&spec, &SeedSpace::new(7));
-            sim.set_sim_threads(threads);
-            for n in 0..4u32 {
-                let next = (n + 1) % 4;
-                sim.kernel_mut(n).spawn(
-                    ThreadSpec::new("rank", ThreadClass::App, Prio::USER).on_cpu(CpuId(0)),
-                    Box::new(Script::new(vec![
-                        Action::Send(msg(ep(n, 0), ep(next, 0), u64::from(n), 4096)),
-                        Action::Recv {
-                            tag: TagSel::Exact(u64::from((n + 3) % 4)),
-                            src: SrcSel::Any,
-                            wait: WaitMode::Poll,
-                        },
-                        Action::Compute(SimDur::from_micros(200)),
-                        Action::Send(msg(ep(n, 0), ep(next, 0), 10 + u64::from(n), 64)),
-                        Action::Recv {
-                            tag: TagSel::Exact(10 + u64::from((n + 3) % 4)),
-                            src: SrcSel::Any,
-                            wait: WaitMode::Poll,
-                        },
-                    ])),
-                );
-            }
-            sim.boot();
-            let end = sim.run_until_apps_done(SimTime::from_secs(1));
-            (
-                end,
-                sim.events_processed(),
-                sim.messages_routed(),
-                sim.bytes_routed(),
-                sim.fifo_clamps(),
-                sim.queue_stats(),
-            )
-        };
-        let serial = fingerprint(1);
-        assert_eq!(serial, fingerprint(2));
-        assert_eq!(serial, fingerprint(4));
-        assert_eq!(serial, fingerprint(16)); // clamped to node count
+        let got = run();
+        assert!(got.5 > 0, "daemon-only tail widened no windows: {got:?}");
+        assert!(got.2 > 0, "app phase routed no cross-node messages");
     }
 
     #[test]
@@ -1949,7 +1477,7 @@ mod tests {
                 Box::new(Script::new(vec![Action::Compute(SimDur::from_millis(5))])),
             );
             sim.boot();
-            let t = sim.run_until_apps_done(SimTime::from_secs(1));
+            let t = sim.run_until_apps_done(SimTime::from_secs(1)).unwrap();
             (t, sim.events_processed())
         };
         assert_eq!(run(), run());
@@ -1995,7 +1523,7 @@ mod tests {
     /// 4-node ring workload used by the checkpoint tests: enough cross-
     /// node traffic, compute, and skew to exercise every snapshotted
     /// register.
-    fn ring_sim(threads: usize) -> ClusterSim {
+    fn ring_sim() -> ClusterSim {
         let spec = ClusterSpec {
             nodes: 4,
             cpus_per_node: 2,
@@ -2008,7 +1536,6 @@ mod tests {
             },
         };
         let mut sim = ClusterSim::build(&spec, &SeedSpace::new(7));
-        sim.set_sim_threads(threads);
         for n in 0..4u32 {
             let next = (n + 1) % 4;
             sim.kernel_mut(n).spawn(
@@ -2052,37 +1579,35 @@ mod tests {
     #[test]
     fn manual_checkpoint_restore_is_bit_identical() {
         // Uninterrupted reference run.
-        let mut base = ring_sim(1);
+        let mut base = ring_sim();
         base.boot();
-        let end = base.run_until_apps_done(SimTime::from_secs(5));
+        let end = base.run_until_apps_done(SimTime::from_secs(5)).unwrap();
         let want = fingerprint(&base, end);
 
         // Interrupted run: advance partway, checkpoint, throw it away.
         let path = tmp_path("manual");
-        let mut first = ring_sim(1);
+        let mut first = ring_sim();
         first.boot();
-        first.run_until(SimTime::from_micros(400));
+        first.run_until(SimTime::from_micros(400)).unwrap();
         let bytes = first.checkpoint(&path).expect("checkpoint");
         assert!(bytes > 0);
         assert_eq!(first.last_checkpoint_bytes(), bytes);
         drop(first);
 
-        // Resume in a rebuilt cluster at several thread counts: the tail
-        // must replay to the identical final state (modulo the write
-        // counter carried by the snapshot).
-        for threads in [1usize, 2, 4] {
-            let mut resumed = ring_sim(threads);
-            resumed.boot();
-            resumed.restore(&path).expect("restore");
-            assert_eq!(resumed.checkpoint_restores(), 1);
-            let end2 = resumed.run_until_apps_done(SimTime::from_secs(5));
-            let mut got = fingerprint(&resumed, end2);
-            // The reference never checkpointed; the resumed run carries
-            // the interrupted run's single write.
-            assert_eq!(got.8, 1);
-            got.8 = want.8;
-            assert_eq!(got, want, "threads={threads}");
-        }
+        // Resume in a rebuilt cluster: the tail must replay to the
+        // identical final state (modulo the write counter carried by the
+        // snapshot).
+        let mut resumed = ring_sim();
+        resumed.boot();
+        resumed.restore(&path).expect("restore");
+        assert_eq!(resumed.checkpoint_restores(), 1);
+        let end2 = resumed.run_until_apps_done(SimTime::from_secs(5)).unwrap();
+        let mut got = fingerprint(&resumed, end2);
+        // The reference never checkpointed; the resumed run carries the
+        // interrupted run's single write.
+        assert_eq!(got.8, 1);
+        got.8 = want.8;
+        assert_eq!(got, want);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -2091,10 +1616,10 @@ mod tests {
         // Reference: periodic checkpointing on, run to completion.
         let every = SimDur::from_micros(300);
         let base_path = tmp_path("periodic-base");
-        let mut base = ring_sim(1);
+        let mut base = ring_sim();
         base.set_checkpoint_every(every, &base_path);
         base.boot();
-        let end = base.run_until_apps_done(SimTime::from_secs(5));
+        let end = base.run_until_apps_done(SimTime::from_secs(5)).unwrap();
         let want = fingerprint(&base, end);
         assert!(
             base.checkpoints_written() >= 2,
@@ -2103,18 +1628,16 @@ mod tests {
         );
 
         // The file on disk is the *last* periodic checkpoint. Resume from
-        // it at each thread count; the restored schedule must not repeat
-        // the write that produced it, so the final counter matches.
-        for threads in [1usize, 2, 4] {
-            let resumed_path = tmp_path(&format!("periodic-resume-{threads}"));
-            let mut resumed = ring_sim(threads);
-            resumed.set_checkpoint_every(every, &resumed_path);
-            resumed.boot();
-            resumed.restore(&base_path).expect("restore");
-            let end2 = resumed.run_until_apps_done(SimTime::from_secs(5));
-            assert_eq!(fingerprint(&resumed, end2), want, "threads={threads}");
-            let _ = std::fs::remove_file(&resumed_path);
-        }
+        // it; the restored schedule must not repeat the write that
+        // produced it, so the final counter matches.
+        let resumed_path = tmp_path("periodic-resume");
+        let mut resumed = ring_sim();
+        resumed.set_checkpoint_every(every, &resumed_path);
+        resumed.boot();
+        resumed.restore(&base_path).expect("restore");
+        let end2 = resumed.run_until_apps_done(SimTime::from_secs(5)).unwrap();
+        assert_eq!(fingerprint(&resumed, end2), want);
+        let _ = std::fs::remove_file(&resumed_path);
         let _ = std::fs::remove_file(&base_path);
     }
 
@@ -2123,45 +1646,43 @@ mod tests {
         // The snapshot carries the periodic schedule (its next due time)
         // but not the interval or the file. A run restored from it that
         // never calls `set_checkpoint_every` has nowhere to write: it
-        // must write nothing and finish like the uninterrupted run at
-        // every thread count, not fail once the carried due time passes.
-        let mut base = ring_sim(1);
+        // must write nothing and finish like the uninterrupted run, not
+        // fail once the carried due time passes.
+        let mut base = ring_sim();
         base.boot();
-        let end = base.run_until_apps_done(SimTime::from_secs(5));
+        let end = base.run_until_apps_done(SimTime::from_secs(5)).unwrap();
         let want = fingerprint(&base, end);
 
         let path = tmp_path("no-rearm");
-        let mut first = ring_sim(1);
+        let mut first = ring_sim();
         first.set_checkpoint_every(SimDur::from_micros(300), &path);
         first.boot();
         let mut t = SimTime::ZERO;
         while first.checkpoints_written() == 0 {
             t += SimDur::from_micros(100);
             assert!(t < SimTime::from_millis(5), "no periodic write landed");
-            first.run_until(t);
+            first.run_until(t).unwrap();
         }
         drop(first);
 
-        for threads in [1usize, 2, 4] {
-            let mut resumed = ring_sim(threads);
-            resumed.boot();
-            resumed.restore(&path).expect("restore");
-            let end2 = resumed.run_until_apps_done(SimTime::from_secs(5));
-            let mut got = fingerprint(&resumed, end2);
-            // Only the interrupted run's single write is counted.
-            assert_eq!(got.8, 1, "threads={threads}");
-            got.8 = want.8;
-            assert_eq!(got, want, "threads={threads}");
-        }
+        let mut resumed = ring_sim();
+        resumed.boot();
+        resumed.restore(&path).expect("restore");
+        let end2 = resumed.run_until_apps_done(SimTime::from_secs(5)).unwrap();
+        let mut got = fingerprint(&resumed, end2);
+        // Only the interrupted run's single write is counted.
+        assert_eq!(got.8, 1);
+        got.8 = want.8;
+        assert_eq!(got, want);
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn restore_rejects_corrupt_checkpoint() {
         let path = tmp_path("corrupt");
-        let mut sim = ring_sim(1);
+        let mut sim = ring_sim();
         sim.boot();
-        sim.run_until(SimTime::from_micros(200));
+        sim.run_until(SimTime::from_micros(200)).unwrap();
         sim.checkpoint(&path).expect("checkpoint");
         // Flip one character inside the hashed payload.
         let text = std::fs::read_to_string(&path).unwrap();
@@ -2169,7 +1690,7 @@ mod tests {
         let mut bytes = text.into_bytes();
         bytes[idx + 2] = b'x';
         std::fs::write(&path, bytes).unwrap();
-        let mut fresh = ring_sim(1);
+        let mut fresh = ring_sim();
         fresh.boot();
         let err = fresh.restore(&path).unwrap_err();
         assert!(err.contains("corrupt"), "unexpected error: {err}");
@@ -2216,7 +1737,7 @@ mod tests {
     fn restore_edited_value(name: &str, edit: impl FnOnce(&mut Value)) -> Result<(), String> {
         let path = tmp_path(name);
         let mut sim = one_segment_cluster();
-        sim.run_until(SimTime::from_micros(100));
+        sim.run_until(SimTime::from_micros(100)).unwrap();
         sim.checkpoint(&path).expect("checkpoint");
         let text = std::fs::read_to_string(&path).expect("read");
         let mut file = serde_json::parse(&text).expect("file");
@@ -2414,26 +1935,24 @@ mod tests {
     /// fields swapped in both encoder and decoder still round-trip).
     #[test]
     fn checkpoint_bytes_known_answer() {
-        for threads in [1usize, 3] {
-            let path = tmp_path(&format!("known-answer-{threads}"));
-            let mut sim = ring_sim(threads);
-            sim.boot();
-            sim.run_until(SimTime::from_millis(1));
-            assert!(sim.link_waits() > 0 && sim.apps_alive() > 0);
-            sim.checkpoint(&path).expect("checkpoint");
-            let digest = sha256_hex(&std::fs::read(&path).expect("read back"));
-            let _ = std::fs::remove_file(&path);
-            assert_eq!(
-                digest, "562af29986c28ebcd6621d98d1e3ae15a82065e4c24daae170a23bc6d5ca9ed3",
-                "threads={threads}"
-            );
-        }
+        let path = tmp_path("known-answer");
+        let mut sim = ring_sim();
+        sim.boot();
+        sim.run_until(SimTime::from_millis(1)).unwrap();
+        assert!(sim.link_waits() > 0 && sim.apps_alive() > 0);
+        sim.checkpoint(&path).expect("checkpoint");
+        let digest = sha256_hex(&std::fs::read(&path).expect("read back"));
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(
+            digest,
+            "562af29986c28ebcd6621d98d1e3ae15a82065e4c24daae170a23bc6d5ca9ed3"
+        );
     }
 
     #[test]
     fn restore_rejects_node_count_mismatch() {
         let path = tmp_path("shape");
-        let mut sim = ring_sim(1);
+        let mut sim = ring_sim();
         sim.boot();
         sim.checkpoint(&path).expect("checkpoint");
         let mut small = two_node_cluster();
@@ -2489,7 +2008,7 @@ mod tests {
         let mut sim = ClusterSim::build(&spec, &seeds);
         populate(sim.kernel_mut(0));
         sim.boot();
-        sim.run_until(horizon);
+        sim.run_until(horizon).unwrap();
 
         let mut k = Kernel::new(
             0,
@@ -2517,95 +2036,26 @@ mod tests {
         assert_eq!(sim.now(), solo.now());
     }
 
-    /// A program that computes briefly, then panics — stands in for any
-    /// bug in kernel or workload code reached from a shard worker. (The
-    /// delay matters: the first dispatch happens during `boot`, which is
-    /// serial; the panic must land inside the windowed run.)
-    struct PanicBomb {
-        armed: bool,
-    }
-    impl pa_kernel::Program for PanicBomb {
-        fn step(&mut self, _ctx: &mut pa_kernel::StepCtx) -> Action {
-            if !self.armed {
-                self.armed = true;
-                return Action::Compute(SimDur::from_micros(50));
-            }
-            panic!("deliberate test panic");
-        }
-        fn kind(&self) -> &'static str {
-            "panic-bomb"
-        }
-    }
-
     #[test]
-    fn worker_panic_reports_node_not_poison() {
-        // Before the hardening, a panic inside a shard worker poisoned
-        // that shard's mutex and the run died with an opaque
-        // `PoisonError` (or hung at the barrier). It must now surface the
-        // original payload tagged with the node it struck.
-        let mut sim = ring_sim(2);
-        sim.kernel_mut(2).spawn(
-            ThreadSpec::new("bomb", ThreadClass::App, Prio::USER).on_cpu(CpuId(1)),
-            Box::new(PanicBomb { armed: false }),
+    #[should_panic(expected = "daemon-idle window staged a cross-shard message")]
+    fn daemon_cross_node_send_trips_the_idle_window_assert() {
+        // A daemon that sends cross-node breaks the daemon-idle widening
+        // invariant; the merge-time assert must catch it.
+        let mut sim = two_node_cluster();
+        sim.kernel_mut(0).spawn(
+            ThreadSpec::new("chatty", ThreadClass::Daemon, Prio::USER).on_cpu(CpuId(0)),
+            Box::new(Script::new(vec![
+                Action::Compute(SimDur::from_micros(50)),
+                Action::Send(msg(ep(0, 0), ep(1, 0), 1, 8)),
+            ])),
         );
         sim.boot();
-        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            sim.run_until_apps_done(SimTime::from_secs(1));
-        }));
-        let payload = outcome.expect_err("run must propagate the worker panic");
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
-            .expect("panic payload should be a string");
-        assert!(
-            msg.contains("node 2") && msg.contains("deliberate test panic"),
-            "panic message should name the node and original payload: {msg}"
-        );
-        assert!(
-            !msg.contains("PoisonError"),
-            "poison must not leak into the panic message: {msg}"
-        );
-    }
-
-    #[test]
-    fn coordinator_panic_releases_parked_workers() {
-        // A daemon that sends cross-node breaks the daemon-idle widening
-        // invariant; the coordinator's merge-time assert must surface as
-        // a panic at every thread count, not strand the parked workers
-        // at the barrier.
-        for threads in [1usize, 2] {
-            let mut sim = two_node_cluster();
-            sim.set_sim_threads(threads);
-            sim.kernel_mut(0).spawn(
-                ThreadSpec::new("chatty", ThreadClass::Daemon, Prio::USER).on_cpu(CpuId(0)),
-                Box::new(Script::new(vec![
-                    Action::Compute(SimDur::from_micros(50)),
-                    Action::Send(msg(ep(0, 0), ep(1, 0), 1, 8)),
-                ])),
-            );
-            sim.boot();
-            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                sim.run_until(SimTime::from_millis(1));
-            }));
-            let payload = outcome.expect_err("the broken invariant must panic");
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_default();
-            assert!(
-                msg.contains("daemon-idle window staged a cross-shard message"),
-                "threads={threads}: {msg}"
-            );
-        }
+        let _ = sim.run_until(SimTime::from_millis(1));
     }
 
     /// A 4-node workload with one artificially hot shard: node 0's rank
-    /// computes ~50× longer per round than the others, so a static stripe
-    /// leaves the other workers idle at the barrier while stealing lets
-    /// them drain the cheap shards and pull forward.
-    fn skewed_sim(threads: usize, schedule: ShardSchedule) -> ClusterSim {
+    /// computes ~50× longer per round than the others.
+    fn skewed_sim() -> ClusterSim {
         let spec = ClusterSpec {
             nodes: 4,
             cpus_per_node: 2,
@@ -2615,8 +2065,6 @@ mod tests {
             fabric: FabricModel::default(),
         };
         let mut sim = ClusterSim::build(&spec, &SeedSpace::new(23));
-        sim.set_sim_threads(threads);
-        sim.set_shard_schedule(schedule);
         for n in 0..4u32 {
             let next = (n + 1) % 4;
             let compute = if n == 0 { 500 } else { 10 };
@@ -2644,81 +2092,10 @@ mod tests {
     }
 
     #[test]
-    fn shard_schedule_permutation_preserves_history() {
-        // The permutation test from the stealing scheduler's contract:
-        // assignment decides only which worker runs a shard, so the full
-        // deterministic fingerprint must be identical across every
-        // schedule (static stripe, heaviest-first stealing, adversarial
-        // rotating claim order) at every thread count. `local.*` values
-        // (steals, busy, imbalance) are deliberately NOT in the
-        // fingerprint — they are wall-clock facts.
-        let run = |threads: usize, schedule: ShardSchedule| {
-            let mut sim = skewed_sim(threads, schedule);
-            sim.boot();
-            let end = sim.run_until_apps_done(SimTime::from_secs(1));
-            (
-                end,
-                sim.events_processed(),
-                sim.messages_routed(),
-                sim.bytes_routed(),
-                sim.fifo_clamps(),
-                sim.queue_stats(),
-                sim.windows_run(),
-            )
-        };
-        let reference = run(1, ShardSchedule::Stripe);
-        for threads in [1usize, 2, 4, 8] {
-            for schedule in [
-                ShardSchedule::Stripe,
-                ShardSchedule::Steal,
-                ShardSchedule::StealAdversarial,
-            ] {
-                assert_eq!(
-                    reference,
-                    run(threads, schedule),
-                    "history diverged at {threads} threads under {schedule:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn stealing_moves_work_off_the_home_stripe() {
-        // With 2 workers over 4 shards, stealing lets whichever worker
-        // finishes first claim a position off its stripe. The steal
-        // counter is wall-clock-dependent (how often that happens varies),
-        // but the claim protocol guarantees every position is claimed, so
-        // across a few hundred windows at least one steal occurring is a
-        // statistical certainty on any host; the stripe schedule must
-        // record exactly zero.
-        let mut sim = skewed_sim(2, ShardSchedule::Steal);
-        sim.boot();
-        sim.run_until_apps_done(SimTime::from_secs(1));
-        assert!(sim.windows_run() > 10, "workload too short to steal");
-        assert!(
-            sim.steals() > 0,
-            "no steal in {} windows",
-            sim.windows_run()
-        );
-        let mut stripe = skewed_sim(2, ShardSchedule::Stripe);
-        stripe.boot();
-        stripe.run_until_apps_done(SimTime::from_secs(1));
-        assert_eq!(stripe.steals(), 0, "stripe schedule must never steal");
-        // Busy-time accounting runs under every schedule and both
-        // engines; the hot shard must dominate.
-        assert!(
-            stripe.shard_busy_ns() > 0,
-            "per-shard busy accounting recorded nothing"
-        );
-    }
-
-    #[test]
     fn serial_engine_accounts_shard_busy_time() {
-        let mut sim = skewed_sim(1, ShardSchedule::Steal);
+        let mut sim = skewed_sim();
         sim.boot();
-        sim.run_until_apps_done(SimTime::from_secs(1));
-        assert_eq!(sim.steals(), 0, "serial engine has nothing to steal");
-        assert_eq!(sim.barrier_imbalance_ns(), 0);
+        sim.run_until_apps_done(SimTime::from_secs(1)).unwrap();
         assert!(sim.shard_busy_ns() > 0);
     }
 
@@ -2787,8 +2164,8 @@ mod tests {
         // available near every due time. Each 1 ms multiple inside the
         // tail must produce a checkpoint — the cap shortens or widens the
         // daemon-idle window to land a barrier on the due time instead of
-        // sliding past it — identically at any thread count.
-        let run = |threads: usize| {
+        // sliding past it.
+        let run = || {
             let spec = ClusterSpec {
                 nodes: 4,
                 cpus_per_node: 2,
@@ -2798,7 +2175,6 @@ mod tests {
                 fabric: FabricModel::default(),
             };
             let mut sim = ClusterSim::build(&spec, &SeedSpace::new(11));
-            sim.set_sim_threads(threads);
             for n in 0..4u32 {
                 let next = (n + 1) % 4;
                 sim.kernel_mut(n).spawn(
@@ -2821,10 +2197,10 @@ mod tests {
                     Box::new(Script::new(acts)),
                 );
             }
-            let path = tmp_path(&format!("cadence-{threads}t"));
+            let path = tmp_path("cadence");
             sim.set_checkpoint_every(SimDur::from_millis(1), &path);
             sim.boot();
-            let end = sim.run_until(SimTime::from_millis(20));
+            let end = sim.run_until(SimTime::from_millis(20)).unwrap();
             assert_eq!(sim.apps_alive(), 0, "app phase must finish first");
             let _ = std::fs::remove_file(&path);
             (
@@ -2835,18 +2211,16 @@ mod tests {
                 sim.widened_windows(),
             )
         };
-        let serial = run(1);
+        let got = run();
         // ~20 ms of daemon activity at a 1 ms interval: nearly every
         // multiple has events around it, so nearly every multiple must
         // get its own checkpoint (a broken cap collapses the tail into a
         // handful of tick-batched writes).
         assert!(
-            serial.2 >= 15,
-            "checkpoint cadence broke through the daemon-idle stretch: {serial:?}"
+            got.2 >= 15,
+            "checkpoint cadence broke through the daemon-idle stretch: {got:?}"
         );
-        assert!(serial.4 > 0, "daemon tail widened no windows: {serial:?}");
-        assert_eq!(serial, run(2));
-        assert_eq!(serial, run(4));
+        assert!(got.4 > 0, "daemon tail widened no windows: {got:?}");
     }
 
     /// One run of the sparse-activity scenario: 32 nodes with a periodic
@@ -2857,9 +2231,8 @@ mod tests {
     /// windows therefore have a few due shards out of 32. The run is
     /// checkpointed at the 2 ms barrier, finished, then restored from
     /// that checkpoint and finished again; both tails must match. Returns
-    /// the fingerprint, the shard claims of the uninterrupted run, and
-    /// its window count.
-    fn sparse_run(threads: usize, schedule: ShardSchedule) -> (Vec<u64>, u64, u64) {
+    /// the shard claims of the uninterrupted run and its window count.
+    fn sparse_run() -> (u64, u64) {
         const NODES: u32 = 32;
         let spec = ClusterSpec {
             nodes: NODES,
@@ -2870,8 +2243,6 @@ mod tests {
             fabric: FabricModel::default(),
         };
         let mut sim = ClusterSim::build(&spec, &SeedSpace::new(31));
-        sim.set_sim_threads(threads);
-        sim.set_shard_schedule(schedule);
         // Tid 0 everywhere: a daemon computing for ~8 ms in segments
         // whose length differs per node, so nodes fall due in different
         // windows.
@@ -2930,7 +2301,7 @@ mod tests {
             ])),
         );
         sim.boot();
-        sim.run_until(SimTime::from_micros(1_300));
+        sim.run_until(SimTime::from_micros(1_300)).unwrap();
         let late = sim.spawn_thread(
             20,
             ThreadSpec::new("late", ThreadClass::App, Prio::USER).on_cpu(CpuId(0)),
@@ -2947,11 +2318,11 @@ mod tests {
         );
         assert_eq!(late, Tid(1));
         sim.inject_message(msg(ep(0, 0), ep(22, 1), 99, 8));
-        sim.run_until(SimTime::from_millis(2));
-        let path = tmp_path(&format!("sparse-{threads}t-{schedule:?}"));
+        sim.run_until(SimTime::from_millis(2)).unwrap();
+        let path = tmp_path("sparse");
         sim.checkpoint(&path).expect("checkpoint");
         let finish = |sim: &mut ClusterSim| {
-            let end = sim.run_until(SimTime::from_millis(10));
+            let end = sim.run_until(SimTime::from_millis(10)).unwrap();
             assert_eq!(sim.apps_alive(), 0, "apps must finish inside the run");
             for (node, tid) in [(20u32, 1u32), (21, 1), (22, 1)] {
                 assert_eq!(
@@ -2975,35 +2346,25 @@ mod tests {
                 sim.kernel(22).stats().dispatches,
             ]
         };
-        let mut want = finish(&mut sim);
-        let (claims, windows, widened) =
-            (sim.shard_claims(), sim.windows_run(), sim.widened_windows());
+        let want = finish(&mut sim);
+        let (claims, windows) = (sim.shard_claims(), sim.windows_run());
         sim.restore(&path).expect("restore");
         assert_eq!(finish(&mut sim), want, "restored tail diverged");
         let _ = std::fs::remove_file(&path);
-        // A restored run keeps counting windows from where it stood, so
-        // the window counters join the fingerprint only here.
-        want.extend([windows, widened]);
-        (want, claims, windows)
+        (claims, windows)
     }
 
     #[test]
     fn sparse_activity_claims_only_due_shards() {
-        let (reference, claims, windows) = sparse_run(1, ShardSchedule::Steal);
+        let (claims, windows) = sparse_run();
         assert!(
             claims < windows * 32,
             "{claims} claims over {windows} windows: idle shards were visited"
         );
-        for threads in [1usize, 2, 4] {
-            for schedule in [
-                ShardSchedule::Stripe,
-                ShardSchedule::Steal,
-                ShardSchedule::StealAdversarial,
-            ] {
-                let (got, got_claims, _) = sparse_run(threads, schedule);
-                assert_eq!(got, reference, "{threads} threads, {schedule:?}");
-                assert_eq!(got_claims, claims, "{threads} threads, {schedule:?}");
-            }
-        }
+        assert_eq!(
+            sparse_run(),
+            (claims, windows),
+            "claims must repeat exactly"
+        );
     }
 }

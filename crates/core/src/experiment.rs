@@ -93,13 +93,6 @@ pub struct Experiment {
     pub trace_capacity: usize,
     /// Give-up horizon.
     pub horizon: SimDur,
-    /// Engine worker threads (default 1). Results are bit-identical at
-    /// any setting; this only changes wall-clock time.
-    pub sim_threads: usize,
-    /// Shard-assignment schedule when several engine workers run (a test
-    /// and benchmark hook, see [`pa_cluster::ShardSchedule`]).
-    #[doc(hidden)]
-    pub shard_schedule: pa_cluster::ShardSchedule,
     /// Periodic checkpoints: the interval (sim time) and the file each
     /// one overwrites (None = off).
     pub checkpoint: Option<(SimDur, std::path::PathBuf)>,
@@ -129,8 +122,6 @@ impl Experiment {
             record_all_ranks: false,
             trace_capacity: 1 << 18,
             horizon: SimDur::from_secs(3_600),
-            sim_threads: 1,
-            shard_schedule: pa_cluster::ShardSchedule::Steal,
             checkpoint: None,
             restore_from: None,
         }
@@ -207,23 +198,9 @@ impl Experiment {
         self
     }
 
-    /// Set the engine worker thread count (default 1).
-    pub fn with_sim_threads(mut self, threads: usize) -> Self {
-        self.sim_threads = threads.max(1);
-        self
-    }
-
-    /// Set the shard-assignment schedule of several engine workers (a
-    /// test and benchmark hook; the default is `Steal`).
-    #[doc(hidden)]
-    pub fn with_shard_schedule(mut self, schedule: pa_cluster::ShardSchedule) -> Self {
-        self.shard_schedule = schedule;
-        self
-    }
-
     /// Write a checkpoint to `path` at the first window barrier at or
     /// past each multiple of `every` (sim time). The restored run replays
-    /// bit-identically at any thread count.
+    /// bit-identically.
     pub fn with_checkpoint_every(
         mut self,
         every: SimDur,
@@ -251,8 +228,10 @@ impl Experiment {
 
     /// Assemble and run, like [`Experiment::run`], but return an error
     /// naming the checkpoint when the cluster or the run recorder rejects
-    /// the one set by [`Experiment::with_restore_from`]. The rejected
-    /// attempt's cluster is dropped; rerun from a fresh experiment.
+    /// the one set by [`Experiment::with_restore_from`], or when a
+    /// periodic checkpoint set by [`Experiment::with_checkpoint_every`]
+    /// cannot be written. The failed attempt's cluster is dropped; rerun
+    /// from a fresh experiment.
     pub fn try_run(
         self,
         make_workload: &mut dyn FnMut(u32) -> Box<dyn RankWorkload>,
@@ -271,8 +250,6 @@ impl Experiment {
             fabric: self.fabric,
         };
         let mut sim = ClusterSim::build(&spec, &seeds);
-        sim.set_sim_threads(self.sim_threads);
-        sim.set_shard_schedule(self.shard_schedule);
 
         // Co-scheduler startup: clock sync first (it rewrites the AIX
         // clock's low-order bits from the switch clock), then one daemon
@@ -355,7 +332,7 @@ impl Experiment {
         }
 
         let horizon = SimTime::ZERO + self.horizon;
-        let end = sim.run_until_apps_done(horizon);
+        let end = sim.run_until_apps_done(horizon)?;
         let completed = sim.apps_alive() == 0;
         let events = sim.events_processed();
         Ok(RunOutput {
@@ -542,7 +519,7 @@ mod tests {
             pa_kernel::DispatcherKind::Cfs,
             pa_kernel::DispatcherKind::Eevdf,
         ] {
-            let run = |threads: usize| {
+            let run = || {
                 let mut wl = allreduce_workload(32);
                 let out = Experiment::new(2, 4)
                     .with_cpus_per_node(4)
@@ -550,15 +527,12 @@ mod tests {
                         dispatcher: kind,
                         ..SchedOptions::vanilla()
                     })
-                    .with_sim_threads(threads)
                     .with_seed(31)
                     .run(&mut wl);
                 assert!(out.completed, "{kind:?} job did not finish");
                 (out.wall, out.events, out.mean_allreduce_us().to_bits())
             };
-            // Bit-identical across runs and across shard counts.
-            assert_eq!(run(1), run(1), "{kind:?} not deterministic");
-            assert_eq!(run(1), run(3), "{kind:?} varies with sim-threads");
+            assert_eq!(run(), run(), "{kind:?} not deterministic");
         }
     }
 
@@ -608,28 +582,23 @@ mod tests {
             "run too short to checkpoint"
         );
 
-        // Resume from that barrier in a rebuilt experiment, serial and
-        // parallel: identical final state, recorder included.
-        for threads in [1usize, 3] {
-            let mut wl = allreduce_workload(256);
-            let resumed = base()
-                .with_sim_threads(threads)
-                .with_restore_from(&path)
-                .run(&mut wl);
-            assert_eq!(fingerprint(&resumed), want, "threads={threads}");
-            assert_eq!(
-                resumed.sim.checkpoints_written(),
-                ckpt.sim.checkpoints_written()
-            );
-            assert_eq!(resumed.sim.checkpoint_restores(), 1);
-            resumed
-                .job
-                .recorder
-                .lock()
-                .unwrap()
-                .verify_complete(8)
-                .expect("restored recorder covers every op on every rank");
-        }
+        // Resume from that barrier in a rebuilt experiment: identical
+        // final state, recorder included.
+        let mut wl = allreduce_workload(256);
+        let resumed = base().with_restore_from(&path).run(&mut wl);
+        assert_eq!(fingerprint(&resumed), want);
+        assert_eq!(
+            resumed.sim.checkpoints_written(),
+            ckpt.sim.checkpoints_written()
+        );
+        assert_eq!(resumed.sim.checkpoint_restores(), 1);
+        resumed
+            .job
+            .recorder
+            .lock()
+            .unwrap()
+            .verify_complete(8)
+            .expect("restored recorder covers every op on every rank");
         let _ = std::fs::remove_file(&path);
     }
 }

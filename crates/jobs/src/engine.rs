@@ -5,10 +5,10 @@
 //! instant — a job arrival or a scheduler-quantum boundary — the engine
 //! acts while every shard is quiescent at a window barrier. All batch
 //! decisions (arrival intake, completion detection, placement, malleable
-//! resize) therefore see identical state at any `--sim-threads`, and the
-//! injected actions (thread spawns, daemon shutdown messages) land at
-//! the barrier time in a canonical order, so the whole multi-job history
-//! is bit-identical at any thread count.
+//! resize) therefore see settled state, and the injected actions (thread
+//! spawns, daemon shutdown messages) land at the barrier time in a
+//! canonical order, so the whole multi-job history is a function of the
+//! spec and seed alone.
 //!
 //! Completion detection is *polled*, like a real batch daemon: a chunk
 //! whose ranks exit mid-quantum is noticed at the next decision instant,
@@ -43,6 +43,10 @@ const QUEUE_WAIT_EDGES_US: [u64; 8] = [100, 500, 1_000, 5_000, 10_000, 50_000, 1
 
 /// Span-timeline process id used for the batch layer.
 const BATCH_PID: u32 = 1;
+
+/// Why the engine's cluster runs cannot fail: only a periodic checkpoint
+/// write can, and the batch layer arms none.
+const NO_PERIODIC_CHECKPOINT: &str = "the batch engine arms no periodic checkpoint";
 
 /// Where a job is in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -127,7 +131,7 @@ pub struct JobsOutcome {
     pub completed: bool,
     /// Events the simulator processed.
     pub events: u64,
-    /// `jobs.*` metrics (canonical: identical at any `--sim-threads`).
+    /// `jobs.*` metrics (canonical: identical for equal specs and seeds).
     pub metrics: MetricsRegistry,
     /// Per-job spans and instants for Perfetto.
     pub spans: SpanTimeline,
@@ -139,7 +143,7 @@ pub struct JobsOutcome {
 
 impl JobsOutcome {
     /// Canonical JSON manifest: equal specs must yield byte-identical
-    /// manifests at any `--sim-threads` and `--jobs` setting.
+    /// manifests at any `--jobs` setting.
     pub fn manifest_json(&self) -> String {
         let v = Value::Map(vec![
             ("policy".into(), self.policy.name().to_value()),
@@ -177,7 +181,6 @@ pub struct JobsEngine {
     spec: MultiJobSpec,
     policy: PolicyKind,
     seed: u64,
-    sim_threads: usize,
     link_bandwidth: Option<f64>,
     noise: NoiseProfile,
     horizon: SimDur,
@@ -190,7 +193,6 @@ impl JobsEngine {
             spec,
             policy,
             seed: 42,
-            sim_threads: 1,
             link_bandwidth: None,
             noise: NoiseProfile::silent(),
             horizon: SimDur::from_secs(10),
@@ -200,13 +202,6 @@ impl JobsEngine {
     /// Set the master seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Set the engine worker thread count (results are identical at any
-    /// setting; this only trades wall-clock time).
-    pub fn with_sim_threads(mut self, threads: usize) -> Self {
-        self.sim_threads = threads.max(1);
         self
     }
 
@@ -274,7 +269,6 @@ impl JobsEngine {
             },
         };
         let mut sim = ClusterSim::build(&cspec, &seeds);
-        sim.set_sim_threads(self.sim_threads);
         if spec.gang {
             // The co-scheduler startup procedure (§4): sync node clocks to
             // the switch clock so window grids line up across a job.
@@ -323,7 +317,7 @@ impl JobsEngine {
 
         // First decision instant: the earliest submission.
         let mut t = recs[0].submit.min(horizon_t);
-        sim.run_until(t);
+        sim.run_until(t).expect(NO_PERIODIC_CHECKPOINT);
 
         let completed = loop {
             // 1. Arrivals (submission order == canonical id order).
@@ -477,7 +471,7 @@ impl JobsEngine {
                 break false;
             }
             t = next;
-            sim.run_until(t);
+            sim.run_until(t).expect(NO_PERIODIC_CHECKPOINT);
         };
 
         // Account partially-run chunks (horizon overrun) into busy time
@@ -751,43 +745,6 @@ mod tests {
             out.metrics.counter("jobs.reconfigurations"),
             u64::from(out.reconfigurations)
         );
-    }
-
-    #[test]
-    fn manifests_identical_across_sim_threads() {
-        let mk = || {
-            small_spec(vec![
-                quick_job("a", 0, 2),
-                JobRequest {
-                    iters_per_chunk: 4,
-                    chunks: 3,
-                    estimate: SimDur::from_millis(8),
-                    ..JobRequest::malleable("m", SimDur::from_millis(1), 2, 1, 4, 3)
-                },
-                quick_job("c", 2, 3),
-            ])
-        };
-        let base = JobsEngine::new(mk(), PolicyKind::EquiPartition).run();
-        for threads in [2, 4] {
-            let out = JobsEngine::new(mk(), PolicyKind::EquiPartition)
-                .with_sim_threads(threads)
-                .run();
-            assert_eq!(
-                base.manifest_json(),
-                out.manifest_json(),
-                "manifest diverged at {threads} sim-threads"
-            );
-            assert_eq!(
-                base.metrics.snapshot_json(),
-                out.metrics.snapshot_json(),
-                "metrics diverged at {threads} sim-threads"
-            );
-            assert_eq!(
-                base.spans.to_chrome_trace(),
-                out.spans.to_chrome_trace(),
-                "spans diverged at {threads} sim-threads"
-            );
-        }
     }
 
     #[test]

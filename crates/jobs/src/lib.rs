@@ -20,7 +20,7 @@
 //!
 //! Everything is decided at simulation window barriers from canonically
 //! ordered state, so histories, metrics, and traces are bit-identical at
-//! any `--sim-threads` and `--jobs` setting.
+//! any `--jobs` setting.
 
 pub mod engine;
 pub mod policy;

@@ -6,7 +6,7 @@
 //! points. Keeping policies free of engine state makes them unit-testable
 //! and trivially deterministic: the engine always presents the view in
 //! the same canonical order, so identical views yield identical
-//! decisions at any `--sim-threads`.
+//! decisions.
 
 use pa_simkit::{SimDur, SimTime};
 use serde::{Deserialize, Serialize};

@@ -22,10 +22,9 @@
 //!   approximated by the same monotone floor clamp rather than a full
 //!   lag computation.
 //!
-//! Every policy is a deterministic function of the event history, so the
-//! engine's bit-identical-at-any-`--sim-threads` guarantee holds for all
-//! of them: the kernel is single-threaded within its shard and the
-//! policy adds no new randomness.
+//! Every policy is a deterministic function of the event history, so a
+//! seed fixes the whole history under each of them: the policy adds no
+//! new randomness.
 //!
 //! Priority still exists under the fair policies — it maps to a weight
 //! (nice level) instead of an absolute rank. The co-scheduler's priority

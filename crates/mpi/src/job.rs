@@ -86,8 +86,8 @@ impl Job {
 ///   remapping.
 /// * Threads are spawned through [`ClusterSim::spawn_thread`]: before
 ///   boot they start with the cluster; on a booted cluster (the batch
-///   layer's launch) they land at the current window barrier, so the
-///   launch instant is identical at any `--sim-threads`.
+///   layer's launch) they land at the current window barrier, a function
+///   of simulation state alone.
 /// * Thread names carry `name_prefix` (`mpi_rank_0`, `j3.c0.rank_0`) so
 ///   traces from co-resident jobs stay distinguishable.
 ///
@@ -223,7 +223,7 @@ mod tests {
         let job = boot_job(&mut sim, &spec, &mut |_r| {
             Box::new(OpList::new(vec![MpiOp::Allreduce { bytes: 8 }]))
         });
-        let end = sim.run_until_apps_done(SimTime::from_secs(1));
+        let end = sim.run_until_apps_done(SimTime::from_secs(1)).unwrap();
         assert_eq!(sim.apps_alive(), 0, "deadlock: allreduce never completed");
         let rec = job.recorder.lock().unwrap();
         assert_eq!(rec.count(OpKind::Allreduce), 1);
@@ -247,7 +247,7 @@ mod tests {
                 MpiOp::Allreduce { bytes: 8 },
             ]))
         });
-        sim.run_until_apps_done(SimTime::from_secs(1));
+        sim.run_until_apps_done(SimTime::from_secs(1)).unwrap();
         assert_eq!(sim.apps_alive(), 0);
         let rec = job.recorder.lock().unwrap();
         assert_eq!(rec.count(OpKind::Allreduce), 2);
@@ -267,7 +267,7 @@ mod tests {
         let job = boot_job(&mut sim, &spec, &mut |_r| {
             Box::new(RingExchange { left: 2 })
         });
-        sim.run_until_apps_done(SimTime::from_secs(1));
+        sim.run_until_apps_done(SimTime::from_secs(1)).unwrap();
         assert_eq!(sim.apps_alive(), 0);
         let rec = job.recorder.lock().unwrap();
         assert_eq!(rec.count(OpKind::Exchange), 2);
@@ -305,7 +305,7 @@ mod tests {
         });
         assert_eq!(job.timer_tids.len(), 4);
         assert_eq!(job.rank_tids.len(), 4);
-        sim.run_until_apps_done(SimTime::from_secs(1));
+        sim.run_until_apps_done(SimTime::from_secs(1)).unwrap();
         assert_eq!(sim.apps_alive(), 0);
     }
 
@@ -321,7 +321,7 @@ mod tests {
         });
         assert_eq!(job.nranks, 15);
         assert_eq!(job.layout().ranks_on(0).len(), 15);
-        sim.run_until_apps_done(SimTime::from_secs(1));
+        sim.run_until_apps_done(SimTime::from_secs(1)).unwrap();
         assert_eq!(sim.apps_alive(), 0);
     }
 
@@ -337,7 +337,7 @@ mod tests {
             Box::new(OpList::new(vec![MpiOp::Allreduce { bytes: 8 }]))
         });
         sim.boot();
-        sim.run_until_apps_done(SimTime::from_secs(1));
+        sim.run_until_apps_done(SimTime::from_secs(1)).unwrap();
     }
 
     #[test]
@@ -352,7 +352,7 @@ mod tests {
         boot_job(&mut sim, &spec, &mut |_r| {
             Box::new(OpList::new(vec![MpiOp::IoRead { bytes: 4096 }]))
         });
-        sim.run_until_apps_done(SimTime::from_secs(1));
+        sim.run_until_apps_done(SimTime::from_secs(1)).unwrap();
     }
 
     #[test]

@@ -51,11 +51,6 @@ pub struct ScalingConfig {
     /// Per-node link capacity, bytes/sec; `None` is the unlimited legacy
     /// fabric (no switch contention).
     pub link_bandwidth: Option<f64>,
-    /// Engine worker threads for the sweep's direct runs
-    /// ([`run_blame_point`]); campaign points take theirs from the
-    /// [`ExecutorConfig`]. Never part of a point's spec: results are
-    /// identical at any value.
-    pub sim_threads: usize,
 }
 
 impl ScalingConfig {
@@ -85,7 +80,6 @@ impl ScalingConfig {
             agg: AggregateSpec::default(),
             target_sim_time: target,
             link_bandwidth: None,
-            sim_threads: 1,
         }
     }
 
@@ -228,13 +222,14 @@ pub fn aggregate_runner(spec: &PointSpec<AggregateSpec>, ctx: &PointCtx) -> Poin
     PointResult::from_run(&run_point_with(spec, ctx))
 }
 
-/// Run one aggregate-benchmark point on `ctx.sim_threads` engine
-/// threads. When `ctx` carries a checkpoint, the run writes periodic
-/// mid-run checkpoints there — and restores from it first if a previous
-/// invocation died mid-point. The restored tail replays bit-identically,
-/// so the result matches an uninterrupted run's. A checkpoint that fails
-/// to restore is treated like a missing one (the same policy as corrupt
-/// cache entries): it is removed and the point reruns from scratch.
+/// Run one aggregate-benchmark point. When `ctx` carries a checkpoint,
+/// the run writes periodic mid-run checkpoints there — and restores from
+/// it first if a previous invocation died mid-point. The restored tail
+/// replays bit-identically, so the result matches an uninterrupted run's.
+/// A checkpoint that fails to restore is treated like a missing one (the
+/// same policy as corrupt cache entries): it is removed and the point
+/// reruns from scratch. A checkpoint that cannot be written stops only
+/// that run: the point reruns without checkpoints, to the same result.
 pub fn run_point_with(spec: &PointSpec<AggregateSpec>, ctx: &PointCtx) -> RunOutput {
     let seeds = SeedSpace::new(spec.seed);
     let agg = spec.workload;
@@ -245,7 +240,7 @@ pub fn run_point_with(spec: &PointSpec<AggregateSpec>, ctx: &PointCtx) -> RunOut
         ))
     };
     let cold = || {
-        let e = spec.experiment().with_sim_threads(ctx.sim_threads);
+        let e = spec.experiment();
         match &ctx.checkpoint {
             Some(cx) => e.with_checkpoint_every(cx.every, &cx.path),
             None => e,
@@ -260,17 +255,18 @@ pub fn run_point_with(spec: &PointSpec<AggregateSpec>, ctx: &PointCtx) -> RunOut
             }
         }
     }
-    cold().run(&mut make)
+    match cold().try_run(&mut make) {
+        Ok(out) => out,
+        Err(err) => {
+            eprintln!("warning: rerunning without checkpoints: {err}");
+            spec.experiment().run(&mut make)
+        }
+    }
 }
 
-/// Run one configuration at one size and seed, on the configuration's
-/// engine thread count.
+/// Run one configuration at one size and seed.
 pub fn run_one(cfg: &ScalingConfig, nodes: u32, seed: u64) -> RunOutput {
-    let ctx = PointCtx {
-        sim_threads: cfg.sim_threads,
-        checkpoint: None,
-    };
-    run_point_with(&cfg.point(nodes, seed), &ctx)
+    run_point_with(&cfg.point(nodes, seed), &PointCtx::serial())
 }
 
 /// Run the sweep's *representative* point — largest size, first seed —
@@ -278,7 +274,7 @@ pub fn run_one(cfg: &ScalingConfig, nodes: u32, seed: u64) -> RunOutput {
 /// blame section. Campaigns cache only scalar category sums; the
 /// critical path needs per-op samples, so one representative point is
 /// re-simulated whenever a blame report is requested. Deterministic:
-/// same spec and seed → byte-identical section at any `--sim-threads`.
+/// same spec and seed → byte-identical section.
 pub fn run_blame_point(cfg: &ScalingConfig, title: &str) -> pa_blame::RunBlame {
     let nodes = *cfg.node_counts.last().expect("sweep has sizes");
     let seed = *cfg.seeds.first().expect("sweep has seeds");
@@ -291,11 +287,7 @@ pub fn run_blame_point(cfg: &ScalingConfig, title: &str) -> pa_blame::RunBlame {
             seeds.stream_at("wl/agg", u64::from(rank), 0),
         ))
     };
-    let out = spec
-        .experiment()
-        .with_sim_threads(cfg.sim_threads)
-        .with_record_all_ranks()
-        .run(&mut make);
+    let out = spec.experiment().with_record_all_ranks().run(&mut make);
     pa_core::blame_of(&out, format!("{title}: {nodes} nodes, seed {seed}"))
 }
 
@@ -387,8 +379,6 @@ pub struct Fig4Config {
     /// guarantee the one firing the paper's sample happened to contain
     /// (time compression documented in DESIGN.md).
     pub cron: pa_noise::CronSpec,
-    /// Engine worker threads (results are identical at any value).
-    pub sim_threads: usize,
 }
 
 impl Fig4Config {
@@ -417,7 +407,6 @@ impl Fig4Config {
                     component_sigma: 0.45,
                     ..pa_noise::CronSpec::default()
                 },
-                sim_threads: 1,
             }
         } else {
             // 59 nodes (944 procs): a ~2 s loop; the real ~600 ms cron
@@ -431,7 +420,6 @@ impl Fig4Config {
                     phase: SimDur::from_millis(700),
                     ..pa_noise::CronSpec::default()
                 },
-                sim_threads: 1,
             }
         }
     }
@@ -491,7 +479,6 @@ pub fn fig4_with_output(cfg: &Fig4Config) -> (Fig4Result, RunOutput) {
     let mut e = Experiment::new(cfg.nodes, cfg.tasks_per_node)
         .with_noise(noise)
         .with_seed(cfg.seed)
-        .with_sim_threads(cfg.sim_threads)
         .with_watch_node(0);
     // Trace every node: the §5.3 analysis found the culprit cron "on
     // multiple nodes" — the delay seen by a watched rank is usually
@@ -675,7 +662,6 @@ mod tests {
                 page_fault_prob: 0.0,
                 ..pa_noise::CronSpec::default()
             },
-            sim_threads: 1,
         };
         let r = fig4(&cfg);
         assert_eq!(r.sorted_us.len(), 300);

@@ -33,7 +33,7 @@ pub struct Fig1Result {
 /// amplified noise, an Allreduce-heavy job, identical seeds; vanilla vs
 /// prototype kernel (big ticks batch and the global queue spreads the
 /// daemons, overlapping their execution).
-pub fn fig1(seed: u64, quick: bool, sim_threads: usize) -> Fig1Result {
+pub fn fig1(seed: u64, quick: bool) -> Fig1Result {
     let nodes = 2;
     let tpn = 8u32;
     let calls = if quick { 600 } else { 2500 };
@@ -69,7 +69,6 @@ pub fn fig1(seed: u64, quick: bool, sim_threads: usize) -> Fig1Result {
             .with_noise(noise.clone())
             .with_progress(None)
             .with_seed(seed)
-            .with_sim_threads(sim_threads)
             .with_trace_node(0);
         if cosched {
             e = e.with_cosched(CoschedSetup::default());
@@ -108,7 +107,7 @@ pub struct BspRankRow {
 
 /// Run a short ALE3D-proxy window and report the per-rank BSP phase
 /// structure of node 0 (the Figure-2 picture, as data).
-pub fn fig2(seed: u64, sim_threads: usize) -> Vec<BspRankRow> {
+pub fn fig2(seed: u64) -> Vec<BspRankRow> {
     let seeds = SeedSpace::new(seed);
     let spec = Ale3dSpec {
         timesteps: 4,
@@ -128,7 +127,6 @@ pub fn fig2(seed: u64, sim_threads: usize) -> Vec<BspRankRow> {
         .with_cpus_per_node(8)
         .with_noise(NoiseProfile::dedicated())
         .with_seed(seed)
-        .with_sim_threads(sim_threads)
         .with_watch_node(0)
         .run(&mut make);
     assert!(out.completed, "fig2 run did not finish");
@@ -163,7 +161,7 @@ mod tests {
 
     #[test]
     fn fig1_prototype_has_more_green() {
-        let r = fig1(42, true, 1);
+        let r = fig1(42, true);
         assert!(r.green_vanilla > 0.0 && r.green_vanilla < 1.0);
         assert!(
             r.green_prototype > r.green_vanilla,
@@ -175,7 +173,7 @@ mod tests {
 
     #[test]
     fn fig2_phases_are_nonzero() {
-        let rows = fig2(42, 1);
+        let rows = fig2(42);
         assert_eq!(rows.len(), 8);
         for r in &rows {
             assert!(r.reduce_ms > 0.0, "rank {} shows no reductions", r.rank);

@@ -105,25 +105,20 @@ pub fn batch_point(
 }
 
 /// Run one multi-job point: the campaign runner for the `multi_job`
-/// family. Pure in the spec, bit-identical at any `--sim-threads`.
+/// family. Pure in the spec.
 pub fn multi_job_runner(
     spec: &PointSpec<(MultiJobSpec, PolicyKind)>,
-    ctx: &PointCtx,
+    _ctx: &PointCtx,
 ) -> PointResult {
-    let outcome = run_batch_point(spec, ctx.sim_threads);
-    point_result(&outcome)
+    point_result(&run_batch_point(spec))
 }
 
 /// Run the engine for one point and keep the full outcome (metrics and
 /// spans included) — what the binary uses for `--metrics-out`.
-pub fn run_batch_point(
-    spec: &PointSpec<(MultiJobSpec, PolicyKind)>,
-    sim_threads: usize,
-) -> JobsOutcome {
+pub fn run_batch_point(spec: &PointSpec<(MultiJobSpec, PolicyKind)>) -> JobsOutcome {
     let (scenario, policy) = &spec.workload;
     JobsEngine::new(scenario.clone(), *policy)
         .with_seed(spec.seed)
-        .with_sim_threads(sim_threads)
         .with_link_bandwidth(spec.link_bandwidth)
         .with_noise(spec.noise.clone())
         .run()

@@ -129,7 +129,7 @@ pub struct TimerResult {
 /// with a shorter call loop, preserving the firings-per-run ratio (time
 /// compression, documented in DESIGN.md); the full mode uses the paper's
 /// literal settings over a multi-second loop.
-pub fn tab_timer(nodes: u32, quick: bool, seed: u64, sim_threads: usize) -> TimerResult {
+pub fn tab_timer(nodes: u32, quick: bool, seed: u64) -> TimerResult {
     let (interval, calls) = if quick {
         (pa_simkit::SimDur::from_millis(40), 800)
     } else {
@@ -143,7 +143,6 @@ pub fn tab_timer(nodes: u32, quick: bool, seed: u64, sim_threads: usize) -> Time
         cfg.progress = Some(progress);
         cfg.allreduces = calls;
         cfg.seeds = vec![seed];
-        cfg.sim_threads = sim_threads;
         let out = run_one(&cfg, nodes, seed);
         assert!(out.completed);
         let s = out
@@ -214,14 +213,8 @@ pub struct AleRow {
     pub completed: bool,
 }
 
-/// Run the ALE3D proxy in one mode on `sim_threads` engine threads.
-pub fn run_ale3d(
-    nodes: u32,
-    spec: Ale3dSpec,
-    mode: AleMode,
-    seed: u64,
-    sim_threads: usize,
-) -> AleRow {
+/// Run the ALE3D proxy in one mode.
+pub fn run_ale3d(nodes: u32, spec: Ale3dSpec, mode: AleMode, seed: u64) -> AleRow {
     let seeds = SeedSpace::new(seed);
     let mut spec = spec;
     spec.io_detach = matches!(mode, AleMode::NaiveWithDetach);
@@ -234,7 +227,6 @@ pub fn run_ale3d(
     let mut e = Experiment::new(nodes, 16)
         .with_noise(NoiseProfile::production().without_cron())
         .with_seed(seed)
-        .with_sim_threads(sim_threads)
         .with_horizon(pa_simkit::SimDur::from_secs(7_200));
     match mode {
         AleMode::Vanilla => {}
@@ -259,21 +251,21 @@ pub fn run_ale3d(
 
 /// T-ale3d: vanilla vs the I/O-aware prototype (the paper's 1315 s →
 /// 1152 s comparison).
-pub fn tab_ale3d(nodes: u32, spec: Ale3dSpec, seed: u64, sim_threads: usize) -> Vec<AleRow> {
+pub fn tab_ale3d(nodes: u32, spec: Ale3dSpec, seed: u64) -> Vec<AleRow> {
     [AleMode::Vanilla, AleMode::IoAware]
-        .map(|mode| run_ale3d(nodes, spec, mode, seed, sim_threads))
+        .map(|mode| run_ale3d(nodes, spec, mode, seed))
         .to_vec()
 }
 
 /// T-ale3d-io: the §5.3 I/O-starvation story in four rows.
-pub fn tab_ale3d_io(nodes: u32, spec: Ale3dSpec, seed: u64, sim_threads: usize) -> Vec<AleRow> {
+pub fn tab_ale3d_io(nodes: u32, spec: Ale3dSpec, seed: u64) -> Vec<AleRow> {
     [
         AleMode::Vanilla,
         AleMode::NaiveCosched,
         AleMode::NaiveWithDetach,
         AleMode::IoAware,
     ]
-    .map(|mode| run_ale3d(nodes, spec, mode, seed, sim_threads))
+    .map(|mode| run_ale3d(nodes, spec, mode, seed))
     .to_vec()
 }
 
@@ -392,8 +384,8 @@ mod tests {
     fn ale3d_naive_cosched_is_a_disaster() {
         // §5.3: "the first tests of ALE3D were very disappointing: the
         // co-scheduler actually slowed it down."
-        let vanilla = run_ale3d(2, quick_spec(), AleMode::Vanilla, 42, 1);
-        let naive = run_ale3d(2, quick_spec(), AleMode::NaiveCosched, 42, 1);
+        let vanilla = run_ale3d(2, quick_spec(), AleMode::Vanilla, 42);
+        let naive = run_ale3d(2, quick_spec(), AleMode::NaiveCosched, 42);
         assert!(vanilla.completed && naive.completed);
         assert!(
             naive.wall_s > 1.5 * vanilla.wall_s,
@@ -405,8 +397,8 @@ mod tests {
 
     #[test]
     fn ale3d_io_aware_fixes_the_disaster() {
-        let naive = run_ale3d(2, quick_spec(), AleMode::NaiveCosched, 42, 1);
-        let aware = run_ale3d(2, quick_spec(), AleMode::IoAware, 42, 1);
+        let naive = run_ale3d(2, quick_spec(), AleMode::NaiveCosched, 42);
+        let aware = run_ale3d(2, quick_spec(), AleMode::IoAware, 42);
         assert!(
             aware.wall_s < naive.wall_s / 1.5,
             "I/O-aware priorities should fix the stall: {:.2}s vs {:.2}s",
@@ -417,7 +409,7 @@ mod tests {
 
     #[test]
     fn timer_mitigation_reduces_tail() {
-        let r = tab_timer(2, true, 42, 1);
+        let r = tab_timer(2, true, 42);
         assert_eq!(r.rows.len(), 2);
         assert!(
             r.p99_improvement > 1.0,

@@ -26,7 +26,7 @@ fn main() {
         AleMode::NaiveWithDetach,
         AleMode::IoAware,
     ] {
-        let row = run_ale3d(2, spec, mode, 42, 1);
+        let row = run_ale3d(2, spec, mode, 42);
         println!(
             "{:<52} {:>9.3} s{}",
             row.label,

@@ -18,8 +18,6 @@ fn run(label: &str, prototype: bool) -> f64 {
 
     let mut experiment = Experiment::new(4, 16) // 4 nodes × 16 tasks
         .with_noise(NoiseProfile::production().without_cron())
-        .with_sim_threads(2) // shard the 4 node kernels over 2 engine
-        // threads; results are bit-identical at any thread count
         .with_seed(42);
     if prototype {
         experiment = experiment

@@ -179,7 +179,6 @@ fn interrupted_campaign_resumes_bit_identically() {
     let killed = run_point_with(
         victim,
         &PointCtx {
-            sim_threads: 1,
             checkpoint: Some(CheckpointCtx {
                 path: ckpt_path.clone(),
                 every,
@@ -226,7 +225,6 @@ fn damaged_checkpoint_falls_back_to_a_fresh_run() {
     ));
     let _ = std::fs::remove_file(&path);
     let ctx = PointCtx {
-        sim_threads: 1,
         checkpoint: Some(CheckpointCtx {
             path: path.clone(),
             every,
@@ -249,6 +247,59 @@ fn damaged_checkpoint_falls_back_to_a_fresh_run() {
         reference.mean_allreduce_us().to_bits()
     );
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn unwritable_checkpoint_reruns_the_point_without_checkpoints() {
+    // A file where the checkpoint directory belongs makes every periodic
+    // write fail. The run must return that error instead of aborting the
+    // process, and the campaign path must rerun the point without
+    // checkpoints to the same result.
+    let mut cfg = ScalingConfig::fig3(true);
+    cfg.node_counts = vec![2];
+    cfg.allreduces = 48;
+    cfg.seeds = vec![42];
+    cfg.target_sim_time = None;
+    let spec = &cfg.points()[0];
+    let blocker = std::env::temp_dir().join(format!(
+        "pa-robustness-unwritable-ckpt-{}",
+        std::process::id()
+    ));
+    std::fs::write(&blocker, b"not a directory").unwrap();
+    let ctx = PointCtx {
+        checkpoint: Some(CheckpointCtx {
+            path: blocker.join("point.json"),
+            every: SimDur::from_micros(200),
+        }),
+    };
+    let seeds = SeedSpace::new(spec.seed);
+    let err = spec
+        .experiment()
+        .with_checkpoint_every(SimDur::from_micros(200), blocker.join("point.json"))
+        .try_run(&mut |rank: u32| -> Box<dyn RankWorkload> {
+            Box::new(AggregateTrace::new(
+                spec.workload,
+                seeds.stream_at("wl/agg", u64::from(rank), 0),
+            ))
+        })
+        .err()
+        .expect("an unwritable checkpoint must fail the run");
+    assert!(err.contains("periodic checkpoint failed"), "{err}");
+
+    let reference = run_point_with(spec, &PointCtx::serial());
+    let rerun = run_point_with(spec, &ctx);
+    assert_eq!(
+        rerun.sim.checkpoints_written(),
+        0,
+        "the rerun checkpoints nothing"
+    );
+    assert_eq!(rerun.wall, reference.wall);
+    assert_eq!(rerun.events, reference.events);
+    assert_eq!(
+        rerun.mean_allreduce_us().to_bits(),
+        reference.mean_allreduce_us().to_bits()
+    );
+    let _ = std::fs::remove_file(&blocker);
 }
 
 fn entry<'v>(v: &'v mut Value, key: &str) -> &'v mut Value {
@@ -326,7 +377,6 @@ fn checkpoint_the_cluster_rejects_falls_back_to_a_fresh_run() {
     run_point_with(
         &points[0],
         &PointCtx {
-            sim_threads: 1,
             checkpoint: Some(CheckpointCtx {
                 path: ckpt_path.clone(),
                 every,
@@ -368,7 +418,6 @@ fn checkpoint_naming_an_unknown_collective_falls_back_to_a_fresh_run() {
     ));
     let _ = std::fs::remove_file(&path);
     let ctx = PointCtx {
-        sim_threads: 1,
         checkpoint: Some(CheckpointCtx {
             path: path.clone(),
             every: SimDur::from_micros(200),
@@ -442,7 +491,6 @@ fn large_checkpoint_verifies_and_resumes_bit_identically() {
     ));
     let _ = std::fs::remove_file(&path);
     let ctx = PointCtx {
-        sim_threads: 1,
         checkpoint: Some(CheckpointCtx {
             path: path.clone(),
             every,
