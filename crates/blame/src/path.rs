@@ -76,12 +76,7 @@ pub fn extract(input: &BlameInput) -> Option<CriticalPath> {
     if nranks == 0 || input.samples.is_empty() {
         return None;
     }
-    // Group samples per seq; keep the first sample per (seq, rank) —
-    // the recorder emits one per op, this just makes duplicates benign.
-    let mut by_seq: BTreeMap<u64, BTreeMap<u32, &OpSpan>> = BTreeMap::new();
-    for s in &input.samples {
-        by_seq.entry(s.seq).or_default().entry(s.rank).or_insert(s);
-    }
+    let (keys, bounds) = group_by_seq(&input.samples);
     let shares: BTreeMap<u32, &Categories> =
         input.ranks.iter().map(|r| (r.rank, &r.cats)).collect();
 
@@ -91,20 +86,38 @@ pub fn extract(input: &BlameInput) -> Option<CriticalPath> {
     let mut coll_release_ns = 0u64;
     let mut nodes: BTreeMap<u32, PathNode> = BTreeMap::new();
 
-    for ranks in by_seq.values() {
-        if ranks.len() != nranks {
+    for group in bounds.windows(2).map(|b| &keys[b[0]..b[1]]) {
+        if group.is_empty() {
+            // A seq no rank sampled: a gap in the numbering, not an op.
+            continue;
+        }
+        // The group is in rank order, each rank's samples in input
+        // order: keep the first per rank (the recorder emits one per
+        // op, this just makes duplicates benign). The last arrival is
+        // the max start, ties to the lowest rank, as `>` keeps the
+        // first maximum.
+        let mut ranks = 0;
+        let mut last_rank = None;
+        let mut laggard: Option<&OpSpan> = None;
+        let mut end = 0;
+        for &key in group {
+            let s = &input.samples[key as u32 as usize];
+            if last_rank == Some(s.rank) {
+                continue;
+            }
+            last_rank = Some(s.rank);
+            ranks += 1;
+            end = end.max(s.end_ns);
+            if laggard.is_none_or(|l| s.start_ns > l.start_ns) {
+                laggard = Some(s);
+            }
+        }
+        if ranks != nranks {
             // Partially-sampled op (horizon cut mid-collective): the
             // last arrival is unknowable, so the walk stops here.
             break;
         }
-        // Last arrival: max start, ties to the lowest rank (BTreeMap
-        // iteration order makes `>` keep the first maximum).
-        let laggard = ranks
-            .values()
-            .copied()
-            .max_by(|a, b| a.start_ns.cmp(&b.start_ns).then(b.rank.cmp(&a.rank)))
-            .expect("seq group is non-empty");
-        let end = ranks.values().map(|s| s.end_ns).max().expect("non-empty");
+        let laggard = laggard.expect("seq group is non-empty");
 
         let arrive = cursor.max(laggard.start_ns);
         let local = arrive - cursor;
@@ -134,6 +147,50 @@ pub fn extract(input: &BlameInput) -> Option<CriticalPath> {
         coll_release_ns,
         nodes: nodes.into_values().collect(),
     })
+}
+
+/// Bucket the samples by seq in one counting pass. Returns each
+/// sample's key `rank << 32 | index` laid out bucket by bucket, each
+/// bucket sorted, so a rank's samples sit together in input order; and
+/// the bucket bounds, bucket `b` being `keys[bounds[b]..bounds[b + 1]]`,
+/// for seq `min + b`. A seq nobody sampled has an empty bucket.
+///
+/// The seq range must be narrower than the input (asserted), so the
+/// table is no longer than the samples. A run's record-all capture
+/// always is: every rank numbers its ops from 0 and records each one it
+/// completes, so the rank that got furthest covers the range alone. The
+/// recorder lists samples rank by rank, so each bucket arrives sorted
+/// and its sort is one pass.
+fn group_by_seq(samples: &[OpSpan]) -> (Vec<u64>, Vec<usize>) {
+    assert!(
+        u32::try_from(samples.len()).is_ok(),
+        "critical path over 2^32 or more samples"
+    );
+    let lo = samples.iter().map(|s| s.seq).min().unwrap_or(0);
+    let hi = samples.iter().map(|s| s.seq).max().unwrap_or(0);
+    assert!(
+        hi - lo < samples.len() as u64,
+        "seqs {lo}..={hi} span more ops than the {} samples",
+        samples.len()
+    );
+    let mut bounds = vec![0; (hi - lo) as usize + 2];
+    for s in samples {
+        bounds[(s.seq - lo) as usize + 1] += 1;
+    }
+    for b in 1..bounds.len() {
+        bounds[b] += bounds[b - 1];
+    }
+    let mut next = bounds.clone();
+    let mut keys = vec![0; samples.len()];
+    for (i, s) in samples.iter().enumerate() {
+        let slot = &mut next[(s.seq - lo) as usize];
+        keys[*slot] = u64::from(s.rank) << 32 | i as u64;
+        *slot += 1;
+    }
+    for b in bounds.windows(2) {
+        keys[b[0]..b[1]].sort_unstable();
+    }
+    (keys, bounds)
 }
 
 /// Split `local` ns across categories in proportion to the rank's
@@ -171,6 +228,118 @@ fn split_by_shares(local: u64, shares: Option<&Categories>) -> Categories {
 mod tests {
     use super::*;
     use crate::RankAccount;
+    use proptest::prelude::*;
+
+    /// The nested-map grouping `extract` used before the seq-indexed
+    /// pass, kept as the oracle the property below checks it against.
+    fn extract_by_maps(input: &BlameInput) -> Option<CriticalPath> {
+        let nranks = input.ranks.len();
+        if nranks == 0 || input.samples.is_empty() {
+            return None;
+        }
+        let mut by_seq: BTreeMap<u64, BTreeMap<u32, &OpSpan>> = BTreeMap::new();
+        for s in &input.samples {
+            by_seq.entry(s.seq).or_default().entry(s.rank).or_insert(s);
+        }
+        let shares: BTreeMap<u32, &Categories> =
+            input.ranks.iter().map(|r| (r.rank, &r.cats)).collect();
+        let mut cursor = input.epoch_ns;
+        let mut ops = 0u64;
+        let mut on_path = Categories::default();
+        let mut coll_release_ns = 0u64;
+        let mut nodes: BTreeMap<u32, PathNode> = BTreeMap::new();
+        for ranks in by_seq.values() {
+            if ranks.len() != nranks {
+                break;
+            }
+            let laggard = ranks
+                .values()
+                .copied()
+                .max_by(|a, b| a.start_ns.cmp(&b.start_ns).then(b.rank.cmp(&a.rank)))
+                .expect("seq group is non-empty");
+            let end = ranks.values().map(|s| s.end_ns).max().expect("non-empty");
+            let arrive = cursor.max(laggard.start_ns);
+            let local = arrive - cursor;
+            let done = arrive.max(end);
+            cursor = done;
+            ops += 1;
+            coll_release_ns += done - arrive;
+            let split = split_by_shares(local, shares.get(&laggard.rank).copied());
+            on_path.add(&split);
+            let entry = nodes.entry(laggard.node).or_insert(PathNode {
+                node: laggard.node,
+                hops: 0,
+                cats: Categories::default(),
+            });
+            entry.hops += 1;
+            entry.cats.add(&split);
+        }
+        if ops == 0 {
+            return None;
+        }
+        Some(CriticalPath {
+            ops,
+            span_ns: cursor - input.epoch_ns,
+            on_path,
+            coll_release_ns,
+            nodes: nodes.into_values().collect(),
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn seq_indexed_grouping_matches_nested_maps(
+            nranks in 1u32..5,
+            weights in prop::collection::vec((0u64..4, 0u64..4, 0u64..4), 5..6),
+            samples in prop::collection::vec(
+                (0u32..8, 0u32..3, 0u64..12, 0u64..6, 0u64..6),
+                0..60,
+            ),
+            gaps in any::<bool>(),
+            rank_major in any::<bool>(),
+            epoch_ns in 0u64..8,
+        ) {
+            // Small ranges make duplicate (seq, rank) samples, seq gaps,
+            // partial ops and tied starts common; one draw in eight is a
+            // rank past `nranks`, which samples ops it holds no account
+            // for. `gaps` puts seqs on odd numbers, leaving seqs nobody
+            // sampled. Seqs are folded modulo the sample count, keeping
+            // the range narrower than the input as `group_by_seq`
+            // requires.
+            let n = samples.len().max(1) as u64;
+            let ranks = (0..nranks)
+                .map(|r| {
+                    let (c, w, n) = weights[r as usize];
+                    rank(r, r % 3, Categories {
+                        compute_ns: c,
+                        coll_wait_ns: w,
+                        noise_ns: n,
+                        ..Categories::default()
+                    })
+                })
+                .collect();
+            let mut samples: Vec<OpSpan> = samples
+                .into_iter()
+                .map(|(r, node, seq, start, len)| {
+                    let r = if r == 0 { nranks } else { r % nranks };
+                    let seq = if gaps { 2 * seq + 1 } else { seq } % n;
+                    span(r, node, seq, epoch_ns + start, epoch_ns + start + len)
+                })
+                .collect();
+            if rank_major {
+                // The recorder's order: rank by rank.
+                samples.sort_by_key(|s| s.rank);
+            }
+            let input = BlameInput {
+                label: "p".into(),
+                ranks,
+                samples,
+                epoch_ns,
+                ..BlameInput::default()
+            };
+            prop_assert_eq!(extract(&input), extract_by_maps(&input));
+        }
+    }
 
     fn rank(rank: u32, node: u32, cats: Categories) -> RankAccount {
         RankAccount {

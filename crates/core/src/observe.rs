@@ -16,7 +16,8 @@ use pa_kernel::{Kernel, Tid};
 use pa_obs::{MetricsRegistry, SpanTimeline};
 use pa_simkit::SimTime;
 use pa_trace::{HookId, TraceBuffer};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Bucket edges (µs) for collective-duration histograms: wide enough for
 /// the study's sub-millisecond Allreduces and the multi-second stragglers
@@ -251,8 +252,13 @@ pub fn blame_input_of(out: &RunOutput, label: impl Into<String>) -> BlameInput {
     let mut samples = Vec::new();
     if recorder.records_all_ranks() {
         let layout = out.job.layout();
+        samples.reserve(
+            (0..out.job.nranks)
+                .map(|rank| recorder.samples(rank).map_or(0, <[_]>::len))
+                .sum(),
+        );
         for rank in 0..out.job.nranks {
-            for s in recorder.samples(rank).unwrap_or_default() {
+            for s in recorder.samples(rank).unwrap_or(&[]) {
                 samples.push(OpSpan {
                     rank,
                     node: layout.node_of(rank),
@@ -313,6 +319,20 @@ pub fn timeline_from_trace(node: u32, trace: &TraceBuffer, horizon: SimTime) -> 
     tl.name_process(node, format!("node{node}"));
     tl.name_track(node, PRIO_TRACK, "priority changes");
 
+    // Each name is built once and shared by every span that carries it.
+    let tick: Arc<str> = Arc::from("tick");
+    let ipi: Arc<str> = Arc::from("ipi");
+    let mut thread_names: BTreeMap<u32, Arc<str>> = BTreeMap::new();
+    let mut thread_name = |tid: u32| -> Arc<str> {
+        Arc::clone(
+            thread_names
+                .entry(tid)
+                .or_insert_with(|| trace.thread_name(tid).into()),
+        )
+    };
+    let mut coll_names: BTreeMap<u64, Arc<str>> = BTreeMap::new();
+    let mut coll_tracks: BTreeSet<u32> = BTreeSet::new();
+
     let mut cpus_seen = 0u32;
     for ev in trace.events() {
         match ev.hook {
@@ -324,28 +344,33 @@ pub fn timeline_from_trace(node: u32, trace: &TraceBuffer, horizon: SimTime) -> 
                 if tl.depth(node, cpu) > 0 {
                     tl.end(node, cpu, ev.time);
                 }
-                tl.begin(node, cpu, trace.thread_name(ev.tid), ev.time);
+                tl.begin(node, cpu, thread_name(ev.tid), ev.time);
             }
             HookId::Undispatch => {
                 tl.end(node, u32::from(ev.cpu), ev.time);
             }
             HookId::Tick => {
-                tl.instant(node, u32::from(ev.cpu), "tick", ev.time);
+                tl.instant(node, u32::from(ev.cpu), Arc::clone(&tick), ev.time);
             }
             HookId::Ipi => {
-                tl.instant(node, u32::from(ev.cpu), "ipi", ev.time);
+                tl.instant(node, u32::from(ev.cpu), Arc::clone(&ipi), ev.time);
             }
             HookId::PrioChange => {
-                let name = format!("setprio {} -> {}", trace.thread_name(ev.tid), ev.aux);
+                let name = format!("setprio {} -> {}", thread_name(ev.tid), ev.aux);
                 tl.instant(node, PRIO_TRACK, name, ev.time);
             }
             HookId::CollBegin => {
                 let track = COLL_BASE + ev.tid;
-                tl.name_track(node, track, format!("{} coll", trace.thread_name(ev.tid)));
+                if coll_tracks.insert(track) {
+                    tl.name_track(node, track, format!("{} coll", thread_name(ev.tid)));
+                }
                 if tl.depth(node, track) > 0 {
                     tl.end(node, track, ev.time);
                 }
-                tl.begin(node, track, format!("coll#{}", ev.aux), ev.time);
+                let name = coll_names
+                    .entry(ev.aux)
+                    .or_insert_with(|| format!("coll#{}", ev.aux).into());
+                tl.begin(node, track, Arc::clone(name), ev.time);
             }
             HookId::CollEnd => {
                 tl.end(node, COLL_BASE + ev.tid, ev.time);
@@ -360,12 +385,9 @@ pub fn timeline_from_trace(node: u32, trace: &TraceBuffer, horizon: SimTime) -> 
         }
     }
     // Close collective spans left open (rank killed at the horizon).
-    for ev in trace.events() {
-        if ev.hook == HookId::CollBegin {
-            let track = COLL_BASE + ev.tid;
-            while tl.depth(node, track) > 0 {
-                tl.end(node, track, horizon);
-            }
+    for track in coll_tracks {
+        while tl.depth(node, track) > 0 {
+            tl.end(node, track, horizon);
         }
     }
     tl

@@ -69,10 +69,10 @@ impl OpSample {
 ///
 /// Under the sharded engine, ranks on different worker threads record
 /// concurrently. Every update is commutative — min/max folds, integer
-/// sums, and per-rank sample lists that are sorted by sequence number on
-/// read — so the recorder's observable state is independent of the order
-/// in which ranks got the lock, and snapshots stay byte-identical at any
-/// thread count.
+/// sums, and per-rank sample lists that only their own rank appends to,
+/// in sequence order — so the recorder's observable state is independent
+/// of the order in which ranks got the lock, and snapshots stay
+/// byte-identical at any thread count.
 #[derive(Debug, Default)]
 pub struct RunRecorder {
     ops: HashMap<u64, OpAgg>,
@@ -190,13 +190,11 @@ impl RunRecorder {
         Summary::of(&xs)
     }
 
-    /// A watched rank's per-call samples (seq order).
-    pub fn samples(&self, rank: u32) -> Option<Vec<OpSample>> {
-        self.detailed.get(&rank).map(|v| {
-            let mut v = v.clone();
-            v.sort_by_key(|s| s.seq);
-            v
-        })
+    /// A rank's per-call samples in seq order (`None` when the rank keeps
+    /// none). A rank completes its ops one at a time in program order, so
+    /// recording order is seq order.
+    pub fn samples(&self, rank: u32) -> Option<&[OpSample]> {
+        self.detailed.get(&rank).map(Vec::as_slice)
     }
 
     /// Serialize the full recorder state for a checkpoint. Hash maps are

@@ -9,23 +9,24 @@
 //! up across the window.
 
 use pa_simkit::{SimDur, SimTime};
-use serde::value::Value;
 use std::collections::BTreeMap;
+use std::fmt::Write;
+use std::sync::Arc;
 
 #[derive(Debug, Clone, PartialEq)]
 enum Ev {
     /// Duration begin ("B").
-    Begin { name: String, t: SimTime },
+    Begin { name: Arc<str>, t: SimTime },
     /// Duration end ("E"); closes the innermost open span on the track.
     End { t: SimTime },
     /// Complete event ("X") with an explicit duration.
     Complete {
-        name: String,
+        name: Arc<str>,
         t: SimTime,
         dur: SimDur,
     },
     /// Instant event ("i"), thread-scoped.
-    Instant { name: String, t: SimTime },
+    Instant { name: Arc<str>, t: SimTime },
 }
 
 /// One track's lane: its events plus the open-span stack used to keep
@@ -33,14 +34,16 @@ enum Ev {
 #[derive(Debug, Clone, Default, PartialEq)]
 struct Track {
     events: Vec<Ev>,
-    open: Vec<String>,
+    open: Vec<Arc<str>>,
 }
 
 /// A multi-track span recorder exporting Chrome trace-event JSON.
 ///
 /// Tracks are addressed by `(pid, tid)`; name them with
 /// [`SpanTimeline::name_process`] / [`SpanTimeline::name_track`] so the
-/// viewer shows "node 0" / "cpu 3" instead of bare numbers.
+/// viewer shows "node 0" / "cpu 3" instead of bare numbers. Span names
+/// are shared `Arc<str>`s: a caller that labels many spans alike (one
+/// thread's dispatches) builds the name once and clones the handle.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SpanTimeline {
     tracks: BTreeMap<(u32, u32), Track>,
@@ -69,17 +72,17 @@ impl SpanTimeline {
     }
 
     /// Open a span on `(pid, tid)` at `t`. Spans nest per track.
-    pub fn begin(&mut self, pid: u32, tid: u32, name: impl Into<String>, t: SimTime) {
+    pub fn begin(&mut self, pid: u32, tid: u32, name: impl Into<Arc<str>>, t: SimTime) {
         let name = name.into();
         let track = self.track(pid, tid);
-        track.open.push(name.clone());
+        track.open.push(Arc::clone(&name));
         track.events.push(Ev::Begin { name, t });
     }
 
     /// Close the innermost open span on `(pid, tid)` at `t`. Returns the
     /// closed span's name, or `None` (and records nothing) when no span
     /// is open — an unmatched end is a caller bug, not a crash.
-    pub fn end(&mut self, pid: u32, tid: u32, t: SimTime) -> Option<String> {
+    pub fn end(&mut self, pid: u32, tid: u32, t: SimTime) -> Option<Arc<str>> {
         let track = self.track(pid, tid);
         let name = track.open.pop()?;
         track.events.push(Ev::End { t });
@@ -91,7 +94,7 @@ impl SpanTimeline {
         &mut self,
         pid: u32,
         tid: u32,
-        name: impl Into<String>,
+        name: impl Into<Arc<str>>,
         start: SimTime,
         dur: SimDur,
     ) {
@@ -103,7 +106,7 @@ impl SpanTimeline {
     }
 
     /// Record an instant marker on `(pid, tid)`.
-    pub fn instant(&mut self, pid: u32, tid: u32, name: impl Into<String>, t: SimTime) {
+    pub fn instant(&mut self, pid: u32, tid: u32, name: impl Into<Arc<str>>, t: SimTime) {
         self.track(pid, tid).events.push(Ev::Instant {
             name: name.into(),
             t,
@@ -125,15 +128,20 @@ impl SpanTimeline {
         self.len() == 0
     }
 
-    /// Render the Chrome trace-event JSON (`{"traceEvents": [...]}`).
+    /// Render the Chrome trace-event JSON (`{"traceEvents": [...]}`):
+    /// compact, in the serde shim's canonical layout, with a trailing
+    /// newline.
+    ///
+    /// Events are written straight into one string, metadata first, then
+    /// each track's events in `(pid, tid)` order.
     ///
     /// Open spans are left open — Perfetto closes them at the trace end,
     /// which matches the "still running at horizon" semantics of the
     /// kernel's dispatch timeline.
     pub fn to_chrome_trace(&self) -> String {
-        let mut events: Vec<Value> = Vec::new();
+        let mut w = TraceWriter::new();
         for (&pid, name) in &self.process_names {
-            events.push(meta_event(pid, 0, "process_name", name));
+            w.meta(pid, 0, "process_name", name);
         }
         // Fallback labels: every lane holding events gets name metadata
         // even when the caller registered none, so Perfetto shows
@@ -146,72 +154,144 @@ impl SpanTimeline {
             }
             last_pid = Some(pid);
             if !self.process_names.contains_key(&pid) {
-                events.push(meta_event(
-                    pid,
-                    0,
-                    "process_name",
-                    &format!("process {pid}"),
-                ));
+                w.meta(pid, 0, "process_name", &format!("process {pid}"));
             }
         }
         for (&(pid, tid), name) in &self.track_names {
-            events.push(meta_event(pid, tid, "thread_name", name));
+            w.meta(pid, tid, "thread_name", name);
         }
         for &(pid, tid) in self.tracks.keys() {
             if !self.track_names.contains_key(&(pid, tid)) {
-                events.push(meta_event(pid, tid, "thread_name", &format!("track {tid}")));
+                w.meta(pid, tid, "thread_name", &format!("track {tid}"));
             }
         }
         for (&(pid, tid), track) in &self.tracks {
             for ev in &track.events {
-                events.push(chrome_event(pid, tid, ev));
+                w.event(pid, tid, ev);
             }
         }
-        let doc = Value::Map(vec![
-            ("traceEvents".into(), Value::Seq(events)),
-            ("displayTimeUnit".into(), Value::Str("ms".into())),
-        ]);
-        let mut s = doc.to_json_string();
-        s.push('\n');
-        s
+        w.finish()
     }
 }
 
-fn base(pid: u32, tid: u32, ph: &str, name: &str, ts: f64) -> Vec<(String, Value)> {
-    vec![
-        ("name".into(), Value::Str(name.to_string())),
-        ("ph".into(), Value::Str(ph.to_string())),
-        ("ts".into(), Value::Float(ts)),
-        ("pid".into(), Value::UInt(u64::from(pid))),
-        ("tid".into(), Value::UInt(u64::from(tid))),
-    ]
+/// The Chrome trace writer: one string, each event appended in the
+/// layout `Value::to_json_string` gives the equivalent tree, so the
+/// output parses and re-renders to itself byte for byte.
+struct TraceWriter {
+    out: String,
+    first: bool,
 }
 
-fn meta_event(pid: u32, tid: u32, kind: &str, name: &str) -> Value {
-    let mut m = base(pid, tid, "M", kind, 0.0);
-    m.push((
-        "args".into(),
-        Value::Map(vec![("name".into(), Value::Str(name.to_string()))]),
-    ));
-    Value::Map(m)
-}
-
-fn chrome_event(pid: u32, tid: u32, ev: &Ev) -> Value {
-    match ev {
-        Ev::Begin { name, t } => Value::Map(base(pid, tid, "B", name, t.as_micros_f64())),
-        Ev::End { t } => Value::Map(base(pid, tid, "E", "", t.as_micros_f64())),
-        Ev::Complete { name, t, dur } => {
-            let mut m = base(pid, tid, "X", name, t.as_micros_f64());
-            m.push(("dur".into(), Value::Float(dur.as_micros_f64())));
-            Value::Map(m)
-        }
-        Ev::Instant { name, t } => {
-            let mut m = base(pid, tid, "i", name, t.as_micros_f64());
-            m.push(("s".into(), Value::Str("t".into())));
-            Value::Map(m)
+impl TraceWriter {
+    fn new() -> TraceWriter {
+        TraceWriter {
+            out: String::from("{\"traceEvents\":["),
+            first: true,
         }
     }
+
+    /// `{"name":..,"ph":..,"ts":..,"pid":..,"tid":..` — the caller adds
+    /// any further fields and the closing brace.
+    fn head(&mut self, pid: u32, tid: u32, ph: &str, name: &str, ts_ns: u64) {
+        let out = &mut self.out;
+        if !std::mem::take(&mut self.first) {
+            out.push(',');
+        }
+        out.push_str("{\"name\":");
+        push_escaped(out, name);
+        out.push_str(",\"ph\":\"");
+        out.push_str(ph);
+        out.push_str("\",\"ts\":");
+        push_micros(out, ts_ns);
+        let _ = write!(out, ",\"pid\":{pid},\"tid\":{tid}");
+    }
+
+    fn meta(&mut self, pid: u32, tid: u32, kind: &str, name: &str) {
+        self.head(pid, tid, "M", kind, 0);
+        self.out.push_str(",\"args\":{\"name\":");
+        push_escaped(&mut self.out, name);
+        self.out.push_str("}}");
+    }
+
+    fn event(&mut self, pid: u32, tid: u32, ev: &Ev) {
+        match ev {
+            Ev::Begin { name, t } => self.head(pid, tid, "B", name, t.nanos()),
+            Ev::End { t } => self.head(pid, tid, "E", "", t.nanos()),
+            Ev::Complete { name, t, dur } => {
+                self.head(pid, tid, "X", name, t.nanos());
+                self.out.push_str(",\"dur\":");
+                push_micros(&mut self.out, dur.nanos());
+            }
+            Ev::Instant { name, t } => {
+                self.head(pid, tid, "i", name, t.nanos());
+                self.out.push_str(",\"s\":\"t\"");
+            }
+        }
+        self.out.push('}');
+    }
+
+    fn finish(mut self) -> String {
+        self.out.push_str("],\"displayTimeUnit\":\"ms\"}\n");
+        self.out
+    }
 }
+
+/// Append `ns` nanoseconds as microseconds, exactly as the JSON float
+/// `ns as f64 / 1e3` renders: a whole value keeps a `.0`, any other is
+/// its shortest round-trip decimal. Below 10^15 ns the quotient has at
+/// most 15 significant digits, so that shortest form is the exact
+/// decimal `ns / 1000`, written here from integers; larger times take
+/// the float path.
+fn push_micros(out: &mut String, ns: u64) {
+    const EXACT_BELOW_NS: u64 = 1_000_000_000_000_000;
+    if ns >= EXACT_BELOW_NS {
+        let us = ns as f64 / 1e3;
+        // `us` < 2^64 / 1e3 < 1e17: the float renders without exponent.
+        let _ = if us == us.trunc() && us < 1e15 {
+            write!(out, "{us:.1}")
+        } else {
+            write!(out, "{us}")
+        };
+        return;
+    }
+    // The fraction's digits without trailing zeros, but at least one.
+    let (frac, width) = match ns % 1_000 {
+        f if f % 100 == 0 => (f / 100, 1),
+        f if f % 10 == 0 => (f / 10, 2),
+        f => (f, 3),
+    };
+    let _ = write!(out, "{}.{frac:0width$}", ns / 1_000);
+}
+
+/// Append `s` as a JSON string: `"` and `\\` escaped, `\n` `\r` `\t` by
+/// name, other control characters as `\u00xx`, everything else raw.
+fn push_escaped(out: &mut String, s: &str) {
+    out.push('"');
+    let mut clean = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[clean..i]);
+        clean = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
+        }
+    }
+    out.push_str(&s[clean..]);
+    out.push('"');
+}
+
+const HEX: &[u8; 16] = b"0123456789abcdef";
 
 #[cfg(test)]
 mod tests {

@@ -494,7 +494,7 @@ pub fn fig4_with_output(cfg: &Fig4Config) -> (Fig4Result, RunOutput) {
     let samples = recorder
         .samples(0)
         .expect("rank 0 was on the watch list")
-        .into_iter()
+        .iter()
         .filter(|s| s.kind == OpKind::Allreduce)
         .collect::<Vec<_>>();
     let mut sorted_us: Vec<f64> = samples.iter().map(|s| s.dur().as_micros_f64()).collect();

@@ -139,7 +139,7 @@ pub fn fig2(seed: u64) -> Vec<BspRankRow> {
             let samples = recorder.samples(rank).expect("watched");
             let mut exchange_ms = 0.0;
             let mut reduce_ms = 0.0;
-            for s in &samples {
+            for s in samples {
                 match s.kind {
                     OpKind::Exchange => exchange_ms += s.dur().as_millis_f64(),
                     OpKind::Allreduce => reduce_ms += s.dur().as_millis_f64(),

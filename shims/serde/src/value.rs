@@ -118,8 +118,8 @@ fn write_json(v: &Value, indent: Option<usize>, depth: usize, out: &mut String) 
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::UInt(n) => out.push_str(&n.to_string()),
-        Value::Int(n) => out.push_str(&n.to_string()),
+        Value::UInt(n) => push_fmt(out, format_args!("{n}")),
+        Value::Int(n) => push_fmt(out, format_args!("{n}")),
         Value::Float(x) => write_f64(*x, out),
         Value::Str(s) => write_escaped(s, out),
         Value::Seq(xs) => write_block('[', ']', xs.len(), indent, depth, out, |i, out| {
@@ -167,6 +167,13 @@ fn write_block(
     out.push(close);
 }
 
+/// Render straight into `out`, with no temporary `String`.
+fn push_fmt(out: &mut String, args: std::fmt::Arguments<'_>) {
+    use std::fmt::Write;
+    out.write_fmt(args)
+        .expect("writing to a String cannot fail");
+}
+
 fn write_f64(x: f64, out: &mut String) {
     if x.is_nan() || x.is_infinite() {
         // Real serde_json refuses non-finite floats; rendering null keeps
@@ -175,27 +182,34 @@ fn write_f64(x: f64, out: &mut String) {
     } else if x == x.trunc() && x.abs() < 1e15 {
         // Match serde_json: whole floats render with a trailing `.0` so
         // they round-trip as floats.
-        out.push_str(&format!("{x:.1}"));
+        push_fmt(out, format_args!("{x:.1}"));
     } else {
-        out.push_str(&x.to_string());
+        push_fmt(out, format_args!("{x}"));
     }
 }
 
+/// Write `s` as a JSON string. Runs that need no escape are copied whole.
 fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut clean = 0;
+    for (i, b) in s.bytes().enumerate() {
+        // Every byte that needs an escape is ASCII, so `i` is always a
+        // character boundary.
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[clean..i]);
+        clean = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => push_fmt(out, format_args!("\\u{b:04x}")),
         }
     }
+    out.push_str(&s[clean..]);
     out.push('"');
 }
 
@@ -229,6 +243,10 @@ mod tests {
         assert_eq!(
             Value::Str("a\"b\\c\nd".into()).to_json_string(),
             r#""a\"b\\c\nd""#
+        );
+        assert_eq!(
+            Value::Str("\u{1}\té\u{1f}".into()).to_json_string(),
+            r#""\u0001\té\u001f""#
         );
     }
 

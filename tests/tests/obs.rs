@@ -141,3 +141,126 @@ fn fig4_style_run_yields_valid_artifacts() {
     assert!(!tl.is_empty());
     assert!(serde_json::parse(&tl.to_chrome_trace()).is_ok());
 }
+
+/// The three report artifacts of a small observed run: node 0's Chrome
+/// trace, the blame report JSON and the metrics snapshot. Production
+/// noise and the co-scheduler put daemon dispatches, ticks and
+/// `setprio` instants in the trace; record-all capture gives the blame
+/// report a critical path over all 128 Allreduces.
+fn report_artifacts() -> [String; 3] {
+    let mut wl = |_rank: u32| -> Box<dyn RankWorkload> {
+        Box::new(OpList::new(
+            std::iter::repeat_n(
+                [
+                    MpiOp::Compute(pa_simkit::SimDur::from_micros(40)),
+                    MpiOp::Allreduce { bytes: 64 },
+                ],
+                128,
+            )
+            .flatten()
+            .collect(),
+        ))
+    };
+    let out = Experiment::new(2, 4)
+        .with_cpus_per_node(4)
+        .with_noise(pa_noise::NoiseProfile::production())
+        .with_cosched(CoschedSetup::default())
+        .with_trace_node(0)
+        .with_record_all_ranks()
+        .with_seed(42)
+        .run(&mut wl);
+    assert!(out.completed, "run did not finish");
+    let trace = timeline_of(&out, 0).to_chrome_trace();
+    assert!(
+        trace.contains("setprio "),
+        "the co-scheduler sets priorities"
+    );
+    let blame = pa_blame::BlameReport {
+        title: "report".into(),
+        runs: vec![pa_core::blame_of(&out, "report")],
+        ..pa_blame::BlameReport::default()
+    }
+    .to_json();
+    assert!(
+        blame.contains("\"ops\": 128"),
+        "every Allreduce is on the path"
+    );
+    let metrics = metrics_of(&out).snapshot_json();
+    [trace, blame, metrics]
+}
+
+#[test]
+fn report_artifacts_known_answer() {
+    let got = report_artifacts().map(|a| pa_simkit::sha256_hex(a.as_bytes()));
+    // Recorded from the tree-building writers (a `Value` tree per trace
+    // event, nested-map path grouping); the streamed writers must
+    // reproduce them byte for byte.
+    let want = [
+        "76432094b0aa09258ef272afb2ddf0f7655694058e6faae7196e87e6c7cda066",
+        "f3fbba3798eafe2556125221b290c067341437e2e2c4055117cacc34516ba72b",
+        "8378d478c021fbde4ae3635797408273d832c03c25496da48960d7d6dec475e7",
+    ];
+    assert_eq!(got, want.map(String::from), "[trace, blame, metrics]");
+}
+
+/// Characters a span or lane name is drawn from: plain ASCII, every
+/// character the writer escapes by name, raw control characters (the
+/// `\u00xx` path), DEL, and multi-byte UTF-8 that passes through raw.
+const NAME_CHARS: [char; 16] = [
+    'a', 'Z', ' ', '#', '"', '\\', '\n', '\r', '\t', '\u{0}', '\u{1f}', '\u{7f}', 'é', '→',
+    '\u{2028}', '😀',
+];
+
+fn name_of(chars: &[usize]) -> String {
+    chars.iter().map(|&i| NAME_CHARS[i]).collect()
+}
+
+/// A time in `[0, 2^53)` ns, in one of four regimes: whole µs, below
+/// 10^15 ns (where the writer formats from integers), anywhere, or a
+/// short run's sub-millisecond values.
+fn time_of(mode: u64, raw: u64) -> u64 {
+    match mode {
+        0 => raw / 1_000 * 1_000,
+        1 => raw % 1_000_000_000_000_000,
+        2 => raw,
+        _ => raw % 1_000_000,
+    }
+}
+
+proptest::proptest! {
+    #[test]
+    fn chrome_trace_is_its_own_canonical_rendering(
+        ops in proptest::prelude::prop::collection::vec(
+            (
+                0u32..6,
+                (0u32..3, 0u32..4),
+                proptest::prelude::prop::collection::vec(0usize..NAME_CHARS.len(), 0..6),
+                (0u64..4, 0u64..(1 << 53)),
+                (0u64..4, 0u64..(1 << 53)),
+            ),
+            0..40,
+        )
+    ) {
+        // Every event kind, explicit and fallback lane names, and
+        // unmatched ends (which record nothing).
+        let mut tl = SpanTimeline::new();
+        for (kind, (pid, tid), chars, (tm, traw), (dm, draw)) in ops {
+            let name = name_of(&chars);
+            let t = SimTime::from_nanos(time_of(tm, traw));
+            let dur = pa_simkit::SimDur::from_nanos(time_of(dm, draw));
+            match kind {
+                0 => tl.begin(pid, tid, name, t),
+                1 => drop(tl.end(pid, tid, t)),
+                2 => tl.complete(pid, tid, name, t, dur),
+                3 => tl.instant(pid, tid, name, t),
+                4 => tl.name_process(pid, name),
+                _ => tl.name_track(pid, tid, name),
+            }
+        }
+        let trace = tl.to_chrome_trace();
+        let parsed = serde_json::parse(&trace);
+        proptest::prop_assert!(parsed.is_ok(), "trace does not parse: {trace}");
+        let rendered = parsed.unwrap().to_json_string() + "\n";
+        proptest::prop_assert_eq!(rendered, trace);
+    }
+}
